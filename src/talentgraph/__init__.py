@@ -28,11 +28,11 @@ from .parser import (
     parse_duration,
     parse_resume,
     split_sections,
-    tokenize,
 )
 from .query import Query, QueryTerm, RankedResult, execute, explain, parse_query
 from .scoring import DescriptionScore, score_description
 from .stats import CorpusStats, compute_graph_stats, compute_stats
+from .tokenization import tokenize
 
 __all__ = [
     "CorpusStats",

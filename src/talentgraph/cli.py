@@ -7,10 +7,10 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from ._io import dumps, write_text
 from .errors import TalentGraphError
 from .evaluation import evaluate_graph, load_gold
 from .graph import KnowledgeGraph, NodeKind, ScoringConfig
@@ -24,14 +24,6 @@ from .lexicon import (
 from .parser import parse_resume
 from .query import Query, execute, explain, parse_query
 from .stats import compute_graph_stats, compute_stats
-
-
-def _emit_json(payload: dict, out: Path | None = None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
 
 
 def _lexicon_for_graph(lexicon_path: str | None, graph: KnowledgeGraph) -> SkillLexicon:
@@ -116,15 +108,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
     query = parse_query(args.dsl, lexicon)
     results = execute(query, graph)
     if args.json:
-        _emit_json(
-            {
-                "schema_version": 1,
-                "query": args.dsl,
-                "top_k": query.top_k,
-                "results": [r.to_dict() for r in results],
-            },
-            Path(args.out) if args.out else None,
-        )
+        payload = {
+            "schema_version": 1,
+            "query": args.dsl,
+            "top_k": query.top_k,
+            "results": [r.to_dict() for r in results],
+        }
+        write_text(dumps(payload), args.out)
     else:
         print(_format_results(query, results))
     return 0
@@ -136,7 +126,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     query = parse_query(args.dsl, lexicon)
     explanation = explain(args.jobseeker, query, graph)
     if args.json:
-        _emit_json({"schema_version": 1, "explanation": explanation.to_dict()})
+        write_text(dumps({"schema_version": 1, "explanation": explanation.to_dict()}))
         return 0
     print(f"jobseeker {explanation.jobseeker_id}")
     print(f"  qualifies: {'yes' if explanation.qualifies else 'no'}")
@@ -160,11 +150,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     graph = KnowledgeGraph.load(args.graph)
-    text = graph.to_json() if args.format == "json" else graph.to_dot()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    write_text(graph.to_json() if args.format == "json" else graph.to_dot(), args.out)
     return 0
 
 
@@ -183,7 +169,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     else:
         stats = compute_graph_stats(KnowledgeGraph.load(path))
     if args.json:
-        _emit_json({"schema_version": 1, "stats": stats.to_dict()})
+        write_text(dumps({"schema_version": 1, "stats": stats.to_dict()}))
         return 0
     print(f"resumes                  {stats.resume_count}")
     print(f"distinct skills          {stats.distinct_skills}")
@@ -200,7 +186,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     lexicon = _lexicon_for_graph(args.lexicon, graph)
     report = evaluate_graph(graph, gold, lexicon, mode=args.topk_mode)
     if args.json:
-        _emit_json({"schema_version": 1, "metrics": report.to_dict()})
+        write_text(dumps({"schema_version": 1, "metrics": report.to_dict()}))
     else:
         print(report.format_table())
     return 0

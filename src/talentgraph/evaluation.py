@@ -21,11 +21,11 @@ Gold fixture document::
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from ._io import read_document
 from .errors import FixtureError, NodeNotFoundError
 from .graph import EdgeKind, KnowledgeGraph
 from .lexicon import SkillLexicon
@@ -155,15 +155,7 @@ class GoldLabels:
 
 def load_gold(path: str | Path) -> GoldLabels:
     """Load and validate a gold fixture document."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FixtureError(f"cannot read gold file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise FixtureError(f"{path}: top level must be an object")
-
+    doc = read_document(path, "gold", FixtureError)
     gold = GoldLabels()
     skills = doc.get("skills", {})
     if not isinstance(skills, dict):
@@ -191,6 +183,8 @@ def load_gold(path: str | Path) -> GoldLabels:
             or not isinstance(item.get("relevant"), list)
         ):
             raise FixtureError(f"queries[{i}]: expected {{query, relevant}}")
+        if any(not isinstance(r, str) for r in item["relevant"]):
+            raise FixtureError(f"queries[{i}].relevant: expected a list of strings")
         gold.queries.append((item["query"], set(item["relevant"])))
     return gold
 

@@ -25,12 +25,12 @@ concurrent reads; parallel ingestion builds shard graphs and merges them.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
+from ._io import check_document, dumps, read_document, write_text
 from .errors import (
     DuplicateJobseekerError,
     GraphConfigError,
@@ -190,10 +190,18 @@ class KnowledgeGraph:
     def get_edge(self, kind: EdgeKind, source: str, target: str) -> WeightedEdge | None:
         return self.edges.get((kind, source, target))
 
+    def _sorted_edges(self) -> list[WeightedEdge]:
+        """All edges in the graph file's order: kind, source, target."""
+        return sorted(self.edges.values(), key=lambda e: (e.kind.value, e.source, e.target))
+
+    def _sorted_nodes(self) -> list[tuple[NodeId, dict[str, str]]]:
+        """All (node, attrs) pairs in the graph file's order: kind, key."""
+        return sorted(self.nodes.items(), key=lambda kv: (kv[0].kind.value, kv[0].key))
+
     def edges_of_kind(self, kind: EdgeKind) -> Iterator[WeightedEdge]:
-        for key in sorted(self.edges, key=lambda k: (k[0].value, k[1], k[2])):
-            if key[0] is kind:
-                yield self.edges[key]
+        for edge in self._sorted_edges():
+            if edge.kind is kind:
+                yield edge
 
     def jobseeker_ids(self) -> list[str]:
         return sorted(
@@ -243,10 +251,7 @@ class KnowledgeGraph:
 
     def skill_years(self, jobseeker_id: str, skill: str) -> float:
         """Accumulated project months for the skill, in years."""
-        self._require_node(NodeKind.JOBSEEKER, jobseeker_id)
-        self._require_node(NodeKind.SKILL, skill)
-        edge = self.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, skill)
-        return edge.months_sum / 12.0 if edge else 0.0
+        return self.jobseeker_skill_parts(jobseeker_id, skill)[2]
 
     def supporting_projects(self, jobseeker_id: str, skill: str) -> list[str]:
         """Project keys of this jobseeker whose details mention the skill."""
@@ -312,9 +317,7 @@ class KnowledgeGraph:
             },
             "nodes": [
                 {"kind": node.kind.value, "key": node.key, "attrs": dict(attrs)}
-                for node, attrs in sorted(
-                    self.nodes.items(), key=lambda kv: (kv[0].kind.value, kv[0].key)
-                )
+                for node, attrs in self._sorted_nodes()
             ],
             "edges": [
                 {
@@ -325,16 +328,13 @@ class KnowledgeGraph:
                     "support_count": edge.support_count,
                     "months_sum": edge.months_sum,
                 }
-                for _, edge in sorted(
-                    self.edges.items(), key=lambda kv: (kv[0][0].value, kv[0][1], kv[0][2])
-                )
+                for edge in self._sorted_edges()
             ],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
-        if not isinstance(doc, dict):
-            raise GraphFormatError("graph document must be an object")
+        check_document(doc, GraphFormatError)
         config_doc = doc.get("config")
         if not isinstance(config_doc, dict):
             raise GraphFormatError("missing 'config' object")
@@ -390,22 +390,14 @@ class KnowledgeGraph:
         return graph
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return dumps(self.to_dict())
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        write_text(self.to_json(), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":
-        try:
-            raw = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise GraphFormatError(f"cannot read graph file {path}: {exc}") from exc
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_document(path, "graph", GraphFormatError))
 
     def to_dot(self) -> str:
         """Graphviz rendering with mean edge weights, for eyeballing fixtures."""
@@ -413,17 +405,13 @@ class KnowledgeGraph:
             return text.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph talentgraph {"]
-        for node, attrs in sorted(
-            self.nodes.items(), key=lambda kv: (kv[0].kind.value, kv[0].key)
-        ):
+        for node, attrs in self._sorted_nodes():
             label = attrs.get("name") or attrs.get("title") or node.key
             lines.append(
                 f'  "{node.kind.value}:{quote(node.key)}" '
                 f'[label="{quote(label)}", kind="{node.kind.value}"];'
             )
-        for _, edge in sorted(
-            self.edges.items(), key=lambda kv: (kv[0][0].value, kv[0][1], kv[0][2])
-        ):
+        for edge in self._sorted_edges():
             src_kind, dst_kind = EDGE_ENDPOINTS[edge.kind]
             lines.append(
                 f'  "{src_kind.value}:{quote(edge.source)}" -> '

@@ -32,10 +32,10 @@ jobseeker id, which is the corpus order for parser-assigned ids.
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable
 
+from ._io import check_document, dumps, read_document, write_text
 from .errors import DocumentFormatError, DuplicateJobseekerError
 from .parser import ExperienceEntry, ResumeRecord, parse_duration
 
@@ -79,8 +79,7 @@ def _require_str(value: object, path: str) -> str:
 
 def load_intermediate(doc: dict) -> list[ResumeRecord]:
     """Inverse of emit_intermediate, modulo duration re-parsing."""
-    if not isinstance(doc, dict):
-        raise DocumentFormatError("document must be an object")
+    check_document(doc, DocumentFormatError)
     jobseekers = doc.get("jobseekers")
     if not isinstance(jobseekers, dict):
         raise DocumentFormatError("missing 'jobseekers' object")
@@ -149,20 +148,12 @@ def load_intermediate(doc: dict) -> list[ResumeRecord]:
 
 
 def dumps_intermediate(records: Iterable[ResumeRecord]) -> str:
-    return json.dumps(emit_intermediate(records), indent=2, sort_keys=True) + "\n"
+    return dumps(emit_intermediate(records))
 
 
 def write_intermediate(records: Iterable[ResumeRecord], path: str | Path) -> None:
-    Path(path).write_text(dumps_intermediate(records), encoding="utf-8")
+    write_text(dumps_intermediate(records), path)
 
 
 def read_intermediate(path: str | Path) -> list[ResumeRecord]:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentFormatError(f"cannot read document {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DocumentFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return load_intermediate(doc)
+    return load_intermediate(read_document(path, "intermediate", DocumentFormatError))

@@ -32,12 +32,12 @@ precedence over a scope-free entry for the same keyword.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from ._io import dumps, read_document
 from .errors import (
     AliasConflictError,
     GazetteerFormatError,
@@ -125,21 +125,6 @@ class SentimentGazetteer:
         return len(self.entries)
 
 
-def _read_json(source: str | Path, kind: str, error_cls: type) -> dict:
-    path = Path(source)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise error_cls(f"cannot read {kind} file {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise error_cls(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise error_cls(f"{path}: top level must be a JSON object")
-    return doc
-
-
 def parse_skill_records(records: Iterable[dict], locator: str = "skills") -> SkillLexicon:
     """Build a lexicon from decoded records, enforcing all invariants."""
     entries = []
@@ -169,7 +154,7 @@ def parse_skill_records(records: Iterable[dict], locator: str = "skills") -> Ski
 
 def load_skill_lexicon(source: str | Path) -> SkillLexicon:
     """Load the skills dictionary from a JSON document."""
-    doc = _read_json(source, "lexicon", LexiconFormatError)
+    doc = read_document(source, "lexicon", LexiconFormatError)
     records = doc.get("skills")
     if not isinstance(records, list):
         raise LexiconFormatError(f"{source}: missing 'skills' array")
@@ -186,7 +171,7 @@ def dump_skill_lexicon(lexicon: SkillLexicon) -> str:
         }
         for e in sorted(lexicon.entries, key=lambda e: e.canonical)
     ]
-    return json.dumps({"schema_version": 1, "skills": records}, indent=2, sort_keys=True) + "\n"
+    return dumps({"schema_version": 1, "skills": records})
 
 
 def normalize_skill(token_or_phrase: str, lexicon: SkillLexicon) -> str | None:
@@ -234,7 +219,7 @@ def parse_sentiment_records(
 
 def load_sentiment_gazetteer(source: str | Path) -> SentimentGazetteer:
     """Load the skill-sentiment gazetteer from a JSON document."""
-    doc = _read_json(source, "gazetteer", GazetteerFormatError)
+    doc = read_document(source, "gazetteer", GazetteerFormatError)
     records = doc.get("entries")
     if not isinstance(records, list):
         raise GazetteerFormatError(f"{source}: missing 'entries' array")
@@ -250,7 +235,7 @@ def dump_sentiment_gazetteer(gazetteer: SentimentGazetteer) -> str:
         if e.skill_scope is not None:
             rec["skill"] = e.skill_scope
         records.append(rec)
-    return json.dumps({"schema_version": 1, "entries": records}, indent=2, sort_keys=True) + "\n"
+    return dumps({"schema_version": 1, "entries": records})
 
 
 def lookup_sentiment(

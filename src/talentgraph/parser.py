@@ -39,7 +39,6 @@ __all__ = [
     "parse_duration",
     "parse_resume",
     "split_sections",
-    "tokenize",
 ]
 
 # Header keyword -> section it opens. Matched as whole lines, case-insensitive,

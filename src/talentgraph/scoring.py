@@ -33,19 +33,13 @@ def score_description(
     gazetteer: SentimentGazetteer,
 ) -> DescriptionScore:
     """Score a description, optionally under a skill's gazetteer scope."""
-    total = 0.0
-    occurrences = 0
-    seen: set[str] = set()
-    for token in tokenize(details):
-        weight = lookup_sentiment(token, skill, gazetteer)
-        if weight is None:
-            continue
-        total += weight
-        occurrences += 1
-        seen.add(token)
-    if occurrences == 0:
+    matches = match_contributions(details, skill, gazetteer)
+    if not matches:
         return DescriptionScore(0.0, 0, 0)
-    return DescriptionScore(total / occurrences, occurrences, len(seen))
+    total = 0.0
+    for _, weight in matches:  # left to right; sum() compensates from Python 3.12
+        total += weight
+    return DescriptionScore(total / len(matches), len(matches), len({t for t, _ in matches}))
 
 
 def match_contributions(

@@ -67,7 +67,10 @@ def naive_score(details, gazetteer):
         if entry.skill_scope is None and entry.keyword not in weights:
             weights[entry.keyword] = entry.weight
     hits = [weights[t] for t in naive_tokens(details) if t in weights]
-    return sum(hits) / len(hits) if hits else 0.0
+    total = 0.0
+    for weight in hits:  # left to right: sum() compensates from Python 3.12
+        total += weight
+    return total / len(hits) if hits else 0.0
 
 
 class OracleGraph:

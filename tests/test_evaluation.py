@@ -168,9 +168,14 @@ def test_load_gold_fixture():
 
 def test_load_gold_rejects_bad_class(tmp_path):
     bad = tmp_path / "gold.json"
-    bad.write_text('{"sentiment": {"p": "angry"}}', encoding="utf-8")
-    with pytest.raises(FixtureError):
-        load_gold(bad)
+    for text, locator in [
+        ('{"sentiment": {"p": "angry"}}', "sentiment.p"),
+        ('{"queries": [{"query": "top java", "relevant": [1, 2]}]}', "queries[0].relevant"),
+    ]:
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(FixtureError) as err:
+            load_gold(bad)
+        assert locator in str(err.value)
 
 
 def test_evaluate_graph_hand_counted(corpus_graph, lexicon):

@@ -3,12 +3,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from talentgraph.lexicon import parse_sentiment_records
+from talentgraph.lexicon import load_sentiment_gazetteer, parse_sentiment_records
 from talentgraph.scoring import DescriptionScore, match_contributions, score_description
+
+from conftest import GAZETTEER_FILE
+from oracle import naive_score
 
 FILLERS = ["built", "shipped", "tools", "team", "platform", "billing", "data",
            "nightly", "jobs", "pipeline", "reviewed", "code"]
+
+
+KEYWORDS = sorted(
+    {e.keyword for e in load_sentiment_gazetteer(GAZETTEER_FILE).entries if e.skill_scope is None}
+)
 
 
 def make_description_pool(gazetteer, rng, count):
@@ -116,3 +126,10 @@ def test_duplication_invariance(gazetteer):
         double = score_description(details + " " + details, None, gazetteer)
         assert double.weight == pytest.approx(single.weight, abs=1e-12)
         assert double.matched_occurrences == 2 * single.matched_occurrences
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(st.sampled_from(KEYWORDS + FILLERS), max_size=30))
+def test_score_matches_oracle_exactly(gazetteer, words):
+    details = " ".join(words)
+    assert score_description(details, None, gazetteer).weight == naive_score(details, gazetteer)
