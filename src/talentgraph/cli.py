@@ -46,6 +46,26 @@ def _lexicon_for_graph(lexicon_path: str | None, graph: KnowledgeGraph) -> Skill
     return SkillLexicon(entries)
 
 
+def _parse_corpus(corpus: Path, lexicon: SkillLexicon):
+    """Yield (path, record, report) per ``*.txt`` resume, in name order.
+
+    A file skipped with a warning still consumes its seed, so other ids do not change.
+    """
+    files = sorted(corpus.glob("*.txt"))
+    if not files:
+        print(f"warning: no .txt resumes in {corpus}", file=sys.stderr)
+    for seed, path in enumerate(files):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            print(f"warning: {path} is not valid UTF-8, skipped", file=sys.stderr)
+            continue
+        if not text.strip():
+            print(f"warning: {path} is empty, skipped", file=sys.stderr)
+            continue
+        yield (path, *parse_resume(text, lexicon, seed))
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
     corpus = Path(args.corpus)
     if not corpus.is_dir():
@@ -58,17 +78,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     graph = KnowledgeGraph(config)
 
-    files = sorted(corpus.glob("*.txt"))
-    if not files:
-        print(f"warning: no .txt resumes in {corpus}", file=sys.stderr)
     records = []
     diagnostics = 0
-    for seed, path in enumerate(files):
-        text = path.read_text(encoding="utf-8")
-        if not text.strip():
-            print(f"warning: {path} is empty, skipped", file=sys.stderr)
-            continue
-        record, report = parse_resume(text, lexicon, seed)
+    for path, record, report in _parse_corpus(corpus, lexicon):
         diagnostics += len(report.diagnostics)
         if args.verbose:
             for message in report.diagnostics:
@@ -108,15 +120,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     query = parse_query(args.dsl, lexicon)
     results = execute(query, graph)
     if args.json:
-        payload = {
-            "schema_version": 1,
-            "query": args.dsl,
-            "top_k": query.top_k,
-            "results": [r.to_dict() for r in results],
-        }
-        write_text(dumps(payload), args.out)
+        text = dumps({"schema_version": 1, "query": args.dsl, "top_k": query.top_k,
+                      "results": [r.to_dict() for r in results]})
     else:
-        print(_format_results(query, results))
+        text = _format_results(query, results) + "\n"
+    write_text(text, args.out)
     return 0
 
 
@@ -160,12 +168,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if not args.lexicon:
             raise TalentGraphError("--lexicon is required when computing stats on a corpus")
         lexicon = load_skill_lexicon(args.lexicon)
-        records = []
-        for seed, file in enumerate(sorted(path.glob("*.txt"))):
-            text = file.read_text(encoding="utf-8")
-            if text.strip():
-                records.append(parse_resume(text, lexicon, seed)[0])
-        stats = compute_stats(records, lexicon)
+        stats = compute_stats([rec for _, rec, _ in _parse_corpus(path, lexicon)], lexicon)
     else:
         stats = compute_graph_stats(KnowledgeGraph.load(path))
     if args.json:
@@ -215,7 +218,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("dsl", help='query, e.g. "C++ 8-10, Java 6-8, Python 2-3"')
     p.add_argument("--lexicon", help="lexicon for alias-aware skill resolution")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--out", help="write JSON output to this file")
+    p.add_argument("--out", help="write the output to this file")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("explain", help="decompose one jobseeker's score for a query")

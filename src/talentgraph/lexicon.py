@@ -29,11 +29,16 @@ All strings are lowercase-folded and whitespace-trimmed at load time; lookups
 fold the same way, so matching is case-insensitive throughout. A gazetteer
 entry with a "skill" field applies only to that canonical skill and takes
 precedence over a scope-free entry for the same keyword.
+
+A lexicon's phrase index, the form free-text skill matching uses, is derived
+from ``alias_index`` on first use and cached. This relies on the lexicon being
+immutable; a concurrent first use builds equal values.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -44,7 +49,7 @@ from .errors import (
     LexiconFormatError,
     WeightRangeError,
 )
-from .tokenization import EMPTY_STOP_WORDS, tokenize
+from .tokenization import DEFAULT_KEEP_CHARS, EMPTY_STOP_WORDS, tokenize
 
 _WS_RE = re.compile(r"\s+")
 
@@ -97,19 +102,21 @@ class SkillLexicon:
         entry = self._by_canonical.get(canonical)
         return entry.category if entry else None
 
-    def token_chars(self) -> str:
-        """Non-alphanumeric, non-space characters occurring inside aliases.
+    @cached_property
+    def phrase_index(self) -> tuple[str, dict[tuple[str, ...], str], int]:
+        """(keep characters, alias token tuple -> canonical, longest phrase length).
 
-        The tokenizer must preserve these so aliases like "c++" survive as
-        single tokens.
+        Every alias character outside ``a-z0-9`` and space stays inside tokens ("c++",
+        ".net"); two skills whose aliases tokenize alike raise ``AliasConflictError``.
         """
-        chars = {
-            ch
-            for alias in self.alias_index
-            for ch in alias
-            if not ch.isalnum() and not ch.isspace()
-        }
-        return "".join(sorted(chars))
+        extra = set(re.sub(r"[a-z0-9 ]", "", "".join(self.alias_index)))
+        keep = DEFAULT_KEEP_CHARS + "".join(sorted(extra - set(DEFAULT_KEEP_CHARS)))
+        phrases: dict[tuple[str, ...], str] = {}
+        for alias, canonical in self.alias_index.items():
+            phrase = tuple(tokenize(alias, keep_chars=keep, stop_words=EMPTY_STOP_WORDS))
+            if phrase and phrases.setdefault(phrase, canonical) != canonical:
+                raise AliasConflictError(" ".join(phrase), phrases[phrase], canonical)
+        return keep, phrases, max(map(len, phrases), default=1)
 
 
 class SentimentGazetteer:

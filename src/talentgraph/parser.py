@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import ResumeParseError
 from .lexicon import SkillLexicon, normalize_skill
-from .tokenization import DEFAULT_KEEP_CHARS, EMPTY_STOP_WORDS, tokenize
+from .tokenization import EMPTY_STOP_WORDS, tokenize
 
 __all__ = [
     "DEFAULT_SECTION_HEADERS",
@@ -176,23 +176,13 @@ def extract_skills(section_text: str, lexicon: SkillLexicon) -> set[str]:
     Stop words are kept during matching so multi-word aliases containing
     them still resolve.
     """
-    keep = DEFAULT_KEEP_CHARS + "".join(
-        c for c in lexicon.token_chars() if c not in DEFAULT_KEEP_CHARS
-    )
+    keep, phrases, max_len = lexicon.phrase_index
     tokens = tokenize(section_text, keep_chars=keep, stop_words=EMPTY_STOP_WORDS)
-    phrase_index: dict[tuple[str, ...], str] = {}
-    max_len = 1
-    for alias, canonical in lexicon.alias_index.items():
-        alias_tokens = tuple(tokenize(alias, keep_chars=keep, stop_words=EMPTY_STOP_WORDS))
-        if alias_tokens:
-            phrase_index[alias_tokens] = canonical
-            max_len = max(max_len, len(alias_tokens))
-
     found: set[str] = set()
     i = 0
     while i < len(tokens):
         for n in range(min(max_len, len(tokens) - i), 0, -1):
-            canonical = phrase_index.get(tuple(tokens[i : i + n]))
+            canonical = phrases.get(tuple(tokens[i : i + n]))
             if canonical is not None:
                 found.add(canonical)
                 i += n

@@ -152,9 +152,8 @@ def execute(query: Query, graph: KnowledgeGraph) -> list[RankedResult]:
             continue
         per_skill = []
         for term in query.terms:
-            strength = graph.jobseeker_skill_strength(jobseeker_id, term.skill)
-            years = graph.skill_years(jobseeker_id, term.skill)
-            per_skill.append((term.skill, strength, years))
+            sentiment, bonus, years, _ = graph.jobseeker_skill_parts(jobseeker_id, term.skill)
+            per_skill.append((term.skill, sentiment + bonus, years))
         total = sum(s for _, s, _ in per_skill)
         results.append(RankedResult(jobseeker_id, total, per_skill))
     results.sort(key=lambda r: (-r.total_score, r.jobseeker_id))

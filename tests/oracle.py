@@ -38,21 +38,31 @@ def naive_tokens(text, keep="+#-", stop_words=STOP_WORDS):
     return out
 
 
-def naive_extract_skills(text, lexicon):
-    keep = "+#-" + "".join(c for c in lexicon.token_chars() if c not in "+#-")
-    tokens = naive_tokens(text, keep, stop_words=frozenset())
-    phrases = {}
+def naive_phrases(lexicon):
+    """Keep characters, and alias token tuple -> set of canonicals."""
+    keep = set("+#-")
+    for alias in lexicon.alias_index:
+        keep |= {ch for ch in alias if ch not in ALNUM and ch != " "}
+    phrases = defaultdict(set)
     for alias, canonical in lexicon.alias_index.items():
         alias_tokens = tuple(naive_tokens(alias, keep, stop_words=frozenset()))
         if alias_tokens:
-            phrases[alias_tokens] = canonical
+            phrases[alias_tokens].add(canonical)
+    return keep, phrases
+
+
+def naive_extract_skills(text, lexicon):
+    """Longest phrase first; only defined when no phrase has two canonicals."""
+    keep, phrases = naive_phrases(lexicon)
+    assert all(len(owners) == 1 for owners in phrases.values()), "phrase collision"
+    tokens = naive_tokens(text, keep, stop_words=frozenset())
     found = set()
     i = 0
     while i < len(tokens):
         for n in range(len(tokens) - i, 0, -1):
-            canonical = phrases.get(tuple(tokens[i : i + n]))
-            if canonical is not None:
-                found.add(canonical)
+            owners = phrases.get(tuple(tokens[i : i + n]))
+            if owners:
+                found |= owners
                 i += n
                 break
         else:

@@ -47,6 +47,54 @@ def test_ingest_empty_dir_warns_exit_zero(tmp_path, capsys):
     assert KnowledgeGraph.load(out).jobseeker_ids() == []
 
 
+def copy_corpus_with_latin1_file(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for path in CORPUS_DIR.glob("*.txt"):
+        (corpus / path.name).write_bytes(path.read_bytes())
+    bad = corpus / "r00_latin1.txt"  # sorts first, so it holds seed 0
+    bad.write_bytes("Zoé Martin\n\nSKILLS\njava\n".encode("latin-1"))
+    return corpus, bad
+
+
+def test_ingest_skips_file_that_is_not_utf8(tmp_path, capsys):
+    corpus, bad = copy_corpus_with_latin1_file(tmp_path)
+    out = tmp_path / "graph.json"
+    code = run_cli(
+        "ingest", corpus, "--lexicon", LEXICON_FILE,
+        "--gazetteer", GAZETTEER_FILE, "--out", out,
+    )
+    assert code == 0
+    assert f"warning: {bad} is not valid UTF-8, skipped" in capsys.readouterr().err
+    ids = KnowledgeGraph.load(out).jobseeker_ids()
+    assert len(ids) == 6
+    assert "js0001-jane-doe" in ids
+
+
+def test_stats_dir_skips_file_that_is_not_utf8(tmp_path, capsys):
+    corpus, bad = copy_corpus_with_latin1_file(tmp_path)
+    assert run_cli("stats", corpus, "--lexicon", LEXICON_FILE, "--json") == 0
+    captured = capsys.readouterr()
+    assert f"warning: {bad} is not valid UTF-8, skipped" in captured.err
+    assert json.loads(captured.out)["stats"]["resume_count"] == 6
+
+
+def test_ingest_phrase_conflict_writes_nothing(tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps({"schema_version": 1, "skills": [
+        {"canonical": "c++", "category": "x"},
+        {"canonical": "cpp-lang", "category": "x", "aliases": ["c++."]},
+    ]}), encoding="utf-8")
+    out = tmp_path / "graph.json"
+    code = run_cli(
+        "ingest", CORPUS_DIR, "--lexicon", lexicon,
+        "--gazetteer", GAZETTEER_FILE, "--out", out,
+    )
+    assert code == 1
+    assert "'c++' maps to both 'c++' and 'cpp-lang'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_writes_intermediate(tmp_path):
     inter = tmp_path / "intermediate.json"
     ingest(tmp_path, extra=("--intermediate", inter))
@@ -102,6 +150,17 @@ def test_query_human_table(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "js0000-jane-doe" in table
     assert "rank" in table
+
+
+def test_query_out_writes_text_table(tmp_path, capsys):
+    graph = ingest(tmp_path)
+    capsys.readouterr()
+    assert run_cli("query", graph, "top java candidates") == 0
+    table = capsys.readouterr().out
+    out = tmp_path / "query.txt"
+    assert run_cli("query", graph, "top java candidates", "--out", out) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == table
 
 
 def test_explain_json_sums(tmp_path, capsys):

@@ -20,6 +20,7 @@ from talentgraph.lexicon import (
     parse_sentiment_records,
     parse_skill_records,
 )
+from talentgraph.parser import extract_skills
 
 
 def test_alias_normalization_cpp():
@@ -190,11 +191,12 @@ def test_alias_index_is_union_of_entry_aliases(lexicon):
     assert set(lexicon.alias_index) == union
 
 
-def test_token_chars_collected_from_aliases():
+def test_alias_punctuation_kept_in_tokens():
     lexicon = parse_skill_records(
         [
             {"canonical": "c++", "category": "x", "aliases": ["c++"]},
             {"canonical": ".net", "category": "x", "aliases": [".net"]},
         ]
     )
-    assert set(lexicon.token_chars()) == {"+", "."}
+    assert extract_skills("Shipped C++ and .NET services.", lexicon) == {"c++", ".net"}
+    assert extract_skills("c, net and dotnet", lexicon) == set()

@@ -3,9 +3,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from talentgraph.errors import ResumeParseError
-from talentgraph.lexicon import parse_skill_records
+import talentgraph.lexicon
+import talentgraph.parser
+import talentgraph.tokenization
+from talentgraph.errors import AliasConflictError, ResumeParseError
+from talentgraph.lexicon import load_skill_lexicon, parse_skill_records
 from talentgraph.parser import (
     ExperienceEntry,
     ParseReport,
@@ -18,7 +23,8 @@ from talentgraph.parser import (
     tokenize,
 )
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, LEXICON_FILE
+from oracle import naive_extract_skills, naive_phrases
 
 JANE = (CORPUS_DIR / "r01_jane_doe.txt").read_text(encoding="utf-8")
 
@@ -121,6 +127,98 @@ def test_extract_skills_subset_of_canonicals(lexicon, corpus_records):
         assert record.declared_skills <= canonicals
         for exp in record.experiences:
             assert extract_skills(exp.details, lexicon) <= canonicals
+
+
+def test_extract_skills_keeps_non_ascii_alias_letters():
+    lexicon = parse_skill_records(
+        [{"canonical": "caf", "category": "x"}, {"canonical": "café", "category": "x"}]
+    )
+    assert extract_skills("I like caf", lexicon) == {"caf"}
+    assert extract_skills("Café au lait", lexicon) == {"café"}
+
+
+def test_extract_skills_rejects_phrase_shared_by_two_skills():
+    lexicon = parse_skill_records(
+        [
+            {"canonical": "c++", "category": "x"},
+            {"canonical": "cpp-lang", "category": "x", "aliases": ["c++."]},
+        ]
+    )
+    with pytest.raises(AliasConflictError) as info:
+        extract_skills("c++ dev", lexicon)
+    assert info.value.alias == "c++"
+    assert info.value.canonicals == ("c++", "cpp-lang")
+
+
+def test_aliases_of_one_skill_may_share_a_phrase():
+    lexicon = parse_skill_records(
+        [{"canonical": "c++", "category": "x", "aliases": ["c++", "c++."]}]
+    )
+    assert extract_skills("C++. and more", lexicon) == {"c++"}
+
+
+def test_phrase_index_built_once_per_lexicon(monkeypatch):
+    lexicon = load_skill_lexicon(LEXICON_FILE)
+    extract_skills("warm up", lexicon)
+    calls = []
+
+    def counting_tokenize(*args, **kwargs):
+        calls.append(args)
+        return tokenize(*args, **kwargs)
+
+    for module in (talentgraph.parser, talentgraph.lexicon, talentgraph.tokenization):
+        monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    assert extract_skills("C++ and Apache Spark", lexicon) == {"c++", "spark"}
+    assert len(calls) == 1
+
+
+def _fold(text):
+    return " ".join(text.lower().split())
+
+
+# Alias words with kept punctuation in and outside "+#-", non-ASCII letters
+# and near-collisions ("c++" / "c++.", "caf" / "café").
+ALIAS_WORDS = ["java", "java.", "c++", "c++.", ".net", "net", "node.js", "a/b", "r&d",
+               "café", "caf", "naïve", "x-ray", "x", "-x", "go", "go-", "of", "the", "ß",
+               "ÉCOLE", "c#", "5g"]
+ALIAS = (
+    st.lists(
+        st.sampled_from(ALIAS_WORDS) | st.text(alphabet="abé.&/+#- ", min_size=1, max_size=4),
+        min_size=1, max_size=3,
+    )
+    .map(" ".join)
+    .filter(_fold)
+)
+TEXT_EXTRAS = ["the", "of", "and", "a", "built", "team", "data2", ",", ".", "/", "&", "!", "é"]
+
+
+@st.composite
+def lexicon_and_text(draw):
+    aliases = draw(st.lists(ALIAS, min_size=1, max_size=8, unique_by=_fold))
+    # A trailing dot is sentence punctuation, so "x." tokenizes like "x".
+    dotted = draw(st.lists(st.sampled_from(aliases), max_size=2, unique=True))
+    aliases += [a + "." for a in dotted if _fold(a + ".") not in map(_fold, aliases)]
+    groups: dict[int, list[str]] = {}
+    for alias in aliases:
+        groups.setdefault(draw(st.integers(0, 3)), []).append(alias)
+    records = [{"canonical": g[0], "category": "x", "aliases": g} for g in groups.values()]
+    piece = st.sampled_from(aliases) | st.sampled_from(TEXT_EXTRAS)
+    pieces = draw(st.lists(piece, min_size=1, max_size=12))
+    text = "".join(p + draw(st.sampled_from([" ", "", ", ", "\n"])) for p in pieces)
+    return records, draw(st.sampled_from([text, text.upper()]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lexicon_and_text())
+def test_extract_skills_matches_oracle(case):
+    records, text = case
+    lexicon = parse_skill_records(records)
+    _, phrases = naive_phrases(lexicon)
+    if any(len(owners) > 1 for owners in phrases.values()):
+        with pytest.raises(AliasConflictError):
+            extract_skills(text, lexicon)
+    else:
+        assert extract_skills(text, lexicon) == naive_extract_skills(text, lexicon)
 
 
 # -- parse_duration ---------------------------------------------------------
