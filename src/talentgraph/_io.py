@@ -11,9 +11,16 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+# Chunks joined per file write: with ``indent`` the encoder is pure Python
+# and yields many small chunks, and holding them all (as ``json.dumps``
+# does) costs several times the size of the document.
+_WRITE_BATCH = 8192
 
 
 def check_document(doc: object, error_cls: type[Exception], where: str = "") -> dict:
@@ -46,7 +53,16 @@ def read_document(path: str | Path, kind: str, error_cls: type[Exception]) -> di
 
 def dumps(doc: dict) -> str:
     """The canonical text of a document."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _ENCODER.encode(doc) + "\n"
+
+
+def write_document(doc: dict, path: str | Path) -> None:
+    """Write the canonical text of ``doc`` to the file at ``path``, streamed."""
+    chunks = _ENCODER.iterencode(doc)
+    with Path(path).open("w", encoding="utf-8") as out:
+        while batch := list(islice(chunks, _WRITE_BATCH)):
+            out.write("".join(batch))
+        out.write("\n")
 
 
 def write_text(text: str, path: str | Path | None = None) -> None:

@@ -241,11 +241,7 @@ def evaluate_graph(
         if missing:
             raise FixtureError(f"gold references unknown jobseekers: {missing[:5]}")
         predicted_skills = {
-            jobseeker_id: {
-                edge.target
-                for edge in graph.edges_of_kind(EdgeKind.JOBSEEKER_SKILL)
-                if edge.source == jobseeker_id
-            }
+            jobseeker_id: set(graph.out_edges(EdgeKind.JOBSEEKER_SKILL, jobseeker_id))
             for jobseeker_id in gold.skills
         }
         report.extraction = extraction_metrics(predicted_skills, gold.skills)

@@ -20,17 +20,22 @@ Construction per resume:
 6. The accumulated months feed a bounded duration bonus at read time:
    strength = mean(score) + factor * min(months, cap) / cap.
 
-After construction the graph is immutable by convention and safe for
-concurrent reads; parallel ingestion builds shard graphs and merges them.
+Lookups by node (``out_edges``, ``in_edges``) go through an adjacency
+index derived from ``edges`` on the first lookup and dropped whenever a new
+edge is created, so ingestion, which never looks edges up by node, never
+builds it. After construction the graph is immutable by convention and safe
+for concurrent reads: readers racing on the first lookup each build the same
+index from the same edges and publish it with one assignment. Parallel
+ingestion builds shard graphs and merges them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
-from ._io import check_document, dumps, read_document, write_text
+from ._io import check_document, dumps, read_document, write_document
 from .errors import (
     DuplicateJobseekerError,
     GraphConfigError,
@@ -99,6 +104,9 @@ class ScoringConfig:
             raise ValueError("duration_cap_months must be positive")
 
 
+_Adjacency = dict[tuple[EdgeKind, str], dict[str, WeightedEdge]]
+
+
 def project_key(jobseeker_id: str, ordinal: int) -> str:
     return f"{jobseeker_id}:p{ordinal}"
 
@@ -108,6 +116,9 @@ class KnowledgeGraph:
         self.config = config or ScoringConfig()
         self.nodes: dict[NodeId, dict[str, str]] = {}
         self.edges: dict[tuple[EdgeKind, str, str], WeightedEdge] = {}
+        # (out, in): (kind, node) -> {other endpoint: edge}, derived from
+        # edges; None until the first lookup after an edge was created.
+        self._adjacency: tuple[_Adjacency, _Adjacency] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -121,6 +132,7 @@ class KnowledgeGraph:
         if edge is None:
             edge = WeightedEdge(kind=kind, source=source, target=target)
             self.edges[key] = edge
+            self._adjacency = None
         return edge
 
     def add_resume(
@@ -190,6 +202,25 @@ class KnowledgeGraph:
     def get_edge(self, kind: EdgeKind, source: str, target: str) -> WeightedEdge | None:
         return self.edges.get((kind, source, target))
 
+    def _adjacency_index(self) -> tuple[_Adjacency, _Adjacency]:
+        index = self._adjacency
+        if index is None:
+            out: _Adjacency = {}
+            into: _Adjacency = {}
+            for (kind, source, target), edge in self.edges.items():
+                out.setdefault((kind, source), {})[target] = edge
+                into.setdefault((kind, target), {})[source] = edge
+            index = self._adjacency = (out, into)
+        return index
+
+    def out_edges(self, kind: EdgeKind, source: str) -> Mapping[str, WeightedEdge]:
+        """{target: edge} for the edges of ``kind`` leaving ``source``; read only."""
+        return self._adjacency_index()[0].get((kind, source), {})
+
+    def in_edges(self, kind: EdgeKind, target: str) -> Mapping[str, WeightedEdge]:
+        """{source: edge} for the edges of ``kind`` entering ``target``; read only."""
+        return self._adjacency_index()[1].get((kind, target), {})
+
     def _sorted_edges(self) -> list[WeightedEdge]:
         """All edges in the graph file's order: kind, source, target."""
         return sorted(self.edges.values(), key=lambda e: (e.kind.value, e.source, e.target))
@@ -199,6 +230,8 @@ class KnowledgeGraph:
         return sorted(self.nodes.items(), key=lambda kv: (kv[0].kind.value, kv[0].key))
 
     def edges_of_kind(self, kind: EdgeKind) -> Iterator[WeightedEdge]:
+        """Every edge of ``kind`` in file order. It sorts all edges on each call,
+        so lookups by node use ``out_edges``/``in_edges`` instead."""
         for edge in self._sorted_edges():
             if edge.kind is kind:
                 yield edge
@@ -255,20 +288,19 @@ class KnowledgeGraph:
 
     def supporting_projects(self, jobseeker_id: str, skill: str) -> list[str]:
         """Project keys of this jobseeker whose details mention the skill."""
-        return [
-            edge.target
-            for edge in self.edges_of_kind(EdgeKind.JOBSEEKER_PROJECT)
-            if edge.source == jobseeker_id
-            and (EdgeKind.SKILL_PROJECT, skill, edge.target) in self.edges
-        ]
+        return sorted(
+            pkey
+            for pkey in self.out_edges(EdgeKind.JOBSEEKER_PROJECT, jobseeker_id)
+            if (EdgeKind.SKILL_PROJECT, skill, pkey) in self.edges
+        )
 
     def project_score(self, pkey: str) -> float:
         """The description score recorded on the project's skill edges (0 if none)."""
         self._require_node(NodeKind.PROJECT, pkey)
-        for edge in self.edges_of_kind(EdgeKind.SKILL_PROJECT):
-            if edge.target == pkey:
-                return edge.mean_weight()
-        return 0.0
+        # Every skill edge of a project carries the same score; the one with
+        # the smallest skill is the one the file lists first.
+        edges = self.in_edges(EdgeKind.SKILL_PROJECT, pkey)
+        return edges[min(edges)].mean_weight() if edges else 0.0
 
     # -- merge ------------------------------------------------------------
 
@@ -393,7 +425,7 @@ class KnowledgeGraph:
         return dumps(self.to_dict())
 
     def save(self, path: str | Path) -> None:
-        write_text(self.to_json(), path)
+        write_document(self.to_dict(), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":

@@ -35,7 +35,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from ._io import check_document, dumps, read_document, write_text
+from ._io import check_document, dumps, read_document, write_document
 from .errors import DocumentFormatError, DuplicateJobseekerError
 from .parser import ExperienceEntry, ResumeRecord, parse_duration
 
@@ -152,7 +152,7 @@ def dumps_intermediate(records: Iterable[ResumeRecord]) -> str:
 
 
 def write_intermediate(records: Iterable[ResumeRecord], path: str | Path) -> None:
-    write_text(dumps_intermediate(records), path)
+    write_document(emit_intermediate(records), path)
 
 
 def read_intermediate(path: str | Path) -> list[ResumeRecord]:

@@ -130,9 +130,6 @@ class ParseReport:
     def add(self, message: str) -> None:
         self.diagnostics.append(message)
 
-    def to_list(self) -> list[str]:
-        return list(self.diagnostics)
-
 
 def _split_sections(
     text: str, headers: dict[str, str]

@@ -29,7 +29,7 @@ from .errors import (
     QueryRangeError,
     UnknownSkillError,
 )
-from .graph import EdgeKind, KnowledgeGraph, NodeKind
+from .graph import EdgeKind, KnowledgeGraph, NodeKind, WeightedEdge
 from .lexicon import SkillLexicon, normalize_skill
 
 DEFAULT_TOP_K = 10
@@ -132,8 +132,8 @@ def parse_query(text: str, lexicon: SkillLexicon) -> Query:
     return Query(terms=tuple(terms), top_k=top_k)
 
 
-def _term_matches(graph: KnowledgeGraph, jobseeker_id: str, term: QueryTerm) -> bool:
-    edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill)
+def _term_matches(edge: WeightedEdge | None, term: QueryTerm) -> bool:
+    """Whether a jobseeker's edge to the term's skill (None: no edge) satisfies it."""
     if edge is None:
         return False
     years = edge.months_sum / 12.0
@@ -148,14 +148,18 @@ def execute(query: Query, graph: KnowledgeGraph) -> list[RankedResult]:
     """Filter jobseekers satisfying every term, rank by total strength."""
     results = []
     for jobseeker_id in graph.jobseeker_ids():
-        if not all(_term_matches(graph, jobseeker_id, t) for t in query.terms):
-            continue
         per_skill = []
         for term in query.terms:
-            sentiment, bonus, years, _ = graph.jobseeker_skill_parts(jobseeker_id, term.skill)
-            per_skill.append((term.skill, sentiment + bonus, years))
-        total = sum(s for _, s, _ in per_skill)
-        results.append(RankedResult(jobseeker_id, total, per_skill))
+            edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill)
+            if not _term_matches(edge, term):
+                break
+            # The expressions of KnowledgeGraph.jobseeker_skill_parts, so the
+            # strengths equal those explain reports.
+            strength = edge.mean_weight() + graph.duration_bonus(edge.months_sum)
+            per_skill.append((term.skill, strength, edge.months_sum / 12.0))
+        else:
+            total = sum(s for _, s, _ in per_skill)
+            results.append(RankedResult(jobseeker_id, total, per_skill))
     results.sort(key=lambda r: (-r.total_score, r.jobseeker_id))
     return results[: query.top_k]
 
@@ -228,7 +232,9 @@ def explain(jobseeker_id: str, query: Query, graph: KnowledgeGraph) -> Explanati
                 projects=projects,
                 min_years=term.min_years,
                 max_years=term.max_years,
-                satisfied=_term_matches(graph, jobseeker_id, term),
+                satisfied=_term_matches(
+                    graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill), term
+                ),
             )
         )
     return Explanation(

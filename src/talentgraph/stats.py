@@ -55,8 +55,7 @@ def compute_graph_stats(graph: KnowledgeGraph) -> CorpusStats:
     resume_count = len(graph.jobseeker_ids())
     if resume_count == 0:
         return CorpusStats()
-    skill_edges = sum(1 for _ in graph.edges_of_kind(EdgeKind.JOBSEEKER_SKILL))
-    project_edges = sum(1 for _ in graph.edges_of_kind(EdgeKind.JOBSEEKER_PROJECT))
+    edge_counts = Counter(kind for kind, _, _ in graph.edges)
     categories = Counter(
         graph.nodes[node].get("category") or "uncategorized"
         for node in graph.nodes
@@ -65,7 +64,7 @@ def compute_graph_stats(graph: KnowledgeGraph) -> CorpusStats:
     return CorpusStats(
         resume_count=resume_count,
         distinct_skills=len(graph.skill_keys()),
-        avg_skills_per_resume=skill_edges / resume_count,
-        avg_projects_per_resume=project_edges / resume_count,
+        avg_skills_per_resume=edge_counts[EdgeKind.JOBSEEKER_SKILL] / resume_count,
+        avg_projects_per_resume=edge_counts[EdgeKind.JOBSEEKER_PROJECT] / resume_count,
         skills_by_category=dict(categories),
     )

@@ -160,3 +160,54 @@ class OracleGraph:
                 rows.append((jobseeker_id, total))
         rows.sort(key=lambda row: (-row[1], row[0]))
         return rows[: query.top_k]
+
+    # -- lookups by node, each a full rescan of the edge dict ------------------
+
+    def supporting_projects(self, jobseeker_id, skill):
+        return sorted(
+            target
+            for kind, source, target in self.edges
+            if kind == "jobseeker_project"
+            and source == jobseeker_id
+            and ("skill_project", skill, target) in self.edges
+        )
+
+    def project_score(self, pkey):
+        """Mean weight of the project's skill edge with the smallest skill."""
+        skills = sorted(
+            source for kind, source, target in self.edges
+            if kind == "skill_project" and target == pkey
+        )
+        if not skills:
+            return 0.0
+        acc = self.edges[("skill_project", skills[0], pkey)]
+        return acc[0] / acc[1] if acc[1] else 0.0
+
+    def skills_of(self, jobseeker_id):
+        return {
+            target for kind, source, target in self.edges
+            if kind == "jobseeker_skill" and source == jobseeker_id
+        }
+
+    def stats(self, lexicon):
+        """compute_graph_stats' figures, counted edge by edge."""
+        jobseekers = self.jobseeker_ids()
+        if not jobseekers:
+            return {"resume_count": 0, "distinct_skills": 0, "avg_skills_per_resume": 0.0,
+                    "avg_projects_per_resume": 0.0, "skills_by_category": {}}
+        skill_edges = project_edges = 0
+        for kind, _, _ in self.edges:
+            skill_edges += kind == "jobseeker_skill"
+            project_edges += kind == "jobseeker_project"
+        category = {entry.canonical: entry.category for entry in lexicon.entries}
+        by_category = defaultdict(int)
+        for kind, key in self.nodes:
+            if kind == "skill":
+                by_category[category.get(key) or "uncategorized"] += 1
+        return {
+            "resume_count": len(jobseekers),
+            "distinct_skills": sum(1 for kind, _ in self.nodes if kind == "skill"),
+            "avg_skills_per_resume": skill_edges / len(jobseekers),
+            "avg_projects_per_resume": project_edges / len(jobseekers),
+            "skills_by_category": dict(by_category),
+        }

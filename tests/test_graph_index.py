@@ -1,0 +1,116 @@
+"""Lookups by node go through the graph's derived adjacency index.
+
+The index is built on the first lookup and dropped when an edge is created,
+so each answer must equal a naive rescan of the edges, whatever the
+ingestion order, merge tree or round trip that produced the graph.
+"""
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from talentgraph.evaluation import GoldLabels, evaluate_graph, load_gold
+from talentgraph.graph import EdgeKind, KnowledgeGraph, project_key
+from talentgraph.lexicon import load_sentiment_gazetteer, load_skill_lexicon
+from talentgraph.parser import ExperienceEntry, ResumeRecord
+from talentgraph.query import explain, parse_query
+from talentgraph.stats import compute_graph_stats
+
+from conftest import GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, build_graph
+from oracle import OracleGraph
+
+LEXICON = load_skill_lexicon(LEXICON_FILE)
+GAZETTEER = load_sentiment_gazetteer(GAZETTEER_FILE)
+DETAIL_WORDS = ["c++", "cpp", "java", "py", "apache spark", "sql", "react",
+                "robust", "scalable", "debugging", "performance", "lead", "the", "service"]
+
+
+def _experience(draw) -> ExperienceEntry:
+    words = draw(st.lists(st.sampled_from(DETAIL_WORDS), max_size=6))
+    return ExperienceEntry(
+        organization=draw(st.sampled_from(["acme", "globex", "initech"])),
+        project_title="untitled",
+        duration_months=draw(st.integers(0, 40)),
+        details=" ".join(words),
+        duration_raw="",
+    )
+
+
+@st.composite
+def record_sets(draw) -> list[ResumeRecord]:
+    ids = draw(st.lists(st.sampled_from([f"js{i}" for i in range(8)]), max_size=6, unique=True))
+    declarable = sorted(LEXICON.canonicals()) + ["cobol"]  # cobol: not in the lexicon
+    return [
+        ResumeRecord(
+            jobseeker_id=jobseeker_id,
+            name=jobseeker_id,
+            declared_skills=set(draw(st.lists(st.sampled_from(declarable), max_size=3))),
+            experiences=[_experience(draw) for _ in range(draw(st.integers(0, 3)))],
+        )
+        for jobseeker_id in ids
+    ]
+
+
+def assert_lookups_match_oracle(graph: KnowledgeGraph, oracle: OracleGraph) -> None:
+    jobseekers = oracle.jobseeker_ids()
+    for jobseeker_id in jobseekers:
+        for skill in sorted(LEXICON.canonicals()):
+            assert graph.supporting_projects(jobseeker_id, skill) == oracle.supporting_projects(
+                jobseeker_id, skill
+            )
+    for kind, key in sorted(oracle.nodes):
+        if kind == "project":
+            assert graph.project_score(key) == oracle.project_score(key)
+    if jobseekers:
+        gold = GoldLabels(skills={j: oracle.skills_of(j) for j in jobseekers})
+        extraction = evaluate_graph(graph, gold, LEXICON).extraction
+        # Precision and recall are both 1 exactly when every predicted set
+        # equals the oracle's.
+        assert (extraction.precision, extraction.recall) == (1.0, 1.0)
+    assert compute_graph_stats(graph).to_dict() == oracle.stats(LEXICON)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=record_sets(), data=st.data())
+def test_lookups_match_oracle(records, data):
+    oracle = OracleGraph(records, LEXICON, GAZETTEER, KnowledgeGraph().config)
+    shuffled = data.draw(st.permutations(records))
+    cut = data.draw(st.integers(0, len(records)))
+    built = build_graph(shuffled[:cut], LEXICON, GAZETTEER)
+    merged = built.merge(build_graph(shuffled[cut:], LEXICON, GAZETTEER))
+    built.out_edges(EdgeKind.JOBSEEKER_SKILL, "js0")  # index the graph mid-ingestion
+    for record in shuffled[cut:]:
+        built.add_resume(record, LEXICON, GAZETTEER)
+    loaded = KnowledgeGraph.from_dict(built.to_dict())
+    for graph in (built, merged, loaded):
+        assert_lookups_match_oracle(graph, oracle)
+
+
+def test_new_edge_seen_by_next_lookup():
+    def resume(jobseeker_id):
+        details = "robust java service"
+        return ResumeRecord(jobseeker_id, jobseeker_id, {"java"},
+                            [ExperienceEntry("acme", "untitled", 12, details, "")])
+
+    graph = build_graph([resume("js0")], LEXICON, GAZETTEER)
+    assert set(graph.in_edges(EdgeKind.JOBSEEKER_SKILL, "java")) == {"js0"}
+    assert set(graph.out_edges(EdgeKind.ORG_SKILL, "acme")) == {"java"}
+    graph.add_resume(resume("js1"), LEXICON, GAZETTEER)
+    assert set(graph.in_edges(EdgeKind.JOBSEEKER_SKILL, "java")) == {"js0", "js1"}
+    assert set(graph.in_edges(EdgeKind.SKILL_PROJECT, project_key("js1", 0))) == {"java"}
+    assert graph.supporting_projects("js1", "java") == [project_key("js1", 0)]
+
+
+def test_explain_eval_and_stats_do_not_sort_the_edges(corpus_graph, monkeypatch):
+    def refuse(self):
+        raise AssertionError("sorted every edge")
+
+    monkeypatch.setattr(KnowledgeGraph, "_sorted_edges", refuse)
+    query = parse_query("top c++, java, python", LEXICON)
+    for jobseeker_id in corpus_graph.jobseeker_ids():
+        assert explain(jobseeker_id, query, corpus_graph).terms
+    assert evaluate_graph(corpus_graph, load_gold(GOLD_FILE), LEXICON).extraction
+    assert compute_graph_stats(corpus_graph).resume_count == len(corpus_graph.jobseeker_ids())
+    with pytest.raises(AssertionError, match="sorted every edge"):
+        corpus_graph.to_dict()

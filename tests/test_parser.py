@@ -284,7 +284,7 @@ def test_normalize_org(raw, expected):
 # -- parse_resume -----------------------------------------------------------
 
 def test_parse_resume_golden_two_projects(lexicon):
-    record, report = parse_resume(JANE, lexicon, 0)
+    record, _ = parse_resume(JANE, lexicon, 0)
     expected = ResumeRecord(
         jobseeker_id="js0000-jane-doe",
         name="Jane Doe",
@@ -310,7 +310,6 @@ def test_parse_resume_golden_two_projects(lexicon):
         ],
     )
     assert record == expected
-    assert isinstance(report.to_list(), list)
 
 
 def test_parse_resume_skills_only(lexicon):
