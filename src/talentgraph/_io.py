@@ -13,6 +13,7 @@ import json
 import sys
 from itertools import islice
 from pathlib import Path
+from typing import TextIO
 
 SCHEMA_VERSION = 1
 
@@ -52,21 +53,31 @@ def read_document(path: str | Path, kind: str, error_cls: type[Exception]) -> di
 
 
 def dumps(doc: dict) -> str:
-    """The canonical text of a document."""
+    """The canonical text of a document, as a string; ``write_document``
+    writes the same bytes without holding them all."""
     return _ENCODER.encode(doc) + "\n"
 
 
-def write_document(doc: dict, path: str | Path) -> None:
-    """Write the canonical text of ``doc`` to the file at ``path``, streamed."""
-    chunks = _ENCODER.iterencode(doc)
+def write_document(doc: dict, path: str | Path | None = None) -> None:
+    """Write the canonical text of ``doc`` to the file at ``path``, or to
+    stdout when no path is given, streamed in batches of encoder chunks."""
+    if not path:
+        _write_chunks(doc, sys.stdout)
+        return
     with Path(path).open("w", encoding="utf-8") as out:
-        while batch := list(islice(chunks, _WRITE_BATCH)):
-            out.write("".join(batch))
-        out.write("\n")
+        _write_chunks(doc, out)
+
+
+def _write_chunks(doc: dict, out: TextIO) -> None:
+    chunks = _ENCODER.iterencode(doc)
+    while batch := list(islice(chunks, _WRITE_BATCH)):
+        out.write("".join(batch))
+    out.write("\n")
 
 
 def write_text(text: str, path: str | Path | None = None) -> None:
-    """Write ``text`` to ``path`` as UTF-8, or to stdout when no path is given."""
+    """Write ``text`` (output that is not a document, such as a table) to
+    ``path`` as UTF-8, or to stdout when no path is given."""
     if not path:
         sys.stdout.write(text)
     else:

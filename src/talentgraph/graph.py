@@ -35,7 +35,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from ._io import check_document, dumps, read_document, write_document
+from ._io import check_document, read_document, write_document
 from .errors import (
     DuplicateJobseekerError,
     GraphConfigError,
@@ -254,13 +254,10 @@ class KnowledgeGraph:
         cap = self.config.duration_cap_months
         return self.config.duration_bonus_factor * min(months_sum, cap) / cap
 
-    def jobseeker_skill_parts(
-        self, jobseeker_id: str, skill: str
-    ) -> tuple[float, float, float, int]:
-        """(sentiment mean, duration bonus, years, support count) for one edge."""
-        self._require_node(NodeKind.JOBSEEKER, jobseeker_id)
-        self._require_node(NodeKind.SKILL, skill)
-        edge = self.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, skill)
+    def edge_parts(self, edge: WeightedEdge | None) -> tuple[float, float, float, int]:
+        """(sentiment mean, duration bonus, years, support count) of a
+        jobseeker-skill edge; all zero for no edge. Strength is the sum of
+        the first two."""
         if edge is None:
             return 0.0, 0.0, 0.0, 0
         return (
@@ -269,6 +266,14 @@ class KnowledgeGraph:
             edge.months_sum / 12.0,
             edge.support_count,
         )
+
+    def jobseeker_skill_parts(
+        self, jobseeker_id: str, skill: str
+    ) -> tuple[float, float, float, int]:
+        """``edge_parts`` of the edge between two existing nodes."""
+        self._require_node(NodeKind.JOBSEEKER, jobseeker_id)
+        self._require_node(NodeKind.SKILL, skill)
+        return self.edge_parts(self.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, skill))
 
     def jobseeker_skill_strength(self, jobseeker_id: str, skill: str) -> float:
         """Mean project sentiment for the skill plus the duration bonus."""
@@ -420,9 +425,6 @@ class KnowledgeGraph:
                 raise GraphFormatError(f"{where}: duplicate edge")
             graph.edges[key] = edge
         return graph
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
 
     def save(self, path: str | Path) -> None:
         write_document(self.to_dict(), path)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from ._io import check_document, dumps, read_document, write_document
+from ._io import check_document, read_document, write_document
 from .errors import DocumentFormatError, DuplicateJobseekerError
 from .parser import ExperienceEntry, ResumeRecord, parse_duration
 
@@ -145,10 +145,6 @@ def load_intermediate(doc: dict) -> list[ResumeRecord]:
             )
         )
     return records
-
-
-def dumps_intermediate(records: Iterable[ResumeRecord]) -> str:
-    return dumps(emit_intermediate(records))
 
 
 def write_intermediate(records: Iterable[ResumeRecord], path: str | Path) -> None:

@@ -29,7 +29,7 @@ from .errors import (
     QueryRangeError,
     UnknownSkillError,
 )
-from .graph import EdgeKind, KnowledgeGraph, NodeKind, WeightedEdge
+from .graph import EdgeKind, KnowledgeGraph, NodeKind
 from .lexicon import SkillLexicon, normalize_skill
 
 DEFAULT_TOP_K = 10
@@ -132,11 +132,7 @@ def parse_query(text: str, lexicon: SkillLexicon) -> Query:
     return Query(terms=tuple(terms), top_k=top_k)
 
 
-def _term_matches(edge: WeightedEdge | None, term: QueryTerm) -> bool:
-    """Whether a jobseeker's edge to the term's skill (None: no edge) satisfies it."""
-    if edge is None:
-        return False
-    years = edge.months_sum / 12.0
+def _in_range(years: float, term: QueryTerm) -> bool:
     if term.min_years is not None and years < term.min_years:
         return False
     if term.max_years is not None and years > term.max_years:
@@ -151,12 +147,12 @@ def execute(query: Query, graph: KnowledgeGraph) -> list[RankedResult]:
         per_skill = []
         for term in query.terms:
             edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill)
-            if not _term_matches(edge, term):
+            if edge is None:
                 break
-            # The expressions of KnowledgeGraph.jobseeker_skill_parts, so the
-            # strengths equal those explain reports.
-            strength = edge.mean_weight() + graph.duration_bonus(edge.months_sum)
-            per_skill.append((term.skill, strength, edge.months_sum / 12.0))
+            sentiment, bonus, years, _ = graph.edge_parts(edge)
+            if not _in_range(years, term):
+                break
+            per_skill.append((term.skill, sentiment + bonus, years))
         else:
             total = sum(s for _, s, _ in per_skill)
             results.append(RankedResult(jobseeker_id, total, per_skill))
@@ -214,13 +210,8 @@ def explain(jobseeker_id: str, query: Query, graph: KnowledgeGraph) -> Explanati
         raise NodeNotFoundError(f"no jobseeker node {jobseeker_id!r}")
     terms = []
     for term in query.terms:
-        if graph.has_node(NodeKind.SKILL, term.skill):
-            sentiment, bonus, years, support = graph.jobseeker_skill_parts(
-                jobseeker_id, term.skill
-            )
-            projects = graph.supporting_projects(jobseeker_id, term.skill)
-        else:
-            sentiment, bonus, years, support, projects = 0.0, 0.0, 0.0, 0, []
+        edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill)
+        sentiment, bonus, years, support = graph.edge_parts(edge)
         terms.append(
             TermExplanation(
                 skill=term.skill,
@@ -229,12 +220,10 @@ def explain(jobseeker_id: str, query: Query, graph: KnowledgeGraph) -> Explanati
                 duration_bonus=bonus,
                 years=years,
                 support_count=support,
-                projects=projects,
+                projects=graph.supporting_projects(jobseeker_id, term.skill),
                 min_years=term.min_years,
                 max_years=term.max_years,
-                satisfied=_term_matches(
-                    graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill), term
-                ),
+                satisfied=edge is not None and _in_range(years, term),
             )
         )
     return Explanation(

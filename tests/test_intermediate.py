@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from talentgraph._io import dumps
 from talentgraph.errors import DocumentFormatError, DuplicateJobseekerError
 from talentgraph.intermediate import (
-    dumps_intermediate,
     emit_intermediate,
     load_intermediate,
     read_intermediate,
@@ -67,7 +67,7 @@ def test_round_trip_document_direction(corpus_records):
 
 
 def test_round_trip_via_json_text(corpus_records):
-    text = dumps_intermediate(corpus_records)
+    text = dumps(emit_intermediate(corpus_records))
     assert load_intermediate(json.loads(text)) == corpus_records
 
 

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talentgraph import _io
+from talentgraph._io import dumps, write_document
 from talentgraph.errors import (
     DocumentFormatError,
     FixtureError,
@@ -18,7 +20,12 @@ from talentgraph.errors import (
 )
 from talentgraph.evaluation import load_gold
 from talentgraph.graph import KnowledgeGraph
-from talentgraph.intermediate import load_intermediate, read_intermediate, write_intermediate
+from talentgraph.intermediate import (
+    emit_intermediate,
+    load_intermediate,
+    read_intermediate,
+    write_intermediate,
+)
 from talentgraph.lexicon import load_sentiment_gazetteer, load_skill_lexicon
 from talentgraph.parser import parse_duration
 
@@ -92,4 +99,18 @@ def test_documents_round_trip(lexicon, gazetteer, records):
 
         saved = Path(tmp) / "graph.json"
         build_graph(records, lexicon, gazetteer).save(saved)
-        assert KnowledgeGraph.load(saved).to_json() == saved.read_text(encoding="utf-8")
+        assert dumps(KnowledgeGraph.load(saved).to_dict()) == saved.read_text(encoding="utf-8")
+
+
+def test_write_document_joins_batches(monkeypatch, corpus_graph, corpus_records, tmp_path, capsys):
+    """A document written in many small batches, to a file or to stdout,
+    has the bytes of ``dumps``."""
+    monkeypatch.setattr(_io, "_WRITE_BATCH", 3)
+    for name, doc in [("graph", corpus_graph.to_dict()),
+                      ("intermediate", emit_intermediate(corpus_records))]:
+        assert len(list(_io._ENCODER.iterencode(doc))) > 10 * _io._WRITE_BATCH
+        path = tmp_path / f"{name}.json"
+        write_document(doc, path)
+        assert path.read_bytes() == dumps(doc).encode("utf-8")
+        write_document(doc)
+        assert capsys.readouterr().out == dumps(doc)

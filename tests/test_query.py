@@ -248,3 +248,19 @@ def test_explain_supporting_projects(corpus_graph, lexicon):
 def test_explain_missing_jobseeker(corpus_graph, lexicon):
     with pytest.raises(NodeNotFoundError):
         explain("nobody", parse_query("top java", lexicon), corpus_graph)
+
+
+def test_execute_and_explain_read_each_term_edge_once(corpus_graph, lexicon, monkeypatch):
+    lookups = []
+    get_edge = KnowledgeGraph.get_edge
+
+    def counting_get_edge(graph, kind, source, target):
+        lookups.append((kind, source, target))
+        return get_edge(graph, kind, source, target)
+
+    monkeypatch.setattr(KnowledgeGraph, "get_edge", counting_get_edge)
+    explain("js0000-jane-doe", parse_query("java, python", lexicon), corpus_graph)
+    assert len(lookups) == len(set(lookups)) == 2
+    lookups.clear()
+    execute(parse_query("top java candidates", lexicon), corpus_graph)
+    assert len(lookups) == len(set(lookups)) == len(corpus_graph.jobseeker_ids())
