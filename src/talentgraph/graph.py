@@ -30,6 +30,7 @@ ingestion builds shard graphs and merges them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -62,6 +63,23 @@ class EdgeKind(str, Enum):
     ORG_SKILL = "org_skill"
     JOBSEEKER_PROJECT = "jobseeker_project"
     PROJECT_ORG = "project_org"
+
+
+# {value: member}: a dict lookup, where calling the Enum runs Python code.
+_NODE_KINDS: dict[str, NodeKind] = {kind.value: kind for kind in NodeKind}
+_EDGE_KINDS: dict[str, EdgeKind] = {kind.value: kind for kind in EdgeKind}
+
+
+def _member(members: Mapping[str, Enum], enum_cls: type[Enum], value: object) -> Enum:
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        return enum_cls(value)  # not a member's value: the Enum raises its own error
+
+
+def _is_number(value: object) -> bool:
+    """A JSON number; ``bool`` is an ``int`` in Python but not in JSON."""
+    return type(value) is float or type(value) is int
 
 
 EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
@@ -98,6 +116,8 @@ class ScoringConfig:
     duration_cap_months: int = 120
 
     def __post_init__(self):
+        if not math.isfinite(self.duration_bonus_factor):
+            raise ValueError("duration_bonus_factor must be finite")
         if self.duration_bonus_factor < 0:
             raise ValueError("duration_bonus_factor must be >= 0")
         if self.duration_cap_months <= 0:
@@ -371,59 +391,90 @@ class KnowledgeGraph:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
+        """Check and load a graph document in one pass over its records.
+
+        Each rejection is a ``GraphFormatError`` located at the config,
+        ``nodes``, ``edges`` or one record of them; see README, Graph file.
+        """
         check_document(doc, GraphFormatError)
         config_doc = doc.get("config")
         if not isinstance(config_doc, dict):
             raise GraphFormatError("missing 'config' object")
         try:
-            config = ScoringConfig(
-                duration_bonus_factor=float(config_doc["duration_bonus_factor"]),
-                duration_cap_months=int(config_doc["duration_cap_months"]),
-            )
+            factor = config_doc["duration_bonus_factor"]
+            cap = config_doc["duration_cap_months"]
+            if not _is_number(factor):
+                raise TypeError(f"duration_bonus_factor {factor!r} is not a number")
+            if type(cap) is not int:
+                raise TypeError(f"duration_cap_months {cap!r} is not an integer")
+            config = ScoringConfig(float(factor), cap)
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"bad config: {exc}") from exc
 
         graph = cls(config)
-        for i, rec in enumerate(doc.get("nodes", [])):
-            where = f"nodes[{i}]"
+        nodes, edges = graph.nodes, graph.edges
+        keys: dict[NodeKind, set[str]] = {kind: set() for kind in NodeKind}
+        node_recs = doc.get("nodes", [])
+        if not isinstance(node_recs, list):
+            raise GraphFormatError("nodes: not a list")
+        for i, rec in enumerate(node_recs):
             try:
-                node = NodeId(NodeKind(rec["kind"]), rec["key"])
+                kind = _member(_NODE_KINDS, NodeKind, rec["kind"])
+                key = rec["key"]
                 attrs = rec.get("attrs", {})
             except (KeyError, TypeError, ValueError) as exc:
-                raise GraphFormatError(f"{where}: {exc}") from exc
-            if not isinstance(node.key, str) or not isinstance(attrs, dict):
-                raise GraphFormatError(f"{where}: bad key or attrs")
-            if node in graph.nodes:
-                raise GraphFormatError(f"{where}: duplicate node {node.key!r}")
-            graph.nodes[node] = dict(attrs)
+                raise GraphFormatError(f"nodes[{i}]: {exc}") from exc
+            if not isinstance(key, str) or not isinstance(attrs, dict):
+                raise GraphFormatError(f"nodes[{i}]: bad key or attrs")
+            for name, value in attrs.items():
+                if not isinstance(value, str):
+                    raise GraphFormatError(f"nodes[{i}]: attr {name!r} is not a string")
+            same_kind = keys[kind]
+            if key in same_kind:
+                raise GraphFormatError(f"nodes[{i}]: duplicate node {key!r}")
+            same_kind.add(key)
+            nodes[NodeId(kind, key)] = dict(attrs)
 
-        for i, rec in enumerate(doc.get("edges", [])):
-            where = f"edges[{i}]"
+        ends = {kind: (keys[src], keys[dst]) for kind, (src, dst) in EDGE_ENDPOINTS.items()}
+        edge_recs = doc.get("edges", [])
+        if not isinstance(edge_recs, list):
+            raise GraphFormatError("edges: not a list")
+        for i, rec in enumerate(edge_recs):
             try:
-                kind = EdgeKind(rec["kind"])
-                edge = WeightedEdge(
-                    kind=kind,
-                    source=rec["source"],
-                    target=rec["target"],
-                    weight_sum=float(rec["weight_sum"]),
-                    support_count=int(rec["support_count"]),
-                    months_sum=int(rec.get("months_sum", 0)),
-                )
+                kind = _member(_EDGE_KINDS, EdgeKind, rec["kind"])
+                source, target = rec["source"], rec["target"]
+                weight_sum, count = rec["weight_sum"], rec["support_count"]
+                months = rec.get("months_sum", 0)
             except (KeyError, TypeError, ValueError) as exc:
-                raise GraphFormatError(f"{where}: {exc}") from exc
-            if edge.support_count < 0 or edge.weight_sum < 0 or edge.months_sum < 0:
-                raise GraphFormatError(f"{where}: negative accumulator")
-            if edge.support_count == 0 and edge.weight_sum != 0.0:
-                raise GraphFormatError(f"{where}: weight_sum without support")
-            src_kind, dst_kind = EDGE_ENDPOINTS[kind]
-            if NodeId(src_kind, edge.source) not in graph.nodes:
-                raise GraphFormatError(f"{where}: dangling source {edge.source!r}")
-            if NodeId(dst_kind, edge.target) not in graph.nodes:
-                raise GraphFormatError(f"{where}: dangling target {edge.target!r}")
-            key = (kind, edge.source, edge.target)
-            if key in graph.edges:
-                raise GraphFormatError(f"{where}: duplicate edge")
-            graph.edges[key] = edge
+                raise GraphFormatError(f"edges[{i}]: {exc}") from exc
+            if not isinstance(source, str) or not isinstance(target, str):
+                raise GraphFormatError(f"edges[{i}]: source and target must be strings")
+            if not _is_number(weight_sum) or type(count) is not int or type(months) is not int:
+                raise GraphFormatError(
+                    f"edges[{i}]: weight_sum must be a number, "
+                    "support_count and months_sum integers"
+                )
+            if count < 0 or weight_sum < 0 or months < 0:
+                raise GraphFormatError(f"edges[{i}]: negative accumulator")
+            if count == 0 and weight_sum != 0.0:
+                raise GraphFormatError(f"edges[{i}]: weight_sum without support")
+            if count == 0 and months:
+                raise GraphFormatError(f"edges[{i}]: months_sum without support")
+            # Scores are in [0, 1], and a left-to-right float sum of values
+            # <= 1 never exceeds their count. NaN and infinity fail here too.
+            if not weight_sum <= count:
+                raise GraphFormatError(
+                    f"edges[{i}]: weight_sum {weight_sum!r} above support_count {count}"
+                )
+            src_keys, dst_keys = ends[kind]
+            if source not in src_keys:
+                raise GraphFormatError(f"edges[{i}]: dangling source {source!r}")
+            if target not in dst_keys:
+                raise GraphFormatError(f"edges[{i}]: dangling target {target!r}")
+            key = (kind, source, target)
+            if key in edges:
+                raise GraphFormatError(f"edges[{i}]: duplicate edge")
+            edges[key] = WeightedEdge(kind, source, target, float(weight_sum), count, months)
         return graph
 
     def save(self, path: str | Path) -> None:

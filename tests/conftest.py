@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,18 @@ CORPUS_DIR = FIXTURES / "corpus"
 LEXICON_FILE = FIXTURES / "lexicon.json"
 GAZETTEER_FILE = FIXTURES / "gazetteer.json"
 GOLD_FILE = FIXTURES / "gold.json"
+SRC = Path(__file__).parent.parent / "src"
+
+
+def run_talentgraph(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m talentgraph`` in a child interpreter that imports this
+    checkout's ``src``, as this process does: pytest's ``pythonpath`` setting
+    does not reach child processes."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, "-m", "talentgraph", *args], check=True, capture_output=True, env=env
+    )
 
 
 @pytest.fixture(scope="session")

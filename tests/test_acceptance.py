@@ -10,8 +10,6 @@ import functools
 import itertools
 import json
 import random
-import subprocess
-import sys
 import time
 
 import pytest
@@ -33,6 +31,7 @@ from conftest import (
     LEXICON_FILE,
     build_graph,
     parse_corpus,
+    run_talentgraph,
 )
 from oracle import OracleGraph
 
@@ -402,19 +401,16 @@ def test_c7_metric_sanity():
 @criterion(8, "CLI ingest/query end-to-end determinism")
 def test_c8_cli_end_to_end(tmp_path, lexicon):
     graph_path = tmp_path / "graph.json"
-    ingest_cmd = [
-        sys.executable, "-m", "talentgraph", "ingest", str(CORPUS_DIR),
+    ingest_args = [
+        "ingest", str(CORPUS_DIR),
         "--lexicon", str(LEXICON_FILE), "--gazetteer", str(GAZETTEER_FILE),
         "--out", str(graph_path),
     ]
-    query_cmd = [
-        sys.executable, "-m", "talentgraph", "query", str(graph_path),
-        "top java candidates", "--json",
-    ]
+    query_args = ["query", str(graph_path), "top java candidates", "--json"]
     outputs = []
     for _ in range(2):
-        subprocess.run(ingest_cmd, check=True, capture_output=True)
-        result = subprocess.run(query_cmd, check=True, capture_output=True)
+        run_talentgraph(*ingest_args)
+        result = run_talentgraph(*query_args)
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
 

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -10,7 +8,7 @@ from talentgraph.cli import main
 from talentgraph.graph import KnowledgeGraph
 from talentgraph.query import execute, parse_query
 
-from conftest import CORPUS_DIR, GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE
+from conftest import CORPUS_DIR, GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, run_talentgraph
 
 
 def run_cli(*args):
@@ -233,21 +231,17 @@ def test_missing_graph_file_is_error(capsys):
 def test_cli_byte_identical_across_subprocess_runs(tmp_path):
     # full end-to-end through the real interpreter, twice
     env_graph = tmp_path / "graph.json"
-    cmd_ingest = [
-        sys.executable, "-m", "talentgraph", "ingest", str(CORPUS_DIR),
+    ingest_args = [
+        "ingest", str(CORPUS_DIR),
         "--lexicon", str(LEXICON_FILE), "--gazetteer", str(GAZETTEER_FILE),
         "--out", str(env_graph),
     ]
     outputs = []
     graph_bytes = []
     for _ in range(2):
-        subprocess.run(cmd_ingest, check=True, capture_output=True)
+        run_talentgraph(*ingest_args)
         graph_bytes.append(env_graph.read_bytes())
-        result = subprocess.run(
-            [sys.executable, "-m", "talentgraph", "query", str(env_graph),
-             "top java candidates", "--json"],
-            check=True, capture_output=True,
-        )
+        result = run_talentgraph("query", str(env_graph), "top java candidates", "--json")
         outputs.append(result.stdout)
         env_graph.unlink()
     assert graph_bytes[0] == graph_bytes[1]

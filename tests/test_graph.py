@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import copy
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from talentgraph.errors import (
     DuplicateJobseekerError,
@@ -13,6 +17,7 @@ from talentgraph.errors import (
 from talentgraph.graph import (
     EdgeKind,
     KnowledgeGraph,
+    NodeId,
     NodeKind,
     ScoringConfig,
     project_key,
@@ -22,6 +27,7 @@ from talentgraph.parser import ExperienceEntry, ResumeRecord
 
 from conftest import build_graph
 from oracle import OracleGraph
+from test_graph_index import GAZETTEER, LEXICON, record_sets
 
 
 def record(jobseeker_id, declared=(), experiences=(), name="Someone"):
@@ -380,8 +386,106 @@ def test_from_dict_rejects_unknown_kind():
         "nodes": [{"kind": "wizard", "key": "x", "attrs": {}}],
         "edges": [],
     }
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=r"^nodes\[0\]: 'wizard' is not a valid NodeKind$"):
         KnowledgeGraph.from_dict(doc)
+
+
+LOADABLE_DOC = {
+    "config": {"duration_bonus_factor": 0.5, "duration_cap_months": 120},
+    "nodes": [
+        {"kind": "jobseeker", "key": "js0", "attrs": {"name": "Jo"}},
+        {"kind": "skill", "key": "java", "attrs": {"category": "language"}},
+    ],
+    "edges": [
+        {"kind": "jobseeker_skill", "source": "js0", "target": "java",
+         "weight_sum": 0.5, "support_count": 1, "months_sum": 12},
+    ],
+}
+NO_SUPPORT_EDGE = {"kind": "jobseeker_skill", "source": "js0", "target": "java",
+                   "weight_sum": 0.0, "support_count": 0, "months_sum": 12}
+TYPES = r"weight_sum must be a number, support_count and months_sum integers"
+
+# (path to the replaced value in LOADABLE_DOC, new value, the whole message)
+MALFORMED = {
+    "nodes-not-a-list": (("nodes",), {"a": 1}, r"nodes: not a list"),
+    "edges-not-a-list": (("edges",), 5, r"edges: not a list"),
+    "list-source": (("edges", 0, "source"), [], r"edges\[0\]: source and target must be strings"),
+    "object-target": (("edges", 0, "target"), {}, r"edges\[0\]: source and target must be strings"),
+    "nan-weight": (("edges", 0, "weight_sum"), math.nan,
+                   r"edges\[0\]: weight_sum nan above support_count 1"),
+    "inf-weight": (("edges", 0, "weight_sum"), math.inf,
+                   r"edges\[0\]: weight_sum inf above support_count 1"),
+    "mean-weight-above-1": (("edges", 0, "weight_sum"), 1e6,
+                            r"edges\[0\]: weight_sum 1000000.0 above support_count 1"),
+    "bool-weight": (("edges", 0, "weight_sum"), True, rf"edges\[0\]: {TYPES}"),
+    "string-weight": (("edges", 0, "weight_sum"), "0.5", rf"edges\[0\]: {TYPES}"),
+    "fractional-support": (("edges", 0, "support_count"), 1.9, rf"edges\[0\]: {TYPES}"),
+    "bool-support": (("edges", 0, "support_count"), True, rf"edges\[0\]: {TYPES}"),
+    "fractional-months": (("edges", 0, "months_sum"), 1.9, rf"edges\[0\]: {TYPES}"),
+    "bool-months": (("edges", 0, "months_sum"), True, rf"edges\[0\]: {TYPES}"),
+    "months-without-support": (("edges", 0), NO_SUPPORT_EDGE,
+                               r"edges\[0\]: months_sum without support"),
+    "non-string-attr": (("nodes", 0, "attrs", "name"), 5,
+                        r"nodes\[0\]: attr 'name' is not a string"),
+    "fractional-cap": (("config", "duration_cap_months"), 1.9,
+                       r"bad config: duration_cap_months 1.9 is not an integer"),
+    "nan-bonus-factor": (("config", "duration_bonus_factor"), math.nan,
+                         r"bad config: duration_bonus_factor must be finite"),
+    "inf-bonus-factor": (("config", "duration_bonus_factor"), math.inf,
+                         r"bad config: duration_bonus_factor must be finite"),
+}
+
+
+def replaced(doc: dict, path: tuple, value) -> dict:
+    """A deep copy of ``doc`` with the value at ``path`` replaced."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    holder[last] = value
+    return doc
+
+
+def test_loadable_doc_loads():
+    graph = KnowledgeGraph.from_dict(LOADABLE_DOC)
+    assert graph.jobseeker_skill_parts("js0", "java") == (0.5, 0.05, 1.0, 1)
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_from_dict_rejects_malformed_document(path, value, message):
+    with pytest.raises(GraphFormatError, match=f"^{message}$"):
+        KnowledgeGraph.from_dict(replaced(LOADABLE_DOC, path, value))
+
+
+REPLACEMENTS = [None, [], {}, "x", math.nan, math.inf, -1, 1.9, True, 1e6]
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=record_sets(), data=st.data())
+def test_from_dict_round_trips_and_rejects_any_replaced_field(records, data):
+    graph = build_graph(records, LEXICON, GAZETTEER)
+    doc = graph.to_dict()
+    loaded = KnowledgeGraph.from_dict(doc)
+    assert loaded == graph
+    # Nodes and edges iterate in document order.
+    assert list(loaded.nodes) == [NodeId(NodeKind(n["kind"]), n["key"]) for n in doc["nodes"]]
+    assert list(loaded.edges) == [
+        (EdgeKind(e["kind"]), e["source"], e["target"]) for e in doc["edges"]
+    ]
+    paths = [
+        (section, i, name)
+        for section in ("nodes", "edges")
+        for i, rec in enumerate(doc[section])
+        for name in rec
+    ] + [("nodes", i, "attrs", name) for i, n in enumerate(doc["nodes"]) for name in n["attrs"]]
+    assume(paths)
+    path = data.draw(st.sampled_from(paths))
+    doc = replaced(doc, path, data.draw(st.sampled_from(REPLACEMENTS)))
+    try:
+        KnowledgeGraph.from_dict(doc)
+    except GraphFormatError:
+        pass  # any other exception fails the test
 
 
 def test_strength_bounds(lexicon, gazetteer, corpus_graph):
