@@ -38,7 +38,8 @@ class DuplicateJobseekerError(TalentGraphError):
 
 
 class GraphConfigError(TalentGraphError):
-    """Graphs with different scoring configs cannot be merged."""
+    """A scoring config value is out of range, or two graphs with different
+    scoring configs were merged."""
 
 
 class NodeNotFoundError(TalentGraphError):

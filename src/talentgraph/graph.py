@@ -1,8 +1,9 @@
 """Weighted knowledge graph of jobseekers, skills, organizations, projects.
 
-Edges carry (sum, count) accumulators rather than running means, so derived
-strengths are exact averages independent of ingestion order, and two graphs
-built from disjoint corpora can be merged by component-wise addition.
+Edges carry (sum, count) accumulators rather than running means, and two
+graphs built from disjoint corpora merge by component-wise addition. Scores
+are summed as integers of 2**-64 units (exact for scores >= 2**-11), so any
+ingestion order or merge tree gives the same accumulators and file bytes.
 
 Construction per resume:
 
@@ -47,7 +48,10 @@ from .lexicon import SentimentGazetteer, SkillLexicon
 from .parser import ResumeRecord, extract_skills
 from .scoring import score_description
 
-GRAPH_SCHEMA_VERSION = 1
+GRAPH_SCHEMA_VERSION = 2
+_REINGEST = "; re-run `talentgraph ingest` to rebuild the graph file"
+WEIGHT_UNITS = 1 << 64  # accumulator units per score of 1.0
+_UNIT = 2.0 ** -64  # multiplied in as a float: big-int division is slower
 
 
 class NodeKind(str, Enum):
@@ -102,12 +106,17 @@ class WeightedEdge:
     kind: EdgeKind
     source: str
     target: str
-    weight_sum: float = 0.0
+    weight_units: int = 0  # sum of quantized scores, in units of 2**-64
     support_count: int = 0
     months_sum: int = 0
 
+    @property
+    def weight_sum(self) -> float:
+        """The sum of the scores, correctly rounded to a float."""
+        return self.weight_units * _UNIT
+
     def mean_weight(self) -> float:
-        return self.weight_sum / self.support_count if self.support_count else 0.0
+        return self.weight_units * _UNIT / self.support_count if self.support_count else 0.0
 
 
 @dataclass(frozen=True)
@@ -117,11 +126,11 @@ class ScoringConfig:
 
     def __post_init__(self):
         if not math.isfinite(self.duration_bonus_factor):
-            raise ValueError("duration_bonus_factor must be finite")
+            raise GraphConfigError("duration_bonus_factor must be finite")
         if self.duration_bonus_factor < 0:
-            raise ValueError("duration_bonus_factor must be >= 0")
+            raise GraphConfigError("duration_bonus_factor must be >= 0")
         if self.duration_cap_months <= 0:
-            raise ValueError("duration_cap_months must be positive")
+            raise GraphConfigError("duration_cap_months must be positive")
 
 
 _Adjacency = dict[tuple[EdgeKind, str], dict[str, WeightedEdge]]
@@ -188,20 +197,20 @@ class KnowledgeGraph:
                 continue
             # One scope-free score per description: every skill mentioned in
             # it receives the identical contribution.
-            score = score_description(exp.details, None, gazetteer).weight
+            units = round(score_description(exp.details, None, gazetteer).weight * WEIGHT_UNITS)
             for skill in sorted(mentioned):
                 self._ensure_skill(skill, lexicon)
                 edge = self._edge(EdgeKind.SKILL_PROJECT, skill, pkey)
-                edge.weight_sum += score
+                edge.weight_units += units
                 edge.support_count += 1
 
                 edge = self._edge(EdgeKind.JOBSEEKER_SKILL, record.jobseeker_id, skill)
-                edge.weight_sum += score
+                edge.weight_units += units
                 edge.support_count += 1
                 edge.months_sum += exp.duration_months
 
                 edge = self._edge(EdgeKind.ORG_SKILL, org, skill)
-                edge.weight_sum += score
+                edge.weight_units += units
                 edge.support_count += 1
         return self
 
@@ -263,10 +272,6 @@ class KnowledgeGraph:
 
     def skill_keys(self) -> list[str]:
         return sorted(n.key for n in self.nodes if n.kind is NodeKind.SKILL)
-
-    def node_attrs(self, kind: NodeKind, key: str) -> dict[str, str]:
-        self._require_node(kind, key)
-        return dict(self.nodes[NodeId(kind, key)])
 
     # -- derived strengths ------------------------------------------------
 
@@ -346,7 +351,7 @@ class KnowledgeGraph:
                 merged._ensure_node(node, **attrs)
             for (kind, source, target), edge in graph.edges.items():
                 acc = merged._edge(kind, source, target)
-                acc.weight_sum += edge.weight_sum
+                acc.weight_units += edge.weight_units
                 acc.support_count += edge.support_count
                 acc.months_sum += edge.months_sum
         return merged
@@ -373,30 +378,22 @@ class KnowledgeGraph:
                 "tool_version": __version__,
             },
             "nodes": [
-                {"kind": node.kind.value, "key": node.key, "attrs": dict(attrs)}
-                for node, attrs in self._sorted_nodes()
+                [node.kind.value, node.key, dict(attrs)] for node, attrs in self._sorted_nodes()
             ],
             "edges": [
-                {
-                    "kind": edge.kind.value,
-                    "source": edge.source,
-                    "target": edge.target,
-                    "weight_sum": edge.weight_sum,
-                    "support_count": edge.support_count,
-                    "months_sum": edge.months_sum,
-                }
-                for edge in self._sorted_edges()
+                [e.kind.value, e.source, e.target, e.weight_units, e.support_count, e.months_sum]
+                for e in self._sorted_edges()
             ],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
-        """Check and load a graph document in one pass over its records.
+        """Check and load a graph document in one pass over its rows.
 
         Each rejection is a ``GraphFormatError`` located at the config,
-        ``nodes``, ``edges`` or one record of them; see README, Graph file.
+        ``nodes``, ``edges`` or one row of them; see README, Graph file.
         """
-        check_document(doc, GraphFormatError)
+        check_document(doc, GraphFormatError, version=GRAPH_SCHEMA_VERSION, remedy=_REINGEST)
         config_doc = doc.get("config")
         if not isinstance(config_doc, dict):
             raise GraphFormatError("missing 'config' object")
@@ -408,21 +405,22 @@ class KnowledgeGraph:
             if type(cap) is not int:
                 raise TypeError(f"duration_cap_months {cap!r} is not an integer")
             config = ScoringConfig(float(factor), cap)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, OverflowError, GraphConfigError) as exc:
             raise GraphFormatError(f"bad config: {exc}") from exc
 
         graph = cls(config)
         nodes, edges = graph.nodes, graph.edges
         keys: dict[NodeKind, set[str]] = {kind: set() for kind in NodeKind}
-        node_recs = doc.get("nodes", [])
-        if not isinstance(node_recs, list):
+        node_rows = doc.get("nodes", [])
+        if not isinstance(node_rows, list):
             raise GraphFormatError("nodes: not a list")
-        for i, rec in enumerate(node_recs):
+        for i, row in enumerate(node_rows):
+            if type(row) is not list or len(row) != 3:
+                raise GraphFormatError(f"nodes[{i}]: not a [kind, key, attrs] row")
+            kind, key, attrs = row
             try:
-                kind = _member(_NODE_KINDS, NodeKind, rec["kind"])
-                key = rec["key"]
-                attrs = rec.get("attrs", {})
-            except (KeyError, TypeError, ValueError) as exc:
+                kind = _member(_NODE_KINDS, NodeKind, kind)
+            except ValueError as exc:
                 raise GraphFormatError(f"nodes[{i}]: {exc}") from exc
             if not isinstance(key, str) or not isinstance(attrs, dict):
                 raise GraphFormatError(f"nodes[{i}]: bad key or attrs")
@@ -436,35 +434,36 @@ class KnowledgeGraph:
             nodes[NodeId(kind, key)] = dict(attrs)
 
         ends = {kind: (keys[src], keys[dst]) for kind, (src, dst) in EDGE_ENDPOINTS.items()}
-        edge_recs = doc.get("edges", [])
-        if not isinstance(edge_recs, list):
+        edge_rows = doc.get("edges", [])
+        if not isinstance(edge_rows, list):
             raise GraphFormatError("edges: not a list")
-        for i, rec in enumerate(edge_recs):
+        for i, row in enumerate(edge_rows):
+            if type(row) is not list or len(row) != 6:
+                raise GraphFormatError(f"edges[{i}]: not a [kind, source, target, "
+                                       "weight_units, support_count, months_sum] row")
+            kind, source, target, units, count, months = row
             try:
-                kind = _member(_EDGE_KINDS, EdgeKind, rec["kind"])
-                source, target = rec["source"], rec["target"]
-                weight_sum, count = rec["weight_sum"], rec["support_count"]
-                months = rec.get("months_sum", 0)
-            except (KeyError, TypeError, ValueError) as exc:
+                kind = _member(_EDGE_KINDS, EdgeKind, kind)
+            except ValueError as exc:
                 raise GraphFormatError(f"edges[{i}]: {exc}") from exc
             if not isinstance(source, str) or not isinstance(target, str):
                 raise GraphFormatError(f"edges[{i}]: source and target must be strings")
-            if not _is_number(weight_sum) or type(count) is not int or type(months) is not int:
+            # type() rather than isinstance(): JSON has no bool integers, and
+            # NaN or Infinity tokens load as floats.
+            if type(units) is not int or type(count) is not int or type(months) is not int:
                 raise GraphFormatError(
-                    f"edges[{i}]: weight_sum must be a number, "
-                    "support_count and months_sum integers"
+                    f"edges[{i}]: weight_units, support_count and months_sum must be integers"
                 )
-            if count < 0 or weight_sum < 0 or months < 0:
+            if count < 0 or units < 0 or months < 0:
                 raise GraphFormatError(f"edges[{i}]: negative accumulator")
-            if count == 0 and weight_sum != 0.0:
-                raise GraphFormatError(f"edges[{i}]: weight_sum without support")
+            if count == 0 and units:
+                raise GraphFormatError(f"edges[{i}]: weight_units without support")
             if count == 0 and months:
                 raise GraphFormatError(f"edges[{i}]: months_sum without support")
-            # Scores are in [0, 1], and a left-to-right float sum of values
-            # <= 1 never exceeds their count. NaN and infinity fail here too.
-            if not weight_sum <= count:
+            # Each contribution is a score in [0, 1], at most 2**64 units.
+            if units > count * WEIGHT_UNITS:
                 raise GraphFormatError(
-                    f"edges[{i}]: weight_sum {weight_sum!r} above support_count {count}"
+                    f"edges[{i}]: weight_units {units} above support_count {count} * 2**64"
                 )
             src_keys, dst_keys = ends[kind]
             if source not in src_keys:
@@ -474,7 +473,7 @@ class KnowledgeGraph:
             key = (kind, source, target)
             if key in edges:
                 raise GraphFormatError(f"edges[{i}]: duplicate edge")
-            edges[key] = WeightedEdge(kind, source, target, float(weight_sum), count, months)
+            edges[key] = WeightedEdge(kind, source, target, units, count, months)
         return graph
 
     def save(self, path: str | Path) -> None:
@@ -482,7 +481,8 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":
-        return cls.from_dict(read_document(path, "graph", GraphFormatError))
+        doc = read_document(path, "graph", GraphFormatError, GRAPH_SCHEMA_VERSION, _REINGEST)
+        return cls.from_dict(doc)
 
     def to_dot(self) -> str:
         """Graphviz rendering with mean edge weights, for eyeballing fixtures."""

@@ -223,6 +223,22 @@ def test_eval_table_output(tmp_path, capsys):
     assert "skill extraction" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--duration-bonus-factor", "-1", "duration_bonus_factor must be >= 0"),
+    ("--duration-bonus-factor", "nan", "duration_bonus_factor must be finite"),
+    ("--duration-cap-months", "0", "duration_cap_months must be positive"),
+])
+def test_ingest_bad_scoring_config_is_error(tmp_path, flag, value, message):
+    out = tmp_path / "graph.json"
+    result = run_talentgraph(
+        "ingest", str(CORPUS_DIR), "--lexicon", str(LEXICON_FILE),
+        "--gazetteer", str(GAZETTEER_FILE), "--out", str(out), flag, value, check=False,
+    )
+    assert result.returncode == 1
+    assert result.stderr.decode() == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_graph_file_is_error(capsys):
     assert run_cli("query", "/nonexistent/graph.json", "top java") == 1
     assert "error:" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from talentgraph._io import dumps
 from talentgraph.errors import (
     DuplicateJobseekerError,
     GraphConfigError,
@@ -15,6 +16,7 @@ from talentgraph.errors import (
     NodeNotFoundError,
 )
 from talentgraph.graph import (
+    WEIGHT_UNITS,
     EdgeKind,
     KnowledgeGraph,
     NodeId,
@@ -330,6 +332,39 @@ def test_order_invariance_sampled(lexicon, gazetteer, corpus_records):
             assert g.jobseeker_skill_strength(j, s) == pytest.approx(want, abs=1e-9)
 
 
+SENTIMENT_WORDS = ["design", "scalable", "robust", "debugging", "distributed",
+                   "lead", "cohesive", "align", "hire", "performance", "the"]
+
+
+@st.composite
+def shared_edge_records(draw) -> list[ResumeRecord]:
+    """Many resumes at one organization that all mention java, each with its
+    own mix of sentiment words: one org_skill edge sums many different scores."""
+    def experience():
+        words = draw(st.lists(st.sampled_from(SENTIMENT_WORDS), min_size=1, max_size=5))
+        return exp("acme", " ".join(["java", *words]), months=draw(st.integers(0, 40)))
+
+    count = draw(st.integers(1, 40))
+    return [record(f"js{i:02d}", experiences=[experience()]) for i in range(count)]
+
+
+def merge_tree(records, data):
+    """A graph built from ``records`` by a random binary tree of merges."""
+    if len(records) > 1 and data.draw(st.booleans()):
+        cut = data.draw(st.integers(1, len(records) - 1))
+        return merge_tree(records[:cut], data).merge(merge_tree(records[cut:], data))
+    return build_graph(records, LEXICON, GAZETTEER)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=shared_edge_records(), data=st.data())
+def test_graph_bytes_independent_of_order_and_merge_tree(records, data):
+    want = dumps(build_graph(records, LEXICON, GAZETTEER).to_dict())
+    shuffled = data.draw(st.permutations(records))
+    assert dumps(build_graph(shuffled, LEXICON, GAZETTEER).to_dict()) == want
+    assert dumps(merge_tree(shuffled, data).to_dict()) == want
+
+
 # -- persistence ----------------------------------------------------------------
 
 def test_graph_round_trip(corpus_graph, tmp_path):
@@ -350,14 +385,15 @@ def test_graph_round_trip_preserves_config(lexicon, gazetteer, corpus_records, t
     assert loaded == g
 
 
+CONFIG = {"duration_bonus_factor": 0.5, "duration_cap_months": 120}
+
+
 def test_from_dict_rejects_dangling_edge():
     doc = {
-        "config": {"duration_bonus_factor": 0.5, "duration_cap_months": 120},
-        "nodes": [{"kind": "jobseeker", "key": "js0", "attrs": {}}],
-        "edges": [
-            {"kind": "jobseeker_skill", "source": "js0", "target": "java",
-             "weight_sum": 0.0, "support_count": 0, "months_sum": 0}
-        ],
+        "schema_version": 2,
+        "config": CONFIG,
+        "nodes": [["jobseeker", "js0", {}]],
+        "edges": [["jobseeker_skill", "js0", "java", 0, 0, 0]],
     }
     with pytest.raises(GraphFormatError) as err:
         KnowledgeGraph.from_dict(doc)
@@ -366,66 +402,61 @@ def test_from_dict_rejects_dangling_edge():
 
 def test_from_dict_rejects_weight_without_support():
     doc = {
-        "config": {"duration_bonus_factor": 0.5, "duration_cap_months": 120},
-        "nodes": [
-            {"kind": "jobseeker", "key": "js0", "attrs": {}},
-            {"kind": "skill", "key": "java", "attrs": {}},
-        ],
-        "edges": [
-            {"kind": "jobseeker_skill", "source": "js0", "target": "java",
-             "weight_sum": 0.4, "support_count": 0, "months_sum": 0}
-        ],
+        "schema_version": 2,
+        "config": CONFIG,
+        "nodes": [["jobseeker", "js0", {}], ["skill", "java", {}]],
+        "edges": [["jobseeker_skill", "js0", "java", WEIGHT_UNITS * 2 // 5, 0, 0]],
     }
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=r"^edges\[0\]: weight_units without support$"):
         KnowledgeGraph.from_dict(doc)
 
 
 def test_from_dict_rejects_unknown_kind():
-    doc = {
-        "config": {"duration_bonus_factor": 0.5, "duration_cap_months": 120},
-        "nodes": [{"kind": "wizard", "key": "x", "attrs": {}}],
-        "edges": [],
-    }
+    doc = {"schema_version": 2, "config": CONFIG, "nodes": [["wizard", "x", {}]], "edges": []}
     with pytest.raises(GraphFormatError, match=r"^nodes\[0\]: 'wizard' is not a valid NodeKind$"):
         KnowledgeGraph.from_dict(doc)
 
 
 LOADABLE_DOC = {
-    "config": {"duration_bonus_factor": 0.5, "duration_cap_months": 120},
-    "nodes": [
-        {"kind": "jobseeker", "key": "js0", "attrs": {"name": "Jo"}},
-        {"kind": "skill", "key": "java", "attrs": {"category": "language"}},
-    ],
-    "edges": [
-        {"kind": "jobseeker_skill", "source": "js0", "target": "java",
-         "weight_sum": 0.5, "support_count": 1, "months_sum": 12},
-    ],
+    "schema_version": 2,
+    "config": CONFIG,
+    "nodes": [["jobseeker", "js0", {"name": "Jo"}], ["skill", "java", {"category": "language"}]],
+    "edges": [["jobseeker_skill", "js0", "java", WEIGHT_UNITS // 2, 1, 12]],
 }
-NO_SUPPORT_EDGE = {"kind": "jobseeker_skill", "source": "js0", "target": "java",
-                   "weight_sum": 0.0, "support_count": 0, "months_sum": 12}
-TYPES = r"weight_sum must be a number, support_count and months_sum integers"
+NO_SUPPORT_ROW = ["jobseeker_skill", "js0", "java", 0, 0, 12]
+TYPES = r"weight_units, support_count and months_sum must be integers"
+EDGE_ROW = r"not a \[kind, source, target, weight_units, support_count, months_sum\] row"
+NODE_ROW = r"not a \[kind, key, attrs\] row"
+V1_EDGE = {"kind": "jobseeker_skill", "source": "js0", "target": "java",
+           "weight_sum": 0.5, "support_count": 1, "months_sum": 12}
 
 # (path to the replaced value in LOADABLE_DOC, new value, the whole message)
 MALFORMED = {
     "nodes-not-a-list": (("nodes",), {"a": 1}, r"nodes: not a list"),
     "edges-not-a-list": (("edges",), 5, r"edges: not a list"),
-    "list-source": (("edges", 0, "source"), [], r"edges\[0\]: source and target must be strings"),
-    "object-target": (("edges", 0, "target"), {}, r"edges\[0\]: source and target must be strings"),
-    "nan-weight": (("edges", 0, "weight_sum"), math.nan,
-                   r"edges\[0\]: weight_sum nan above support_count 1"),
-    "inf-weight": (("edges", 0, "weight_sum"), math.inf,
-                   r"edges\[0\]: weight_sum inf above support_count 1"),
-    "mean-weight-above-1": (("edges", 0, "weight_sum"), 1e6,
-                            r"edges\[0\]: weight_sum 1000000.0 above support_count 1"),
-    "bool-weight": (("edges", 0, "weight_sum"), True, rf"edges\[0\]: {TYPES}"),
-    "string-weight": (("edges", 0, "weight_sum"), "0.5", rf"edges\[0\]: {TYPES}"),
-    "fractional-support": (("edges", 0, "support_count"), 1.9, rf"edges\[0\]: {TYPES}"),
-    "bool-support": (("edges", 0, "support_count"), True, rf"edges\[0\]: {TYPES}"),
-    "fractional-months": (("edges", 0, "months_sum"), 1.9, rf"edges\[0\]: {TYPES}"),
-    "bool-months": (("edges", 0, "months_sum"), True, rf"edges\[0\]: {TYPES}"),
-    "months-without-support": (("edges", 0), NO_SUPPORT_EDGE,
+    "list-source": (("edges", 0, 1), [], r"edges\[0\]: source and target must be strings"),
+    "object-target": (("edges", 0, 2), {}, r"edges\[0\]: source and target must be strings"),
+    "nan-weight": (("edges", 0, 3), math.nan, rf"edges\[0\]: {TYPES}"),
+    "inf-weight": (("edges", 0, 3), math.inf, rf"edges\[0\]: {TYPES}"),
+    "mean-weight-above-1": (("edges", 0, 3), WEIGHT_UNITS + 1,
+                            rf"edges\[0\]: weight_units {WEIGHT_UNITS + 1} above "
+                            r"support_count 1 \* 2\*\*64"),
+    "bool-weight": (("edges", 0, 3), True, rf"edges\[0\]: {TYPES}"),
+    "string-weight": (("edges", 0, 3), "0.5", rf"edges\[0\]: {TYPES}"),
+    "float-weight": (("edges", 0, 3), 0.5, rf"edges\[0\]: {TYPES}"),
+    "fractional-support": (("edges", 0, 4), 1.9, rf"edges\[0\]: {TYPES}"),
+    "bool-support": (("edges", 0, 4), True, rf"edges\[0\]: {TYPES}"),
+    "fractional-months": (("edges", 0, 5), 1.9, rf"edges\[0\]: {TYPES}"),
+    "bool-months": (("edges", 0, 5), True, rf"edges\[0\]: {TYPES}"),
+    "months-without-support": (("edges", 0), NO_SUPPORT_ROW,
                                r"edges\[0\]: months_sum without support"),
-    "non-string-attr": (("nodes", 0, "attrs", "name"), 5,
+    "short-edge-row": (("edges", 0), LOADABLE_DOC["edges"][0][:5], rf"edges\[0\]: {EDGE_ROW}"),
+    "long-edge-row": (("edges", 0), LOADABLE_DOC["edges"][0] + [0], rf"edges\[0\]: {EDGE_ROW}"),
+    "v1-edge-record": (("edges", 0), V1_EDGE, rf"edges\[0\]: {EDGE_ROW}"),
+    "v1-node-record": (("nodes", 0), {"kind": "jobseeker", "key": "js0", "attrs": {}},
+                       rf"nodes\[0\]: {NODE_ROW}"),
+    "string-node-row": (("nodes", 0), "abc", rf"nodes\[0\]: {NODE_ROW}"),
+    "non-string-attr": (("nodes", 0, 2, "name"), 5,
                         r"nodes\[0\]: attr 'name' is not a string"),
     "fractional-cap": (("config", "duration_cap_months"), 1.9,
                        r"bad config: duration_cap_months 1.9 is not an integer"),
@@ -433,6 +464,8 @@ MALFORMED = {
                          r"bad config: duration_bonus_factor must be finite"),
     "inf-bonus-factor": (("config", "duration_bonus_factor"), math.inf,
                          r"bad config: duration_bonus_factor must be finite"),
+    "huge-bonus-factor": (("config", "duration_bonus_factor"), 10**400,
+                          r"bad config: int too large to convert to float"),
 }
 
 
@@ -452,13 +485,24 @@ def test_loadable_doc_loads():
     assert graph.jobseeker_skill_parts("js0", "java") == (0.5, 0.05, 1.0, 1)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_nan_and_infinity_tokens(tmp_path, token):
+    path = tmp_path / "graph.json"
+    units = str(WEIGHT_UNITS // 2)
+    text = dumps(LOADABLE_DOC)
+    assert text.count(units) == 1
+    path.write_text(text.replace(units, token), encoding="utf-8")
+    with pytest.raises(GraphFormatError, match=rf"^edges\[0\]: {TYPES}$"):
+        KnowledgeGraph.load(path)
+
+
 @pytest.mark.parametrize("path, value, message", MALFORMED.values(), ids=MALFORMED.keys())
 def test_from_dict_rejects_malformed_document(path, value, message):
     with pytest.raises(GraphFormatError, match=f"^{message}$"):
         KnowledgeGraph.from_dict(replaced(LOADABLE_DOC, path, value))
 
 
-REPLACEMENTS = [None, [], {}, "x", math.nan, math.inf, -1, 1.9, True, 1e6]
+REPLACEMENTS = [None, [], {}, "x", math.nan, math.inf, -1, 1.9, True, 1e6, 3 * WEIGHT_UNITS]
 
 
 @settings(max_examples=200, deadline=None)
@@ -469,16 +513,16 @@ def test_from_dict_round_trips_and_rejects_any_replaced_field(records, data):
     loaded = KnowledgeGraph.from_dict(doc)
     assert loaded == graph
     # Nodes and edges iterate in document order.
-    assert list(loaded.nodes) == [NodeId(NodeKind(n["kind"]), n["key"]) for n in doc["nodes"]]
+    assert list(loaded.nodes) == [NodeId(NodeKind(kind), key) for kind, key, _ in doc["nodes"]]
     assert list(loaded.edges) == [
-        (EdgeKind(e["kind"]), e["source"], e["target"]) for e in doc["edges"]
+        (EdgeKind(kind), source, target) for kind, source, target, *_ in doc["edges"]
     ]
     paths = [
-        (section, i, name)
+        (section, i, j)
         for section in ("nodes", "edges")
-        for i, rec in enumerate(doc[section])
-        for name in rec
-    ] + [("nodes", i, "attrs", name) for i, n in enumerate(doc["nodes"]) for name in n["attrs"]]
+        for i, row in enumerate(doc[section])
+        for j in range(len(row))
+    ] + [("nodes", i, 2, name) for i, (_, _, attrs) in enumerate(doc["nodes"]) for name in attrs]
     assume(paths)
     path = data.draw(st.sampled_from(paths))
     doc = replaced(doc, path, data.draw(st.sampled_from(REPLACEMENTS)))

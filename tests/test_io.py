@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talentgraph import _io
 from talentgraph._io import dumps, write_document
 from talentgraph.errors import (
     DocumentFormatError,
@@ -34,22 +33,24 @@ from test_graph import exp, record
 
 GRAPH_DOC = {"config": {"duration_bonus_factor": 0.5, "duration_cap_months": 120}}
 
-# (loader, error class, smallest valid document, whether it reads a file)
+# (loader, error class, smallest valid document, whether it reads a file, its version)
 LOADERS = {
-    "lexicon": (load_skill_lexicon, LexiconFormatError, {"skills": []}, True),
-    "gazetteer": (load_sentiment_gazetteer, GazetteerFormatError, {"entries": []}, True),
-    "gold": (load_gold, FixtureError, {}, True),
-    "graph-load": (KnowledgeGraph.load, GraphFormatError, GRAPH_DOC, True),
-    "graph-from-dict": (KnowledgeGraph.from_dict, GraphFormatError, GRAPH_DOC, False),
-    "read-intermediate": (read_intermediate, DocumentFormatError, {"jobseekers": {}}, True),
-    "load-intermediate": (load_intermediate, DocumentFormatError, {"jobseekers": {}}, False),
+    "lexicon": (load_skill_lexicon, LexiconFormatError, {"skills": []}, True, 1),
+    "gazetteer": (load_sentiment_gazetteer, GazetteerFormatError, {"entries": []}, True, 1),
+    "gold": (load_gold, FixtureError, {}, True, 1),
+    "graph-load": (KnowledgeGraph.load, GraphFormatError, GRAPH_DOC, True, 2),
+    "graph-from-dict": (KnowledgeGraph.from_dict, GraphFormatError, GRAPH_DOC, False, 2),
+    "read-intermediate": (read_intermediate, DocumentFormatError, {"jobseekers": {}}, True, 1),
+    "load-intermediate": (load_intermediate, DocumentFormatError, {"jobseekers": {}}, False, 1),
 }
+GRAPH_LOADERS = ["graph-from-dict", "graph-load"]
 
 
-@pytest.mark.parametrize("version", [99, True, "1", 1.0])
-@pytest.mark.parametrize("name", sorted(LOADERS))
-def test_loaders_reject_other_schema_versions(tmp_path, name, version):
-    loader, error_cls, doc, from_file = LOADERS[name]
+def check_versions(tmp_path, name, version):
+    """Load the loader's smallest document at its own version, then expect
+    ``version`` to be rejected with a message located at the file; return
+    that message."""
+    loader, error_cls, doc, from_file, accepted = LOADERS[name]
     path = tmp_path / "doc.json"
 
     def load(schema_version):
@@ -59,11 +60,27 @@ def test_loaders_reject_other_schema_versions(tmp_path, name, version):
         path.write_text(json.dumps(versioned), encoding="utf-8")
         return loader(path)
 
-    load(1)
+    load(accepted)
     with pytest.raises(error_cls, match="schema_version") as err:
         load(version)
     if from_file:
         assert str(path) in str(err.value)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("version", [99, True, "1", 1.0])
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_loaders_reject_other_schema_versions(tmp_path, name, version):
+    check_versions(tmp_path, name, version)
+
+
+@pytest.mark.parametrize("version", [1, True, "2", 2.0])
+@pytest.mark.parametrize("name", GRAPH_LOADERS)
+def test_graph_loaders_accept_only_version_2(tmp_path, name, version):
+    message = check_versions(tmp_path, name, version)
+    assert message.endswith(
+        "(expected 2); re-run `talentgraph ingest` to rebuild the graph file"
+    )
 
 
 WORDS = ["java", "python", "c++", "scalability", "robust", "built", "tools", "the"]
@@ -102,13 +119,20 @@ def test_documents_round_trip(lexicon, gazetteer, records):
         assert dumps(KnowledgeGraph.load(saved).to_dict()) == saved.read_text(encoding="utf-8")
 
 
-def test_write_document_joins_batches(monkeypatch, corpus_graph, corpus_records, tmp_path, capsys):
-    """A document written in many small batches, to a file or to stdout,
-    has the bytes of ``dumps``."""
-    monkeypatch.setattr(_io, "_WRITE_BATCH", 3)
+def test_dumps_layout():
+    doc = {"schema_version": 2, "rows": [["b", 1], {"y": "\u00e9", "x": 0.5}], "empty": [],
+           "map": {"k2": [1, 2], "k1": {}}, "name": "n"}
+    assert dumps(doc) == (
+        '{\n"empty": [],\n"map": {\n"k1": {},\n"k2": [1, 2]\n},\n"name": "n",\n'
+        '"rows": [\n["b", 1],\n{"x": 0.5, "y": "\\u00e9"}\n],\n"schema_version": 2\n}\n'
+    )
+    assert dumps({}) == "{}\n"
+
+
+def test_write_document_writes_dumps(corpus_graph, corpus_records, tmp_path, capsys):
+    """A document written to a file or to stdout has the bytes of ``dumps``."""
     for name, doc in [("graph", corpus_graph.to_dict()),
                       ("intermediate", emit_intermediate(corpus_records))]:
-        assert len(list(_io._ENCODER.iterencode(doc))) > 10 * _io._WRITE_BATCH
         path = tmp_path / f"{name}.json"
         write_document(doc, path)
         assert path.read_bytes() == dumps(doc).encode("utf-8")
