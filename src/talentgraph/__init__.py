@@ -20,7 +20,6 @@ from .lexicon import (
 )
 from .parser import (
     ExperienceEntry,
-    ParseReport,
     ResumeRecord,
     SectionMap,
     extract_skills,
@@ -42,7 +41,6 @@ __all__ = [
     "KnowledgeGraph",
     "NodeId",
     "NodeKind",
-    "ParseReport",
     "Query",
     "QueryTerm",
     "RankedResult",

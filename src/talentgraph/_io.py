@@ -46,7 +46,7 @@ def read_document(path: str | Path, kind: str, error_cls: type[Exception],
         raise error_cls(f"cannot read {kind} file {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise error_cls(f"{path}: not valid JSON ({exc})") from exc
     return check_document(doc, error_cls, f"{path}: ", version, remedy)
 

@@ -47,7 +47,7 @@ def _lexicon_for_graph(lexicon_path: str | None, graph: KnowledgeGraph) -> Skill
 
 
 def _parse_corpus(corpus: Path, lexicon: SkillLexicon):
-    """Yield (path, record, report) per ``*.txt`` resume, in name order.
+    """Yield (path, record, diagnostics) per ``*.txt`` resume, in name order.
 
     A file skipped with a warning still consumes its seed, so other ids do not change.
     """
@@ -80,10 +80,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     records = []
     diagnostics = 0
-    for path, record, report in _parse_corpus(corpus, lexicon):
-        diagnostics += len(report.diagnostics)
+    for path, record, messages in _parse_corpus(corpus, lexicon):
+        diagnostics += len(messages)
         if args.verbose:
-            for message in report.diagnostics:
+            for message in messages:
                 print(f"{path.name}: {message}", file=sys.stderr)
         records.append(record)
         graph.add_resume(record, lexicon, gazetteer)

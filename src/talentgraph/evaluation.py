@@ -21,7 +21,7 @@ Gold fixture document::
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -43,22 +43,12 @@ class ExtractionMetrics:
     recall: float
     f1: float
 
-    def to_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
-
 
 @dataclass(frozen=True)
 class SentimentMetrics:
     accuracy: float
     precision: float
     recall: float
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-        }
 
 
 def _check_keys(predicted: Mapping, gold: Mapping, what: str) -> None:
@@ -194,11 +184,13 @@ class EvalReport:
     extraction: ExtractionMetrics | None = None
     sentiment: SentimentMetrics | None = None
     topk: dict[int, float] = field(default_factory=dict)
+    topk_mode: str = "hit"  # what ``topk`` holds: hit-rate@k or precision@k
 
     def to_dict(self) -> dict:
+        # String keys: the writer sorts them, so int keys would reorder the bytes.
         return {
-            "extraction": self.extraction.to_dict() if self.extraction else None,
-            "sentiment": self.sentiment.to_dict() if self.sentiment else None,
+            "extraction": asdict(self.extraction) if self.extraction else None,
+            "sentiment": asdict(self.sentiment) if self.sentiment else None,
             "topk": {str(k): v for k, v in sorted(self.topk.items())},
         }
 
@@ -215,7 +207,8 @@ class EvalReport:
             lines.append(f"  precision                   {self.sentiment.precision:.4f}")
             lines.append(f"  recall                      {self.sentiment.recall:.4f}")
         if self.topk:
-            lines.append("ranking (hit-rate@k)")
+            label = "hit-rate" if self.topk_mode == "hit" else "precision"
+            lines.append(f"ranking ({label}@k)")
             for k, value in sorted(self.topk.items()):
                 lines.append(f"  top {k:<2} relevant            {value:.4f}")
         return "\n".join(lines)
@@ -234,7 +227,7 @@ def evaluate_graph(
     skill edges; rankings come from executing each gold query (widened to
     at least the top 10 so hit-rate@10 is meaningful).
     """
-    report = EvalReport()
+    report = EvalReport(topk_mode=mode)
     if gold.skills:
         known = set(graph.jobseeker_ids())
         missing = sorted(set(gold.skills) - known)

@@ -45,7 +45,7 @@ from .errors import (
     NodeNotFoundError,
 )
 from .lexicon import SentimentGazetteer, SkillLexicon
-from .parser import ResumeRecord, extract_skills
+from .parser import MAX_DURATION_MONTHS, ResumeRecord, extract_skills
 from .scoring import score_description
 
 GRAPH_SCHEMA_VERSION = 2
@@ -292,29 +292,13 @@ class KnowledgeGraph:
             edge.support_count,
         )
 
-    def jobseeker_skill_parts(
-        self, jobseeker_id: str, skill: str
-    ) -> tuple[float, float, float, int]:
-        """``edge_parts`` of the edge between two existing nodes."""
-        self._require_node(NodeKind.JOBSEEKER, jobseeker_id)
-        self._require_node(NodeKind.SKILL, skill)
-        return self.edge_parts(self.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, skill))
-
     def jobseeker_skill_strength(self, jobseeker_id: str, skill: str) -> float:
         """Mean project sentiment for the skill plus the duration bonus."""
-        sentiment, bonus, _, _ = self.jobseeker_skill_parts(jobseeker_id, skill)
-        return sentiment + bonus
-
-    def org_skill_strength(self, org: str, skill: str) -> float:
-        """Mean of accumulated skill-project scores across the org's projects."""
-        self._require_node(NodeKind.ORGANIZATION, org)
+        self._require_node(NodeKind.JOBSEEKER, jobseeker_id)
         self._require_node(NodeKind.SKILL, skill)
-        edge = self.get_edge(EdgeKind.ORG_SKILL, org, skill)
-        return edge.mean_weight() if edge else 0.0
-
-    def skill_years(self, jobseeker_id: str, skill: str) -> float:
-        """Accumulated project months for the skill, in years."""
-        return self.jobseeker_skill_parts(jobseeker_id, skill)[2]
+        edge = self.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, skill)
+        sentiment, bonus, _, _ = self.edge_parts(edge)
+        return sentiment + bonus
 
     def supporting_projects(self, jobseeker_id: str, skill: str) -> list[str]:
         """Project keys of this jobseeker whose details mention the skill."""
@@ -464,6 +448,12 @@ class KnowledgeGraph:
             if units > count * WEIGHT_UNITS:
                 raise GraphFormatError(
                     f"edges[{i}]: weight_units {units} above support_count {count} * 2**64"
+                )
+            # And each adds at most MAX_DURATION_MONTHS, so years stay a float.
+            if months > count * MAX_DURATION_MONTHS:
+                raise GraphFormatError(
+                    f"edges[{i}]: months_sum {months} above support_count {count}"
+                    f" * {MAX_DURATION_MONTHS}"
                 )
             src_keys, dst_keys = ends[kind]
             if source not in src_keys:

@@ -135,6 +135,7 @@ class SentimentGazetteer:
 def parse_skill_records(records: Iterable[dict], locator: str = "skills") -> SkillLexicon:
     """Build a lexicon from decoded records, enforcing all invariants."""
     entries = []
+    seen: set[str] = set()
     for i, rec in enumerate(records):
         where = f"{locator}[{i}]"
         if not isinstance(rec, dict):
@@ -151,6 +152,9 @@ def parse_skill_records(records: Iterable[dict], locator: str = "skills") -> Ski
         ):
             raise LexiconFormatError(f"{where}: 'aliases' must be a list of strings")
         canonical = _fold(canonical)
+        if canonical in seen:
+            raise LexiconFormatError(f"{where}: duplicate canonical {canonical!r}")
+        seen.add(canonical)
         aliases = {_fold(a) for a in raw_aliases if _fold(a)}
         aliases.add(canonical)  # canonical is always its own alias
         entries.append(
@@ -190,6 +194,7 @@ def parse_sentiment_records(
     records: Iterable[dict], locator: str = "entries"
 ) -> SentimentGazetteer:
     entries = []
+    seen: set[tuple[str, str | None]] = set()
     for i, rec in enumerate(records):
         where = f"{locator}[{i}]"
         if not isinstance(rec, dict):
@@ -203,7 +208,8 @@ def parse_sentiment_records(
             raise GazetteerFormatError(f"{where}: 'class' must be a non-empty string")
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise GazetteerFormatError(f"{where}: 'weight' must be a number")
-        if not 0.0 <= float(weight) <= 1.0:
+        # The number itself: float() of a huge JSON integer overflows.
+        if not 0 <= weight <= 1:
             raise WeightRangeError(f"{where}: weight {weight} outside [0, 1]")
         keyword = _fold(keyword)
         if tokenize(keyword, stop_words=EMPTY_STOP_WORDS) != [keyword]:
@@ -213,6 +219,10 @@ def parse_sentiment_records(
             if not isinstance(scope, str) or not scope.strip():
                 raise GazetteerFormatError(f"{where}: 'skill' must be a non-empty string")
             scope = _fold(scope)
+        if (keyword, scope) in seen:
+            scoped = "" if scope is None else f" for skill {scope!r}"
+            raise GazetteerFormatError(f"{where}: duplicate keyword {keyword!r}{scoped}")
+        seen.add((keyword, scope))
         entries.append(
             SentimentEntry(
                 keyword=keyword,

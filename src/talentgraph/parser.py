@@ -1,13 +1,13 @@
 """Resume text parsing: sections, skills, durations, experience blocks.
 
 The input is UTF-8 plain text, one resume per file. Parsing is deterministic
-and never raises on messy content; anything unparseable lands in the parse
-report as a diagnostic instead. Only an entirely empty input is an error.
+and never raises on messy content; anything unparseable lands in the list of
+diagnostics instead. Only an entirely empty input is an error.
 
 Section splitting is line-anchored: a line whose stripped, lowercased text
 (minus a trailing colon) equals one of the configured header keywords opens
-that section. Text before the first recognized header is the identity block;
-with no recognized header at all, the whole text is classified "other".
+that section. Text before the first recognized header (all of the text when
+there is none) is the identity block.
 
 Experience blocks are paragraphs (blank-line separated) of the experience
 section. A block is claimed as one project only when it contains a date or
@@ -22,7 +22,7 @@ header lines.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ResumeParseError
 from .lexicon import SkillLexicon, normalize_skill
@@ -31,7 +31,6 @@ from .tokenization import EMPTY_STOP_WORDS, tokenize
 __all__ = [
     "DEFAULT_SECTION_HEADERS",
     "ExperienceEntry",
-    "ParseReport",
     "ResumeRecord",
     "SectionMap",
     "extract_skills",
@@ -76,6 +75,10 @@ _YEARS_MONTHS_RE = re.compile(
     re.IGNORECASE,
 )
 _MONTHS_RE = re.compile(r"\b(\d+)\s*(?:months?|mos?)\b", re.IGNORECASE)
+# A count wider than a year's four digits is not a duration.
+_LONG_COUNT_RE = re.compile(r"\d{5}")
+# The longest duration parse_duration returns: "9999 years 9999 months".
+MAX_DURATION_MONTHS = 12 * 9999 + 9999
 
 # Any substring recognizable by parse_duration; used to claim project blocks.
 _DATE_SEARCH_RE = re.compile(
@@ -121,50 +124,28 @@ class ResumeRecord:
     experiences: list[ExperienceEntry]
 
 
-@dataclass
-class ParseReport:
-    """Human-readable diagnostics accumulated while parsing one resume."""
-
-    diagnostics: list[str] = field(default_factory=list)
-
-    def add(self, message: str) -> None:
-        self.diagnostics.append(message)
-
-
-def _split_sections(
-    text: str, headers: dict[str, str]
-) -> tuple[SectionMap, bool]:
+def split_sections(
+    text: str, headers: dict[str, str] = DEFAULT_SECTION_HEADERS
+) -> SectionMap:
+    """Partition resume text into identity/skills/experience/other blocks."""
     buckets: dict[str, list[str]] = {
         "identity": [], "skills": [], "experience": [], "other": [],
     }
     current = "identity"
-    saw_header = False
     for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         key = line.strip().lower().rstrip(":").strip()
         section = headers.get(key)
         if section is not None:
             current = section
-            saw_header = True
             # A repeated section keeps a paragraph break so blocks never
             # straddle the splice point.
             if buckets[current]:
                 buckets[current].append("")
             continue
         buckets[current].append(line)
-    if not saw_header:
-        buckets["other"] = buckets["identity"] + buckets["other"]
-        buckets["identity"] = []
-    sections = SectionMap(
+    return SectionMap(
         **{name: "\n".join(lines).strip("\n") for name, lines in buckets.items()}
     )
-    return sections, saw_header
-
-
-def split_sections(
-    text: str, headers: dict[str, str] = DEFAULT_SECTION_HEADERS
-) -> SectionMap:
-    """Partition resume text into identity/skills/experience/other blocks."""
-    return _split_sections(text, headers)[0]
 
 
 def extract_skills(section_text: str, lexicon: SkillLexicon) -> set[str]:
@@ -189,48 +170,42 @@ def extract_skills(section_text: str, lexicon: SkillLexicon) -> set[str]:
     return found
 
 
-def parse_duration(raw: str, report: ParseReport | None = None) -> int:
-    """Parse a duration string to whole months; 0 plus a diagnostic otherwise.
-
-    Supported forms: "Jan 2020 - Jun 2021" (inclusive of both endpoint
-    months), "2019 - 2021" (12 months per year of delta), "2 years",
-    "18 months", "1 yr 6 months".
-    """
-    text = raw.strip().lower()
-
+def _months(text: str) -> int | None:
+    """Months of a duration, negative for a reversed range; None if unrecognized."""
+    if _LONG_COUNT_RE.search(text):
+        return None
     m = _MONTH_RANGE_RE.fullmatch(text)
     if m:
         m1, y1, m2, y2 = m.groups()
         start = int(y1) * 12 + _MONTH_NUM[m1[:3]]
         end = int(y2) * 12 + _MONTH_NUM[m2[:3]]
-        months = end - start + 1
-        if months < 0:
-            if report is not None:
-                report.add(f"duration {raw!r}: end precedes start, treated as unknown")
-            return 0
-        return months
-
+        return end - start + 1
     m = _YEAR_RANGE_RE.fullmatch(text)
     if m:
-        delta = int(m.group(2)) - int(m.group(1))
-        if delta < 0:
-            if report is not None:
-                report.add(f"duration {raw!r}: end precedes start, treated as unknown")
-            return 0
-        return 12 * delta
-
+        return 12 * (int(m.group(2)) - int(m.group(1)))
     m = _YEARS_MONTHS_RE.fullmatch(text)
     if m:
         years, months = m.groups()
         return 12 * int(years) + int(months or 0)
-
     m = _MONTHS_RE.fullmatch(text)
-    if m:
-        return int(m.group(1))
+    return int(m.group(1)) if m else None
 
-    if report is not None:
-        report.add(f"duration {raw!r}: unrecognized, treated as unknown")
-    return 0
+
+def parse_duration(raw: str, diagnostics: list[str] | None = None) -> int:
+    """Parse a duration string to whole months; 0 plus a diagnostic otherwise.
+
+    Supported forms: "Jan 2020 - Jun 2021" (inclusive of both endpoint
+    months), "2019 - 2021" (12 months per year of delta), "2 years",
+    "18 months", "1 yr 6 months". A count of more than four digits is
+    unrecognized.
+    """
+    months = _months(raw.strip().lower())
+    if months is None or months < 0:
+        if diagnostics is not None:
+            reason = "unrecognized" if months is None else "end precedes start"
+            diagnostics.append(f"duration {raw!r}: {reason}, treated as unknown")
+        return 0
+    return months
 
 
 def normalize_org(raw: str) -> str:
@@ -265,7 +240,7 @@ def _is_date_line(line: str) -> bool:
 
 
 def _parse_experience_block(
-    block: str, lexicon: SkillLexicon, report: ParseReport
+    block: str, lexicon: SkillLexicon, diagnostics: list[str]
 ) -> ExperienceEntry:
     lines = block.split("\n")
     duration_raw = ""
@@ -295,10 +270,12 @@ def _parse_experience_block(
 
     organization = normalize_org(org_raw or "")
     if org_raw is None:
-        report.add(f"experience block {_first_nonempty_line(block)!r}: no organization line")
+        diagnostics.append(
+            f"experience block {_first_nonempty_line(block)!r}: no organization line"
+        )
     if title is None:
         title = "untitled"
-    months = parse_duration(duration_raw, report)
+    months = parse_duration(duration_raw, diagnostics)
     details = "\n".join(lines[details_start:])
     return ExperienceEntry(
         organization=organization,
@@ -314,7 +291,7 @@ def parse_resume(
     lexicon: SkillLexicon,
     id_seed: int,
     headers: dict[str, str] = DEFAULT_SECTION_HEADERS,
-) -> tuple[ResumeRecord, ParseReport]:
+) -> tuple[ResumeRecord, list[str]]:
     """Parse one resume into a structured record plus diagnostics.
 
     ``id_seed`` is the caller's corpus counter; the jobseeker id is derived
@@ -323,20 +300,16 @@ def parse_resume(
     """
     if not text.strip():
         raise ResumeParseError("resume text is empty")
-    report = ParseReport()
-    sections, saw_header = _split_sections(text, headers)
+    diagnostics: list[str] = []
+    sections = split_sections(text, headers)
 
-    # The name is the first non-empty line outside any recognized section:
-    # the identity preamble when headers exist, the whole text otherwise.
-    if saw_header:
-        name = _first_nonempty_line(sections.identity)
-    else:
-        name = _first_nonempty_line(sections.other)
+    # The name is the first non-empty line of the identity block.
+    name = _first_nonempty_line(sections.identity)
     if not name:
         name = "unknown"
-        report.add("no name line found")
+        diagnostics.append("no name line found")
     else:
-        report.add(f"name {name!r} taken from first line (low confidence heuristic)")
+        diagnostics.append(f"name {name!r} taken from first line (low confidence heuristic)")
 
     declared = extract_skills(sections.skills, lexicon)
 
@@ -345,12 +318,12 @@ def parse_resume(
         if not block.strip():
             continue
         if not _DATE_SEARCH_RE.search(block):
-            report.add(
+            diagnostics.append(
                 f"experience block {_first_nonempty_line(block)!r}: "
                 "no date pattern, skipped"
             )
             continue
-        experiences.append(_parse_experience_block(block, lexicon, report))
+        experiences.append(_parse_experience_block(block, lexicon, diagnostics))
 
     record = ResumeRecord(
         jobseeker_id=f"js{id_seed:04d}-{_slug(name)}",
@@ -358,4 +331,4 @@ def parse_resume(
         declared_skills=declared,
         experiences=experiences,
     )
-    return record, report
+    return record, diagnostics

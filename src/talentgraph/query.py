@@ -20,7 +20,7 @@ ties broken lexicographically by jobseeker id, then truncated to top k.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import (
     EmptyQueryError,
@@ -112,7 +112,10 @@ def parse_query(text: str, lexicon: SkillLexicon) -> Query:
     m = _TOP_RE.match(text)
     if m:
         if m.group(1) is not None:
-            top_k = int(m.group(1))
+            try:
+                top_k = int(m.group(1))
+            except ValueError as exc:  # more digits than int() reads
+                raise QueryError(f"top N has too many digits ({len(m.group(1))})") from exc
             if top_k <= 0:
                 raise QueryError("top N must be positive")
         remainder = text[m.end():]
@@ -173,20 +176,6 @@ class TermExplanation:
     max_years: float | None
     satisfied: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "skill": self.skill,
-            "strength": self.strength,
-            "sentiment_mean": self.sentiment_mean,
-            "duration_bonus": self.duration_bonus,
-            "years": self.years,
-            "support_count": self.support_count,
-            "projects": list(self.projects),
-            "min_years": self.min_years,
-            "max_years": self.max_years,
-            "satisfied": self.satisfied,
-        }
-
 
 @dataclass
 class Explanation:
@@ -196,12 +185,7 @@ class Explanation:
     terms: list[TermExplanation] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "jobseeker_id": self.jobseeker_id,
-            "total_score": self.total_score,
-            "qualifies": self.qualifies,
-            "terms": [t.to_dict() for t in self.terms],
-        }
+        return asdict(self)
 
 
 def explain(jobseeker_id: str, query: Query, graph: KnowledgeGraph) -> Explanation:

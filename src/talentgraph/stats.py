@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from .graph import EdgeKind, KnowledgeGraph, NodeKind
@@ -19,13 +19,7 @@ class CorpusStats:
     skills_by_category: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "resume_count": self.resume_count,
-            "distinct_skills": self.distinct_skills,
-            "avg_skills_per_resume": self.avg_skills_per_resume,
-            "avg_projects_per_resume": self.avg_projects_per_resume,
-            "skills_by_category": dict(sorted(self.skills_by_category.items())),
-        }
+        return asdict(self)
 
 
 def compute_stats(records: Iterable[ResumeRecord], lexicon: SkillLexicon) -> CorpusStats:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from talentgraph.graph import KnowledgeGraph, ScoringConfig
+from talentgraph.graph import EdgeKind, KnowledgeGraph, ScoringConfig
 from talentgraph.lexicon import load_sentiment_gazetteer, load_skill_lexicon
 from talentgraph.parser import parse_resume
 
@@ -58,6 +58,17 @@ def build_graph(records, lexicon, gazetteer, config=None):
     for record in records:
         graph.add_resume(record, lexicon, gazetteer)
     return graph
+
+
+def skill_years(graph, jobseeker_id, skill):
+    """Years on the jobseeker-skill edge, 0.0 when there is none."""
+    return graph.edge_parts(graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, skill))[2]
+
+
+def org_skill_strength(graph, org, skill):
+    """Mean score on the org-skill edge, 0.0 when there is none."""
+    edge = graph.get_edge(EdgeKind.ORG_SKILL, org, skill)
+    return edge.mean_weight() if edge else 0.0
 
 
 @pytest.fixture()

@@ -30,8 +30,10 @@ from conftest import (
     GAZETTEER_FILE,
     LEXICON_FILE,
     build_graph,
+    org_skill_strength,
     parse_corpus,
     run_talentgraph,
+    skill_years,
 )
 from oracle import OracleGraph
 
@@ -100,11 +102,11 @@ def all_strengths(graph):
             values[("js", jobseeker, skill)] = graph.jobseeker_skill_strength(
                 jobseeker, skill
             )
-            values[("years", jobseeker, skill)] = graph.skill_years(jobseeker, skill)
+            values[("years", jobseeker, skill)] = skill_years(graph, jobseeker, skill)
     orgs = sorted(n.key for n in graph.nodes if n.kind is NodeKind.ORGANIZATION)
     for org in orgs:
         for skill in skills:
-            values[("org", org, skill)] = graph.org_skill_strength(org, skill)
+            values[("org", org, skill)] = org_skill_strength(graph, org, skill)
     return values
 
 
@@ -135,12 +137,12 @@ def test_c1_oracle_equivalence(lexicon, gazetteer):
                 assert graph.jobseeker_skill_strength(jobseeker, skill) == pytest.approx(
                     oracle.jobseeker_skill_strength(jobseeker, skill), abs=GRAPH_TOL
                 )
-                assert graph.skill_years(jobseeker, skill) == pytest.approx(
+                assert skill_years(graph, jobseeker, skill) == pytest.approx(
                     oracle.skill_years(jobseeker, skill), abs=GRAPH_TOL
                 )
         for org in sorted(n.key for n in graph.nodes if n.kind is NodeKind.ORGANIZATION):
             for skill in graph.skill_keys():
-                assert graph.org_skill_strength(org, skill) == pytest.approx(
+                assert org_skill_strength(graph, org, skill) == pytest.approx(
                     oracle.org_skill_strength(org, skill), abs=GRAPH_TOL
                 )
     elapsed = time.perf_counter() - started

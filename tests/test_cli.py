@@ -223,6 +223,91 @@ def test_eval_table_output(tmp_path, capsys):
     assert "skill extraction" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode, heading, values", [
+    ("hit", "hit-rate", ["0.7500", "0.7500", "0.7500"]),
+    ("precision", "precision", ["0.2500", "0.1500", "0.0750"]),
+])
+def test_eval_table_names_topk_mode(tmp_path, capsys, mode, heading, values):
+    out = ingest(tmp_path)
+    capsys.readouterr()
+    assert run_cli("eval", out, GOLD_FILE, "--lexicon", LEXICON_FILE, "--topk-mode", mode) == 0
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        f"ranking ({heading}@k)",
+        f"  top 3  relevant            {values[0]}",
+        f"  top 5  relevant            {values[1]}",
+        f"  top 10 relevant            {values[2]}",
+    ]
+
+
+def test_json_output_key_sets(tmp_path, capsys):
+    """The exact keys at every level of explain, stats and eval --json."""
+    out = ingest(tmp_path)
+    capsys.readouterr()
+
+    def payload(*args):
+        assert run_cli(*args, "--json") == 0
+        return json.loads(capsys.readouterr().out)
+
+    doc = payload("explain", out, "js0000-jane-doe", "java 6-8, kafka", "--lexicon", LEXICON_FILE)
+    assert set(doc) == {"schema_version", "explanation"}
+    assert set(doc["explanation"]) == {"jobseeker_id", "total_score", "qualifies", "terms"}
+    assert [term["skill"] for term in doc["explanation"]["terms"]] == ["java", "kafka"]
+    for term in doc["explanation"]["terms"]:
+        assert set(term) == {
+            "skill", "strength", "sentiment_mean", "duration_bonus", "years",
+            "support_count", "projects", "min_years", "max_years", "satisfied",
+        }
+
+    doc = payload("stats", out)
+    assert set(doc) == {"schema_version", "stats"}
+    assert set(doc["stats"]) == {
+        "resume_count", "distinct_skills", "avg_skills_per_resume",
+        "avg_projects_per_resume", "skills_by_category",
+    }
+    assert set(doc["stats"]["skills_by_category"]) == {
+        "database technologies", "middleware technologies", "operating systems",
+        "programming languages", "scripting languages", "web technologies",
+    }
+
+    for mode in ("hit", "precision"):
+        doc = payload("eval", out, GOLD_FILE, "--lexicon", LEXICON_FILE, "--topk-mode", mode)
+        assert set(doc) == {"schema_version", "metrics"}
+        assert set(doc["metrics"]) == {"extraction", "sentiment", "topk"}
+        assert set(doc["metrics"]["extraction"]) == {"precision", "recall", "f1"}
+        assert set(doc["metrics"]["sentiment"]) == {"accuracy", "precision", "recall"}
+        assert list(doc["metrics"]["topk"]) == ["10", "3", "5"]
+
+
+def test_ingest_huge_gazetteer_weight_is_error(tmp_path, capsys):
+    gazetteer = tmp_path / "gaz.json"
+    gazetteer.write_text(
+        f'{{"entries": [{{"keyword": "fast", "class": "x", "weight": 1{"0" * 400}}}]}}',
+        encoding="utf-8",
+    )
+    out = tmp_path / "graph.json"
+    code = run_cli("ingest", CORPUS_DIR, "--lexicon", LEXICON_FILE,
+                   "--gazetteer", gazetteer, "--out", out)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: entries[0]: weight 1{'0' * 400} outside [0, 1]\n"
+    assert not out.exists()
+
+
+def test_duration_count_too_long_is_unknown_and_graph_queries(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "r.txt").write_text(
+        f"Sam Hill\n\nEXPERIENCE\nAcme Ltd.\nA Project\n1{'0' * 400} years\nRobust java.\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "graph.json"
+    assert run_cli("ingest", corpus, "--lexicon", LEXICON_FILE,
+                   "--gazetteer", GAZETTEER_FILE, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("query", out, "top java") == 0
+    table = capsys.readouterr().out
+    assert "js0000-sam-hill" in table and "(0.0y)" in table
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--duration-bonus-factor", "-1", "duration_bonus_factor must be >= 0"),
     ("--duration-bonus-factor", "nan", "duration_bonus_factor must be finite"),

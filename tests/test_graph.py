@@ -25,9 +25,9 @@ from talentgraph.graph import (
     project_key,
 )
 from talentgraph.lexicon import parse_sentiment_records
-from talentgraph.parser import ExperienceEntry, ResumeRecord
+from talentgraph.parser import MAX_DURATION_MONTHS, ExperienceEntry, ResumeRecord
 
-from conftest import build_graph
+from conftest import build_graph, org_skill_strength, skill_years
 from oracle import OracleGraph
 from test_graph_index import GAZETTEER, LEXICON, record_sets
 
@@ -159,7 +159,7 @@ def test_strength_duration_bonus_capped(lexicon, gazetteer):
         lexicon, gazetteer,
     )
     assert g.jobseeker_skill_strength("js0", "java") == pytest.approx(1.3)
-    assert g.skill_years("js0", "java") == pytest.approx(50.0)
+    assert skill_years(g, "js0", "java") == pytest.approx(50.0)
 
 
 def test_org_skill_strength_mean():
@@ -179,7 +179,7 @@ def test_org_skill_strength_mean():
         record("js0", experiences=[exp("acme", "alpha java"), exp("acme", "beta java")]),
         lex, gaz,
     )
-    assert g.org_skill_strength("acme", "java") == pytest.approx(0.6)
+    assert org_skill_strength(g, "acme", "java") == pytest.approx(0.6)
 
 
 def test_org_skill_strength_singleton(lexicon, gazetteer):
@@ -187,7 +187,7 @@ def test_org_skill_strength_singleton(lexicon, gazetteer):
     g.add_resume(
         record("js0", experiences=[exp("acme", "distributed java")]), lexicon, gazetteer
     )
-    assert g.org_skill_strength("acme", "java") == pytest.approx(0.7)
+    assert org_skill_strength(g, "acme", "java") == pytest.approx(0.7)
 
 
 def test_org_skill_strength_no_mentions(lexicon, gazetteer):
@@ -196,7 +196,7 @@ def test_org_skill_strength_no_mentions(lexicon, gazetteer):
         record("js0", declared={"java"}, experiences=[exp("acme", "made coffee")]),
         lexicon, gazetteer,
     )
-    assert g.org_skill_strength("acme", "java") == 0.0
+    assert org_skill_strength(g, "acme", "java") == 0.0
 
 
 def test_skill_years(lexicon, gazetteer):
@@ -205,9 +205,9 @@ def test_skill_years(lexicon, gazetteer):
         record("js0", experiences=[exp("acme", "robust java", months=96)]),
         lexicon, gazetteer,
     )
-    assert g.skill_years("js0", "java") == pytest.approx(8.0)
+    assert skill_years(g, "js0", "java") == pytest.approx(8.0)
     g.add_resume(record("js1", declared={"java"}), lexicon, gazetteer)
-    assert g.skill_years("js1", "java") == 0.0
+    assert skill_years(g, "js1", "java") == 0.0
 
 
 def test_skill_years_thirty_months(lexicon, gazetteer):
@@ -216,7 +216,7 @@ def test_skill_years_thirty_months(lexicon, gazetteer):
         record("js0", experiences=[exp("acme", "robust java", months=30)]),
         lexicon, gazetteer,
     )
-    assert g.skill_years("js0", "java") == pytest.approx(2.5)
+    assert skill_years(g, "js0", "java") == pytest.approx(2.5)
 
 
 def test_missing_node_is_error(lexicon, gazetteer):
@@ -225,9 +225,7 @@ def test_missing_node_is_error(lexicon, gazetteer):
     with pytest.raises(NodeNotFoundError):
         g.jobseeker_skill_strength("nobody", "java")
     with pytest.raises(NodeNotFoundError):
-        g.skill_years("js0", "cobol")
-    with pytest.raises(NodeNotFoundError):
-        g.org_skill_strength("acme", "java")
+        g.jobseeker_skill_strength("js0", "cobol")
 
 
 def test_multi_skill_equality_even_with_scoped_entries(lexicon, gazetteer):
@@ -450,6 +448,12 @@ MALFORMED = {
     "bool-months": (("edges", 0, 5), True, rf"edges\[0\]: {TYPES}"),
     "months-without-support": (("edges", 0), NO_SUPPORT_ROW,
                                r"edges\[0\]: months_sum without support"),
+    "months-above-longest-duration": (("edges", 0, 5), MAX_DURATION_MONTHS + 1,
+                                      rf"edges\[0\]: months_sum {MAX_DURATION_MONTHS + 1} "
+                                      rf"above support_count 1 \* {MAX_DURATION_MONTHS}"),
+    "months-too-large-for-a-float": (("edges", 0, 5), 10**400,
+                                     rf"edges\[0\]: months_sum 1{'0' * 400} above "
+                                     rf"support_count 1 \* {MAX_DURATION_MONTHS}"),
     "short-edge-row": (("edges", 0), LOADABLE_DOC["edges"][0][:5], rf"edges\[0\]: {EDGE_ROW}"),
     "long-edge-row": (("edges", 0), LOADABLE_DOC["edges"][0] + [0], rf"edges\[0\]: {EDGE_ROW}"),
     "v1-edge-record": (("edges", 0), V1_EDGE, rf"edges\[0\]: {EDGE_ROW}"),
@@ -482,7 +486,8 @@ def replaced(doc: dict, path: tuple, value) -> dict:
 
 def test_loadable_doc_loads():
     graph = KnowledgeGraph.from_dict(LOADABLE_DOC)
-    assert graph.jobseeker_skill_parts("js0", "java") == (0.5, 0.05, 1.0, 1)
+    edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, "js0", "java")
+    assert graph.edge_parts(edge) == (0.5, 0.05, 1.0, 1)
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -536,6 +541,7 @@ def test_strength_bounds(lexicon, gazetteer, corpus_graph):
     top = 1.0 + corpus_graph.config.duration_bonus_factor
     for jobseeker in corpus_graph.jobseeker_ids():
         for skill in corpus_graph.skill_keys():
-            sentiment, bonus, _, _ = corpus_graph.jobseeker_skill_parts(jobseeker, skill)
+            edge = corpus_graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker, skill)
+            sentiment, bonus, _, _ = corpus_graph.edge_parts(edge)
             assert 0.0 <= sentiment <= 1.0
             assert 0.0 <= sentiment + bonus <= top

@@ -83,6 +83,17 @@ def test_graph_loaders_accept_only_version_2(tmp_path, name, version):
     )
 
 
+@pytest.mark.parametrize("name", sorted(n for n, loader in LOADERS.items() if loader[3]))
+def test_file_loaders_reject_integer_too_long_to_read(tmp_path, name):
+    """json refuses an integer of more than 4300 digits with a bare ValueError."""
+    loader, error_cls, doc, _, version = LOADERS[name]
+    path = tmp_path / "doc.json"
+    text = json.dumps({**doc, "schema_version": version, "big": 0})
+    path.write_text(text.replace('"big": 0', '"big": ' + "9" * 5000), encoding="utf-8")
+    with pytest.raises(error_cls, match="not valid JSON"):
+        loader(path)
+
+
 WORDS = ["java", "python", "c++", "scalability", "robust", "built", "tools", "the"]
 DURATIONS = ["", "1 year", "2 years", "18 months", "Jan 2020 - Jun 2021", "2019 - 2021"]
 TEXT = st.text(max_size=12)

@@ -200,3 +200,22 @@ def test_alias_punctuation_kept_in_tokens():
     )
     assert extract_skills("Shipped C++ and .NET services.", lexicon) == {"c++", ".net"}
     assert extract_skills("c, net and dotnet", lexicon) == set()
+
+
+def test_lexicon_rejects_duplicate_canonical():
+    java = {"canonical": "java", "category": "languages"}
+    with pytest.raises(LexiconFormatError, match=r"^skills\[1\]: duplicate canonical 'java'$"):
+        parse_skill_records([java, {**java, "canonical": " Java ", "category": "other"}])
+
+
+def test_gazetteer_rejects_duplicate_keyword_in_one_scope():
+    fast = {"keyword": "fast", "class": "x", "weight": 0.9}
+    scoped = {**fast, "skill": "java"}
+    assert len(parse_sentiment_records([fast, scoped])) == 2  # two scopes
+    with pytest.raises(GazetteerFormatError, match=r"^entries\[1\]: duplicate keyword 'fast'$"):
+        parse_sentiment_records([fast, {**fast, "keyword": "FAST", "weight": 0.1}])
+    with pytest.raises(
+        GazetteerFormatError, match=r"^entries\[2\]: duplicate keyword 'fast' for skill 'java'$"
+    ):
+        parse_sentiment_records([fast, scoped, {**scoped, "skill": "Java", "class": "y"}])
+

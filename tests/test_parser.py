@@ -12,8 +12,8 @@ import talentgraph.tokenization
 from talentgraph.errors import AliasConflictError, ResumeParseError
 from talentgraph.lexicon import load_skill_lexicon, parse_skill_records
 from talentgraph.parser import (
+    MAX_DURATION_MONTHS,
     ExperienceEntry,
-    ParseReport,
     ResumeRecord,
     extract_skills,
     normalize_org,
@@ -47,11 +47,11 @@ def test_split_sections_empty_input():
     )
 
 
-def test_split_sections_no_headers_goes_to_other():
+def test_split_sections_no_headers_is_identity():
     text = "Jane Doe\nLoves compilers"
     sections = split_sections(text)
-    assert sections.other == text
-    assert sections.identity == ""
+    assert sections.identity == text
+    assert sections.other == ""
 
 
 def test_split_sections_header_variants():
@@ -241,21 +241,43 @@ def test_parse_duration_supported_forms(raw, months):
 
 
 def test_parse_duration_unrecognized_reports():
-    report = ParseReport()
-    assert parse_duration("whenever", report) == 0
-    assert any("whenever" in d for d in report.diagnostics)
+    diagnostics = []
+    assert parse_duration("whenever", diagnostics) == 0
+    assert any("whenever" in d for d in diagnostics)
 
 
 def test_parse_duration_reversed_range_is_unknown():
-    report = ParseReport()
-    assert parse_duration("Jun 2021 - Jan 2020", report) == 0
+    diagnostics = []
+    assert parse_duration("Jun 2021 - Jan 2020", diagnostics) == 0
     assert parse_duration("2021 - 2019") == 0
-    assert report.diagnostics
+    assert diagnostics
 
 
 def test_parse_duration_years_always_twelve_per_year():
     for n in range(0, 40):
         assert parse_duration(f"{n} years") == 12 * n
+
+
+def test_parse_duration_long_count_is_unrecognized():
+    diagnostics = []
+    assert parse_duration("99999 years", diagnostics) == 0
+    assert parse_duration("1 yr 00006 months", diagnostics) == 0
+    assert parse_duration("9" * 5000 + " months", diagnostics) == 0
+    assert diagnostics[:2] == [
+        "duration '99999 years': unrecognized, treated as unknown",
+        "duration '1 yr 00006 months': unrecognized, treated as unknown",
+    ]
+    assert len(diagnostics) == 3
+    # The widest counts of every form stay within the bound a graph load checks.
+    assert parse_duration("9999 years 9999 months") == MAX_DURATION_MONTHS
+    for raw in ("Jan 0000 - Dec 9999", "0000 - 9999", "9999 months"):
+        assert parse_duration(raw) < MAX_DURATION_MONTHS
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.from_regex(talentgraph.parser._DATE_SEARCH_RE, fullmatch=True))
+def test_parse_duration_of_any_date_pattern_is_bounded(raw):
+    assert 0 <= parse_duration(raw) <= MAX_DURATION_MONTHS
 
 
 def test_parse_duration_never_negative():
@@ -350,14 +372,24 @@ def test_parse_resume_dateless_block_skipped(lexicon):
         "Acme Ltd.\nA Project\nJan 2020 - Mar 2020\nDid robust work.\n\n"
         "A stray paragraph with no dates at all.\n"
     )
-    record, report = parse_resume(text, lexicon, 0)
+    record, diagnostics = parse_resume(text, lexicon, 0)
     assert len(record.experiences) == 1
-    assert any("no date pattern" in d for d in report.diagnostics)
+    assert any("no date pattern" in d for d in diagnostics)
+
+
+def test_parse_resume_long_digit_run_never_raises(lexicon):
+    text = (
+        "Sam Hill\n\nEXPERIENCE\n"
+        f"Acme Ltd.\nA Project\n{'9' * 5000} years\nDid robust java work.\n"
+    )
+    record, diagnostics = parse_resume(text, lexicon, 0)
+    assert [e.duration_months for e in record.experiences] == [0]
+    assert any("unrecognized, treated as unknown" in d for d in diagnostics)
 
 
 def test_parse_resume_name_low_confidence_flagged(lexicon):
-    _, report = parse_resume("Omar Hassan\nJust prose.", lexicon, 0)
-    assert any("low confidence" in d for d in report.diagnostics)
+    _, diagnostics = parse_resume("Omar Hassan\nJust prose.", lexicon, 0)
+    assert any("low confidence" in d for d in diagnostics)
 
 
 def test_parse_resume_no_header_resume(lexicon):

@@ -43,6 +43,11 @@ def test_parse_top_n(lexicon):
     assert parse_query("top java", lexicon).top_k == 10
 
 
+def test_parse_top_n_too_long_for_int_is_query_error(lexicon):
+    with pytest.raises(QueryError, match=r"^top N has too many digits \(5000\)$"):
+        parse_query(f"top {'1' * 5000} java", lexicon)
+
+
 def test_parse_min_only_and_decimals(lexicon):
     query = parse_query("java 2.5-4, python 8+", lexicon)
     assert query.terms == (QueryTerm("java", 2.5, 4.0), QueryTerm("python", 8.0, None))
