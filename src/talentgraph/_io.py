@@ -18,7 +18,8 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 
 # No ``indent``: with one, CPython falls back to its pure-Python encoder.
-_encode = json.JSONEncoder(sort_keys=True).encode
+# No NaN or Infinity: they are not JSON, so encoding one raises ValueError.
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def check_document(doc: object, error_cls: type[Exception], where: str = "",

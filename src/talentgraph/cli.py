@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ._io import write_document, write_text
+from ._io import SCHEMA_VERSION, write_document, write_text
 from .errors import TalentGraphError
 from .evaluation import evaluate_graph, load_gold
 from .graph import KnowledgeGraph, NodeKind, ScoringConfig
@@ -120,7 +120,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     query = parse_query(args.dsl, lexicon)
     results = execute(query, graph)
     if args.json:
-        write_document({"schema_version": 1, "query": args.dsl, "top_k": query.top_k,
+        write_document({"schema_version": SCHEMA_VERSION, "query": args.dsl, "top_k": query.top_k,
                         "results": [r.to_dict() for r in results]}, args.out)
     else:
         write_text(_format_results(query, results) + "\n", args.out)
@@ -133,7 +133,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     query = parse_query(args.dsl, lexicon)
     explanation = explain(args.jobseeker, query, graph)
     if args.json:
-        write_document({"schema_version": 1, "explanation": explanation.to_dict()})
+        write_document({"schema_version": SCHEMA_VERSION, "explanation": explanation.to_dict()})
         return 0
     print(f"jobseeker {explanation.jobseeker_id}")
     print(f"  qualifies: {'yes' if explanation.qualifies else 'no'}")
@@ -174,7 +174,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     else:
         stats = compute_graph_stats(KnowledgeGraph.load(path))
     if args.json:
-        write_document({"schema_version": 1, "stats": stats.to_dict()})
+        write_document({"schema_version": SCHEMA_VERSION, "stats": stats.to_dict()})
         return 0
     print(f"resumes                  {stats.resume_count}")
     print(f"distinct skills          {stats.distinct_skills}")
@@ -191,7 +191,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     lexicon = _lexicon_for_graph(args.lexicon, graph)
     report = evaluate_graph(graph, gold, lexicon, mode=args.topk_mode)
     if args.json:
-        write_document({"schema_version": 1, "metrics": report.to_dict()})
+        write_document({"schema_version": SCHEMA_VERSION, "metrics": report.to_dict()})
     else:
         print(report.format_table())
     return 0

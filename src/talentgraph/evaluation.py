@@ -1,10 +1,10 @@
 """Evaluation metrics against labeled gold fixtures.
 
 Extraction metrics are micro-averaged over (resume, skill) pairs. Sentiment
-is binary: a description is predicted positive when its score exceeds the
-threshold (default 0). Ranking quality is hit-rate@k by default: a query
-counts as a hit when at least one gold-relevant jobseeker appears in the
-top k; precision@k is available via ``mode="precision"``.
+is binary: a description is predicted positive when its score exceeds
+``DEFAULT_SENTIMENT_THRESHOLD``, a fixed 0. Ranking quality is hit-rate@k by
+default: a query counts as a hit when at least one gold-relevant jobseeker
+appears in the top k; precision@k is available via ``mode="precision"``.
 
 Conventions for empty denominators are fixed so degenerate fixtures stay
 well-defined: precision of an empty prediction set is 1.0, recall against
@@ -81,8 +81,8 @@ def extraction_metrics(
     return ExtractionMetrics(precision=precision, recall=recall, f1=f1)
 
 
-def classify_score(score: float, threshold: float = DEFAULT_SENTIMENT_THRESHOLD) -> str:
-    return POSITIVE if score > threshold else NEUTRAL
+def classify_score(score: float) -> str:
+    return POSITIVE if score > DEFAULT_SENTIMENT_THRESHOLD else NEUTRAL
 
 
 def sentiment_metrics(

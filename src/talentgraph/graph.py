@@ -129,8 +129,12 @@ class ScoringConfig:
             raise GraphConfigError("duration_bonus_factor must be finite")
         if self.duration_bonus_factor < 0:
             raise GraphConfigError("duration_bonus_factor must be >= 0")
+        if self.duration_bonus_factor > 1e6:  # so sums of strengths stay finite
+            raise GraphConfigError("duration_bonus_factor must be <= 1e6")
         if self.duration_cap_months <= 0:
             raise GraphConfigError("duration_cap_months must be positive")
+        if self.duration_cap_months > 2**53:  # the integers a float holds exactly
+            raise GraphConfigError("duration_cap_months must be <= 2**53")
 
 
 _Adjacency = dict[tuple[EdgeKind, str], dict[str, WeightedEdge]]
@@ -440,6 +444,8 @@ class KnowledgeGraph:
                 )
             if count < 0 or units < 0 or months < 0:
                 raise GraphFormatError(f"edges[{i}]: negative accumulator")
+            if count > 2**53:
+                raise GraphFormatError(f"edges[{i}]: support_count {count} above 2**53")
             if count == 0 and units:
                 raise GraphFormatError(f"edges[{i}]: weight_units without support")
             if count == 0 and months:

@@ -35,11 +35,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from ._io import check_document, read_document, write_document
+from ._io import SCHEMA_VERSION, check_document, read_document, write_document
 from .errors import DocumentFormatError, DuplicateJobseekerError
 from .parser import ExperienceEntry, ResumeRecord, parse_duration
-
-DOCUMENT_SCHEMA_VERSION = 1
 
 _RESERVED_NAME = "_name"
 _RESERVED_SKILLS = "_declared_skills"
@@ -68,7 +66,7 @@ def emit_intermediate(records: Iterable[ResumeRecord]) -> dict:
                 "seq": seq,
             }
         jobseekers[record.jobseeker_id] = body
-    return {"schema_version": DOCUMENT_SCHEMA_VERSION, "jobseekers": jobseekers}
+    return {"schema_version": SCHEMA_VERSION, "jobseekers": jobseekers}
 
 
 def _require_str(value: object, path: str) -> str:

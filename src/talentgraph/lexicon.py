@@ -42,7 +42,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from ._io import dumps, read_document
+from ._io import SCHEMA_VERSION, dumps, read_document
 from .errors import (
     AliasConflictError,
     GazetteerFormatError,
@@ -51,12 +51,10 @@ from .errors import (
 )
 from .tokenization import DEFAULT_KEEP_CHARS, EMPTY_STOP_WORDS, tokenize
 
-_WS_RE = re.compile(r"\s+")
-
 
 def _fold(text: str) -> str:
     """Lowercase, trim and collapse internal whitespace."""
-    return _WS_RE.sub(" ", text.strip().lower())
+    return " ".join(text.lower().split())
 
 
 @dataclass(frozen=True)
@@ -77,20 +75,22 @@ class SentimentEntry:
 class SkillLexicon:
     """Canonical skills with an alias->canonical index.
 
-    The alias index is injective into canonicals: loading rejects any alias
-    claimed by two different skills.
+    The constructor rejects a repeated canonical and any alias claimed by two
+    different skills, so the alias index is injective into canonicals.
     """
 
     def __init__(self, entries: Iterable[SkillEntry]):
         self.entries: list[SkillEntry] = list(entries)
+        self._by_canonical: dict[str, SkillEntry] = {}
         self.alias_index: dict[str, str] = {}
-        for entry in self.entries:
+        for i, entry in enumerate(self.entries):
+            if entry.canonical in self._by_canonical:
+                raise LexiconFormatError(f"skills[{i}]: duplicate canonical {entry.canonical!r}")
+            self._by_canonical[entry.canonical] = entry
             for alias in entry.aliases:
-                owner = self.alias_index.get(alias)
-                if owner is not None and owner != entry.canonical:
+                owner = self.alias_index.setdefault(alias, entry.canonical)
+                if owner != entry.canonical:
                     raise AliasConflictError(alias, owner, entry.canonical)
-                self.alias_index[alias] = entry.canonical
-        self._by_canonical = {e.canonical: e for e in self.entries}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -120,24 +120,28 @@ class SkillLexicon:
 
 
 class SentimentGazetteer:
-    """<skill-scope, keyword, class, weight> entries indexed by keyword."""
+    """<skill-scope, keyword, class, weight> entries, with ``weights`` keyed by
+    (keyword, scope or None); the constructor rejects a repeated key."""
 
     def __init__(self, entries: Iterable[SentimentEntry]):
         self.entries: list[SentimentEntry] = list(entries)
-        self.index: dict[str, list[SentimentEntry]] = {}
-        for entry in self.entries:
-            self.index.setdefault(entry.keyword, []).append(entry)
+        self.weights: dict[tuple[str, str | None], float] = {}
+        for i, entry in enumerate(self.entries):
+            keyword, scope = key = (entry.keyword, entry.skill_scope)
+            if key in self.weights:
+                scoped = "" if scope is None else f" for skill {scope!r}"
+                raise GazetteerFormatError(f"entries[{i}]: duplicate keyword {keyword!r}{scoped}")
+            self.weights[key] = entry.weight
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def parse_skill_records(records: Iterable[dict], locator: str = "skills") -> SkillLexicon:
+def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
     """Build a lexicon from decoded records, enforcing all invariants."""
     entries = []
-    seen: set[str] = set()
     for i, rec in enumerate(records):
-        where = f"{locator}[{i}]"
+        where = f"skills[{i}]"
         if not isinstance(rec, dict):
             raise LexiconFormatError(f"{where}: record must be an object")
         canonical = rec.get("canonical")
@@ -152,10 +156,7 @@ def parse_skill_records(records: Iterable[dict], locator: str = "skills") -> Ski
         ):
             raise LexiconFormatError(f"{where}: 'aliases' must be a list of strings")
         canonical = _fold(canonical)
-        if canonical in seen:
-            raise LexiconFormatError(f"{where}: duplicate canonical {canonical!r}")
-        seen.add(canonical)
-        aliases = {_fold(a) for a in raw_aliases if _fold(a)}
+        aliases = set(filter(None, map(_fold, raw_aliases)))
         aliases.add(canonical)  # canonical is always its own alias
         entries.append(
             SkillEntry(canonical=canonical, category=_fold(category), aliases=frozenset(aliases))
@@ -182,7 +183,7 @@ def dump_skill_lexicon(lexicon: SkillLexicon) -> str:
         }
         for e in sorted(lexicon.entries, key=lambda e: e.canonical)
     ]
-    return dumps({"schema_version": 1, "skills": records})
+    return dumps({"schema_version": SCHEMA_VERSION, "skills": records})
 
 
 def normalize_skill(token_or_phrase: str, lexicon: SkillLexicon) -> str | None:
@@ -190,13 +191,11 @@ def normalize_skill(token_or_phrase: str, lexicon: SkillLexicon) -> str | None:
     return lexicon.alias_index.get(_fold(token_or_phrase))
 
 
-def parse_sentiment_records(
-    records: Iterable[dict], locator: str = "entries"
-) -> SentimentGazetteer:
+def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
+    """Build a gazetteer from decoded records, enforcing all invariants."""
     entries = []
-    seen: set[tuple[str, str | None]] = set()
     for i, rec in enumerate(records):
-        where = f"{locator}[{i}]"
+        where = f"entries[{i}]"
         if not isinstance(rec, dict):
             raise GazetteerFormatError(f"{where}: record must be an object")
         keyword = rec.get("keyword")
@@ -219,10 +218,6 @@ def parse_sentiment_records(
             if not isinstance(scope, str) or not scope.strip():
                 raise GazetteerFormatError(f"{where}: 'skill' must be a non-empty string")
             scope = _fold(scope)
-        if (keyword, scope) in seen:
-            scoped = "" if scope is None else f" for skill {scope!r}"
-            raise GazetteerFormatError(f"{where}: duplicate keyword {keyword!r}{scoped}")
-        seen.add((keyword, scope))
         entries.append(
             SentimentEntry(
                 keyword=keyword,
@@ -252,7 +247,7 @@ def dump_sentiment_gazetteer(gazetteer: SentimentGazetteer) -> str:
         if e.skill_scope is not None:
             rec["skill"] = e.skill_scope
         records.append(rec)
-    return dumps({"schema_version": 1, "entries": records})
+    return dumps({"schema_version": SCHEMA_VERSION, "entries": records})
 
 
 def lookup_sentiment(
@@ -263,14 +258,9 @@ def lookup_sentiment(
     Falls back to a scope-free entry; returns None when neither exists.
     Callers pass keywords already lowercased by the tokenizer.
     """
-    candidates = gazetteer.index.get(keyword)
-    if not candidates:
-        return None
+    weights = gazetteer.weights
     if skill is not None:
-        for entry in candidates:
-            if entry.skill_scope == skill:
-                return entry.weight
-    for entry in candidates:
-        if entry.skill_scope is None:
-            return entry.weight
-    return None
+        weight = weights.get((keyword, skill))
+        if weight is not None:
+            return weight
+    return weights.get((keyword, None))

@@ -5,7 +5,7 @@ and never raises on messy content; anything unparseable lands in the list of
 diagnostics instead. Only an entirely empty input is an error.
 
 Section splitting is line-anchored: a line whose stripped, lowercased text
-(minus a trailing colon) equals one of the configured header keywords opens
+(minus a trailing colon) equals one of the ``DEFAULT_SECTION_HEADERS`` keys opens
 that section. Text before the first recognized header (all of the text when
 there is none) is the identity block.
 
@@ -124,9 +124,7 @@ class ResumeRecord:
     experiences: list[ExperienceEntry]
 
 
-def split_sections(
-    text: str, headers: dict[str, str] = DEFAULT_SECTION_HEADERS
-) -> SectionMap:
+def split_sections(text: str) -> SectionMap:
     """Partition resume text into identity/skills/experience/other blocks."""
     buckets: dict[str, list[str]] = {
         "identity": [], "skills": [], "experience": [], "other": [],
@@ -134,7 +132,7 @@ def split_sections(
     current = "identity"
     for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         key = line.strip().lower().rstrip(":").strip()
-        section = headers.get(key)
+        section = DEFAULT_SECTION_HEADERS.get(key)
         if section is not None:
             current = section
             # A repeated section keeps a paragraph break so blocks never
@@ -286,12 +284,7 @@ def _parse_experience_block(
     )
 
 
-def parse_resume(
-    text: str,
-    lexicon: SkillLexicon,
-    id_seed: int,
-    headers: dict[str, str] = DEFAULT_SECTION_HEADERS,
-) -> tuple[ResumeRecord, list[str]]:
+def parse_resume(text: str, lexicon: SkillLexicon, id_seed: int) -> tuple[ResumeRecord, list[str]]:
     """Parse one resume into a structured record plus diagnostics.
 
     ``id_seed`` is the caller's corpus counter; the jobseeker id is derived
@@ -301,7 +294,7 @@ def parse_resume(
     if not text.strip():
         raise ResumeParseError("resume text is empty")
     diagnostics: list[str] = []
-    sections = split_sections(text, headers)
+    sections = split_sections(text)
 
     # The name is the first non-empty line of the identity block.
     name = _first_nonempty_line(sections.identity)

@@ -19,6 +19,7 @@ ties broken lexicographically by jobseeker id, then truncated to top k.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, field
 
@@ -94,6 +95,8 @@ def _parse_term(raw: str, lexicon: SkillLexicon) -> QueryTerm:
             phrase, lo = m.group("phrase"), float(m.group("lo"))
 
     if lo is not None:
+        if math.isinf(lo) or math.isinf(hi or 0.0):  # float() of a number above ~1.8e308
+            raise QueryRangeError(f"bound in {text!r} is not finite")
         if lo < 0 or (hi is not None and hi < 0):
             raise QueryRangeError(f"negative bound in {text!r}")
         if hi is not None and hi < lo:

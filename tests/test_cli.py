@@ -174,6 +174,16 @@ def test_explain_json_sums(tmp_path, capsys):
     )
 
 
+def test_explain_bound_too_large_for_a_float_is_error(tmp_path, capsys):
+    out = ingest(tmp_path)
+    capsys.readouterr()
+    dsl = f"java 1-{'9' * 400}"
+    assert run_cli("explain", out, "js0000-jane-doe", dsl, "--json") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bound in {dsl!r} is not finite\n"
+
+
 def test_export_json_round_trips(tmp_path, capsys):
     out = ingest(tmp_path)
     exported = tmp_path / "exported.json"
@@ -312,6 +322,9 @@ def test_duration_count_too_long_is_unknown_and_graph_queries(tmp_path, capsys):
     ("--duration-bonus-factor", "-1", "duration_bonus_factor must be >= 0"),
     ("--duration-bonus-factor", "nan", "duration_bonus_factor must be finite"),
     ("--duration-cap-months", "0", "duration_cap_months must be positive"),
+    ("--duration-bonus-factor", "1e308", "duration_bonus_factor must be <= 1e6"),
+    pytest.param("--duration-cap-months", "9" * 401, "duration_cap_months must be <= 2**53",
+                 id="cap-of-401-digits"),
 ])
 def test_ingest_bad_scoring_config_is_error(tmp_path, flag, value, message):
     out = tmp_path / "graph.json"

@@ -85,7 +85,7 @@ def test_sentiment_bad_class_rejected():
 def test_classify_score_threshold():
     assert classify_score(0.2) == "positive"
     assert classify_score(0.0) == "neutral"
-    assert classify_score(0.4, threshold=0.5) == "neutral"
+    assert classify_score(5e-324) == "positive"  # the threshold is a fixed 0
 
 
 # -- top-k -------------------------------------------------------------------------

@@ -470,6 +470,16 @@ MALFORMED = {
                          r"bad config: duration_bonus_factor must be finite"),
     "huge-bonus-factor": (("config", "duration_bonus_factor"), 10**400,
                           r"bad config: int too large to convert to float"),
+    "bonus-factor-above-1e6": (("config", "duration_bonus_factor"), 1e6 + 1,
+                               r"bad config: duration_bonus_factor must be <= 1e6"),
+    "cap-above-2**53": (("config", "duration_cap_months"), 2**53 + 1,
+                        r"bad config: duration_cap_months must be <= 2\*\*53"),
+    "cap-of-401-digits": (("config", "duration_cap_months"), 10**400,
+                          r"bad config: duration_cap_months must be <= 2\*\*53"),
+    "support-above-2**53": (("edges", 0, 4), 2**53 + 1,
+                            rf"edges\[0\]: support_count {2**53 + 1} above 2\*\*53"),
+    "support-too-large-for-a-float": (("edges", 0, 4), 10**330,
+                                      rf"edges\[0\]: support_count 1{'0' * 330} above 2\*\*53"),
 }
 
 
@@ -488,6 +498,14 @@ def test_loadable_doc_loads():
     graph = KnowledgeGraph.from_dict(LOADABLE_DOC)
     edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, "js0", "java")
     assert graph.edge_parts(edge) == (0.5, 0.05, 1.0, 1)
+
+
+def test_loadable_doc_at_every_bound_gives_finite_strengths():
+    doc = replaced(LOADABLE_DOC, ("edges", 0, 4), 2**53)
+    doc = replaced(doc, ("config", "duration_cap_months"), 2**53)
+    graph = KnowledgeGraph.from_dict(replaced(doc, ("config", "duration_bonus_factor"), 1e6))
+    edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, "js0", "java")
+    assert all(map(math.isfinite, graph.edge_parts(edge)))
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

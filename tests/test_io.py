@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -138,6 +139,14 @@ def test_dumps_layout():
         '"rows": [\n["b", 1],\n{"x": 0.5, "y": "\\u00e9"}\n],\n"schema_version": 2\n}\n'
     )
     assert dumps({}) == "{}\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dumps_rejects_nan_and_infinity(value):
+    """Every written document is strict JSON, wherever the value sits."""
+    for doc in ({"x": value}, {"rows": [[1, value]]}, {"map": {"k": {"v": value}}}):
+        with pytest.raises(ValueError):
+            dumps(doc)
 
 
 def test_write_document_writes_dumps(corpus_graph, corpus_records, tmp_path, capsys):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talentgraph.errors import (
     AliasConflictError,
@@ -11,6 +14,11 @@ from talentgraph.errors import (
     WeightRangeError,
 )
 from talentgraph.lexicon import (
+    SentimentEntry,
+    SentimentGazetteer,
+    SkillEntry,
+    SkillLexicon,
+    _fold,
     dump_sentiment_gazetteer,
     dump_skill_lexicon,
     load_sentiment_gazetteer,
@@ -100,7 +108,7 @@ def test_gazetteer_single_entry():
         [{"keyword": "scalability", "class": "strong-technical", "weight": 0.9}]
     )
     assert len(gaz) == 1
-    assert gaz.index["scalability"][0].weight == 0.9
+    assert gaz.weights == {("scalability", None): 0.9}
 
 
 def test_gazetteer_weight_range():
@@ -128,7 +136,7 @@ def test_gazetteer_keyword_must_be_single_token():
     gaz = parse_sentiment_records(
         [{"keyword": "client-server", "class": "strong-technical", "weight": 0.6}]
     )
-    assert gaz.index["client-server"][0].weight == 0.6
+    assert gaz.weights == {("client-server", None): 0.6}
 
 
 def test_lookup_scope_free_applies_to_any_skill():
@@ -181,7 +189,7 @@ def test_gazetteer_round_trip(gazetteer, tmp_path):
     out.write_text(dump_sentiment_gazetteer(gazetteer), encoding="utf-8")
     reloaded = load_sentiment_gazetteer(out)
     assert sorted(reloaded.entries, key=str) == sorted(gazetteer.entries, key=str)
-    assert set(reloaded.index) == set(gazetteer.index)
+    assert reloaded.weights == gazetteer.weights
 
 
 def test_alias_index_is_union_of_entry_aliases(lexicon):
@@ -219,3 +227,77 @@ def test_gazetteer_rejects_duplicate_keyword_in_one_scope():
     ):
         parse_sentiment_records([fast, scoped, {**scoped, "skill": "Java", "class": "y"}])
 
+
+
+# -- one index per dictionary ---------------------------------------------------
+
+KEYWORDS = ["fast", "robust", "clean"]
+SCOPES = [None, "java", "c++"]
+GAZ_ENTRY = st.builds(
+    SentimentEntry,
+    keyword=st.sampled_from(KEYWORDS),
+    keyword_class=st.just("x"),
+    weight=st.floats(0, 1),
+    skill_scope=st.sampled_from(SCOPES),
+)
+
+
+def naive_lookup(entries, keyword, skill):
+    """Scan every entry: a scoped match first, then a scope-free one."""
+    for scope in ([skill] if skill is not None else []) + [None]:
+        for entry in entries:
+            if (entry.keyword, entry.skill_scope) == (keyword, scope):
+                return entry.weight
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(GAZ_ENTRY, max_size=8))
+def test_gazetteer_rejects_first_repeated_key_or_matches_naive_scan(entries):
+    keys = [(e.keyword, e.skill_scope) for e in entries]
+    first_repeat = next((i for i, key in enumerate(keys) if key in keys[:i]), None)
+    if first_repeat is not None:
+        with pytest.raises(GazetteerFormatError, match=rf"^entries\[{first_repeat}\]: duplicate"):
+            SentimentGazetteer(entries)
+        return
+    gaz = SentimentGazetteer(entries)
+    for keyword in KEYWORDS + ["absent"]:
+        for skill in SCOPES + ["go"]:
+            assert lookup_sentiment(keyword, skill, gaz) == naive_lookup(entries, keyword, skill)
+
+
+CANONICALS = ["java", "python", "go", "rust"]
+SKILL_ENTRY = st.builds(
+    lambda canonical, others: SkillEntry(canonical, "x", frozenset({canonical, *others})),
+    st.sampled_from(CANONICALS),
+    st.sets(st.sampled_from(CANONICALS + ["golang", "py"]), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(SKILL_ENTRY, max_size=6))
+def test_lexicon_rejects_first_repeated_canonical_or_alias_conflict(entries):
+    owners: dict[str, str] = {}
+    for i, entry in enumerate(entries):
+        if any(e.canonical == entry.canonical for e in entries[:i]):
+            with pytest.raises(LexiconFormatError, match=rf"^skills\[{i}\]: duplicate canonical"):
+                SkillLexicon(entries)
+            return
+        if any(owners.get(alias, entry.canonical) != entry.canonical for alias in entry.aliases):
+            with pytest.raises(AliasConflictError):
+                SkillLexicon(entries)
+            return
+        owners.update(dict.fromkeys(entry.aliases, entry.canonical))
+    lexicon = SkillLexicon(entries)
+    assert lexicon.alias_index == owners
+    assert len(lexicon) == len(lexicon.canonicals()) == len(entries)
+
+
+# Whitespace to str.isspace() and to re's \s, plus a zero-width space, which is neither.
+UNICODE_SPACES = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000\u200b"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(st.text(), st.text(st.sampled_from(UNICODE_SPACES + "aZİΣ"))))
+def test_fold_equals_regex_fold(text):
+    assert _fold(text) == re.sub(r"\s+", " ", text.strip().lower())

@@ -68,6 +68,13 @@ def test_parse_negative_range_rejected(lexicon):
         parse_query("c++ -1-2", lexicon)
 
 
+@pytest.mark.parametrize("dsl", [f"c++ 1-{'9' * 400}", f"c++ {'9' * 400}+",
+                                 f"c++ {'9' * 309}-{'9' * 310}"], ids=["max", "min", "both"])
+def test_parse_bound_too_large_for_a_float_rejected(lexicon, dsl):
+    with pytest.raises(QueryRangeError, match="is not finite$"):
+        parse_query(dsl, lexicon)
+
+
 def test_parse_unknown_skill_named(lexicon):
     with pytest.raises(UnknownSkillError) as err:
         parse_query("basket weaving 2-3", lexicon)
