@@ -13,13 +13,23 @@ from __future__ import annotations
 
 import json
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-# No ``indent``: with one, CPython falls back to its pure-Python encoder.
-# No NaN or Infinity: they are not JSON, so encoding one raises ValueError.
-_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+def _encoder():
+    """Encode one value: sorted keys, non-ASCII escaped, and a ValueError for NaN
+    or Infinity, which are not JSON. Make one per document: the C encoder serves
+    all its rows, but a failed encode leaves its circular-reference markers set.
+    No ``indent``: with one, CPython falls back to its pure-Python encoder.
+    """
+    if c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+    encode = c_make_encoder({}, json.JSONEncoder().default, encode_basestring_ascii,
+                            None, ": ", ", ", True, False, False)
+    return lambda value: "".join(encode(value, 0))
 
 
 def check_document(doc: object, error_cls: type[Exception], where: str = "",
@@ -52,21 +62,22 @@ def read_document(path: str | Path, kind: str, error_cls: type[Exception],
     return check_document(doc, error_cls, f"{path}: ", version, remedy)
 
 
-def _block(value: object, item) -> str:
+def _block(value: object, item, encode) -> str:
     """``value`` with each element of a non-empty list or object on a line
     of its own, encoded by ``item``; any other value encoded inline."""
     if value and isinstance(value, list):
         return "[\n" + ",\n".join(map(item, value)) + "\n]"
     if value and isinstance(value, dict):
         return "{\n" + ",\n".join(
-            f"{_encode(key)}: {item(value[key])}" for key in sorted(value)
+            f"{encode(key)}: {item(value[key])}" for key in sorted(value)
         ) + "\n}"
-    return _encode(value)
+    return encode(value)
 
 
 def dumps(doc: dict) -> str:
     """The canonical text of a document."""
-    return _block(doc, lambda value: _block(value, _encode)) + "\n"
+    encode = _encoder()
+    return _block(doc, lambda value: _block(value, encode, encode), encode) + "\n"
 
 
 def write_document(doc: dict, path: str | Path | None = None) -> None:

@@ -36,7 +36,6 @@ immutable; a concurrent first use builds equal values.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -87,7 +86,7 @@ class SkillLexicon:
             if entry.canonical in self._by_canonical:
                 raise LexiconFormatError(f"skills[{i}]: duplicate canonical {entry.canonical!r}")
             self._by_canonical[entry.canonical] = entry
-            for alias in entry.aliases:
+            for alias in sorted(entry.aliases):
                 owner = self.alias_index.setdefault(alias, entry.canonical)
                 if owner != entry.canonical:
                     raise AliasConflictError(alias, owner, entry.canonical)
@@ -103,20 +102,25 @@ class SkillLexicon:
         return entry.category if entry else None
 
     @cached_property
-    def phrase_index(self) -> tuple[str, dict[tuple[str, ...], str], int]:
-        """(keep characters, alias token tuple -> canonical, longest phrase length).
+    def phrase_index(self) -> tuple[str, dict[tuple[str, ...], str], dict[str, int]]:
+        """(keep characters, alias token tuple -> canonical, first token -> length
+        of the longest phrase it starts).
 
         Every alias character outside ``a-z0-9`` and space stays inside tokens ("c++",
         ".net"); two skills whose aliases tokenize alike raise ``AliasConflictError``.
+        A token missing from the third element starts no phrase.
         """
-        extra = set(re.sub(r"[a-z0-9 ]", "", "".join(self.alias_index)))
+        extra = set("".join(self.alias_index)) - set("abcdefghijklmnopqrstuvwxyz0123456789 ")
         keep = DEFAULT_KEEP_CHARS + "".join(sorted(extra - set(DEFAULT_KEEP_CHARS)))
         phrases: dict[tuple[str, ...], str] = {}
         for alias, canonical in self.alias_index.items():
             phrase = tuple(tokenize(alias, keep_chars=keep, stop_words=EMPTY_STOP_WORDS))
             if phrase and phrases.setdefault(phrase, canonical) != canonical:
                 raise AliasConflictError(" ".join(phrase), phrases[phrase], canonical)
-        return keep, phrases, max(map(len, phrases), default=1)
+        longest: dict[str, int] = {}
+        for phrase in sorted(phrases, key=len):  # the longest phrase is written last
+            longest[phrase[0]] = len(phrase)
+        return keep, phrases, longest
 
 
 class SentimentGazetteer:

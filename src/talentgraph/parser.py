@@ -152,12 +152,12 @@ def extract_skills(section_text: str, lexicon: SkillLexicon) -> set[str]:
     Stop words are kept during matching so multi-word aliases containing
     them still resolve.
     """
-    keep, phrases, max_len = lexicon.phrase_index
+    keep, phrases, longest = lexicon.phrase_index
     tokens = tokenize(section_text, keep_chars=keep, stop_words=EMPTY_STOP_WORDS)
     found: set[str] = set()
     i = 0
     while i < len(tokens):
-        for n in range(min(max_len, len(tokens) - i), 0, -1):
+        for n in range(min(longest.get(tokens[i], 0), len(tokens) - i), 0, -1):
             canonical = phrases.get(tuple(tokens[i : i + n]))
             if canonical is not None:
                 found.add(canonical)

@@ -17,8 +17,21 @@ EMPTY_STOP_WORDS: frozenset[str] = frozenset()
 
 @lru_cache(maxsize=None)
 def _token_re(keep_chars: str) -> re.Pattern[str]:
+    """A pattern whose every match is one whole run of ``a-z0-9`` and
+    ``keep_chars`` and whose one group is that run stripped: leading hyphens
+    and trailing dots and hyphens left outside it.
+
+    Every part is greedy, and the group backtracks only over the run's
+    trailing dots and hyphens, so a match costs time linear in its run.
+    """
     cls = "a-z0-9" + re.escape(keep_chars)
-    return re.compile(f"[{cls}]+")
+    last = "a-z0-9" + re.escape(keep_chars.replace(".", "").replace("-", ""))
+    tail = "".join(ch for ch in ".-" if ch in keep_chars)
+    # Only kept dots and hyphens: a "[.-]*" would run on past the end of a
+    # run and swallow the start of the next one.
+    lead = "-*" if "-" in keep_chars else ""
+    trail = f"[{re.escape(tail)}]*" if tail else ""
+    return re.compile(f"(?=[{cls}]){lead}([{cls}]*[{last}]|){trail}")
 
 
 def tokenize(
@@ -30,12 +43,6 @@ def tokenize(
 
     Tokens are lowercased; hyphens act as joiners only (stripped at token
     edges), and trailing dots are treated as sentence punctuation. Stop
-    words are dropped after stripping.
+    words are dropped after stripping, which ``_token_re`` does in its scan.
     """
-    out = []
-    for match in _token_re(keep_chars).finditer(text.lower()):
-        token = match.group(0).lstrip("-").rstrip(".-")
-        if not token or token in stop_words:
-            continue
-        out.append(token)
-    return out
+    return [t for t in _token_re(keep_chars).findall(text.lower()) if t and t not in stop_words]

@@ -149,6 +149,19 @@ def test_dumps_rejects_nan_and_infinity(value):
             dumps(doc)
 
 
+
+def test_dumps_after_a_failed_document():
+    """A document that fails to encode leaves nothing behind for the next:
+    the same row, now valid, encodes, and a row that holds itself is refused."""
+    row = [1, math.nan, {"k": [2]}]
+    with pytest.raises(ValueError):
+        dumps({"rows": [row]})
+    row[1] = 0.5
+    assert dumps({"rows": [row]}) == '{\n"rows": [\n[1, 0.5, {"k": [2]}]\n]\n}\n'
+    row.append(row)
+    with pytest.raises(ValueError, match="Circular reference"):
+        dumps({"rows": [row]})
+
 def test_write_document_writes_dumps(corpus_graph, corpus_records, tmp_path, capsys):
     """A document written to a file or to stdout has the bytes of ``dumps``."""
     for name, doc in [("graph", corpus_graph.to_dict()),

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,8 @@ from talentgraph.lexicon import (
 )
 from talentgraph.parser import extract_skills
 
+from conftest import SRC
+
 
 def test_alias_normalization_cpp():
     lexicon = parse_skill_records(
@@ -55,6 +60,24 @@ def test_alias_conflict_names_both_canonicals():
         parse_skill_records(records)
     assert "javascript" in str(err.value) and "java" in str(err.value)
 
+
+
+def test_alias_conflict_names_the_same_alias_under_every_hash_seed():
+    """A record with several taken aliases names the first in sorted order,
+    whatever order its alias set iterates in."""
+    script = (
+        "from talentgraph.lexicon import parse_skill_records\n"
+        "try:\n"
+        "    parse_skill_records([{'canonical': c, 'category': 'x',\n"
+        "                          'aliases': ['jdk', 'jvm', 'j2ee']} for c in ('java', 'kotlin')])\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": str(seed)}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "alias 'j2ee' maps to both 'java' and 'kotlin'\n", seed
 
 def test_canonical_is_its_own_alias_even_when_omitted():
     lexicon = parse_skill_records(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,10 @@ from talentgraph.parser import (
     split_sections,
     tokenize,
 )
+from talentgraph.tokenization import DEFAULT_STOP_WORDS, EMPTY_STOP_WORDS
 
 from conftest import CORPUS_DIR, LEXICON_FILE
-from oracle import naive_extract_skills, naive_phrases
+from oracle import naive_extract_skills, naive_phrases, naive_tokens
 
 JANE = (CORPUS_DIR / "r01_jane_doe.txt").read_text(encoding="utf-8")
 
@@ -89,6 +91,34 @@ def test_tokenize_punctuation_and_hyphens():
         "robust", "client-server", "design",
     ]
     assert tokenize("C#, F# and c++.") == ["c#", "f#", "c++"]
+
+
+# Kept and unkept punctuation, regex class metacharacters, letters whose
+# lowercase differs in length or is not ASCII ("İ" -> "i" + a combining dot),
+# and stop words glued to hyphens and dots.
+TOKEN_TEXT = st.lists(
+    st.text(alphabet=".-+#]^\\éİßAb09 \t\n", max_size=8)
+    | st.sampled_from(["a", "the", "-of.", "to-", "An"])
+).map("".join)
+KEEP = st.sets(st.sampled_from(".-+#]^\\é")).map(lambda chars: "".join(sorted(chars)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=TOKEN_TEXT, keep=KEEP,
+       stop_words=st.sampled_from([DEFAULT_STOP_WORDS, EMPTY_STOP_WORDS]))
+def test_tokenize_matches_oracle(text, keep, stop_words):
+    assert tokenize(text, keep, stop_words) == naive_tokens(text, keep, stop_words)
+
+
+def test_tokenize_is_linear_in_a_run():
+    """A pattern that rescans a run from each of its dots and hyphens would
+    take hours on these runs of 200k to 300k characters."""
+    start = time.process_time()
+    dashes = "a" + "-." * 100_000 + "b"
+    assert tokenize(dashes, keep_chars="+#-.") == [dashes]
+    assert tokenize("x-" * 150_000, keep_chars="+#-.") == ["x-" * 149_999 + "x"]
+    assert tokenize("-." * 150_000, keep_chars="+#-.") == []
+    assert time.process_time() - start < 1
 
 
 # -- extract_skills ---------------------------------------------------------
@@ -220,6 +250,36 @@ def test_extract_skills_matches_oracle(case):
     else:
         assert extract_skills(text, lexicon) == naive_extract_skills(text, lexicon)
 
+
+APACHE = ["apache", "apache spark", "apache spark sql"]
+
+
+@st.composite
+def shared_first_token_case(draw):
+    """A ``lexicon_and_text`` case plus aliases that share their first token at
+    three lengths, spread over one to three skills, with text that mentions
+    them and may end inside the longest."""
+    records, text = draw(lexicon_and_text())
+    groups: dict[int, list[str]] = {}
+    for alias in APACHE:
+        groups.setdefault(draw(st.integers(0, 2)), []).append(alias)
+    records += [{"canonical": g[0], "category": "x", "aliases": g} for g in groups.values()]
+    words = draw(st.lists(st.sampled_from(APACHE + ["spark", "sql", "the"]), max_size=6))
+    cut = draw(st.sampled_from(["", "apache", "Apache Spark", "apache spark."]))
+    return records, " ".join([text, *words, cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shared_first_token_case())
+def test_extract_skills_with_shared_first_tokens_matches_oracle(case):
+    records, text = case
+    lexicon = parse_skill_records(records)
+    _, phrases = naive_phrases(lexicon)
+    if any(len(owners) > 1 for owners in phrases.values()):
+        with pytest.raises(AliasConflictError):
+            extract_skills(text, lexicon)
+    else:
+        assert extract_skills(text, lexicon) == naive_extract_skills(text, lexicon)
 
 # -- parse_duration ---------------------------------------------------------
 
