@@ -159,14 +159,17 @@ class KnowledgeGraph:
         if node not in self.nodes:
             self.nodes[node] = dict(attrs)
 
-    def _edge(self, kind: EdgeKind, source: str, target: str) -> WeightedEdge:
+    def _add(self, kind: EdgeKind, source: str, target: str,
+             units: int = 0, count: int = 0, months: int = 0) -> None:
+        """Add to an edge's accumulators, creating the edge if it is missing."""
         key = (kind, source, target)
         edge = self.edges.get(key)
         if edge is None:
-            edge = WeightedEdge(kind=kind, source=source, target=target)
-            self.edges[key] = edge
+            edge = self.edges[key] = WeightedEdge(kind, source, target)
             self._adjacency = None
-        return edge
+        edge.weight_units += units
+        edge.support_count += count
+        edge.months_sum += months
 
     def add_resume(
         self,
@@ -184,17 +187,15 @@ class KnowledgeGraph:
 
         for skill in sorted(record.declared_skills):
             self._ensure_skill(skill, lexicon)
-            self._edge(EdgeKind.JOBSEEKER_SKILL, record.jobseeker_id, skill)
+            self._add(EdgeKind.JOBSEEKER_SKILL, record.jobseeker_id, skill)
 
         for ordinal, exp in enumerate(record.experiences):
             org = exp.organization
             self._ensure_node(NodeId(NodeKind.ORGANIZATION, org))
             pkey = project_key(record.jobseeker_id, ordinal)
             self._ensure_node(NodeId(NodeKind.PROJECT, pkey), title=exp.project_title)
-            self._edge(
-                EdgeKind.JOBSEEKER_PROJECT, record.jobseeker_id, pkey
-            ).support_count += 1
-            self._edge(EdgeKind.PROJECT_ORG, pkey, org).support_count += 1
+            self._add(EdgeKind.JOBSEEKER_PROJECT, record.jobseeker_id, pkey, count=1)
+            self._add(EdgeKind.PROJECT_ORG, pkey, org, count=1)
 
             mentioned = extract_skills(exp.details, lexicon)
             if not mentioned:
@@ -204,18 +205,10 @@ class KnowledgeGraph:
             units = round(score_description(exp.details, None, gazetteer).weight * WEIGHT_UNITS)
             for skill in sorted(mentioned):
                 self._ensure_skill(skill, lexicon)
-                edge = self._edge(EdgeKind.SKILL_PROJECT, skill, pkey)
-                edge.weight_units += units
-                edge.support_count += 1
-
-                edge = self._edge(EdgeKind.JOBSEEKER_SKILL, record.jobseeker_id, skill)
-                edge.weight_units += units
-                edge.support_count += 1
-                edge.months_sum += exp.duration_months
-
-                edge = self._edge(EdgeKind.ORG_SKILL, org, skill)
-                edge.weight_units += units
-                edge.support_count += 1
+                self._add(EdgeKind.SKILL_PROJECT, skill, pkey, units, 1)
+                self._add(EdgeKind.JOBSEEKER_SKILL, record.jobseeker_id, skill,
+                          units, 1, exp.duration_months)
+                self._add(EdgeKind.ORG_SKILL, org, skill, units, 1)
         return self
 
     def _ensure_skill(self, skill: str, lexicon: SkillLexicon) -> None:
@@ -337,11 +330,9 @@ class KnowledgeGraph:
         for graph in (self, other):
             for node, attrs in graph.nodes.items():
                 merged._ensure_node(node, **attrs)
-            for (kind, source, target), edge in graph.edges.items():
-                acc = merged._edge(kind, source, target)
-                acc.weight_units += edge.weight_units
-                acc.support_count += edge.support_count
-                acc.months_sum += edge.months_sum
+            for e in graph.edges.values():
+                merged._add(e.kind, e.source, e.target,
+                            e.weight_units, e.support_count, e.months_sum)
         return merged
 
     # -- persistence ------------------------------------------------------

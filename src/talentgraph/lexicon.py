@@ -48,7 +48,7 @@ from .errors import (
     LexiconFormatError,
     WeightRangeError,
 )
-from .tokenization import DEFAULT_KEEP_CHARS, EMPTY_STOP_WORDS, tokenize
+from .tokenization import DEFAULT_KEEP_CHARS, DEFAULT_STOP_WORDS, EMPTY_STOP_WORDS, tokenize
 
 
 def _fold(text: str) -> str:
@@ -217,6 +217,9 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
         keyword = _fold(keyword)
         if tokenize(keyword, stop_words=EMPTY_STOP_WORDS) != [keyword]:
             raise GazetteerFormatError(f"{where}: keyword {keyword!r} must be a single token")
+        if keyword in DEFAULT_STOP_WORDS:
+            raise GazetteerFormatError(f"{where}: keyword {keyword!r} is a stop word, "
+                                       "which scoring drops")
         scope = rec.get("skill")
         if scope is not None:
             if not isinstance(scope, str) or not scope.strip():

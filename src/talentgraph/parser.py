@@ -10,14 +10,15 @@ that section. Text before the first recognized header (all of the text when
 there is none) is the identity block.
 
 Experience blocks are paragraphs (blank-line separated) of the experience
-section. A block is claimed as one project only when it contains a date or
-duration pattern; inside such a block the leading lines are read as, in
-order of appearance: date lines, the organization (first line that is
-neither a date nor a skill alias), and the verbatim project title (the next
-such line). Everything after the leading lines is the details text, kept as
-one contiguous slice of the resume. Dateless blocks are skipped with a
-diagnostic, so keep a project's description in the same paragraph as its
-header lines.
+section. A block is claimed as one project only when one of its lines holds
+a date or duration pattern (a date that breaks across lines is not one); the
+first such pattern is the project's duration. Inside such a block the
+leading lines are read as, in order of appearance: date lines, the
+organization (first line that is neither a date nor a skill alias), and the
+verbatim project title (the next such line). Everything after the leading
+lines is the details text, kept as one contiguous slice of the resume.
+Dateless blocks are skipped with a diagnostic, so keep a project's
+description in the same paragraph as its header lines.
 """
 from __future__ import annotations
 
@@ -65,29 +66,20 @@ _MONTH_NAMES = (
     "|aug(?:ust)?|sep(?:t(?:ember)?)?|oct(?:ober)?|nov(?:ember)?|dec(?:ember)?"
 )
 _SEP = r"\s*(?:-|–|—|to)\s*"
-_MONTH_RANGE_RE = re.compile(
-    rf"\b({_MONTH_NAMES})\.?\s+(\d{{4}}){_SEP}({_MONTH_NAMES})\.?\s+(\d{{4}})\b",
+# The duration forms, one named alternative each, in the order a fullmatch
+# tries them: "Jan 2020 - Jun 2021", "2019 - 2021", "1 yr 6 months", "18 months".
+_DATE_SEARCH_RE = re.compile(
+    rf"\b(?P<m1>{_MONTH_NAMES})\.?\s+(?P<y1>\d{{4}}){_SEP}"
+    rf"(?P<m2>{_MONTH_NAMES})\.?\s+(?P<y2>\d{{4}})\b"
+    rf"|\b(?P<start>\d{{4}}){_SEP}(?P<end>\d{{4}})\b"
+    r"|\b(?P<years>\d+)\s*(?:years?|yrs?)(?:\s*(?:and\s+)?(?P<plus>\d+)\s*(?:months?|mos?))?\b"
+    r"|\b(?P<months>\d+)\s*(?:months?|mos?)\b",
     re.IGNORECASE,
 )
-_YEAR_RANGE_RE = re.compile(rf"\b(\d{{4}}){_SEP}(\d{{4}})\b", re.IGNORECASE)
-_YEARS_MONTHS_RE = re.compile(
-    r"\b(\d+)\s*(?:years?|yrs?)(?:\s*(?:and\s+)?(\d+)\s*(?:months?|mos?))?\b",
-    re.IGNORECASE,
-)
-_MONTHS_RE = re.compile(r"\b(\d+)\s*(?:months?|mos?)\b", re.IGNORECASE)
 # A count wider than a year's four digits is not a duration.
 _LONG_COUNT_RE = re.compile(r"\d{5}")
 # The longest duration parse_duration returns: "9999 years 9999 months".
 MAX_DURATION_MONTHS = 12 * 9999 + 9999
-
-# Any substring recognizable by parse_duration; used to claim project blocks.
-_DATE_SEARCH_RE = re.compile(
-    "|".join(
-        p.pattern
-        for p in (_MONTH_RANGE_RE, _YEAR_RANGE_RE, _YEARS_MONTHS_RE, _MONTHS_RE)
-    ),
-    re.IGNORECASE,
-)
 
 _MONTH_NUM = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
@@ -155,16 +147,16 @@ def extract_skills(section_text: str, lexicon: SkillLexicon) -> set[str]:
     keep, phrases, longest = lexicon.phrase_index
     tokens = tokenize(section_text, keep_chars=keep, stop_words=EMPTY_STOP_WORDS)
     found: set[str] = set()
-    i = 0
-    while i < len(tokens):
-        for n in range(min(longest.get(tokens[i], 0), len(tokens) - i), 0, -1):
+    end = 0  # tokens before it belong to the last matched phrase
+    for i in [i for i, token in enumerate(tokens) if token in longest]:
+        if i < end:
+            continue
+        for n in range(min(longest[tokens[i]], len(tokens) - i), 0, -1):
             canonical = phrases.get(tuple(tokens[i : i + n]))
             if canonical is not None:
                 found.add(canonical)
-                i += n
+                end = i + n
                 break
-        else:
-            i += 1
     return found
 
 
@@ -172,21 +164,17 @@ def _months(text: str) -> int | None:
     """Months of a duration, negative for a reversed range; None if unrecognized."""
     if _LONG_COUNT_RE.search(text):
         return None
-    m = _MONTH_RANGE_RE.fullmatch(text)
-    if m:
-        m1, y1, m2, y2 = m.groups()
-        start = int(y1) * 12 + _MONTH_NUM[m1[:3]]
-        end = int(y2) * 12 + _MONTH_NUM[m2[:3]]
-        return end - start + 1
-    m = _YEAR_RANGE_RE.fullmatch(text)
-    if m:
-        return 12 * (int(m.group(2)) - int(m.group(1)))
-    m = _YEARS_MONTHS_RE.fullmatch(text)
-    if m:
-        years, months = m.groups()
-        return 12 * int(years) + int(months or 0)
-    m = _MONTHS_RE.fullmatch(text)
-    return int(m.group(1)) if m else None
+    m = _DATE_SEARCH_RE.fullmatch(text)
+    if m is None:
+        return None
+    if m["m1"]:  # casefold: under IGNORECASE, "ſ" matches the "s" of "sep"
+        start = int(m["y1"]) * 12 + _MONTH_NUM[m["m1"][:3].casefold()]
+        return int(m["y2"]) * 12 + _MONTH_NUM[m["m2"][:3].casefold()] - start + 1
+    if m["start"]:
+        return 12 * (int(m["end"]) - int(m["start"]))
+    if m["years"]:
+        return 12 * int(m["years"]) + int(m["plus"] or 0)
+    return int(m["months"])
 
 
 def parse_duration(raw: str, diagnostics: list[str] | None = None) -> int:
@@ -221,8 +209,8 @@ def normalize_org(raw: str) -> str:
     return text if text else "unknown-org"
 
 
-def _first_nonempty_line(text: str) -> str:
-    for line in text.split("\n"):
+def _first_nonempty_line(lines: list[str]) -> str:
+    for line in lines:
         if line.strip():
             return line.strip()
     return ""
@@ -233,28 +221,16 @@ def _slug(name: str) -> str:
     return slug or "unnamed"
 
 
-def _is_date_line(line: str) -> bool:
-    return bool(_DATE_SEARCH_RE.fullmatch(line.strip("()[],;:. \t")))
-
-
 def _parse_experience_block(
-    block: str, lexicon: SkillLexicon, diagnostics: list[str]
+    lines: list[str], duration_raw: str, lexicon: SkillLexicon, diagnostics: list[str]
 ) -> ExperienceEntry:
-    lines = block.split("\n")
-    duration_raw = ""
-    for line in lines:
-        m = _DATE_SEARCH_RE.search(line)
-        if m:
-            duration_raw = m.group(0)
-            break
-
     org_raw: str | None = None
     title: str | None = None
     details_start = len(lines)
     for idx, line in enumerate(lines):
         stripped = line.strip()
-        if not stripped or _is_date_line(stripped):
-            continue
+        if not stripped or _DATE_SEARCH_RE.fullmatch(stripped.strip("()[],;:. \t")):
+            continue  # a date line
         if normalize_skill(stripped.strip(".,;:"), lexicon) is not None:
             continue  # a bare skill line never names the org or the title
         if org_raw is None:
@@ -269,7 +245,7 @@ def _parse_experience_block(
     organization = normalize_org(org_raw or "")
     if org_raw is None:
         diagnostics.append(
-            f"experience block {_first_nonempty_line(block)!r}: no organization line"
+            f"experience block {_first_nonempty_line(lines)!r}: no organization line"
         )
     if title is None:
         title = "untitled"
@@ -297,7 +273,7 @@ def parse_resume(text: str, lexicon: SkillLexicon, id_seed: int) -> tuple[Resume
     sections = split_sections(text)
 
     # The name is the first non-empty line of the identity block.
-    name = _first_nonempty_line(sections.identity)
+    name = _first_nonempty_line(sections.identity.split("\n"))
     if not name:
         name = "unknown"
         diagnostics.append("no name line found")
@@ -310,13 +286,16 @@ def parse_resume(text: str, lexicon: SkillLexicon, id_seed: int) -> tuple[Resume
     for block in re.split(r"\n\s*\n", sections.experience):
         if not block.strip():
             continue
-        if not _DATE_SEARCH_RE.search(block):
+        lines = block.split("\n")
+        # The first date on one line both claims the block and dates it.
+        date = next(filter(None, map(_DATE_SEARCH_RE.search, lines)), None)
+        if date is None:
             diagnostics.append(
-                f"experience block {_first_nonempty_line(block)!r}: "
+                f"experience block {_first_nonempty_line(lines)!r}: "
                 "no date pattern, skipped"
             )
             continue
-        experiences.append(_parse_experience_block(block, lexicon, diagnostics))
+        experiences.append(_parse_experience_block(lines, date[0], lexicon, diagnostics))
 
     record = ResumeRecord(
         jobseeker_id=f"js{id_seed:04d}-{_slug(name)}",

@@ -7,6 +7,7 @@ and this file disagree, one of them is wrong.
 """
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 
 # Redeclared on purpose: a silent change to the package defaults should
@@ -68,6 +69,55 @@ def naive_extract_skills(text, lexicon):
         else:
             i += 1
     return found
+
+
+MONTH_NAMES = ("january february march april may june july august september october "
+               "november december").split()
+TO = r"\s*(?:-|–|—|to)\s*"
+# The duration forms, each written out on its own and tried in this order.
+DURATION_FORMS = [
+    re.compile(r"([^\W\d_]+)\.?\s+(\d{4})" + TO + r"([^\W\d_]+)\.?\s+(\d{4})"),
+    re.compile(r"(\d{4})" + TO + r"(\d{4})"),
+    re.compile(r"(\d+)\s*(?:years|year|yrs|yr)"
+               r"(?:\s*(?:and\s+)?(\d+)\s*(?:months|month|mos|mo))?"),
+    re.compile(r"(\d+)\s*(?:months|month|mos|mo)"),
+]
+
+
+def naive_month(word):
+    """1-12 for a month's name or its first three letters ("sept" too), else None."""
+    for number, name in enumerate(MONTH_NAMES, 1):
+        if word in (name, name[:3]) or (number == 9 and word == "sept"):
+            return number
+    return None
+
+
+def naive_months(raw):
+    """What parse_duration returns: months of the first form that matches
+    the whole trimmed text, 0 for none, a reversed range or a count of five
+    or more digits."""
+    # Case-insensitive matching lets "ſ" stand for "s" and "ı" for "i".
+    text = raw.strip().lower().replace("ſ", "s").replace("ı", "i")
+    if re.search(r"\d{5}", text):
+        return 0
+    months = None
+    for form, pattern in enumerate(DURATION_FORMS):
+        m = pattern.fullmatch(text)
+        if m is None:
+            continue
+        if form == 0:
+            first, last = naive_month(m.group(1)), naive_month(m.group(3))
+            if first is None or last is None:
+                continue
+            months = (int(m.group(4)) - int(m.group(2))) * 12 + last - first + 1
+        elif form == 1:
+            months = 12 * (int(m.group(2)) - int(m.group(1)))
+        elif form == 2:
+            months = 12 * int(m.group(1)) + int(m.group(2) or 0)
+        else:
+            months = int(m.group(1))
+        break
+    return months if months is not None and months >= 0 else 0
 
 
 def naive_score(details, gazetteer):

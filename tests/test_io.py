@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import json.encoder
 import math
 import tempfile
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import talentgraph._io
 from talentgraph._io import dumps, write_document
 from talentgraph.errors import (
     DocumentFormatError,
@@ -161,6 +163,20 @@ def test_dumps_after_a_failed_document():
     row.append(row)
     with pytest.raises(ValueError, match="Circular reference"):
         dumps({"rows": [row]})
+
+def test_dumps_without_the_c_encoder(corpus_graph, corpus_records, monkeypatch):
+    """Without the ``_json`` accelerator, ``dumps`` falls back to the pure-Python
+    encoder and writes the same bytes, still refusing NaN."""
+    docs = [corpus_graph.to_dict(), emit_intermediate(corpus_records),
+            {"rows": [{"y": "\u00e9", "x": 0.5}], "map": {"k2": [1, 2], "k1": {}}}]
+    expected = [dumps(doc) for doc in docs]
+    monkeypatch.setattr(talentgraph._io, "c_make_encoder", None)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert [dumps(doc) for doc in docs] == expected
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            dumps({"rows": [[1, value]]})
+
 
 def test_write_document_writes_dumps(corpus_graph, corpus_records, tmp_path, capsys):
     """A document written to a file or to stdout has the bytes of ``dumps``."""

@@ -32,6 +32,7 @@ from talentgraph.lexicon import (
     parse_skill_records,
 )
 from talentgraph.parser import extract_skills
+from talentgraph.tokenization import DEFAULT_STOP_WORDS
 
 from conftest import SRC
 
@@ -160,6 +161,17 @@ def test_gazetteer_keyword_must_be_single_token():
         [{"keyword": "client-server", "class": "strong-technical", "weight": 0.6}]
     )
     assert gaz.weights == {("client-server", None): 0.6}
+
+
+def test_gazetteer_keyword_must_not_be_a_stop_word():
+    """Scoring drops stop words, so a stop-word keyword could never match."""
+    robust = {"keyword": "robust", "class": "x", "weight": 0.5}
+    message = r"^entries\[1\]: keyword 'with' is a stop word, which scoring drops$"
+    with pytest.raises(GazetteerFormatError, match=message):
+        parse_sentiment_records([robust, {"keyword": " With", "class": "x", "weight": 0.9}])
+    for word in sorted(DEFAULT_STOP_WORDS):
+        with pytest.raises(GazetteerFormatError, match="stop word"):
+            parse_sentiment_records([{**robust, "keyword": word}])
 
 
 def test_lookup_scope_free_applies_to_any_skill():

@@ -26,7 +26,7 @@ from talentgraph.parser import (
 from talentgraph.tokenization import DEFAULT_STOP_WORDS, EMPTY_STOP_WORDS
 
 from conftest import CORPUS_DIR, LEXICON_FILE
-from oracle import naive_extract_skills, naive_phrases, naive_tokens
+from oracle import naive_extract_skills, naive_months, naive_phrases, naive_tokens
 
 JANE = (CORPUS_DIR / "r01_jane_doe.txt").read_text(encoding="utf-8")
 
@@ -252,6 +252,7 @@ def test_extract_skills_matches_oracle(case):
 
 
 APACHE = ["apache", "apache spark", "apache spark sql"]
+OVERLAP = ["big data", "data lake"]  # the last token of one starts the other
 
 
 @st.composite
@@ -264,7 +265,9 @@ def shared_first_token_case(draw):
     for alias in APACHE:
         groups.setdefault(draw(st.integers(0, 2)), []).append(alias)
     records += [{"canonical": g[0], "category": "x", "aliases": g} for g in groups.values()]
-    words = draw(st.lists(st.sampled_from(APACHE + ["spark", "sql", "the"]), max_size=6))
+    records += [{"canonical": alias, "category": "x", "aliases": [alias]} for alias in OVERLAP]
+    words = draw(st.lists(st.sampled_from(APACHE + ["spark", "sql", "the", "big data lake"]),
+                          max_size=6))
     cut = draw(st.sampled_from(["", "apache", "Apache Spark", "apache spark."]))
     return records, " ".join([text, *words, cut])
 
@@ -294,6 +297,9 @@ def test_extract_skills_with_shared_first_tokens_matches_oracle(case):
         ("3 yrs", 36),
         ("September 2019 to March 2021", 19),
         ("4 mos", 4),
+        # Case-insensitive matching lets "ſ" (long s) stand for the "s" of "Sep".
+        ("ſep 2020 - Oct 2021", 14),
+        ("Aug 2020 to ſept. 2020", 2),
     ],
 )
 def test_parse_duration_supported_forms(raw, months):
@@ -343,6 +349,26 @@ def test_parse_duration_of_any_date_pattern_is_bounded(raw):
 def test_parse_duration_never_negative():
     for raw in ("", "later", "Dec 2020 - Jan 2020", "2030 - 2001", "-5 months"):
         assert parse_duration(raw) >= 0
+
+
+DURATION_WORDS = ["jan", "January", "Sep", "sept", "ſep", "aprıl", "may", "dec.", "june",
+                  "2019", "2021", "0000", "12", "7", "-", "–", "—", "to", "yr", "yrs", "years",
+                  "mo", "mos", "months", "and", "of"]
+
+
+@st.composite
+def duration_text(draw):
+    """Words and digit runs of the duration forms, joined by nothing, spaces
+    or newlines."""
+    piece = st.sampled_from(DURATION_WORDS) | st.text("0123456789", min_size=1, max_size=6)
+    pieces = draw(st.lists(piece, min_size=1, max_size=8))
+    return "".join(p + draw(st.sampled_from(["", " ", "  ", "\n", ". "])) for p in pieces)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=st.from_regex(talentgraph.parser._DATE_SEARCH_RE, fullmatch=True) | duration_text())
+def test_parse_duration_matches_oracle(raw):
+    assert parse_duration(raw) == naive_months(raw)
 
 
 # -- normalize_org ----------------------------------------------------------
@@ -435,6 +461,22 @@ def test_parse_resume_dateless_block_skipped(lexicon):
     record, diagnostics = parse_resume(text, lexicon, 0)
     assert len(record.experiences) == 1
     assert any("no date pattern" in d for d in diagnostics)
+
+
+def test_parse_resume_date_broken_across_lines_is_no_date(lexicon):
+    """A date must sit on one line: a block whose only date breaks across a
+    line is skipped like any dateless block."""
+    text = (
+        "Sam Hill\n\nEXPERIENCE\n"
+        "Acme Inc\nJan 2020 -\nJun 2021\nPayments\nBuilt robust java services.\n\n"
+        "Globex\nLedger\n2 years\nBuilt java tools.\n"
+    )
+    record, diagnostics = parse_resume(text, lexicon, 0)
+    assert "experience block 'Acme Inc': no date pattern, skipped" in diagnostics
+    assert [(e.organization, e.duration_raw, e.duration_months) for e in record.experiences] == [
+        ("globex", "2 years", 24)
+    ]
+    assert not any("duration" in d for d in diagnostics)
 
 
 def test_parse_resume_long_digit_run_never_raises(lexicon):
