@@ -21,13 +21,13 @@ Construction per resume:
 6. The accumulated months feed a bounded duration bonus at read time:
    strength = mean(score) + factor * min(months, cap) / cap.
 
-Lookups by node (``out_edges``, ``in_edges``) go through an adjacency
-index derived from ``edges`` on the first lookup and dropped whenever a new
-edge is created, so ingestion, which never looks edges up by node, never
-builds it. After construction the graph is immutable by convention and safe
-for concurrent reads: readers racing on the first lookup each build the same
-index from the same edges and publish it with one assignment. Parallel
-ingestion builds shard graphs and merges them.
+Lookups by node (``out_edges``, ``in_edges``) go through one adjacency
+index per (edge kind, direction), derived from ``edges`` on its first lookup
+and emptied whenever a new edge is created, so ingestion builds none and a
+command indexes only the kinds it reads. After construction the graph is
+immutable by convention and safe for concurrent reads: readers racing on a
+first lookup each build the same index and publish it with one dict item
+assignment. Parallel ingestion builds shard graphs and merges them.
 """
 from __future__ import annotations
 
@@ -137,9 +137,6 @@ class ScoringConfig:
             raise GraphConfigError("duration_cap_months must be <= 2**53")
 
 
-_Adjacency = dict[tuple[EdgeKind, str], dict[str, WeightedEdge]]
-
-
 def project_key(jobseeker_id: str, ordinal: int) -> str:
     return f"{jobseeker_id}:p{ordinal}"
 
@@ -149,9 +146,8 @@ class KnowledgeGraph:
         self.config = config or ScoringConfig()
         self.nodes: dict[NodeId, dict[str, str]] = {}
         self.edges: dict[tuple[EdgeKind, str, str], WeightedEdge] = {}
-        # (out, in): (kind, node) -> {other endpoint: edge}, derived from
-        # edges; None until the first lookup after an edge was created.
-        self._adjacency: tuple[_Adjacency, _Adjacency] | None = None
+        # (kind, outgoing) -> {node: {other endpoint: edge}}; see the module docstring.
+        self._adjacency: dict[tuple[EdgeKind, bool], dict[str, dict[str, WeightedEdge]]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -166,7 +162,8 @@ class KnowledgeGraph:
         edge = self.edges.get(key)
         if edge is None:
             edge = self.edges[key] = WeightedEdge(kind, source, target)
-            self._adjacency = None
+            if self._adjacency:
+                self._adjacency = {}
         edge.weight_units += units
         edge.support_count += count
         edge.months_sum += months
@@ -228,24 +225,24 @@ class KnowledgeGraph:
     def get_edge(self, kind: EdgeKind, source: str, target: str) -> WeightedEdge | None:
         return self.edges.get((kind, source, target))
 
-    def _adjacency_index(self) -> tuple[_Adjacency, _Adjacency]:
-        index = self._adjacency
+    def _adjacency_index(self, kind: EdgeKind, outgoing: bool) -> dict[str, dict]:
+        index = self._adjacency.get((kind, outgoing))
         if index is None:
-            out: _Adjacency = {}
-            into: _Adjacency = {}
-            for (kind, source, target), edge in self.edges.items():
-                out.setdefault((kind, source), {})[target] = edge
-                into.setdefault((kind, target), {})[source] = edge
-            index = self._adjacency = (out, into)
+            index = {}
+            for (edge_kind, source, target), edge in self.edges.items():
+                if edge_kind is kind:
+                    node, other = (source, target) if outgoing else (target, source)
+                    index.setdefault(node, {})[other] = edge
+            self._adjacency[kind, outgoing] = index  # published only once filled
         return index
 
     def out_edges(self, kind: EdgeKind, source: str) -> Mapping[str, WeightedEdge]:
         """{target: edge} for the edges of ``kind`` leaving ``source``; read only."""
-        return self._adjacency_index()[0].get((kind, source), {})
+        return self._adjacency_index(kind, True).get(source, {})
 
     def in_edges(self, kind: EdgeKind, target: str) -> Mapping[str, WeightedEdge]:
         """{source: edge} for the edges of ``kind`` entering ``target``; read only."""
-        return self._adjacency_index()[1].get((kind, target), {})
+        return self._adjacency_index(kind, False).get(target, {})
 
     def _sorted_edges(self) -> list[WeightedEdge]:
         """All edges in the graph file's order: kind, source, target."""

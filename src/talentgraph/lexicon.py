@@ -125,13 +125,19 @@ class SkillLexicon:
 
 class SentimentGazetteer:
     """<skill-scope, keyword, class, weight> entries, with ``weights`` keyed by
-    (keyword, scope or None); the constructor rejects a repeated key."""
+    (keyword, scope or None). The constructor rejects a repeated key, and a
+    keyword that scoring could never match: not one folded token, or a stop word."""
 
     def __init__(self, entries: Iterable[SentimentEntry]):
         self.entries: list[SentimentEntry] = list(entries)
         self.weights: dict[tuple[str, str | None], float] = {}
         for i, entry in enumerate(self.entries):
             keyword, scope = key = (entry.keyword, entry.skill_scope)
+            where = f"entries[{i}]: keyword {keyword!r}"
+            if tokenize(keyword, stop_words=EMPTY_STOP_WORDS) != [keyword]:
+                raise GazetteerFormatError(f"{where} must be a single token")
+            if keyword in DEFAULT_STOP_WORDS:
+                raise GazetteerFormatError(f"{where} is a stop word, which scoring drops")
             if key in self.weights:
                 scoped = "" if scope is None else f" for skill {scope!r}"
                 raise GazetteerFormatError(f"entries[{i}]: duplicate keyword {keyword!r}{scoped}")
@@ -214,12 +220,6 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
         # The number itself: float() of a huge JSON integer overflows.
         if not 0 <= weight <= 1:
             raise WeightRangeError(f"{where}: weight {weight} outside [0, 1]")
-        keyword = _fold(keyword)
-        if tokenize(keyword, stop_words=EMPTY_STOP_WORDS) != [keyword]:
-            raise GazetteerFormatError(f"{where}: keyword {keyword!r} must be a single token")
-        if keyword in DEFAULT_STOP_WORDS:
-            raise GazetteerFormatError(f"{where}: keyword {keyword!r} is a stop word, "
-                                       "which scoring drops")
         scope = rec.get("skill")
         if scope is not None:
             if not isinstance(scope, str) or not scope.strip():
@@ -227,7 +227,7 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
             scope = _fold(scope)
         entries.append(
             SentimentEntry(
-                keyword=keyword,
+                keyword=_fold(keyword),
                 keyword_class=_fold(kw_class),
                 weight=float(weight),
                 skill_scope=scope,

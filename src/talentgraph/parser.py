@@ -13,7 +13,8 @@ Experience blocks are paragraphs (blank-line separated) of the experience
 section. A block is claimed as one project only when one of its lines holds
 a date or duration pattern (a date that breaks across lines is not one); the
 first such pattern is the project's duration. Inside such a block the
-leading lines are read as, in order of appearance: date lines, the
+leading lines are read as, in order of appearance: date lines (a whole date,
+or one end of a range broken across lines, such as "Mar 2019 -"), the
 organization (first line that is neither a date nor a skill alias), and the
 verbatim project title (the next such line). Everything after the leading
 lines is the details text, kept as one contiguous slice of the resume.
@@ -76,6 +77,8 @@ _DATE_SEARCH_RE = re.compile(
     r"|\b(?P<months>\d+)\s*(?:months?|mos?)\b",
     re.IGNORECASE,
 )
+# One end of a range broken across lines: "Mar 2019 -", "- Apr 2019", "2019 to".
+_HALF_DATE_RE = re.compile(rf"(?:{_SEP})?(?:(?:{_MONTH_NAMES})\.?\s+)?\d{{4}}(?:{_SEP})?", re.I)
 # A count wider than a year's four digits is not a duration.
 _LONG_COUNT_RE = re.compile(r"\d{5}")
 # The longest duration parse_duration returns: "9999 years 9999 months".
@@ -229,8 +232,9 @@ def _parse_experience_block(
     details_start = len(lines)
     for idx, line in enumerate(lines):
         stripped = line.strip()
-        if not stripped or _DATE_SEARCH_RE.fullmatch(stripped.strip("()[],;:. \t")):
-            continue  # a date line
+        date = stripped.strip("()[],;:. \t")
+        if not stripped or _DATE_SEARCH_RE.fullmatch(date) or _HALF_DATE_RE.fullmatch(date):
+            continue  # a date line, or one end of a date broken across lines
         if normalize_skill(stripped.strip(".,;:"), lexicon) is not None:
             continue  # a bare skill line never names the org or the title
         if org_raw is None:

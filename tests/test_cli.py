@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
+from talentgraph import cli
 from talentgraph.cli import main
 from talentgraph.graph import KnowledgeGraph
 from talentgraph.query import execute, parse_query
@@ -360,3 +362,65 @@ def test_cli_byte_identical_across_subprocess_runs(tmp_path):
         env_graph.unlink()
     assert graph_bytes[0] == graph_bytes[1]
     assert outputs[0] == outputs[1]
+
+
+def test_real_interpreter_output_equals_in_process_output(tmp_path, capsys):
+    graph = ingest(tmp_path)
+    capsys.readouterr()
+    for argv in (
+        ["explain", graph, "js0000-jane-doe", "java 6-8, python", "--json"],
+        ["stats", graph, "--json"],
+        ["eval", graph, GOLD_FILE, "--lexicon", LEXICON_FILE, "--json"],
+        ["export", graph, "--format", "dot"],
+    ):
+        argv = [str(a) for a in argv]
+        assert main(argv) == 0
+        assert run_talentgraph(*argv).stdout.decode("utf-8") == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("outcome", ["ok", "error", "raises"])
+def test_main_pauses_collector_and_restores_its_state(
+    tmp_path, capsys, monkeypatch, enabled, outcome
+):
+    graph = ingest(tmp_path) if outcome == "ok" else tmp_path / "missing.json"
+    original = cli._cmd_stats
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if outcome == "raises":
+            raise RuntimeError("boom")
+        return original(args)
+
+    monkeypatch.setattr(cli, "_cmd_stats", command)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "raises":
+            with pytest.raises(RuntimeError, match="boom"):
+                run_cli("stats", graph)
+        else:
+            assert run_cli("stats", graph) == (0 if outcome == "ok" else 1)
+        enabled_after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert (seen, enabled_after) == ([False], enabled)
+    assert ("error:" in capsys.readouterr().err) == (outcome == "error")
+
+
+def test_paused_collector_leaves_no_garbage_that_grows_with_the_corpus(tmp_path):
+    def unreachable_after_ingest(copies):
+        corpus = tmp_path / f"corpus{copies}"
+        corpus.mkdir()
+        for copy in range(copies):
+            for path in CORPUS_DIR.glob("*.txt"):
+                (corpus / f"c{copy}_{path.name}").write_bytes(path.read_bytes())
+        gc.collect()
+        code = run_cli("ingest", corpus, "--lexicon", LEXICON_FILE,
+                       "--gazetteer", GAZETTEER_FILE, "--out", tmp_path / f"g{copies}.json")
+        assert code == 0
+        return gc.collect()
+
+    unreachable_after_ingest(0)  # warm up whatever a first command leaves behind once
+    assert unreachable_after_ingest(4) <= unreachable_after_ingest(1)

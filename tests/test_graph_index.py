@@ -1,8 +1,9 @@
-"""Lookups by node go through the graph's derived adjacency index.
+"""Lookups by node go through the graph's derived adjacency indexes.
 
-The index is built on the first lookup and dropped when an edge is created,
-so each answer must equal a naive rescan of the edges, whatever the
-ingestion order, merge tree or round trip that produced the graph.
+Each (kind, direction) index is built on its first lookup and emptied when
+an edge is created, so each answer must equal a naive rescan of the edges,
+whatever the ingestion order, merge tree or round trip that produced the
+graph.
 """
 from __future__ import annotations
 
@@ -79,7 +80,9 @@ def test_lookups_match_oracle(records, data):
     cut = data.draw(st.integers(0, len(records)))
     built = build_graph(shuffled[:cut], LEXICON, GAZETTEER)
     merged = built.merge(build_graph(shuffled[cut:], LEXICON, GAZETTEER))
-    built.out_edges(EdgeKind.JOBSEEKER_SKILL, "js0")  # index the graph mid-ingestion
+    for kind in EdgeKind:  # index the graph mid-ingestion, every kind both ways
+        built.out_edges(kind, "js0")
+        built.in_edges(kind, "java")
     for record in shuffled[cut:]:
         built.add_resume(record, LEXICON, GAZETTEER)
     loaded = KnowledgeGraph.from_dict(built.to_dict())
@@ -100,6 +103,12 @@ def test_new_edge_seen_by_next_lookup():
     assert set(graph.in_edges(EdgeKind.JOBSEEKER_SKILL, "java")) == {"js0", "js1"}
     assert set(graph.in_edges(EdgeKind.SKILL_PROJECT, project_key("js1", 0))) == {"java"}
     assert graph.supporting_projects("js1", "java") == [project_key("js1", 0)]
+
+
+def test_cold_explain_indexes_only_the_kind_it_reads(corpus_graph):
+    query = parse_query("top c++, java, python", LEXICON)
+    explain(corpus_graph.jobseeker_ids()[0], query, corpus_graph)
+    assert set(corpus_graph._adjacency) == {(EdgeKind.JOBSEEKER_PROJECT, True)}
 
 
 def test_explain_eval_and_stats_do_not_sort_the_edges(corpus_graph, monkeypatch):

@@ -174,6 +174,17 @@ def test_gazetteer_keyword_must_not_be_a_stop_word():
             parse_sentiment_records([{**robust, "keyword": word}])
 
 
+def test_gazetteer_constructor_rejects_keywords_that_never_match():
+    robust = SentimentEntry("robust", "x", 0.5)
+    message = r"^entries\[0\]: keyword 'with' is a stop word, which scoring drops$"
+    with pytest.raises(GazetteerFormatError, match=message):
+        SentimentGazetteer([SentimentEntry("with", "x", 0.9), robust])
+    for keyword in ["team player", "Robust", ""]:
+        message = rf"^entries\[1\]: keyword {keyword!r} must be a single token$"
+        with pytest.raises(GazetteerFormatError, match=message):
+            SentimentGazetteer([robust, SentimentEntry(keyword, "x", 0.5)])
+
+
 def test_lookup_scope_free_applies_to_any_skill():
     gaz = parse_sentiment_records(
         [{"keyword": "scalability", "class": "strong-technical", "weight": 0.9}]

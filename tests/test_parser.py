@@ -479,6 +479,21 @@ def test_parse_resume_date_broken_across_lines_is_no_date(lexicon):
     assert not any("duration" in d for d in diagnostics)
 
 
+@pytest.mark.parametrize("first, second", [
+    ("Mar 2019 -", "Apr 2019"),
+    ("(Mar. 2019 to", "Apr. 2019)"),
+    ("2019 –", "2020"),
+    ("Mar 2019", "— Apr 2019"),
+])
+def test_parse_resume_half_date_line_is_a_date_line(lexicon, first, second):
+    """Each end of a date broken across lines is a date line, never the title."""
+    text = (f"Sam Hill\n\nEXPERIENCE\n"
+            f"Globex\n{first}\n{second}\nLedger\n2 years\nBuilt java tools.\n")
+    record, _ = parse_resume(text, lexicon, 0)
+    assert [(e.organization, e.project_title, e.duration_months, e.details)
+            for e in record.experiences] == [("globex", "Ledger", 24, "Built java tools.")]
+
+
 def test_parse_resume_long_digit_run_never_raises(lexicon):
     text = (
         "Sam Hill\n\nEXPERIENCE\n"
