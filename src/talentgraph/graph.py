@@ -4,6 +4,8 @@ Edges carry (sum, count) accumulators rather than running means, and two
 graphs built from disjoint corpora merge by component-wise addition. Scores
 are summed as integers of 2**-64 units (exact for scores >= 2**-11), so any
 ingestion order or merge tree gives the same accumulators and file bytes.
+``edges[(kind, source, target)]`` and ``get_edge`` give a ``WeightedEdge``
+that holds the accumulators only: its kind and endpoints are its key.
 
 Construction per resume:
 
@@ -81,11 +83,6 @@ def _member(members: Mapping[str, Enum], enum_cls: type[Enum], value: object) ->
         return enum_cls(value)  # not a member's value: the Enum raises its own error
 
 
-def _is_number(value: object) -> bool:
-    """A JSON number; ``bool`` is an ``int`` in Python but not in JSON."""
-    return type(value) is float or type(value) is int
-
-
 EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
     EdgeKind.JOBSEEKER_SKILL: (NodeKind.JOBSEEKER, NodeKind.SKILL),
     EdgeKind.SKILL_PROJECT: (NodeKind.SKILL, NodeKind.PROJECT),
@@ -101,11 +98,9 @@ class NodeId:
     key: str
 
 
-@dataclass
+@dataclass(slots=True)
 class WeightedEdge:
-    kind: EdgeKind
-    source: str
-    target: str
+    """An edge's accumulators; its kind and endpoints are its key in ``edges``."""
     weight_units: int = 0  # sum of quantized scores, in units of 2**-64
     support_count: int = 0
     months_sum: int = 0
@@ -125,16 +120,24 @@ class ScoringConfig:
     duration_cap_months: int = 120
 
     def __post_init__(self):
-        if not math.isfinite(self.duration_bonus_factor):
+        # type() rather than isinstance(): a bool is an int in Python but not in JSON.
+        factor, cap = self.duration_bonus_factor, self.duration_cap_months
+        if type(factor) is not float and type(factor) is not int:
+            raise GraphConfigError(f"duration_bonus_factor {factor!r} is not a number")
+        if type(cap) is not int:
+            raise GraphConfigError(f"duration_cap_months {cap!r} is not an integer")
+        if not math.isfinite(factor):
             raise GraphConfigError("duration_bonus_factor must be finite")
-        if self.duration_bonus_factor < 0:
+        if factor < 0:
             raise GraphConfigError("duration_bonus_factor must be >= 0")
-        if self.duration_bonus_factor > 1e6:  # so sums of strengths stay finite
+        if factor > 1e6:  # so sums of strengths stay finite
             raise GraphConfigError("duration_bonus_factor must be <= 1e6")
-        if self.duration_cap_months <= 0:
+        if cap <= 0:
             raise GraphConfigError("duration_cap_months must be positive")
-        if self.duration_cap_months > 2**53:  # the integers a float holds exactly
+        if cap > 2**53:  # the integers a float holds exactly
             raise GraphConfigError("duration_cap_months must be <= 2**53")
+        # A float, as the graph file writes and loads it.
+        object.__setattr__(self, "duration_bonus_factor", float(factor))
 
 
 def project_key(jobseeker_id: str, ordinal: int) -> str:
@@ -161,7 +164,7 @@ class KnowledgeGraph:
         key = (kind, source, target)
         edge = self.edges.get(key)
         if edge is None:
-            edge = self.edges[key] = WeightedEdge(kind, source, target)
+            edge = self.edges[key] = WeightedEdge()
             if self._adjacency:
                 self._adjacency = {}
         edge.weight_units += units
@@ -244,20 +247,20 @@ class KnowledgeGraph:
         """{source: edge} for the edges of ``kind`` entering ``target``; read only."""
         return self._adjacency_index(kind, False).get(target, {})
 
-    def _sorted_edges(self) -> list[WeightedEdge]:
-        """All edges in the graph file's order: kind, source, target."""
-        return sorted(self.edges.values(), key=lambda e: (e.kind.value, e.source, e.target))
+    def _sorted_edges(self) -> list[tuple[tuple[EdgeKind, str, str], WeightedEdge]]:
+        """All (key, edge) pairs in file order: ``str`` enum kinds sort by value."""
+        return sorted(self.edges.items())
 
     def _sorted_nodes(self) -> list[tuple[NodeId, dict[str, str]]]:
         """All (node, attrs) pairs in the graph file's order: kind, key."""
-        return sorted(self.nodes.items(), key=lambda kv: (kv[0].kind.value, kv[0].key))
+        return sorted(self.nodes.items(), key=lambda kv: (kv[0].kind, kv[0].key))
 
-    def edges_of_kind(self, kind: EdgeKind) -> Iterator[WeightedEdge]:
-        """Every edge of ``kind`` in file order. It sorts all edges on each call,
-        so lookups by node use ``out_edges``/``in_edges`` instead."""
-        for edge in self._sorted_edges():
-            if edge.kind is kind:
-                yield edge
+    def edges_of_kind(self, kind: EdgeKind) -> Iterator[tuple[str, str, WeightedEdge]]:
+        """(source, target, edge) for every edge of ``kind`` in file order. It sorts
+        all edges on each call, so lookups by node use ``out_edges``/``in_edges``."""
+        for (edge_kind, source, target), edge in self._sorted_edges():
+            if edge_kind is kind:
+                yield source, target, edge
 
     def jobseeker_ids(self) -> list[str]:
         return sorted(
@@ -327,9 +330,8 @@ class KnowledgeGraph:
         for graph in (self, other):
             for node, attrs in graph.nodes.items():
                 merged._ensure_node(node, **attrs)
-            for e in graph.edges.values():
-                merged._add(e.kind, e.source, e.target,
-                            e.weight_units, e.support_count, e.months_sum)
+            for key, e in graph.edges.items():
+                merged._add(*key, e.weight_units, e.support_count, e.months_sum)
         return merged
 
     # -- persistence ------------------------------------------------------
@@ -357,8 +359,8 @@ class KnowledgeGraph:
                 [node.kind.value, node.key, dict(attrs)] for node, attrs in self._sorted_nodes()
             ],
             "edges": [
-                [e.kind.value, e.source, e.target, e.weight_units, e.support_count, e.months_sum]
-                for e in self._sorted_edges()
+                [kind.value, source, target, e.weight_units, e.support_count, e.months_sum]
+                for (kind, source, target), e in self._sorted_edges()
             ],
         }
 
@@ -374,14 +376,10 @@ class KnowledgeGraph:
         if not isinstance(config_doc, dict):
             raise GraphFormatError("missing 'config' object")
         try:
-            factor = config_doc["duration_bonus_factor"]
-            cap = config_doc["duration_cap_months"]
-            if not _is_number(factor):
-                raise TypeError(f"duration_bonus_factor {factor!r} is not a number")
-            if type(cap) is not int:
-                raise TypeError(f"duration_cap_months {cap!r} is not an integer")
-            config = ScoringConfig(float(factor), cap)
-        except (KeyError, TypeError, OverflowError, GraphConfigError) as exc:
+            config = ScoringConfig(
+                config_doc["duration_bonus_factor"], config_doc["duration_cap_months"]
+            )
+        except (KeyError, OverflowError, GraphConfigError) as exc:
             raise GraphFormatError(f"bad config: {exc}") from exc
 
         graph = cls(config)
@@ -457,7 +455,7 @@ class KnowledgeGraph:
             key = (kind, source, target)
             if key in edges:
                 raise GraphFormatError(f"edges[{i}]: duplicate edge")
-            edges[key] = WeightedEdge(kind, source, target, units, count, months)
+            edges[key] = WeightedEdge(units, count, months)
         return graph
 
     def save(self, path: str | Path) -> None:
@@ -480,12 +478,12 @@ class KnowledgeGraph:
                 f'  "{node.kind.value}:{quote(node.key)}" '
                 f'[label="{quote(label)}", kind="{node.kind.value}"];'
             )
-        for edge in self._sorted_edges():
-            src_kind, dst_kind = EDGE_ENDPOINTS[edge.kind]
+        for (kind, source, target), edge in self._sorted_edges():
+            src_kind, dst_kind = EDGE_ENDPOINTS[kind]
             lines.append(
-                f'  "{src_kind.value}:{quote(edge.source)}" -> '
-                f'"{dst_kind.value}:{quote(edge.target)}"'
-                f' [label="{edge.kind.value} {edge.mean_weight():.3f}"];'
+                f'  "{src_kind.value}:{quote(source)}" -> '
+                f'"{dst_kind.value}:{quote(target)}"'
+                f' [label="{kind.value} {edge.mean_weight():.3f}"];'
             )
         lines.append("}")
         return "\n".join(lines) + "\n"

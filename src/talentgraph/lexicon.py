@@ -125,14 +125,18 @@ class SkillLexicon:
 
 class SentimentGazetteer:
     """<skill-scope, keyword, class, weight> entries, with ``weights`` keyed by
-    (keyword, scope or None). The constructor rejects a repeated key, and a
-    keyword that scoring could never match: not one folded token, or a stop word."""
+    (keyword, scope or None). The constructor rejects a weight outside [0, 1], a
+    repeated key, and a keyword that scoring could never match: not one folded
+    token, or a stop word."""
 
     def __init__(self, entries: Iterable[SentimentEntry]):
         self.entries: list[SentimentEntry] = list(entries)
         self.weights: dict[tuple[str, str | None], float] = {}
         for i, entry in enumerate(self.entries):
             keyword, scope = key = (entry.keyword, entry.skill_scope)
+            # The number itself: float() of a huge JSON integer overflows.
+            if not 0 <= entry.weight <= 1:
+                raise WeightRangeError(f"entries[{i}]: weight {entry.weight} outside [0, 1]")
             where = f"entries[{i}]: keyword {keyword!r}"
             if tokenize(keyword, stop_words=EMPTY_STOP_WORDS) != [keyword]:
                 raise GazetteerFormatError(f"{where} must be a single token")
@@ -141,7 +145,7 @@ class SentimentGazetteer:
             if key in self.weights:
                 scoped = "" if scope is None else f" for skill {scope!r}"
                 raise GazetteerFormatError(f"entries[{i}]: duplicate keyword {keyword!r}{scoped}")
-            self.weights[key] = entry.weight
+            self.weights[key] = float(entry.weight)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -217,9 +221,6 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
             raise GazetteerFormatError(f"{where}: 'class' must be a non-empty string")
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise GazetteerFormatError(f"{where}: 'weight' must be a number")
-        # The number itself: float() of a huge JSON integer overflows.
-        if not 0 <= weight <= 1:
-            raise WeightRangeError(f"{where}: weight {weight} outside [0, 1]")
         scope = rec.get("skill")
         if scope is not None:
             if not isinstance(scope, str) or not scope.strip():
@@ -229,7 +230,7 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
             SentimentEntry(
                 keyword=_fold(keyword),
                 keyword_class=_fold(kw_class),
-                weight=float(weight),
+                weight=weight,  # the constructor checks its range
                 skill_scope=scope,
             )
         )
@@ -250,7 +251,7 @@ def dump_sentiment_gazetteer(gazetteer: SentimentGazetteer) -> str:
     for e in sorted(
         gazetteer.entries, key=lambda e: (e.keyword, e.skill_scope or "", e.keyword_class)
     ):
-        rec: dict = {"keyword": e.keyword, "class": e.keyword_class, "weight": e.weight}
+        rec: dict = {"keyword": e.keyword, "class": e.keyword_class, "weight": float(e.weight)}
         if e.skill_scope is not None:
             rec["skill"] = e.skill_scope
         records.append(rec)

@@ -245,7 +245,7 @@ def test_c3_figure_topologies(lexicon, gazetteer):
     skill_nodes = sorted(n.key for n in g5.nodes if n.kind is NodeKind.SKILL)
     assert skill_nodes == ["c++", "java"]
     cpp_edges = [
-        e for e in g5.edges_of_kind(EdgeKind.JOBSEEKER_SKILL) if e.target == "c++"
+        edge for _, target, edge in g5.edges_of_kind(EdgeKind.JOBSEEKER_SKILL) if target == "c++"
     ]
     assert len(cpp_edges) == 2  # one shared skill node, two jobseeker edges
     assert nodes[NodeKind.JOBSEEKER] == 2

@@ -383,6 +383,26 @@ def test_graph_round_trip_preserves_config(lexicon, gazetteer, corpus_records, t
     assert loaded == g
 
 
+@pytest.mark.parametrize("factor, cap, message", [
+    (0.5, 1.5, "duration_cap_months 1.5 is not an integer"),
+    (0.5, True, "duration_cap_months True is not an integer"),
+    (True, 120, "duration_bonus_factor True is not a number"),
+    ("0.5", 120, "duration_bonus_factor '0.5' is not a number"),
+], ids=["fractional-cap", "bool-cap", "bool-factor", "string-factor"])
+def test_config_rejects_what_a_graph_file_cannot_hold(factor, cap, message):
+    with pytest.raises(GraphConfigError, match=f"^{message}$"):
+        ScoringConfig(factor, cap)
+
+
+def test_integer_bonus_factor_saves_as_the_float_it_loads_as(tmp_path):
+    path = tmp_path / "graph.json"
+    KnowledgeGraph(ScoringConfig(1, 120)).save(path)
+    saved = path.read_bytes()
+    assert b'"duration_bonus_factor": 1.0,' in saved
+    KnowledgeGraph.load(path).save(path)
+    assert path.read_bytes() == saved
+
+
 CONFIG = {"duration_bonus_factor": 0.5, "duration_cap_months": 120}
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -183,6 +184,13 @@ def test_gazetteer_constructor_rejects_keywords_that_never_match():
         message = rf"^entries\[1\]: keyword {keyword!r} must be a single token$"
         with pytest.raises(GazetteerFormatError, match=message):
             SentimentGazetteer([robust, SentimentEntry(keyword, "x", 0.5)])
+
+
+@pytest.mark.parametrize("weight", [2.0, -0.1, math.nan])
+def test_gazetteer_constructor_rejects_weight_outside_unit_range(weight):
+    robust = SentimentEntry("robust", "x", 0.5)
+    with pytest.raises(WeightRangeError, match=rf"^entries\[1\]: weight {weight} outside \[0, 1\]$"):
+        SentimentGazetteer([robust, SentimentEntry("fast", "x", weight)])
 
 
 def test_lookup_scope_free_applies_to_any_skill():
