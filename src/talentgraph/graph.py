@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NoReturn
 
 from ._io import check_document, read_document, write_document
 from .errors import (
@@ -71,16 +71,8 @@ class EdgeKind(str, Enum):
     PROJECT_ORG = "project_org"
 
 
-# {value: member}: a dict lookup, where calling the Enum runs Python code.
-_NODE_KINDS: dict[str, NodeKind] = {kind.value: kind for kind in NodeKind}
-_EDGE_KINDS: dict[str, EdgeKind] = {kind.value: kind for kind in EdgeKind}
-
-
-def _member(members: Mapping[str, Enum], enum_cls: type[Enum], value: object) -> Enum:
-    try:
-        return members[value]
-    except (KeyError, TypeError):
-        return enum_cls(value)  # not a member's value: the Enum raises its own error
+# {member: value}: a dict lookup, where ``.value`` is a property read.
+_NAMES: dict[Enum, str] = {kind: kind.value for kinds in (NodeKind, EdgeKind) for kind in kinds}
 
 
 EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
@@ -126,7 +118,8 @@ class ScoringConfig:
             raise GraphConfigError(f"duration_bonus_factor {factor!r} is not a number")
         if type(cap) is not int:
             raise GraphConfigError(f"duration_cap_months {cap!r} is not an integer")
-        if not math.isfinite(factor):
+        # Only a float can be non-finite; a huge int compares with 1e6 exactly.
+        if type(factor) is float and not math.isfinite(factor):
             raise GraphConfigError("duration_bonus_factor must be finite")
         if factor < 0:
             raise GraphConfigError("duration_bonus_factor must be >= 0")
@@ -142,6 +135,32 @@ class ScoringConfig:
 
 def project_key(jobseeker_id: str, ordinal: int) -> str:
     return f"{jobseeker_id}:p{ordinal}"
+
+
+def _raise_unknown_kind(enum_cls: type[Enum], value: object, where: str) -> NoReturn:
+    """Reject a row whose kind is no member's value, in the Enum's own words."""
+    try:
+        enum_cls(value)
+    except ValueError as exc:
+        raise GraphFormatError(f"{where}: {exc}") from exc
+    raise AssertionError(f"{value!r} is a {enum_cls.__name__}")
+
+
+def _range_fault(units: int, count: int, months: int) -> str:
+    """Name the first range check, in README order, that an edge's accumulators fail."""
+    if count < 0 or units < 0 or months < 0:
+        return "negative accumulator"
+    if count > 2**53:
+        return f"support_count {count} above 2**53"
+    if count == 0 and units:
+        return "weight_units without support"
+    if count == 0 and months:
+        return "months_sum without support"
+    # Each contribution is a score in [0, 1], at most 2**64 units,
+    if units > count * WEIGHT_UNITS:
+        return f"weight_units {units} above support_count {count} * 2**64"
+    # and adds at most MAX_DURATION_MONTHS, so years stay a float.
+    return f"months_sum {months} above support_count {count} * {MAX_DURATION_MONTHS}"
 
 
 class KnowledgeGraph:
@@ -263,9 +282,7 @@ class KnowledgeGraph:
                 yield source, target, edge
 
     def jobseeker_ids(self) -> list[str]:
-        return sorted(
-            n.key for n in self.nodes if n.kind is NodeKind.JOBSEEKER
-        )
+        return sorted(n.key for n in self.nodes if n.kind is NodeKind.JOBSEEKER)
 
     def skill_keys(self) -> list[str]:
         return sorted(n.key for n in self.nodes if n.kind is NodeKind.SKILL)
@@ -318,14 +335,10 @@ class KnowledgeGraph:
     def merge(self, other: "KnowledgeGraph") -> "KnowledgeGraph":
         """Combine two graphs over disjoint jobseeker sets (same config)."""
         if self.config != other.config:
-            raise GraphConfigError(
-                f"config mismatch: {self.config} vs {other.config}"
-            )
+            raise GraphConfigError(f"config mismatch: {self.config} vs {other.config}")
         overlap = set(self.jobseeker_ids()) & set(other.jobseeker_ids())
         if overlap:
-            raise DuplicateJobseekerError(
-                f"jobseekers in both graphs: {sorted(overlap)}"
-            )
+            raise DuplicateJobseekerError(f"jobseekers in both graphs: {sorted(overlap)}")
         merged = KnowledgeGraph(self.config)
         for graph in (self, other):
             for node, attrs in graph.nodes.items():
@@ -356,10 +369,10 @@ class KnowledgeGraph:
                 "tool_version": __version__,
             },
             "nodes": [
-                [node.kind.value, node.key, dict(attrs)] for node, attrs in self._sorted_nodes()
+                [_NAMES[node.kind], node.key, dict(attrs)] for node, attrs in self._sorted_nodes()
             ],
             "edges": [
-                [kind.value, source, target, e.weight_units, e.support_count, e.months_sum]
+                [_NAMES[kind], source, target, e.weight_units, e.support_count, e.months_sum]
                 for (kind, source, target), e in self._sorted_edges()
             ],
         }
@@ -379,12 +392,14 @@ class KnowledgeGraph:
             config = ScoringConfig(
                 config_doc["duration_bonus_factor"], config_doc["duration_cap_months"]
             )
-        except (KeyError, OverflowError, GraphConfigError) as exc:
+        except (KeyError, GraphConfigError) as exc:
             raise GraphFormatError(f"bad config: {exc}") from exc
 
         graph = cls(config)
         nodes, edges = graph.nodes, graph.edges
-        keys: dict[NodeKind, set[str]] = {kind: set() for kind in NodeKind}
+        # {value: (member, the keys its rows have loaded)}: one lookup per row,
+        # as a str enum member hashes like its value.
+        node_kinds = {kind.value: (kind, set()) for kind in NodeKind}
         node_rows = doc.get("nodes", [])
         if not isinstance(node_rows, list):
             raise GraphFormatError("nodes: not a list")
@@ -393,21 +408,22 @@ class KnowledgeGraph:
                 raise GraphFormatError(f"nodes[{i}]: not a [kind, key, attrs] row")
             kind, key, attrs = row
             try:
-                kind = _member(_NODE_KINDS, NodeKind, kind)
-            except ValueError as exc:
-                raise GraphFormatError(f"nodes[{i}]: {exc}") from exc
+                kind, same_kind = node_kinds[kind]
+            except (KeyError, TypeError):
+                _raise_unknown_kind(NodeKind, kind, f"nodes[{i}]")
             if not isinstance(key, str) or not isinstance(attrs, dict):
                 raise GraphFormatError(f"nodes[{i}]: bad key or attrs")
             for name, value in attrs.items():
                 if not isinstance(value, str):
                     raise GraphFormatError(f"nodes[{i}]: attr {name!r} is not a string")
-            same_kind = keys[kind]
             if key in same_kind:
                 raise GraphFormatError(f"nodes[{i}]: duplicate node {key!r}")
             same_kind.add(key)
             nodes[NodeId(kind, key)] = dict(attrs)
 
-        ends = {kind: (keys[src], keys[dst]) for kind, (src, dst) in EDGE_ENDPOINTS.items()}
+        # {value: (member, source keys, target keys)}, as for the nodes.
+        edge_kinds = {kind.value: (kind, node_kinds[src][1], node_kinds[dst][1])
+                      for kind, (src, dst) in EDGE_ENDPOINTS.items()}
         edge_rows = doc.get("edges", [])
         if not isinstance(edge_rows, list):
             raise GraphFormatError("edges: not a list")
@@ -417,9 +433,9 @@ class KnowledgeGraph:
                                        "weight_units, support_count, months_sum] row")
             kind, source, target, units, count, months = row
             try:
-                kind = _member(_EDGE_KINDS, EdgeKind, kind)
-            except ValueError as exc:
-                raise GraphFormatError(f"edges[{i}]: {exc}") from exc
+                kind, src_keys, dst_keys = edge_kinds[kind]
+            except (KeyError, TypeError):
+                _raise_unknown_kind(EdgeKind, kind, f"edges[{i}]")
             if not isinstance(source, str) or not isinstance(target, str):
                 raise GraphFormatError(f"edges[{i}]: source and target must be strings")
             # type() rather than isinstance(): JSON has no bool integers, and
@@ -428,34 +444,17 @@ class KnowledgeGraph:
                 raise GraphFormatError(
                     f"edges[{i}]: weight_units, support_count and months_sum must be integers"
                 )
-            if count < 0 or units < 0 or months < 0:
-                raise GraphFormatError(f"edges[{i}]: negative accumulator")
-            if count > 2**53:
-                raise GraphFormatError(f"edges[{i}]: support_count {count} above 2**53")
-            if count == 0 and units:
-                raise GraphFormatError(f"edges[{i}]: weight_units without support")
-            if count == 0 and months:
-                raise GraphFormatError(f"edges[{i}]: months_sum without support")
-            # Each contribution is a score in [0, 1], at most 2**64 units.
-            if units > count * WEIGHT_UNITS:
-                raise GraphFormatError(
-                    f"edges[{i}]: weight_units {units} above support_count {count} * 2**64"
-                )
-            # And each adds at most MAX_DURATION_MONTHS, so years stay a float.
-            if months > count * MAX_DURATION_MONTHS:
-                raise GraphFormatError(
-                    f"edges[{i}]: months_sum {months} above support_count {count}"
-                    f" * {MAX_DURATION_MONTHS}"
-                )
-            src_keys, dst_keys = ends[kind]
+            # Every range check at once: no support forces units and months to 0.
+            if not (0 <= count <= 2**53 and 0 <= units <= count << 64
+                    and 0 <= months <= count * MAX_DURATION_MONTHS):
+                raise GraphFormatError(f"edges[{i}]: {_range_fault(units, count, months)}")
             if source not in src_keys:
                 raise GraphFormatError(f"edges[{i}]: dangling source {source!r}")
             if target not in dst_keys:
                 raise GraphFormatError(f"edges[{i}]: dangling target {target!r}")
-            key = (kind, source, target)
-            if key in edges:
+            edge = WeightedEdge(units, count, months)
+            if edges.setdefault((kind, source, target), edge) is not edge:
                 raise GraphFormatError(f"edges[{i}]: duplicate edge")
-            edges[key] = WeightedEdge(units, count, months)
         return graph
 
     def save(self, path: str | Path) -> None:
@@ -472,18 +471,19 @@ class KnowledgeGraph:
             return text.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph talentgraph {"]
+        # Each node's quoted dot id, made once and looked up by its edges' lines.
+        ids: dict[NodeKind, dict[str, str]] = {kind: {} for kind in NodeKind}
         for node, attrs in self._sorted_nodes():
-            label = attrs.get("name") or attrs.get("title") or node.key
-            lines.append(
-                f'  "{node.kind.value}:{quote(node.key)}" '
-                f'[label="{quote(label)}", kind="{node.kind.value}"];'
-            )
+            kind, key = node.kind, node.key
+            name = _NAMES[kind]
+            dot_id = ids[kind][key] = f'"{name}:{quote(key)}"'
+            label = attrs.get("name") or attrs.get("title") or key
+            lines.append(f'  {dot_id} [label="{quote(label)}", kind="{name}"];')
+        ends = {kind: (_NAMES[kind], ids[src], ids[dst])
+                for kind, (src, dst) in EDGE_ENDPOINTS.items()}
         for (kind, source, target), edge in self._sorted_edges():
-            src_kind, dst_kind = EDGE_ENDPOINTS[kind]
-            lines.append(
-                f'  "{src_kind.value}:{quote(source)}" -> '
-                f'"{dst_kind.value}:{quote(target)}"'
-                f' [label="{kind.value} {edge.mean_weight():.3f}"];'
-            )
+            name, src_ids, dst_ids = ends[kind]
+            lines.append(f"  {src_ids[source]} -> {dst_ids[target]}"
+                         f' [label="{name} {edge.mean_weight():.3f}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

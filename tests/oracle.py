@@ -1,12 +1,13 @@
 """Brute-force reference implementation used to cross-check the real one.
 
 Everything here is deliberately naive and independent of the library's
-tokenizer, scorer and graph bookkeeping: plain character scanning, plain
-dict accumulators, full rescans instead of indexes. If the production code
-and this file disagree, one of them is wrong.
+tokenizer, scorer, graph bookkeeping and load checks: plain character
+scanning, plain dict accumulators, full rescans instead of indexes. If the
+production code and this file disagree, one of them is wrong.
 """
 from __future__ import annotations
 
+import math
 import re
 from collections import defaultdict
 
@@ -261,3 +262,123 @@ class OracleGraph:
             "avg_projects_per_resume": project_edges / len(jobseekers),
             "skills_by_category": dict(by_category),
         }
+
+
+# -- graph documents ----------------------------------------------------------
+
+NODE_KINDS = ("jobseeker", "skill", "organization", "project")
+EDGE_KINDS = {  # kind -> (source kind, target kind)
+    "jobseeker_skill": ("jobseeker", "skill"),
+    "skill_project": ("skill", "project"),
+    "org_skill": ("organization", "skill"),
+    "jobseeker_project": ("jobseeker", "project"),
+    "project_org": ("project", "organization"),
+}
+LONGEST_DURATION_MONTHS = 129987  # README: the longest duration the parser reads
+
+
+def is_json_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def naive_config_fault(config):
+    """The ``bad config:`` reason for a config object, or None."""
+    for name in ("duration_bonus_factor", "duration_cap_months"):
+        if name not in config:
+            return repr(name)
+    factor, cap = config["duration_bonus_factor"], config["duration_cap_months"]
+    if not (is_json_int(factor) or isinstance(factor, float)):
+        return f"duration_bonus_factor {factor!r} is not a number"
+    if not is_json_int(cap):
+        return f"duration_cap_months {cap!r} is not an integer"
+    if isinstance(factor, float) and (factor != factor or factor in (math.inf, -math.inf)):
+        return "duration_bonus_factor must be finite"
+    if factor < 0:
+        return "duration_bonus_factor must be >= 0"
+    if factor > 10**6:
+        return "duration_bonus_factor must be <= 1e6"
+    if cap < 1:
+        return "duration_cap_months must be positive"
+    if cap > 2**53:
+        return "duration_cap_months must be <= 2**53"
+    return None
+
+
+def naive_node_fault(row, seen):
+    """What is wrong with one node row, given the (kind, key) pairs before it."""
+    if not isinstance(row, list) or len(row) != 3:
+        return "not a [kind, key, attrs] row"
+    kind, key, attrs = row
+    if not any(kind == name for name in NODE_KINDS):
+        return f"{kind!r} is not a valid NodeKind"
+    if not isinstance(key, str) or not isinstance(attrs, dict):
+        return "bad key or attrs"
+    for name in attrs:
+        if not isinstance(attrs[name], str):
+            return f"attr {name!r} is not a string"
+    if (kind, key) in seen:
+        return f"duplicate node {key!r}"
+    return None
+
+
+def naive_edge_fault(row, nodes, seen):
+    """What is wrong with one edge row, given every node and the edges before it."""
+    if not isinstance(row, list) or len(row) != 6:
+        return "not a [kind, source, target, weight_units, support_count, months_sum] row"
+    kind, source, target, units, count, months = row
+    if not any(kind == name for name in EDGE_KINDS):
+        return f"{kind!r} is not a valid EdgeKind"
+    if not isinstance(source, str) or not isinstance(target, str):
+        return "source and target must be strings"
+    if not (is_json_int(units) and is_json_int(count) and is_json_int(months)):
+        return "weight_units, support_count and months_sum must be integers"
+    if units < 0 or count < 0 or months < 0:
+        return "negative accumulator"
+    if count > 2**53:
+        return f"support_count {count} above 2**53"
+    if count == 0 and units != 0:
+        return "weight_units without support"
+    if count == 0 and months != 0:
+        return "months_sum without support"
+    if units > count * 2**64:
+        return f"weight_units {units} above support_count {count} * 2**64"
+    if months > count * LONGEST_DURATION_MONTHS:
+        return f"months_sum {months} above support_count {count} * {LONGEST_DURATION_MONTHS}"
+    source_kind, target_kind = EDGE_KINDS[kind]
+    if (source_kind, source) not in nodes:
+        return f"dangling source {source!r}"
+    if (target_kind, target) not in nodes:
+        return f"dangling target {target!r}"
+    if (kind, source, target) in seen:
+        return "duplicate edge"
+    return None
+
+
+def naive_graph_fault(doc):
+    """The message loading a graph document of schema version 2 fails with,
+    or None when it loads: each check of README's Graph file section, row by
+    row, in the order listed there."""
+    config = doc.get("config")
+    if not isinstance(config, dict):
+        return "missing 'config' object"
+    fault = naive_config_fault(config)
+    if fault is not None:
+        return f"bad config: {fault}"
+    node_rows, edge_rows = doc.get("nodes", []), doc.get("edges", [])
+    if not isinstance(node_rows, list):
+        return "nodes: not a list"
+    nodes = set()
+    for i, row in enumerate(node_rows):
+        fault = naive_node_fault(row, nodes)
+        if fault is not None:
+            return f"nodes[{i}]: {fault}"
+        nodes.add((row[0], row[1]))
+    if not isinstance(edge_rows, list):
+        return "edges: not a list"
+    edges = set()
+    for i, row in enumerate(edge_rows):
+        fault = naive_edge_fault(row, nodes, edges)
+        if fault is not None:
+            return f"edges[{i}]: {fault}"
+        edges.add((row[0], row[1], row[2]))
+    return None

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +29,7 @@ from talentgraph.lexicon import parse_sentiment_records
 from talentgraph.parser import MAX_DURATION_MONTHS, ExperienceEntry, ResumeRecord
 
 from conftest import build_graph, org_skill_strength, skill_years
-from oracle import OracleGraph
+from oracle import OracleGraph, naive_graph_fault
 from test_graph_index import GAZETTEER, LEXICON, record_sets
 
 
@@ -388,7 +389,8 @@ def test_graph_round_trip_preserves_config(lexicon, gazetteer, corpus_records, t
     (0.5, True, "duration_cap_months True is not an integer"),
     (True, 120, "duration_bonus_factor True is not a number"),
     ("0.5", 120, "duration_bonus_factor '0.5' is not a number"),
-], ids=["fractional-cap", "bool-cap", "bool-factor", "string-factor"])
+    (10**400, 120, r"duration_bonus_factor must be <= 1e6"),
+], ids=["fractional-cap", "bool-cap", "bool-factor", "string-factor", "huge-int-factor"])
 def test_config_rejects_what_a_graph_file_cannot_hold(factor, cap, message):
     with pytest.raises(GraphConfigError, match=f"^{message}$"):
         ScoringConfig(factor, cap)
@@ -466,6 +468,7 @@ MALFORMED = {
     "bool-support": (("edges", 0, 4), True, rf"edges\[0\]: {TYPES}"),
     "fractional-months": (("edges", 0, 5), 1.9, rf"edges\[0\]: {TYPES}"),
     "bool-months": (("edges", 0, 5), True, rf"edges\[0\]: {TYPES}"),
+    "negative-months": (("edges", 0, 5), -1, r"edges\[0\]: negative accumulator"),
     "months-without-support": (("edges", 0), NO_SUPPORT_ROW,
                                r"edges\[0\]: months_sum without support"),
     "months-above-longest-duration": (("edges", 0, 5), MAX_DURATION_MONTHS + 1,
@@ -489,7 +492,7 @@ MALFORMED = {
     "inf-bonus-factor": (("config", "duration_bonus_factor"), math.inf,
                          r"bad config: duration_bonus_factor must be finite"),
     "huge-bonus-factor": (("config", "duration_bonus_factor"), 10**400,
-                          r"bad config: int too large to convert to float"),
+                          r"bad config: duration_bonus_factor must be <= 1e6"),
     "bonus-factor-above-1e6": (("config", "duration_bonus_factor"), 1e6 + 1,
                                r"bad config: duration_bonus_factor must be <= 1e6"),
     "cap-above-2**53": (("config", "duration_cap_months"), 2**53 + 1,
@@ -568,11 +571,103 @@ def test_from_dict_round_trips_and_rejects_any_replaced_field(records, data):
     ] + [("nodes", i, 2, name) for i, (_, _, attrs) in enumerate(doc["nodes"]) for name in attrs]
     assume(paths)
     path = data.draw(st.sampled_from(paths))
-    doc = replaced(doc, path, data.draw(st.sampled_from(REPLACEMENTS)))
-    try:
+    assert_loads_as_the_oracle_says(replaced(doc, path, data.draw(st.sampled_from(REPLACEMENTS))))
+
+
+def assert_loads_as_the_oracle_says(doc: dict) -> None:
+    """``from_dict`` rejects ``doc`` with exactly the oracle's message, or
+    loads it when the oracle finds no fault."""
+    fault = naive_graph_fault(doc)
+    if fault is None:
         KnowledgeGraph.from_dict(doc)
-    except GraphFormatError:
-        pass  # any other exception fails the test
+        return
+    with pytest.raises(GraphFormatError) as err:
+        KnowledgeGraph.from_dict(doc)
+    assert str(err.value) == fault
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_oracle_names_each_malformed_documents_fault(path, value, message):
+    assert re.fullmatch(message, naive_graph_fault(replaced(LOADABLE_DOC, path, value)))
+
+
+KINDS = [kind.value for kind in (*NodeKind, *EdgeKind)] + ["wizard", [], {}, None]
+
+
+def accumulators(data) -> list[int]:
+    """[weight_units, support_count, months_sum], each at, near or just past a bound."""
+    count = data.draw(st.sampled_from([-1, 0, 1, 2, 2**53, 2**53 + 1]))
+    top_units, top_months = max(count, 0) * WEIGHT_UNITS, max(count, 0) * MAX_DURATION_MONTHS
+    units = data.draw(st.sampled_from([-1, 0, 1, top_units, top_units + 1]))
+    return [units, count, data.draw(st.sampled_from([-1, 0, 1, top_months, top_months + 1]))]
+
+
+def broken(doc: dict, section: str, i: int, keys: list[str], data) -> dict:
+    """``doc`` with row ``i`` of ``section`` duplicated, or its node key or an
+    edge endpoint replaced by one of ``keys``, or its kind, one of its fields
+    or an edge's accumulators replaced."""
+    row = doc[section][i]
+    how = data.draw(st.sampled_from(
+        ["duplicate", "key", "kind", "field"] + (["accumulators"] if section == "edges" else [])
+    ))
+    if how == "duplicate":
+        at = data.draw(st.integers(0, len(doc[section])))
+        return replaced(doc, (section,), doc[section][:at] + [row] + doc[section][at:])
+    if how == "key":
+        field = 1 if section == "nodes" else data.draw(st.sampled_from([1, 2]))
+        return replaced(doc, (section, i, field), data.draw(st.sampled_from(keys)))
+    if how == "kind":
+        return replaced(doc, (section, i, 0), data.draw(st.sampled_from(KINDS)))
+    if how == "accumulators":
+        return replaced(doc, (section, i), row[:3] + accumulators(data))
+    field = data.draw(st.integers(0, len(row) - 1))
+    return replaced(doc, (section, i, field), data.draw(st.sampled_from(REPLACEMENTS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=record_sets(), data=st.data())
+def test_from_dict_reports_the_first_fault_the_oracle_finds(records, data):
+    """Up to three faults in one row, so that which one is reported counts."""
+    doc = build_graph(records, LEXICON, GAZETTEER).to_dict()
+    section = data.draw(st.sampled_from(["nodes", "edges"]))
+    assume(doc[section])
+    i = data.draw(st.integers(0, len(doc[section]) - 1))
+    keys = sorted({key for _, key, _ in doc["nodes"]}) + ["nowhere"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = broken(doc, section, i, keys, data)
+    assert_loads_as_the_oracle_says(doc)
+
+
+# Keys, a title and a name with the characters dot quotes.
+JS, ORG, PROJECT = 'js"0\\', 'Acme "Q" \\ Co', 'js"0\\:p0'
+QUOTED_DOC = {
+    "schema_version": 2,
+    "config": CONFIG,
+    "nodes": [["jobseeker", JS, {"name": 'Jo "J" \\ Doe'}], ["organization", ORG, {}],
+              ["project", PROJECT, {"title": 'Say "hi" \\ now'}],
+              ["skill", "c++", {"category": ""}]],
+    "edges": [["jobseeker_project", JS, PROJECT, 0, 1, 0],
+              ["jobseeker_skill", JS, "c++", WEIGHT_UNITS // 2, 1, 12],
+              ["org_skill", ORG, "c++", WEIGHT_UNITS // 2, 1, 0],
+              ["project_org", PROJECT, ORG, 0, 1, 0],
+              ["skill_project", "c++", PROJECT, WEIGHT_UNITS // 2, 1, 0]],
+}
+
+
+def test_to_dot_quotes_keys_and_labels():
+    assert KnowledgeGraph.from_dict(QUOTED_DOC).to_dot().splitlines() == [
+        r'digraph talentgraph {',
+        r'  "jobseeker:js\"0\\" [label="Jo \"J\" \\ Doe", kind="jobseeker"];',
+        r'  "organization:Acme \"Q\" \\ Co" [label="Acme \"Q\" \\ Co", kind="organization"];',
+        r'  "project:js\"0\\:p0" [label="Say \"hi\" \\ now", kind="project"];',
+        r'  "skill:c++" [label="c++", kind="skill"];',
+        r'  "jobseeker:js\"0\\" -> "project:js\"0\\:p0" [label="jobseeker_project 0.000"];',
+        r'  "jobseeker:js\"0\\" -> "skill:c++" [label="jobseeker_skill 0.500"];',
+        r'  "organization:Acme \"Q\" \\ Co" -> "skill:c++" [label="org_skill 0.500"];',
+        r'  "project:js\"0\\:p0" -> "organization:Acme \"Q\" \\ Co" [label="project_org 0.000"];',
+        r'  "skill:c++" -> "project:js\"0\\:p0" [label="skill_project 0.500"];',
+        r'}',
+    ]
 
 
 def test_strength_bounds(lexicon, gazetteer, corpus_graph):
