@@ -18,7 +18,7 @@ from pathlib import Path
 from ._io import SCHEMA_VERSION, write_document, write_text
 from .errors import TalentGraphError
 from .evaluation import evaluate_graph, load_gold
-from .graph import KnowledgeGraph, NodeKind, ScoringConfig
+from .graph import KnowledgeGraph, ScoringConfig
 from .intermediate import write_intermediate
 from .lexicon import (
     SkillEntry,
@@ -39,16 +39,10 @@ def _lexicon_for_graph(lexicon_path: str | None, graph: KnowledgeGraph) -> Skill
     """
     if lexicon_path:
         return load_skill_lexicon(lexicon_path)
-    entries = [
-        SkillEntry(
-            canonical=node.key,
-            category=attrs.get("category") or "uncategorized",
-            aliases=frozenset([node.key]),
-        )
-        for node, attrs in graph.nodes.items()
-        if node.kind is NodeKind.SKILL
-    ]
-    return SkillLexicon(entries)
+    return SkillLexicon(
+        SkillEntry(canonical=key, category="uncategorized", aliases=frozenset([key]))
+        for key in graph.skill_keys()
+    )
 
 
 def _parse_corpus(corpus: Path, lexicon: SkillLexicon):
@@ -265,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except TalentGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TalentGraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -38,8 +38,8 @@ class DuplicateJobseekerError(TalentGraphError):
 
 
 class GraphConfigError(TalentGraphError):
-    """A scoring config value is out of range, or two graphs with different
-    scoring configs were merged."""
+    """A scoring config value is out of range, or two merged graphs differ in
+    scoring config or in the attrs of a node both hold."""
 
 
 class NodeNotFoundError(TalentGraphError):

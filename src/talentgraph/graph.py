@@ -333,7 +333,8 @@ class KnowledgeGraph:
     # -- merge ------------------------------------------------------------
 
     def merge(self, other: "KnowledgeGraph") -> "KnowledgeGraph":
-        """Combine two graphs over disjoint jobseeker sets (same config)."""
+        """Combine two graphs over disjoint jobseeker sets (same config, and the
+        same attrs on every node both hold)."""
         if self.config != other.config:
             raise GraphConfigError(f"config mismatch: {self.config} vs {other.config}")
         overlap = set(self.jobseeker_ids()) & set(other.jobseeker_ids())
@@ -342,7 +343,9 @@ class KnowledgeGraph:
         merged = KnowledgeGraph(self.config)
         for graph in (self, other):
             for node, attrs in graph.nodes.items():
-                merged._ensure_node(node, **attrs)
+                if merged.nodes.setdefault(node, dict(attrs)) != attrs:
+                    raise GraphConfigError(f"attrs mismatch on {node.kind.value} {node.key!r}: "
+                                           f"{merged.nodes[node]} vs {attrs}")
             for key, e in graph.edges.items():
                 merged._add(*key, e.weight_units, e.support_count, e.months_sum)
         return merged

@@ -44,7 +44,8 @@ _RESERVED_SKILLS = "_declared_skills"
 
 
 def emit_intermediate(records: Iterable[ResumeRecord]) -> dict:
-    """Serialize records into the exchange document (plain dict)."""
+    """Serialize records into the exchange document (plain dict); an
+    organization starting with "_" would take a reserved key, so it raises."""
     jobseekers: dict[str, dict] = {}
     for record in records:
         if record.jobseeker_id in jobseekers:
@@ -57,6 +58,9 @@ def emit_intermediate(records: Iterable[ResumeRecord]) -> dict:
         }
         counters: dict[str, int] = {}
         for seq, exp in enumerate(record.experiences):
+            if exp.organization.startswith("_"):
+                raise DocumentFormatError(f"jobseekers.{record.jobseeker_id}."
+                                          f"{exp.organization}: organization key is reserved")
             org = body.setdefault(exp.organization, {})
             counters[exp.organization] = counters.get(exp.organization, 0) + 1
             org[f"project{counters[exp.organization]}"] = {

@@ -48,7 +48,7 @@ from .errors import (
     LexiconFormatError,
     WeightRangeError,
 )
-from .tokenization import DEFAULT_KEEP_CHARS, DEFAULT_STOP_WORDS, EMPTY_STOP_WORDS, tokenize
+from .tokenization import DEFAULT_KEEP_CHARS, tokenize
 
 
 def _fold(text: str) -> str:
@@ -114,7 +114,7 @@ class SkillLexicon:
         keep = DEFAULT_KEEP_CHARS + "".join(sorted(extra - set(DEFAULT_KEEP_CHARS)))
         phrases: dict[tuple[str, ...], str] = {}
         for alias, canonical in self.alias_index.items():
-            phrase = tuple(tokenize(alias, keep_chars=keep, stop_words=EMPTY_STOP_WORDS))
+            phrase = tuple(tokenize(alias, keep_chars=keep))
             if phrase and phrases.setdefault(phrase, canonical) != canonical:
                 raise AliasConflictError(" ".join(phrase), phrases[phrase], canonical)
         longest: dict[str, int] = {}
@@ -123,11 +123,15 @@ class SkillLexicon:
         return keep, phrases, longest
 
 
+# No gazetteer may weight these, so scoring never counts one.
+STOP_WORDS = frozenset("a an and are as at by for in is of on or the to was were with".split())
+
+
 class SentimentGazetteer:
     """<skill-scope, keyword, class, weight> entries, with ``weights`` keyed by
     (keyword, scope or None). The constructor rejects a weight outside [0, 1], a
-    repeated key, and a keyword that scoring could never match: not one folded
-    token, or a stop word."""
+    repeated key, a keyword that is not one folded token, and a stop word:
+    ``STOP_WORDS`` is this rule's alone, and the tokenizer keeps them."""
 
     def __init__(self, entries: Iterable[SentimentEntry]):
         self.entries: list[SentimentEntry] = list(entries)
@@ -138,9 +142,9 @@ class SentimentGazetteer:
             if not 0 <= entry.weight <= 1:
                 raise WeightRangeError(f"entries[{i}]: weight {entry.weight} outside [0, 1]")
             where = f"entries[{i}]: keyword {keyword!r}"
-            if tokenize(keyword, stop_words=EMPTY_STOP_WORDS) != [keyword]:
+            if tokenize(keyword) != [keyword]:
                 raise GazetteerFormatError(f"{where} must be a single token")
-            if keyword in DEFAULT_STOP_WORDS:
+            if keyword in STOP_WORDS:
                 raise GazetteerFormatError(f"{where} is a stop word, which scoring drops")
             if key in self.weights:
                 scoped = "" if scope is None else f" for skill {scope!r}"

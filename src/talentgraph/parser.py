@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import ResumeParseError
 from .lexicon import SkillLexicon, normalize_skill
-from .tokenization import EMPTY_STOP_WORDS, tokenize
+from .tokenization import tokenize
 
 __all__ = [
     "DEFAULT_SECTION_HEADERS",
@@ -142,13 +142,9 @@ def split_sections(text: str) -> SectionMap:
 
 
 def extract_skills(section_text: str, lexicon: SkillLexicon) -> set[str]:
-    """Canonical skills found in the text, longest alias phrase first.
-
-    Stop words are kept during matching so multi-word aliases containing
-    them still resolve.
-    """
+    """Canonical skills found in the text, longest alias phrase first."""
     keep, phrases, longest = lexicon.phrase_index
-    tokens = tokenize(section_text, keep_chars=keep, stop_words=EMPTY_STOP_WORDS)
+    tokens = tokenize(section_text, keep_chars=keep)
     found: set[str] = set()
     end = 0  # tokens before it belong to the last matched phrase
     for i in [i for i, token in enumerate(tokens) if token in longest]:

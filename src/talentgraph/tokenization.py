@@ -1,4 +1,7 @@
-"""Lowercase word tokenization shared by skill matching and scoring."""
+"""Lowercase word tokenization shared by skill matching and scoring.
+
+The two differ only in the characters they keep inside tokens.
+"""
 from __future__ import annotations
 
 import re
@@ -7,12 +10,6 @@ from functools import lru_cache
 # Characters kept inside tokens by default so aliases like "c++", "c#" and
 # hyphenated keywords like "client-server" survive as single tokens.
 DEFAULT_KEEP_CHARS = "+#-"
-
-DEFAULT_STOP_WORDS = frozenset(
-    "a an and are as at by for in is of on or the to was were with".split()
-)
-
-EMPTY_STOP_WORDS: frozenset[str] = frozenset()
 
 
 @lru_cache(maxsize=None)
@@ -34,15 +31,10 @@ def _token_re(keep_chars: str) -> re.Pattern[str]:
     return re.compile(f"(?=[{cls}]){lead}([{cls}]*[{last}]|){trail}")
 
 
-def tokenize(
-    text: str,
-    keep_chars: str = DEFAULT_KEEP_CHARS,
-    stop_words: frozenset[str] = DEFAULT_STOP_WORDS,
-) -> list[str]:
+def tokenize(text: str, keep_chars: str = DEFAULT_KEEP_CHARS) -> list[str]:
     """Split on non-alphanumeric boundaries, except ``keep_chars``.
 
     Tokens are lowercased; hyphens act as joiners only (stripped at token
-    edges), and trailing dots are treated as sentence punctuation. Stop
-    words are dropped after stripping, which ``_token_re`` does in its scan.
+    edges), and trailing dots are treated as sentence punctuation.
     """
-    return [t for t in _token_re(keep_chars).findall(text.lower()) if t and t not in stop_words]
+    return [t for t in _token_re(keep_chars).findall(text.lower()) if t]

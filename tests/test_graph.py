@@ -25,7 +25,7 @@ from talentgraph.graph import (
     ScoringConfig,
     project_key,
 )
-from talentgraph.lexicon import parse_sentiment_records
+from talentgraph.lexicon import parse_sentiment_records, parse_skill_records
 from talentgraph.parser import MAX_DURATION_MONTHS, ExperienceEntry, ResumeRecord
 
 from conftest import build_graph, org_skill_strength, skill_years
@@ -289,6 +289,22 @@ def test_merge_config_mismatch(lexicon, gazetteer):
     b = KnowledgeGraph(ScoringConfig(duration_bonus_factor=0.9))
     with pytest.raises(GraphConfigError):
         a.merge(b)
+
+
+def test_merge_rejects_conflicting_node_attrs(gazetteer):
+    """Keeping either side's attrs would make the bytes depend on merge order."""
+    def graph(jobseeker_id, category):
+        lexicon = parse_skill_records([{"canonical": "java", "category": category}])
+        return KnowledgeGraph().add_resume(record(jobseeker_id, {"java"}), lexicon, gazetteer)
+
+    a, b = graph("js0", "languages"), graph("js1", "jvm")
+    message = ("attrs mismatch on skill 'java': "
+               "{'category': 'languages'} vs {'category': 'jvm'}")
+    with pytest.raises(GraphConfigError, match=f"^{re.escape(message)}$"):
+        a.merge(b)
+    with pytest.raises(GraphConfigError, match="'jvm'} vs {'category': 'languages'}$"):
+        b.merge(a)
+    assert a.merge(graph("js1", "languages")) == graph("js1", "languages").merge(a)
 
 
 def test_merge_overlapping_jobseekers(lexicon, gazetteer):

@@ -54,6 +54,15 @@ def test_emit_duplicate_jobseeker():
         emit_intermediate([record("js0"), record("js0")])
 
 
+@pytest.mark.parametrize("org", ["_name", "_declared_skills", "_x", "_"])
+def test_emit_rejects_a_reserved_organization_key(org):
+    """Such a key would overwrite a reserved slot or make a document that does not load."""
+    rec = record("js0", experiences=[exp("acme", "first"), exp(org, "second")])
+    message = rf"^jobseekers\.js0\.{org}: organization key is reserved$"
+    with pytest.raises(DocumentFormatError, match=message):
+        emit_intermediate([rec])
+
+
 def test_round_trip_on_corpus(corpus_records, tmp_path):
     path = tmp_path / "intermediate.json"
     write_intermediate(corpus_records, path)

@@ -22,6 +22,7 @@ from talentgraph.lexicon import (
     SentimentGazetteer,
     SkillEntry,
     SkillLexicon,
+    STOP_WORDS,
     _fold,
     dump_sentiment_gazetteer,
     dump_skill_lexicon,
@@ -33,7 +34,6 @@ from talentgraph.lexicon import (
     parse_skill_records,
 )
 from talentgraph.parser import extract_skills
-from talentgraph.tokenization import DEFAULT_STOP_WORDS
 
 from conftest import SRC
 
@@ -165,12 +165,12 @@ def test_gazetteer_keyword_must_be_single_token():
 
 
 def test_gazetteer_keyword_must_not_be_a_stop_word():
-    """Scoring drops stop words, so a stop-word keyword could never match."""
+    """No gazetteer may weight a stop word, so scoring never counts one."""
     robust = {"keyword": "robust", "class": "x", "weight": 0.5}
     message = r"^entries\[1\]: keyword 'with' is a stop word, which scoring drops$"
     with pytest.raises(GazetteerFormatError, match=message):
         parse_sentiment_records([robust, {"keyword": " With", "class": "x", "weight": 0.9}])
-    for word in sorted(DEFAULT_STOP_WORDS):
+    for word in sorted(STOP_WORDS):
         with pytest.raises(GazetteerFormatError, match="stop word"):
             parse_sentiment_records([{**robust, "keyword": word}])
 

@@ -10,7 +10,7 @@ from talentgraph.lexicon import load_sentiment_gazetteer, parse_sentiment_record
 from talentgraph.scoring import DescriptionScore, match_contributions, score_description
 
 from conftest import GAZETTEER_FILE
-from oracle import naive_score
+from oracle import STOP_WORDS, naive_score
 
 FILLERS = ["built", "shipped", "tools", "team", "platform", "billing", "data",
            "nightly", "jobs", "pipeline", "reviewed", "code"]
@@ -129,7 +129,7 @@ def test_duplication_invariance(gazetteer):
 
 
 @settings(max_examples=300, deadline=None)
-@given(words=st.lists(st.sampled_from(KEYWORDS + FILLERS), max_size=30))
+@given(words=st.lists(st.sampled_from(KEYWORDS + FILLERS + sorted(STOP_WORDS)), max_size=30))
 def test_score_matches_oracle_exactly(gazetteer, words):
     details = " ".join(words)
     assert score_description(details, None, gazetteer).weight == naive_score(details, gazetteer)
