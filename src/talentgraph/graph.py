@@ -5,7 +5,9 @@ graphs built from disjoint corpora merge by component-wise addition. Scores
 are summed as integers of 2**-64 units (exact for scores >= 2**-11), so any
 ingestion order or merge tree gives the same accumulators and file bytes.
 ``edges[(kind, source, target)]`` and ``get_edge`` give a ``WeightedEdge``
-that holds the accumulators only: its kind and endpoints are its key.
+that holds the accumulators only: its kind and endpoints are its key. The
+graph file (schema version 3) holds one section per node and edge kind, so
+no row repeats its kind; README, Graph file, gives its layout and checks.
 
 Construction per resume:
 
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping, NoReturn
+from typing import Iterator, Mapping
 
 from ._io import check_document, read_document, write_document
 from .errors import (
@@ -50,7 +52,7 @@ from .lexicon import SentimentGazetteer, SkillLexicon
 from .parser import MAX_DURATION_MONTHS, ResumeRecord, extract_skills
 from .scoring import score_description
 
-GRAPH_SCHEMA_VERSION = 2
+GRAPH_SCHEMA_VERSION = 3
 _REINGEST = "; re-run `talentgraph ingest` to rebuild the graph file"
 WEIGHT_UNITS = 1 << 64  # accumulator units per score of 1.0
 _UNIT = 2.0 ** -64  # multiplied in as a float: big-int division is slower
@@ -71,10 +73,6 @@ class EdgeKind(str, Enum):
     PROJECT_ORG = "project_org"
 
 
-# {member: value}: a dict lookup, where ``.value`` is a property read.
-_NAMES: dict[Enum, str] = {kind: kind.value for kinds in (NodeKind, EdgeKind) for kind in kinds}
-
-
 EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
     EdgeKind.JOBSEEKER_SKILL: (NodeKind.JOBSEEKER, NodeKind.SKILL),
     EdgeKind.SKILL_PROJECT: (NodeKind.SKILL, NodeKind.PROJECT),
@@ -82,6 +80,14 @@ EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
     EdgeKind.JOBSEEKER_PROJECT: (NodeKind.JOBSEEKER, NodeKind.PROJECT),
     EdgeKind.PROJECT_ORG: (NodeKind.PROJECT, NodeKind.ORGANIZATION),
 }
+
+# Kinds in file order (a str enum member sorts by its value), and the graph
+# file's section of each kind: "nodes/<kind>" or "edges/<kind>".
+_NODE_ORDER, _EDGE_ORDER = sorted(NodeKind), sorted(EdgeKind)
+_SECTIONS: dict[Enum, str] = {kind: f"nodes/{kind.value}" for kind in _NODE_ORDER} | {
+    kind: f"edges/{kind.value}" for kind in _EDGE_ORDER}
+_TOP_LEVEL = {"schema_version", "config", *_SECTIONS.values()}
+_CONFIG_FIELDS = {"duration_bonus_factor", "duration_cap_months", "tool_version"}
 
 
 @dataclass(frozen=True)
@@ -135,15 +141,6 @@ class ScoringConfig:
 
 def project_key(jobseeker_id: str, ordinal: int) -> str:
     return f"{jobseeker_id}:p{ordinal}"
-
-
-def _raise_unknown_kind(enum_cls: type[Enum], value: object, where: str) -> NoReturn:
-    """Reject a row whose kind is no member's value, in the Enum's own words."""
-    try:
-        enum_cls(value)
-    except ValueError as exc:
-        raise GraphFormatError(f"{where}: {exc}") from exc
-    raise AssertionError(f"{value!r} is a {enum_cls.__name__}")
 
 
 def _range_fault(units: int, count: int, months: int) -> str:
@@ -266,20 +263,24 @@ class KnowledgeGraph:
         """{source: edge} for the edges of ``kind`` entering ``target``; read only."""
         return self._adjacency_index(kind, False).get(target, {})
 
-    def _sorted_edges(self) -> list[tuple[tuple[EdgeKind, str, str], WeightedEdge]]:
-        """All (key, edge) pairs in file order: ``str`` enum kinds sort by value."""
-        return sorted(self.edges.items())
-
-    def _sorted_nodes(self) -> list[tuple[NodeId, dict[str, str]]]:
-        """All (node, attrs) pairs in the graph file's order: kind, key."""
-        return sorted(self.nodes.items(), key=lambda kv: (kv[0].kind, kv[0].key))
+    def _file_rows(self) -> tuple[dict[NodeKind, list[tuple]], dict[EdgeKind, list[tuple]]]:
+        """(key, attrs) rows per node kind and (source, target, edge) rows per
+        edge kind, in the graph file's order: kinds by value, then rows sorted."""
+        nodes: dict[NodeKind, list[tuple]] = {kind: [] for kind in _NODE_ORDER}
+        for node, attrs in self.nodes.items():
+            nodes[node.kind].append((node.key, attrs))
+        edges: dict[EdgeKind, list[tuple]] = {kind: [] for kind in _EDGE_ORDER}
+        for (kind, source, target), edge in self.edges.items():
+            edges[kind].append((source, target, edge))
+        # Keys are unique within a kind, so no sort compares attrs or edges.
+        for rows in (*nodes.values(), *edges.values()):
+            rows.sort()
+        return nodes, edges
 
     def edges_of_kind(self, kind: EdgeKind) -> Iterator[tuple[str, str, WeightedEdge]]:
         """(source, target, edge) for every edge of ``kind`` in file order. It sorts
         all edges on each call, so lookups by node use ``out_edges``/``in_edges``."""
-        for (edge_kind, source, target), edge in self._sorted_edges():
-            if edge_kind is kind:
-                yield source, target, edge
+        yield from self._file_rows()[1][kind]
 
     def jobseeker_ids(self) -> list[str]:
         return sorted(n.key for n in self.nodes if n.kind is NodeKind.JOBSEEKER)
@@ -364,100 +365,98 @@ class KnowledgeGraph:
     def to_dict(self) -> dict:
         from . import __version__
 
-        return {
+        doc: dict = {
             "schema_version": GRAPH_SCHEMA_VERSION,
             "config": {
                 "duration_bonus_factor": self.config.duration_bonus_factor,
                 "duration_cap_months": self.config.duration_cap_months,
                 "tool_version": __version__,
             },
-            "nodes": [
-                [_NAMES[node.kind], node.key, dict(attrs)] for node, attrs in self._sorted_nodes()
-            ],
-            "edges": [
-                [_NAMES[kind], source, target, e.weight_units, e.support_count, e.months_sum]
-                for (kind, source, target), e in self._sorted_edges()
-            ],
         }
+        nodes, edges = self._file_rows()
+        for kind, rows in nodes.items():
+            doc[_SECTIONS[kind]] = [[key, dict(attrs)] for key, attrs in rows]
+        for kind, rows in edges.items():
+            doc[_SECTIONS[kind]] = [[source, target, e.weight_units, e.support_count, e.months_sum]
+                                    for source, target, e in rows]
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
         """Check and load a graph document in one pass over its rows.
 
-        Each rejection is a ``GraphFormatError`` located at the config,
-        ``nodes``, ``edges`` or one row of them; see README, Graph file.
+        Each rejection is a ``GraphFormatError`` located at the config, a
+        section or one row of a section; see README, Graph file.
         """
         check_document(doc, GraphFormatError, version=GRAPH_SCHEMA_VERSION, remedy=_REINGEST)
         config_doc = doc.get("config")
         if not isinstance(config_doc, dict):
             raise GraphFormatError("missing 'config' object")
         try:
+            for name in config_doc:
+                if name not in _CONFIG_FIELDS:
+                    raise GraphConfigError(f"unknown field {name!r}")
             config = ScoringConfig(
                 config_doc["duration_bonus_factor"], config_doc["duration_cap_months"]
             )
         except (KeyError, GraphConfigError) as exc:
             raise GraphFormatError(f"bad config: {exc}") from exc
+        for name in doc:
+            if name not in _TOP_LEVEL:
+                raise GraphFormatError(f"unknown section {name!r}")
 
         graph = cls(config)
         nodes, edges = graph.nodes, graph.edges
-        # {value: (member, the keys its rows have loaded)}: one lookup per row,
-        # as a str enum member hashes like its value.
-        node_kinds = {kind.value: (kind, set()) for kind in NodeKind}
-        node_rows = doc.get("nodes", [])
-        if not isinstance(node_rows, list):
-            raise GraphFormatError("nodes: not a list")
-        for i, row in enumerate(node_rows):
-            if type(row) is not list or len(row) != 3:
-                raise GraphFormatError(f"nodes[{i}]: not a [kind, key, attrs] row")
-            kind, key, attrs = row
-            try:
-                kind, same_kind = node_kinds[kind]
-            except (KeyError, TypeError):
-                _raise_unknown_kind(NodeKind, kind, f"nodes[{i}]")
-            if not isinstance(key, str) or not isinstance(attrs, dict):
-                raise GraphFormatError(f"nodes[{i}]: bad key or attrs")
-            for name, value in attrs.items():
-                if not isinstance(value, str):
-                    raise GraphFormatError(f"nodes[{i}]: attr {name!r} is not a string")
-            if key in same_kind:
-                raise GraphFormatError(f"nodes[{i}]: duplicate node {key!r}")
-            same_kind.add(key)
-            nodes[NodeId(kind, key)] = dict(attrs)
+        keys: dict[NodeKind, set[str]] = {}  # the keys loaded, per node kind
+        for kind in _NODE_ORDER:
+            where = _SECTIONS[kind]
+            rows = doc.get(where, [])
+            if type(rows) is not list:
+                raise GraphFormatError(f"{where}: not a list")
+            same_kind = keys[kind] = set()
+            for i, row in enumerate(rows):
+                if type(row) is not list or len(row) != 2:
+                    raise GraphFormatError(f"{where}[{i}]: not a [key, attrs] row")
+                key, attrs = row
+                if not isinstance(key, str) or not isinstance(attrs, dict):
+                    raise GraphFormatError(f"{where}[{i}]: bad key or attrs")
+                for name, value in attrs.items():
+                    if not isinstance(value, str):
+                        raise GraphFormatError(f"{where}[{i}]: attr {name!r} is not a string")
+                if key in same_kind:
+                    raise GraphFormatError(f"{where}[{i}]: duplicate node {key!r}")
+                same_kind.add(key)
+                nodes[NodeId(kind, key)] = dict(attrs)
 
-        # {value: (member, source keys, target keys)}, as for the nodes.
-        edge_kinds = {kind.value: (kind, node_kinds[src][1], node_kinds[dst][1])
-                      for kind, (src, dst) in EDGE_ENDPOINTS.items()}
-        edge_rows = doc.get("edges", [])
-        if not isinstance(edge_rows, list):
-            raise GraphFormatError("edges: not a list")
-        for i, row in enumerate(edge_rows):
-            if type(row) is not list or len(row) != 6:
-                raise GraphFormatError(f"edges[{i}]: not a [kind, source, target, "
-                                       "weight_units, support_count, months_sum] row")
-            kind, source, target, units, count, months = row
-            try:
-                kind, src_keys, dst_keys = edge_kinds[kind]
-            except (KeyError, TypeError):
-                _raise_unknown_kind(EdgeKind, kind, f"edges[{i}]")
-            if not isinstance(source, str) or not isinstance(target, str):
-                raise GraphFormatError(f"edges[{i}]: source and target must be strings")
-            # type() rather than isinstance(): JSON has no bool integers, and
-            # NaN or Infinity tokens load as floats.
-            if type(units) is not int or type(count) is not int or type(months) is not int:
-                raise GraphFormatError(
-                    f"edges[{i}]: weight_units, support_count and months_sum must be integers"
-                )
-            # Every range check at once: no support forces units and months to 0.
-            if not (0 <= count <= 2**53 and 0 <= units <= count << 64
-                    and 0 <= months <= count * MAX_DURATION_MONTHS):
-                raise GraphFormatError(f"edges[{i}]: {_range_fault(units, count, months)}")
-            if source not in src_keys:
-                raise GraphFormatError(f"edges[{i}]: dangling source {source!r}")
-            if target not in dst_keys:
-                raise GraphFormatError(f"edges[{i}]: dangling target {target!r}")
-            edge = WeightedEdge(units, count, months)
-            if edges.setdefault((kind, source, target), edge) is not edge:
-                raise GraphFormatError(f"edges[{i}]: duplicate edge")
+        for kind in _EDGE_ORDER:
+            where = _SECTIONS[kind]
+            rows = doc.get(where, [])
+            if type(rows) is not list:
+                raise GraphFormatError(f"{where}: not a list")
+            src_keys, dst_keys = (keys[end] for end in EDGE_ENDPOINTS[kind])
+            for i, row in enumerate(rows):
+                if type(row) is not list or len(row) != 5:
+                    raise GraphFormatError(f"{where}[{i}]: not a [source, target, "
+                                           "weight_units, support_count, months_sum] row")
+                source, target, units, count, months = row
+                if not isinstance(source, str) or not isinstance(target, str):
+                    raise GraphFormatError(f"{where}[{i}]: source and target must be strings")
+                # type() rather than isinstance(): JSON has no bool integers, and
+                # NaN or Infinity tokens load as floats.
+                if type(units) is not int or type(count) is not int or type(months) is not int:
+                    raise GraphFormatError(f"{where}[{i}]: weight_units, support_count "
+                                           "and months_sum must be integers")
+                # Every range check at once: no support forces units and months to 0.
+                if not (0 <= count <= 2**53 and 0 <= units <= count << 64
+                        and 0 <= months <= count * MAX_DURATION_MONTHS):
+                    raise GraphFormatError(f"{where}[{i}]: {_range_fault(units, count, months)}")
+                if source not in src_keys:
+                    raise GraphFormatError(f"{where}[{i}]: dangling source {source!r}")
+                if target not in dst_keys:
+                    raise GraphFormatError(f"{where}[{i}]: dangling target {target!r}")
+                edge = WeightedEdge(units, count, months)
+                if edges.setdefault((kind, source, target), edge) is not edge:
+                    raise GraphFormatError(f"{where}[{i}]: duplicate edge")
         return graph
 
     def save(self, path: str | Path) -> None:
@@ -474,19 +473,20 @@ class KnowledgeGraph:
             return text.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph talentgraph {"]
+        nodes, edges = self._file_rows()
         # Each node's quoted dot id, made once and looked up by its edges' lines.
         ids: dict[NodeKind, dict[str, str]] = {kind: {} for kind in NodeKind}
-        for node, attrs in self._sorted_nodes():
-            kind, key = node.kind, node.key
-            name = _NAMES[kind]
-            dot_id = ids[kind][key] = f'"{name}:{quote(key)}"'
-            label = attrs.get("name") or attrs.get("title") or key
-            lines.append(f'  {dot_id} [label="{quote(label)}", kind="{name}"];')
-        ends = {kind: (_NAMES[kind], ids[src], ids[dst])
-                for kind, (src, dst) in EDGE_ENDPOINTS.items()}
-        for (kind, source, target), edge in self._sorted_edges():
-            name, src_ids, dst_ids = ends[kind]
-            lines.append(f"  {src_ids[source]} -> {dst_ids[target]}"
-                         f' [label="{name} {edge.mean_weight():.3f}"];')
+        for kind, rows in nodes.items():
+            name, kind_ids = kind.value, ids[kind]
+            for key, attrs in rows:
+                dot_id = kind_ids[key] = f'"{name}:{quote(key)}"'
+                label = attrs.get("name") or attrs.get("title") or key
+                lines.append(f'  {dot_id} [label="{quote(label)}", kind="{name}"];')
+        for kind, rows in edges.items():
+            name = kind.value
+            src_ids, dst_ids = (ids[end] for end in EDGE_ENDPOINTS[kind])
+            for source, target, edge in rows:
+                lines.append(f"  {src_ids[source]} -> {dst_ids[target]}"
+                             f' [label="{name} {edge.mean_weight():.3f}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

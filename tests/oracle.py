@@ -283,6 +283,9 @@ def is_json_int(value):
 
 def naive_config_fault(config):
     """The ``bad config:`` reason for a config object, or None."""
+    for name in config:
+        if name not in ("duration_bonus_factor", "duration_cap_months", "tool_version"):
+            return f"unknown field {name!r}"
     for name in ("duration_bonus_factor", "duration_cap_months"):
         if name not in config:
             return repr(name)
@@ -304,13 +307,12 @@ def naive_config_fault(config):
     return None
 
 
-def naive_node_fault(row, seen):
-    """What is wrong with one node row, given the (kind, key) pairs before it."""
-    if not isinstance(row, list) or len(row) != 3:
-        return "not a [kind, key, attrs] row"
-    kind, key, attrs = row
-    if not any(kind == name for name in NODE_KINDS):
-        return f"{kind!r} is not a valid NodeKind"
+def naive_node_fault(kind, row, seen):
+    """What is wrong with one row of a node section, given the (kind, key)
+    pairs before it."""
+    if not isinstance(row, list) or len(row) != 2:
+        return "not a [key, attrs] row"
+    key, attrs = row
     if not isinstance(key, str) or not isinstance(attrs, dict):
         return "bad key or attrs"
     for name in attrs:
@@ -321,13 +323,12 @@ def naive_node_fault(row, seen):
     return None
 
 
-def naive_edge_fault(row, nodes, seen):
-    """What is wrong with one edge row, given every node and the edges before it."""
-    if not isinstance(row, list) or len(row) != 6:
-        return "not a [kind, source, target, weight_units, support_count, months_sum] row"
-    kind, source, target, units, count, months = row
-    if not any(kind == name for name in EDGE_KINDS):
-        return f"{kind!r} is not a valid EdgeKind"
+def naive_edge_fault(kind, row, nodes, seen):
+    """What is wrong with one row of an edge section, given every node and
+    the (kind, source, target) edges before it."""
+    if not isinstance(row, list) or len(row) != 5:
+        return "not a [source, target, weight_units, support_count, months_sum] row"
+    source, target, units, count, months = row
     if not isinstance(source, str) or not isinstance(target, str):
         return "source and target must be strings"
     if not (is_json_int(units) and is_json_int(count) and is_json_int(months)):
@@ -354,31 +355,41 @@ def naive_edge_fault(row, nodes, seen):
     return None
 
 
+# The graph file's sections in the order they are checked, as (section, kind):
+# every node kind, then every edge kind, each alphabetically.
+GRAPH_SECTIONS = ([("nodes/" + kind, kind) for kind in sorted(NODE_KINDS)]
+                  + [("edges/" + kind, kind) for kind in sorted(EDGE_KINDS)])
+
+
 def naive_graph_fault(doc):
-    """The message loading a graph document of schema version 2 fails with,
-    or None when it loads: each check of README's Graph file section, row by
-    row, in the order listed there."""
+    """The message loading a graph document of schema version 3 fails with,
+    or None when it loads: each check of README's Graph file section in the
+    order listed there: the config, unknown top-level keys, then each node
+    section and each edge section row by row."""
     config = doc.get("config")
     if not isinstance(config, dict):
         return "missing 'config' object"
     fault = naive_config_fault(config)
     if fault is not None:
         return f"bad config: {fault}"
-    node_rows, edge_rows = doc.get("nodes", []), doc.get("edges", [])
-    if not isinstance(node_rows, list):
-        return "nodes: not a list"
-    nodes = set()
-    for i, row in enumerate(node_rows):
-        fault = naive_node_fault(row, nodes)
-        if fault is not None:
-            return f"nodes[{i}]: {fault}"
-        nodes.add((row[0], row[1]))
-    if not isinstance(edge_rows, list):
-        return "edges: not a list"
-    edges = set()
-    for i, row in enumerate(edge_rows):
-        fault = naive_edge_fault(row, nodes, edges)
-        if fault is not None:
-            return f"edges[{i}]: {fault}"
-        edges.add((row[0], row[1], row[2]))
+    known = ["schema_version", "config"] + [section for section, _ in GRAPH_SECTIONS]
+    for name in doc:
+        if name not in known:
+            return f"unknown section {name!r}"
+    nodes, edges = set(), set()
+    for section, kind in GRAPH_SECTIONS:
+        rows = doc.get(section, [])
+        if not isinstance(rows, list):
+            return f"{section}: not a list"
+        for i, row in enumerate(rows):
+            if kind in NODE_KINDS:
+                fault = naive_node_fault(kind, row, nodes)
+                if fault is None:
+                    nodes.add((kind, row[0]))
+            else:
+                fault = naive_edge_fault(kind, row, nodes, edges)
+                if fault is None:
+                    edges.add((kind, row[0], row[1]))
+            if fault is not None:
+                return f"{section}[{i}]: {fault}"
     return None

@@ -115,7 +115,7 @@ def test_explain_eval_and_stats_do_not_sort_the_edges(corpus_graph, monkeypatch)
     def refuse(self):
         raise AssertionError("sorted every edge")
 
-    monkeypatch.setattr(KnowledgeGraph, "_sorted_edges", refuse)
+    monkeypatch.setattr(KnowledgeGraph, "_file_rows", refuse)
     query = parse_query("top c++, java, python", LEXICON)
     for jobseeker_id in corpus_graph.jobseeker_ids():
         assert explain(jobseeker_id, query, corpus_graph).terms

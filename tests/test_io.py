@@ -31,7 +31,7 @@ from talentgraph.intermediate import (
 from talentgraph.lexicon import load_sentiment_gazetteer, load_skill_lexicon
 from talentgraph.parser import parse_duration
 
-from conftest import build_graph
+from conftest import FIXTURES, build_graph
 from test_graph import exp, record
 
 GRAPH_DOC = {"config": {"duration_bonus_factor": 0.5, "duration_cap_months": 120}}
@@ -41,8 +41,8 @@ LOADERS = {
     "lexicon": (load_skill_lexicon, LexiconFormatError, {"skills": []}, True, 1),
     "gazetteer": (load_sentiment_gazetteer, GazetteerFormatError, {"entries": []}, True, 1),
     "gold": (load_gold, FixtureError, {}, True, 1),
-    "graph-load": (KnowledgeGraph.load, GraphFormatError, GRAPH_DOC, True, 2),
-    "graph-from-dict": (KnowledgeGraph.from_dict, GraphFormatError, GRAPH_DOC, False, 2),
+    "graph-load": (KnowledgeGraph.load, GraphFormatError, GRAPH_DOC, True, 3),
+    "graph-from-dict": (KnowledgeGraph.from_dict, GraphFormatError, GRAPH_DOC, False, 3),
     "read-intermediate": (read_intermediate, DocumentFormatError, {"jobseekers": {}}, True, 1),
     "load-intermediate": (load_intermediate, DocumentFormatError, {"jobseekers": {}}, False, 1),
 }
@@ -77,13 +77,22 @@ def test_loaders_reject_other_schema_versions(tmp_path, name, version):
     check_versions(tmp_path, name, version)
 
 
-@pytest.mark.parametrize("version", [1, True, "2", 2.0])
+@pytest.mark.parametrize("version", [1, 2, True, "3", 3.0])
 @pytest.mark.parametrize("name", GRAPH_LOADERS)
-def test_graph_loaders_accept_only_version_2(tmp_path, name, version):
+def test_graph_loaders_accept_only_version_3(tmp_path, name, version):
     message = check_versions(tmp_path, name, version)
     assert message.endswith(
-        "(expected 2); re-run `talentgraph ingest` to rebuild the graph file"
+        "(expected 3); re-run `talentgraph ingest` to rebuild the graph file"
     )
+
+
+def test_v2_graph_file_is_refused_with_the_reingest_hint():
+    """The graph file of tests/fixtures as the version 2 writer left it."""
+    path = FIXTURES / "graph_v2.json"
+    with pytest.raises(GraphFormatError) as err:
+        KnowledgeGraph.load(path)
+    assert str(err.value) == (f"{path}: schema_version 2 is not supported (expected 3); "
+                              "re-run `talentgraph ingest` to rebuild the graph file")
 
 
 @pytest.mark.parametrize("name", sorted(n for n, loader in LOADERS.items() if loader[3]))
