@@ -4,6 +4,11 @@ Subcommands: ingest, query, explain, export, stats, eval. All machine
 readable output (--json) is deterministic: identical inputs and flags
 produce byte-identical bytes.
 
+A command imports only the modules it runs: this module imports the graph,
+lexicon and parser layers, and each command imports the rest itself (query
+and explain ``query``, stats ``stats``, eval ``evaluation``, and ingest
+``intermediate`` only with ``--intermediate``).
+
 Each command runs with the cyclic garbage collector paused: its graph holds
 no cycles and is freed by reference counting on return, so the collector
 would only re-scan it while it grows. ``main`` restores the caller's state.
@@ -17,9 +22,7 @@ from pathlib import Path
 
 from ._io import SCHEMA_VERSION, write_document, write_text
 from .errors import TalentGraphError
-from .evaluation import evaluate_graph, load_gold
 from .graph import KnowledgeGraph, ScoringConfig
-from .intermediate import write_intermediate
 from .lexicon import (
     SkillEntry,
     SkillLexicon,
@@ -27,8 +30,6 @@ from .lexicon import (
     load_skill_lexicon,
 )
 from .parser import parse_resume
-from .query import Query, execute, explain, parse_query
-from .stats import compute_graph_stats, compute_stats
 
 
 def _lexicon_for_graph(lexicon_path: str | None, graph: KnowledgeGraph) -> SkillLexicon:
@@ -89,6 +90,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     graph.save(args.out)
     if args.intermediate:
+        from .intermediate import write_intermediate
+
         write_intermediate(records, args.intermediate)
     print(
         f"ingested {len(records)} resumes -> {args.out} "
@@ -98,7 +101,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_results(query: Query, results) -> str:
+def _format_results(results) -> str:
     lines = [f"rank  {'jobseeker':<28} {'total':>8}  per-skill"]
     for rank, result in enumerate(results, start=1):
         breakdown = "; ".join(
@@ -114,6 +117,8 @@ def _format_results(query: Query, results) -> str:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from .query import execute, parse_query
+
     graph = KnowledgeGraph.load(args.graph)
     lexicon = _lexicon_for_graph(args.lexicon, graph)
     query = parse_query(args.dsl, lexicon)
@@ -122,11 +127,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
         write_document({"schema_version": SCHEMA_VERSION, "query": args.dsl, "top_k": query.top_k,
                         "results": [r.to_dict() for r in results]}, args.out)
     else:
-        write_text(_format_results(query, results) + "\n", args.out)
+        write_text(_format_results(results) + "\n", args.out)
     return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from .query import explain, parse_query
+
     graph = KnowledgeGraph.load(args.graph)
     lexicon = _lexicon_for_graph(args.lexicon, graph)
     query = parse_query(args.dsl, lexicon)
@@ -164,6 +171,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .stats import compute_graph_stats, compute_stats
+
     path = Path(args.path)
     if path.is_dir():
         if not args.lexicon:
@@ -185,6 +194,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import evaluate_graph, load_gold
+
     graph = KnowledgeGraph.load(args.graph)
     gold = load_gold(args.gold)
     lexicon = _lexicon_for_graph(args.lexicon, graph)

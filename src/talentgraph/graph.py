@@ -396,6 +396,9 @@ class KnowledgeGraph:
             for name in config_doc:
                 if name not in _CONFIG_FIELDS:
                     raise GraphConfigError(f"unknown field {name!r}")
+            version = config_doc.get("tool_version", "")
+            if not isinstance(version, str):
+                raise GraphConfigError(f"tool_version {version!r} is not a string")
             config = ScoringConfig(
                 config_doc["duration_bonus_factor"], config_doc["duration_cap_months"]
             )

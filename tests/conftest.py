@@ -19,15 +19,18 @@ GOLD_FILE = FIXTURES / "gold.json"
 SRC = Path(__file__).parent.parent / "src"
 
 
-def run_talentgraph(*args: str, check: bool = True) -> subprocess.CompletedProcess:
-    """Run ``python -m talentgraph`` in a child interpreter that imports this
-    checkout's ``src``, as this process does: pytest's ``pythonpath`` setting
-    does not reach child processes. With ``check``, a non-zero exit raises."""
+def run_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run a child interpreter that imports this checkout's ``src``, as this
+    process does: pytest's ``pythonpath`` setting does not reach child
+    processes. With ``check``, a non-zero exit raises."""
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run(
-        [sys.executable, "-m", "talentgraph", *args], check=check, capture_output=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], check=check, capture_output=True, env=env)
+
+
+def run_talentgraph(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run ``python -m talentgraph`` in a child interpreter (see ``run_python``)."""
+    return run_python("-m", "talentgraph", *args, check=check)
 
 
 @pytest.fixture(scope="session")

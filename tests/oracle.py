@@ -286,6 +286,8 @@ def naive_config_fault(config):
     for name in config:
         if name not in ("duration_bonus_factor", "duration_cap_months", "tool_version"):
             return f"unknown field {name!r}"
+    if "tool_version" in config and not isinstance(config["tool_version"], str):
+        return f"tool_version {config['tool_version']!r} is not a string"
     for name in ("duration_bonus_factor", "duration_cap_months"):
         if name not in config:
             return repr(name)

@@ -2,8 +2,13 @@
 from __future__ import annotations
 
 import importlib
+import sys
 
 import pytest
+
+import talentgraph
+
+from conftest import run_python
 
 
 @pytest.mark.parametrize("module", ["talentgraph", "talentgraph.parser"])
@@ -12,3 +17,25 @@ def test_all_names_resolve_once(module):
     mod = importlib.import_module(module)
     assert len(mod.__all__) == len(set(mod.__all__))
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_public_names_are_their_defining_modules_objects():
+    """The package reads each name from its module on every access and
+    stores none, so a rebinding in the module shows through the package."""
+    names = [name for name in talentgraph.__all__ if name != "__version__"]
+    for name in names:
+        value = getattr(talentgraph, name)
+        assert value.__module__.startswith("talentgraph."), name
+        assert vars(sys.modules[value.__module__])[name] is value, name
+    assert [name for name in names if name in vars(talentgraph)] == []
+
+
+def test_star_import_binds_every_name_in_a_fresh_interpreter():
+    code = ("import talentgraph\nfrom talentgraph import *\n"
+            "print([n for n in talentgraph.__all__ if n not in globals()])")
+    assert run_python("-c", code).stdout.decode().strip() == "[]"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'talentgraph' has no attribute 'nope'$"):
+        talentgraph.nope

@@ -28,6 +28,7 @@ def load_tracing():
 def test_tracer_wraps_every_layer_and_uninstalls(tmp_path, capsys):
     originals = {(cls, name): vars(cls)[name] for cls, name in METHODS}
     main = talentgraph.cli.main
+    public = {name: getattr(talentgraph, name) for name in talentgraph.__all__}
     graph = tmp_path / "graph.json"
     tracer = load_tracing().Tracer()
     tracer.install(talentgraph)
@@ -35,6 +36,7 @@ def test_tracer_wraps_every_layer_and_uninstalls(tmp_path, capsys):
         for cls, name in METHODS:
             assert vars(cls)[name] is not originals[cls, name], name
         cli = talentgraph.cli.main  # the wrapped entry point
+        assert talentgraph.parse_query is not public["parse_query"]  # the traced module attr
         assert cli(["ingest", str(CORPUS_DIR), "--lexicon", str(LEXICON_FILE),
                     "--gazetteer", str(GAZETTEER_FILE), "--out", str(graph),
                     "--intermediate", str(tmp_path / "intermediate.json")]) == 0
@@ -50,6 +52,7 @@ def test_tracer_wraps_every_layer_and_uninstalls(tmp_path, capsys):
     for cls, name in METHODS:
         assert vars(cls)[name] is originals[cls, name], name
     assert talentgraph.cli.main is main
+    assert [name for name, value in public.items() if getattr(talentgraph, name) is not value] == []
     _, _, calls = tracer.totals()
     assert {name for name, count in calls.items() if count} == {
         "cli.main", "lexicon.load", "lexicon.init", "parser.parse_resume",

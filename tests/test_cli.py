@@ -10,7 +10,9 @@ from talentgraph.cli import main
 from talentgraph.graph import KnowledgeGraph
 from talentgraph.query import execute, parse_query
 
-from conftest import CORPUS_DIR, GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, run_talentgraph
+from conftest import (
+    CORPUS_DIR, GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, run_python, run_talentgraph,
+)
 
 
 def run_cli(*args):
@@ -365,17 +367,60 @@ def test_cli_byte_identical_across_subprocess_runs(tmp_path):
 
 
 def test_real_interpreter_output_equals_in_process_output(tmp_path, capsys):
-    graph = ingest(tmp_path)
-    capsys.readouterr()
+    """Every command in a fresh interpreter, which imports only the modules
+    the command imports itself; in this process every module is already
+    imported, so a missing import shows only in the child."""
+    graph, intermediate = tmp_path / "graph.json", tmp_path / "intermediate.json"
+    dsl = "java 6-8, python"
     for argv in (
-        ["explain", graph, "js0000-jane-doe", "java 6-8, python", "--json"],
+        ["ingest", CORPUS_DIR, "--lexicon", LEXICON_FILE, "--gazetteer", GAZETTEER_FILE,
+         "--out", graph, "--intermediate", intermediate],
+        ["query", graph, dsl],
+        ["query", graph, dsl, "--lexicon", LEXICON_FILE],
+        ["query", graph, dsl, "--json"],
+        ["query", graph, dsl, "--json", "--lexicon", LEXICON_FILE],
+        ["explain", graph, "js0000-jane-doe", dsl, "--json"],
         ["stats", graph, "--json"],
+        ["stats", CORPUS_DIR, "--lexicon", LEXICON_FILE],
         ["eval", graph, GOLD_FILE, "--lexicon", LEXICON_FILE, "--json"],
         ["export", graph, "--format", "dot"],
     ):
         argv = [str(a) for a in argv]
         assert main(argv) == 0
+        written = graph.read_bytes(), intermediate.read_bytes()
         assert run_talentgraph(*argv).stdout.decode("utf-8") == capsys.readouterr().out
+        # ingest rewrites both files in the child; no other command writes one.
+        assert (graph.read_bytes(), intermediate.read_bytes()) == written
+
+
+IMPORT_GUARD = """
+import json, sys
+import talentgraph
+seen = [sorted(m for m in sys.modules if m.startswith("talentgraph."))]
+import talentgraph.cli
+
+def loaded():
+    return [m for m in ("evaluation", "intermediate", "query", "stats")
+            if "talentgraph." + m in sys.modules]
+
+seen.append(loaded())
+talentgraph.cli.main(["stats", sys.argv[1]])
+seen.append(loaded())
+talentgraph.cli.main(["ingest", *sys.argv[2:]])
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_commands_import_only_the_modules_they_run(tmp_path):
+    """A deterministic guard on start-up cost: ``import talentgraph`` loads no
+    submodule, and stats and ingest (without --intermediate) load neither
+    query, evaluation nor intermediate."""
+    graph = ingest(tmp_path)
+    argv = [graph, CORPUS_DIR, "--lexicon", LEXICON_FILE, "--gazetteer", GAZETTEER_FILE,
+            "--out", tmp_path / "child.json"]
+    out = run_python("-c", IMPORT_GUARD, *map(str, argv))
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], [], ["stats"], ["stats"]]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])

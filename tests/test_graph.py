@@ -508,6 +508,8 @@ MALFORMED = {
     "misspelled-section": (("edgse",), [], r"unknown section 'edgse'"),
     "misspelled-kind": (("edges/org_skil",), [], r"unknown section 'edges/org_skil'"),
     "unknown-config-field": (("config", "extra"), 1, r"bad config: unknown field 'extra'"),
+    "list-tool-version": (("config", "tool_version"), ["not", "a", "version"],
+                          r"bad config: tool_version \['not', 'a', 'version'\] is not a string"),
     "fractional-cap": (("config", "duration_cap_months"), 1.9,
                        r"bad config: duration_cap_months 1.9 is not an integer"),
     "nan-bonus-factor": (("config", "duration_bonus_factor"), math.nan,
@@ -541,6 +543,7 @@ def replaced(doc: dict, path: tuple, value) -> dict:
 
 
 def test_loadable_doc_loads():
+    assert "tool_version" not in LOADABLE_DOC["config"]  # the field is optional
     graph = KnowledgeGraph.from_dict(LOADABLE_DOC)
     edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, "js0", "java")
     assert graph.edge_parts(edge) == (0.5, 0.05, 1.0, 1)
