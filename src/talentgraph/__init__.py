@@ -22,10 +22,10 @@ _EXPORTS = {
     "lexicon": ("SentimentEntry", "SentimentGazetteer", "SkillEntry", "SkillLexicon",
                 "dump_sentiment_gazetteer", "dump_skill_lexicon", "load_sentiment_gazetteer",
                 "load_skill_lexicon", "lookup_sentiment", "normalize_skill"),
-    "parser": ("ExperienceEntry", "ResumeRecord", "SectionMap", "extract_skills", "normalize_org",
+    "parser": ("ExperienceEntry", "ResumeRecord", "extract_skills", "normalize_org",
                "parse_duration", "parse_resume", "split_sections"),
     "query": ("Query", "QueryTerm", "RankedResult", "execute", "explain", "parse_query"),
-    "scoring": ("DescriptionScore", "score_description"),
+    "scoring": ("score_description",),
     "stats": ("CorpusStats", "compute_graph_stats", "compute_stats"),
     "tokenization": ("tokenize",),
 }

@@ -146,18 +146,18 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(f"  total score: {explanation.total_score:.4f}")
     for term in explanation.terms:
         bounds = ""
-        if term.min_years is not None:
-            bounds = f" [needs {term.min_years:g}"
-            bounds += f"-{term.max_years:g}y]" if term.max_years is not None else "+y]"
-        status = "ok" if term.satisfied else "FAILS"
+        if term["min_years"] is not None:
+            bounds = f" [needs {term['min_years']:g}"
+            bounds += f"-{term['max_years']:g}y]" if term["max_years"] is not None else "+y]"
+        status = "ok" if term["satisfied"] else "FAILS"
         print(
-            f"  {term.skill}: strength {term.strength:.4f} "
-            f"(sentiment {term.sentiment_mean:.4f} + duration {term.duration_bonus:.4f}), "
-            f"{term.years:.2f} years over {term.support_count} scored projects"
+            f"  {term['skill']}: strength {term['strength']:.4f} "
+            f"(sentiment {term['sentiment_mean']:.4f} + duration {term['duration_bonus']:.4f}), "
+            f"{term['years']:.2f} years over {term['support_count']} scored projects"
             f"{bounds} {status}"
         )
-        if term.projects:
-            print(f"    projects: {', '.join(term.projects)}")
+        if term["projects"]:
+            print(f"    projects: {', '.join(term['projects'])}")
     return 0
 
 
@@ -220,8 +220,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--gazetteer", required=True, help="sentiment gazetteer JSON file")
     p.add_argument("--out", required=True, help="graph file to write")
     p.add_argument("--intermediate", help="also write the exchange document here")
-    p.add_argument("--duration-bonus-factor", type=float, default=0.5)
-    p.add_argument("--duration-cap-months", type=int, default=120)
+    p.add_argument("--duration-bonus-factor", type=float,
+                   default=ScoringConfig.duration_bonus_factor)
+    p.add_argument("--duration-cap-months", type=int, default=ScoringConfig.duration_cap_months)
     p.add_argument("-v", "--verbose", action="store_true", help="print parse diagnostics")
     p.set_defaults(func=_cmd_ingest)
 

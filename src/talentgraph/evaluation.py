@@ -18,6 +18,10 @@ Gold fixture document::
       "sentiment": {"<jobseeker_id>:p<n>": "positive" | "neutral"},
       "queries": [{"query": "top c++ candidates", "relevant": ["<id>", ...]}]
     }
+
+``load_gold`` returns a dict of the same three keys, each always present:
+``skills`` maps a jobseeker id to a set, ``sentiment`` a project key to its
+label, and ``queries`` is a list of (query text, set of relevant ids) pairs.
 """
 from __future__ import annotations
 
@@ -136,24 +140,17 @@ def topk_accuracy(
     return total / len(gold)
 
 
-@dataclass
-class GoldLabels:
-    skills: dict[str, set[str]] = field(default_factory=dict)
-    sentiment: dict[str, str] = field(default_factory=dict)
-    queries: list[tuple[str, set[str]]] = field(default_factory=list)
-
-
-def load_gold(path: str | Path) -> GoldLabels:
-    """Load and validate a gold fixture document."""
+def load_gold(path: str | Path) -> dict:
+    """Load and validate a gold fixture document (see the module docstring)."""
     doc = read_document(path, "gold", FixtureError)
-    gold = GoldLabels()
+    gold: dict = {"skills": {}, "sentiment": {}, "queries": []}
     skills = doc.get("skills", {})
     if not isinstance(skills, dict):
         raise FixtureError("'skills' must be an object")
     for key, value in skills.items():
         if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
             raise FixtureError(f"skills.{key}: expected a list of strings")
-        gold.skills[key] = set(value)
+        gold["skills"][key] = set(value)
 
     sentiment = doc.get("sentiment", {})
     if not isinstance(sentiment, dict):
@@ -161,7 +158,7 @@ def load_gold(path: str | Path) -> GoldLabels:
     for key, value in sentiment.items():
         if value not in SENTIMENT_CLASSES:
             raise FixtureError(f"sentiment.{key}: expected one of {SENTIMENT_CLASSES}")
-        gold.sentiment[key] = value
+        gold["sentiment"][key] = value
 
     queries = doc.get("queries", [])
     if not isinstance(queries, list):
@@ -175,7 +172,7 @@ def load_gold(path: str | Path) -> GoldLabels:
             raise FixtureError(f"queries[{i}]: expected {{query, relevant}}")
         if any(not isinstance(r, str) for r in item["relevant"]):
             raise FixtureError(f"queries[{i}].relevant: expected a list of strings")
-        gold.queries.append((item["query"], set(item["relevant"])))
+        gold["queries"].append((item["query"], set(item["relevant"])))
     return gold
 
 
@@ -216,7 +213,7 @@ class EvalReport:
 
 def evaluate_graph(
     graph: KnowledgeGraph,
-    gold: GoldLabels,
+    gold: dict,
     lexicon: SkillLexicon,
     mode: str = "hit",
 ) -> EvalReport:
@@ -228,30 +225,30 @@ def evaluate_graph(
     at least the top 10 so hit-rate@10 is meaningful).
     """
     report = EvalReport(topk_mode=mode)
-    if gold.skills:
+    if gold["skills"]:
         known = set(graph.jobseeker_ids())
-        missing = sorted(set(gold.skills) - known)
+        missing = sorted(set(gold["skills"]) - known)
         if missing:
             raise FixtureError(f"gold references unknown jobseekers: {missing[:5]}")
         predicted_skills = {
             jobseeker_id: set(graph.out_edges(EdgeKind.JOBSEEKER_SKILL, jobseeker_id))
-            for jobseeker_id in gold.skills
+            for jobseeker_id in gold["skills"]
         }
-        report.extraction = extraction_metrics(predicted_skills, gold.skills)
+        report.extraction = extraction_metrics(predicted_skills, gold["skills"])
 
-    if gold.sentiment:
+    if gold["sentiment"]:
         predicted_classes = {}
-        for pkey in gold.sentiment:
+        for pkey in gold["sentiment"]:
             try:
                 predicted_classes[pkey] = classify_score(graph.project_score(pkey))
             except NodeNotFoundError as exc:
                 raise FixtureError(f"gold references unknown project {pkey!r}") from exc
-        report.sentiment = sentiment_metrics(predicted_classes, gold.sentiment)
+        report.sentiment = sentiment_metrics(predicted_classes, gold["sentiment"])
 
-    if gold.queries:
+    if gold["queries"]:
         rankings: dict[str, list[str]] = {}
         relevant_map: dict[str, set[str]] = {}
-        for query_str, relevant in gold.queries:
+        for query_str, relevant in gold["queries"]:
             if query_str in relevant_map:
                 raise FixtureError(f"duplicate gold query {query_str!r}")
             parsed = parse_query(query_str, lexicon)

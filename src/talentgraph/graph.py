@@ -218,7 +218,7 @@ class KnowledgeGraph:
                 continue
             # One scope-free score per description: every skill mentioned in
             # it receives the identical contribution.
-            units = round(score_description(exp.details, None, gazetteer).weight * WEIGHT_UNITS)
+            units = round(score_description(exp.details, None, gazetteer) * WEIGHT_UNITS)
             for skill in sorted(mentioned):
                 self._ensure_skill(skill, lexicon)
                 self._add(EdgeKind.SKILL_PROJECT, skill, pkey, units, 1)

@@ -34,7 +34,6 @@ __all__ = [
     "DEFAULT_SECTION_HEADERS",
     "ExperienceEntry",
     "ResumeRecord",
-    "SectionMap",
     "extract_skills",
     "normalize_org",
     "parse_duration",
@@ -93,16 +92,6 @@ _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 
 @dataclass
-class SectionMap:
-    """Text of each recognized resume section (header lines excluded)."""
-
-    identity: str = ""
-    skills: str = ""
-    experience: str = ""
-    other: str = ""
-
-
-@dataclass
 class ExperienceEntry:
     organization: str
     project_title: str
@@ -119,14 +108,16 @@ class ResumeRecord:
     experiences: list[ExperienceEntry]
 
 
-def split_sections(text: str) -> SectionMap:
-    """Partition resume text into identity/skills/experience/other blocks."""
+def split_sections(text: str) -> dict[str, str]:
+    """Section (identity, skills, experience, other) -> its text, header lines excluded."""
     buckets: dict[str, list[str]] = {
         "identity": [], "skills": [], "experience": [], "other": [],
     }
     current = "identity"
     for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
-        key = line.strip().lower().rstrip(":").strip()
+        key = line.strip().lower()
+        if key.endswith(":"):  # one optional trailing colon
+            key = key[:-1].strip()
         section = DEFAULT_SECTION_HEADERS.get(key)
         if section is not None:
             current = section
@@ -136,9 +127,7 @@ def split_sections(text: str) -> SectionMap:
                 buckets[current].append("")
             continue
         buckets[current].append(line)
-    return SectionMap(
-        **{name: "\n".join(lines).strip("\n") for name, lines in buckets.items()}
-    )
+    return {name: "\n".join(lines).strip("\n") for name, lines in buckets.items()}
 
 
 def extract_skills(section_text: str, lexicon: SkillLexicon) -> set[str]:
@@ -273,17 +262,17 @@ def parse_resume(text: str, lexicon: SkillLexicon, id_seed: int) -> tuple[Resume
     sections = split_sections(text)
 
     # The name is the first non-empty line of the identity block.
-    name = _first_nonempty_line(sections.identity.split("\n"))
+    name = _first_nonempty_line(sections["identity"].split("\n"))
     if not name:
         name = "unknown"
         diagnostics.append("no name line found")
     else:
         diagnostics.append(f"name {name!r} taken from first line (low confidence heuristic)")
 
-    declared = extract_skills(sections.skills, lexicon)
+    declared = extract_skills(sections["skills"], lexicon)
 
     experiences: list[ExperienceEntry] = []
-    for block in re.split(r"\n\s*\n", sections.experience):
+    for block in re.split(r"\n\s*\n", sections["experience"]):
         if not block.strip():
             continue
         lines = block.split("\n")

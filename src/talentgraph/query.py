@@ -167,25 +167,11 @@ def execute(query: Query, graph: KnowledgeGraph) -> list[RankedResult]:
 
 
 @dataclass
-class TermExplanation:
-    skill: str
-    strength: float
-    sentiment_mean: float
-    duration_bonus: float
-    years: float
-    support_count: int
-    projects: list[str]
-    min_years: float | None
-    max_years: float | None
-    satisfied: bool
-
-
-@dataclass
 class Explanation:
     jobseeker_id: str
     total_score: float
     qualifies: bool
-    terms: list[TermExplanation] = field(default_factory=list)
+    terms: list[dict] = field(default_factory=list)  # per query term, keys as in explain --json
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -199,23 +185,21 @@ def explain(jobseeker_id: str, query: Query, graph: KnowledgeGraph) -> Explanati
     for term in query.terms:
         edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill)
         sentiment, bonus, years, support = graph.edge_parts(edge)
-        terms.append(
-            TermExplanation(
-                skill=term.skill,
-                strength=sentiment + bonus,
-                sentiment_mean=sentiment,
-                duration_bonus=bonus,
-                years=years,
-                support_count=support,
-                projects=graph.supporting_projects(jobseeker_id, term.skill),
-                min_years=term.min_years,
-                max_years=term.max_years,
-                satisfied=edge is not None and _in_range(years, term),
-            )
-        )
+        terms.append({
+            "skill": term.skill,
+            "strength": sentiment + bonus,
+            "sentiment_mean": sentiment,
+            "duration_bonus": bonus,
+            "years": years,
+            "support_count": support,
+            "projects": graph.supporting_projects(jobseeker_id, term.skill),
+            "min_years": term.min_years,
+            "max_years": term.max_years,
+            "satisfied": edge is not None and _in_range(years, term),
+        })
     return Explanation(
         jobseeker_id=jobseeker_id,
-        total_score=sum(t.strength for t in terms),
-        qualifies=all(t.satisfied for t in terms),
+        total_score=sum(t["strength"] for t in terms),
+        qualifies=all(t["satisfied"] for t in terms),
         terms=terms,
     )

@@ -5,41 +5,30 @@ gazetteer-matched words: repeated occurrences each count, non-matching words
 are excluded from the denominator, and zero matches score 0. The result is
 therefore a bag-of-words quantity, invariant under word order and under
 duplication of the whole text.
+
+``score_description`` returns that mean as a float in [0, 1] (the gazetteer
+rejects weights outside it); ``match_contributions`` lists the (token, weight)
+occurrences behind it, one per matched occurrence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lexicon import SentimentGazetteer, lookup_sentiment
 from .tokenization import tokenize
-
-
-@dataclass(frozen=True)
-class DescriptionScore:
-    weight: float
-    matched_occurrences: int
-    distinct_keywords: int
-
-    def __post_init__(self):
-        if self.matched_occurrences == 0 and self.weight != 0.0:
-            raise ValueError("zero matches must score 0")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight {self.weight} outside [0, 1]")
 
 
 def score_description(
     details: str,
     skill: str | None,
     gazetteer: SentimentGazetteer,
-) -> DescriptionScore:
+) -> float:
     """Score a description, optionally under a skill's gazetteer scope."""
     matches = match_contributions(details, skill, gazetteer)
     if not matches:
-        return DescriptionScore(0.0, 0, 0)
+        return 0.0
     total = 0.0
     for _, weight in matches:  # left to right; sum() compensates from Python 3.12
         total += weight
-    return DescriptionScore(total / len(matches), len(matches), len({t for t, _ in matches}))
+    return total / len(matches)
 
 
 def match_contributions(

@@ -46,18 +46,19 @@ def compute_stats(records: Iterable[ResumeRecord], lexicon: SkillLexicon) -> Cor
 
 def compute_graph_stats(graph: KnowledgeGraph) -> CorpusStats:
     """Same statistics read off a built graph (skills = jobseeker-skill edges)."""
-    resume_count = len(graph.jobseeker_ids())
+    resume_count = 0
+    categories: Counter = Counter()
+    for node, attrs in graph.nodes.items():
+        if node.kind is NodeKind.JOBSEEKER:
+            resume_count += 1
+        elif node.kind is NodeKind.SKILL:
+            categories[attrs.get("category") or "uncategorized"] += 1
     if resume_count == 0:
         return CorpusStats()
     edge_counts = Counter(kind for kind, _, _ in graph.edges)
-    categories = Counter(
-        graph.nodes[node].get("category") or "uncategorized"
-        for node in graph.nodes
-        if node.kind is NodeKind.SKILL
-    )
     return CorpusStats(
         resume_count=resume_count,
-        distinct_skills=len(graph.skill_keys()),
+        distinct_skills=categories.total(),
         avg_skills_per_resume=edge_counts[EdgeKind.JOBSEEKER_SKILL] / resume_count,
         avg_projects_per_resume=edge_counts[EdgeKind.JOBSEEKER_PROJECT] / resume_count,
         skills_by_category=dict(categories),

@@ -72,6 +72,40 @@ def naive_extract_skills(text, lexicon):
     return found
 
 
+# Header line -> section it opens, redeclared from README "How it works".
+SECTION_HEADERS = {
+    "skills": "skills", "technical skills": "skills", "skill set": "skills",
+    "experience": "experience", "work experience": "experience",
+    "professional experience": "experience", "projects": "experience",
+    "employment history": "experience",
+    "education": "other", "summary": "other", "objective": "other",
+}
+
+
+def naive_split_sections(text):
+    """Section -> text. A header is a whole line, any case, with an optional
+    trailing colon; it opens its section and is itself dropped. Text before
+    the first header is the identity block. A section opened again after
+    holding lines gets one blank line before the new ones. CR and CRLF read
+    as LF, and each section's outer newlines are stripped."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    joined = {"identity": None, "skills": None, "experience": None, "other": None}
+    section = "identity"
+    for line in text.split("\n"):
+        name = line.strip().lower()
+        if name.endswith(":"):
+            name = name[:-1].strip()
+        if name in SECTION_HEADERS:
+            section = SECTION_HEADERS[name]
+            if joined[section] is not None:
+                joined[section] += "\n"
+        elif joined[section] is None:
+            joined[section] = line
+        else:
+            joined[section] += "\n" + line
+    return {name: (value or "").strip("\n") for name, value in joined.items()}
+
+
 MONTH_NAMES = ("january february march april may june july august september october "
                "november december").split()
 TO = r"\s*(?:-|–|—|to)\s*"

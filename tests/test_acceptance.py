@@ -321,22 +321,24 @@ def test_c5_scoring_properties(gazetteer):
         shuffled = words[:]
         rng.shuffle(shuffled)
         permuted = score_description(" ".join(shuffled), None, gazetteer)
-        assert permuted.weight == pytest.approx(score.weight, abs=SCORE_TOL)
-        assert permuted.matched_occurrences == score.matched_occurrences
-
+        assert permuted == pytest.approx(score, abs=SCORE_TOL)
         contributions = [w for _, w in match_contributions(details, None, gazetteer)]
+        assert len(match_contributions(" ".join(shuffled), None, gazetteer)) == len(contributions)
+
         if contributions:
-            assert min(contributions) - SCORE_TOL <= score.weight
-            assert score.weight <= max(contributions) + SCORE_TOL
+            assert min(contributions) - SCORE_TOL <= score
+            assert score <= max(contributions) + SCORE_TOL
         else:
-            assert score.weight == 0.0
+            assert score == 0.0
 
         padded = score_description(details + " zzqqx", None, gazetteer)
-        assert padded.weight == pytest.approx(score.weight, abs=SCORE_TOL)
+        assert padded == pytest.approx(score, abs=SCORE_TOL)
 
         doubled = score_description(details + " " + details, None, gazetteer)
-        assert doubled.weight == pytest.approx(score.weight, abs=SCORE_TOL)
-        assert doubled.matched_occurrences == 2 * score.matched_occurrences
+        assert doubled == pytest.approx(score, abs=SCORE_TOL)
+        assert len(match_contributions(details + " " + details, None, gazetteer)) == 2 * len(
+            contributions
+        )
 
 
 @criterion(6, "lossless round-trips of documents and graph files")

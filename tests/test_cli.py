@@ -7,7 +7,7 @@ import pytest
 
 from talentgraph import cli
 from talentgraph.cli import main
-from talentgraph.graph import KnowledgeGraph
+from talentgraph.graph import KnowledgeGraph, ScoringConfig
 from talentgraph.query import execute, parse_query
 
 from conftest import (
@@ -339,6 +339,10 @@ def test_ingest_bad_scoring_config_is_error(tmp_path, flag, value, message):
     assert result.returncode == 1
     assert result.stderr.decode() == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_ingest_default_scoring_config_is_the_dataclass_default(tmp_path):
+    assert KnowledgeGraph.load(ingest(tmp_path)).config == ScoringConfig()
 
 
 def test_missing_graph_file_is_error(capsys):

@@ -161,9 +161,9 @@ def test_all_metrics_stay_in_unit_interval():
 
 def test_load_gold_fixture():
     gold = load_gold(GOLD_FILE)
-    assert gold.skills["js0000-jane-doe"] == {"c++", "java", "python"}
-    assert gold.sentiment["js0003-wei-zhang:p1"] == "neutral"
-    assert len(gold.queries) == 4
+    assert gold["skills"]["js0000-jane-doe"] == {"c++", "java", "python"}
+    assert gold["sentiment"]["js0003-wei-zhang:p1"] == "neutral"
+    assert len(gold["queries"]) == 4
 
 
 def test_load_gold_rejects_bad_class(tmp_path):
@@ -198,7 +198,7 @@ def test_evaluate_graph_hand_counted(corpus_graph, lexicon):
 
 def test_evaluate_graph_unknown_jobseeker(corpus_graph, lexicon):
     gold = load_gold(GOLD_FILE)
-    gold.skills["js9999-ghost"] = {"java"}
+    gold["skills"]["js9999-ghost"] = {"java"}
     with pytest.raises(FixtureError):
         evaluate_graph(corpus_graph, gold, lexicon)
 

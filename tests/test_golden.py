@@ -23,7 +23,13 @@ GOLDEN = {
     "query --json": "218ddc28de0d9b9fbf787b9a5dc16e3d0bb29b16a70b0656fee5dc9b57ef4168",
     "stats --json": "07c29c38493d83e82ffbf966857214a72a3a8a572b3e9b8f73104b5c64a36d01",
     "eval": "c4b908cb8bd416490adb19d72abb4c38f46300d2f543ce75eec82a5820337101",
+    "query": "065a53ad402859ad73ae6d18770716225544d948e6df840a19186b12bfe71166",
+    "explain": "ad49e6e5c1d7eb2f72c62570ad3a3ff58973d57d9ceaa31965969001140966ae",
+    "explain --json": "9a444138b625f040f1e866183aeba9734e2d9cb95d50eba9f8d294e0b0cb396c",
+    "eval --json": "e73aceec9f1ac5bdb5906036248453e5f1fc34cdf749341da6d002b3ea2e8696",
 }
+# Covers both bound forms, a satisfied and a failed term, and a term with no edge.
+EXPLAIN_DSL = "cpp 1-20, python 3+, java, kafka"
 
 
 def sha256(data: bytes) -> str:
@@ -45,6 +51,11 @@ def test_cli_output_bytes_on_fixtures(tmp_path, capsys):
         "query --json": ["query", graph, "java, python", "--json"],
         "stats --json": ["stats", graph, "--json"],
         "eval": ["eval", graph, GOLD_FILE, "--lexicon", LEXICON_FILE],
+        "query": ["query", graph, "java, python"],
+        "explain": ["explain", graph, "js0000-jane-doe", EXPLAIN_DSL, "--lexicon", LEXICON_FILE],
+        "explain --json": ["explain", graph, "js0000-jane-doe", EXPLAIN_DSL, "--lexicon",
+                           LEXICON_FILE, "--json"],
+        "eval --json": ["eval", graph, GOLD_FILE, "--lexicon", LEXICON_FILE, "--json"],
     }
     for name, argv in commands.items():
         capsys.readouterr()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talentgraph.evaluation import GoldLabels, evaluate_graph, load_gold
+from talentgraph.evaluation import evaluate_graph, load_gold
 from talentgraph.graph import EdgeKind, KnowledgeGraph, project_key
 from talentgraph.lexicon import load_sentiment_gazetteer, load_skill_lexicon
 from talentgraph.parser import ExperienceEntry, ResumeRecord
@@ -64,7 +64,8 @@ def assert_lookups_match_oracle(graph: KnowledgeGraph, oracle: OracleGraph) -> N
         if kind == "project":
             assert graph.project_score(key) == oracle.project_score(key)
     if jobseekers:
-        gold = GoldLabels(skills={j: oracle.skills_of(j) for j in jobseekers})
+        gold = {"skills": {j: oracle.skills_of(j) for j in jobseekers},
+                "sentiment": {}, "queries": []}
         extraction = evaluate_graph(graph, gold, LEXICON).extraction
         # Precision and recall are both 1 exactly when every predicted set
         # equals the oracle's.

@@ -13,6 +13,7 @@ import talentgraph.tokenization
 from talentgraph.errors import AliasConflictError, ResumeParseError
 from talentgraph.lexicon import load_skill_lexicon, parse_skill_records
 from talentgraph.parser import (
+    DEFAULT_SECTION_HEADERS,
     MAX_DURATION_MONTHS,
     ExperienceEntry,
     ResumeRecord,
@@ -25,7 +26,9 @@ from talentgraph.parser import (
 )
 
 from conftest import CORPUS_DIR, LEXICON_FILE
-from oracle import naive_extract_skills, naive_months, naive_phrases, naive_tokens
+from oracle import (
+    naive_extract_skills, naive_months, naive_phrases, naive_split_sections, naive_tokens,
+)
 
 JANE = (CORPUS_DIR / "r01_jane_doe.txt").read_text(encoding="utf-8")
 
@@ -34,39 +37,69 @@ JANE = (CORPUS_DIR / "r01_jane_doe.txt").read_text(encoding="utf-8")
 
 def test_split_sections_basic():
     text = "SKILLS\nC++, Java\nEXPERIENCE\nAcme things"
-    sections = split_sections(text)
-    assert sections.skills == "C++, Java"
-    assert sections.experience == "Acme things"
-    assert sections.identity == ""
-    assert sections.other == ""
+    assert split_sections(text) == {
+        "identity": "", "skills": "C++, Java", "experience": "Acme things", "other": "",
+    }
 
 
 def test_split_sections_empty_input():
-    sections = split_sections("")
-    assert (sections.identity, sections.skills, sections.experience, sections.other) == (
-        "", "", "", "",
-    )
+    assert split_sections("") == {"identity": "", "skills": "", "experience": "", "other": ""}
 
 
 def test_split_sections_no_headers_is_identity():
     text = "Jane Doe\nLoves compilers"
     sections = split_sections(text)
-    assert sections.identity == text
-    assert sections.other == ""
+    assert sections["identity"] == text
+    assert sections["other"] == ""
 
 
 def test_split_sections_header_variants():
     text = "Skills:\njava\nWork Experience\nstuff\nEducation\nMIT"
     sections = split_sections(text)
-    assert sections.skills == "java"
-    assert sections.experience == "stuff"
-    assert sections.other == "MIT"
+    assert sections["skills"] == "java"
+    assert sections["experience"] == "stuff"
+    assert sections["other"] == "MIT"
 
 
 def test_split_sections_preamble_is_identity():
     sections = split_sections("Jane Doe\nBerlin\n\nSKILLS\njava")
-    assert sections.identity == "Jane Doe\nBerlin"
-    assert sections.skills == "java"
+    assert sections["identity"] == "Jane Doe\nBerlin"
+    assert sections["skills"] == "java"
+
+
+def test_split_sections_header_takes_one_trailing_colon():
+    assert split_sections("Jane\nSkills :\njava")["skills"] == "java"
+    sections = split_sections("Jane\nSkills::\njava")
+    assert sections["identity"] == "Jane\nSkills::\njava"
+    assert sections["skills"] == ""
+
+
+@st.composite
+def header_line(draw):
+    """A header key in mixed case, maybe with a trailing colon, maybe padded."""
+    key = draw(st.sampled_from(sorted(DEFAULT_SECTION_HEADERS)))
+    upper = draw(st.lists(st.booleans(), min_size=len(key), max_size=len(key)))
+    key = "".join(ch.upper() if up else ch for ch, up in zip(key, upper))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    colon = draw(st.sampled_from(["", ":", " :"]))
+    return draw(pad) + key + colon + draw(pad)
+
+
+SECTION_LINE = (
+    header_line()
+    | st.sampled_from(["", " ", "\t"])
+    | st.lists(st.sampled_from(["java", "Skills", "experience", "x:", "Acme", "2019"]),
+               min_size=1, max_size=3).map(" ".join)
+    | st.text(alphabet="ab :\t", max_size=6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.tuples(SECTION_LINE, st.sampled_from(["\n", "\r\n", "\r", ""])),
+                      max_size=12))
+def test_split_sections_matches_oracle(lines):
+    text = "".join(line + end for line, end in lines)
+    assert split_sections(text) == naive_split_sections(text)
 
 
 # -- tokenize ---------------------------------------------------------------

@@ -229,32 +229,32 @@ def test_explain_decomposition_sums(corpus_graph, lexicon):
     query = parse_query("java 0+, python 0+", lexicon)
     explanation = explain("js0000-jane-doe", query, corpus_graph)
     assert explanation.total_score == pytest.approx(
-        sum(t.strength for t in explanation.terms)
+        sum(t["strength"] for t in explanation.terms)
     )
     for term in explanation.terms:
-        assert term.strength == pytest.approx(term.sentiment_mean + term.duration_bonus)
+        assert term["strength"] == pytest.approx(term["sentiment_mean"] + term["duration_bonus"])
 
 
 def test_explain_marks_failing_term(corpus_graph, lexicon):
     query = parse_query("java 6-8", lexicon)
     explanation = explain("js0000-jane-doe", query, corpus_graph)
     assert not explanation.qualifies
-    assert explanation.terms[0].satisfied is False
-    assert explanation.terms[0].years == pytest.approx(1.5)
+    assert explanation.terms[0]["satisfied"] is False
+    assert explanation.terms[0]["years"] == pytest.approx(1.5)
 
 
 def test_explain_zero_evidence_skill(corpus_graph, lexicon):
     query = parse_query("top react candidates", lexicon)
     explanation = explain("js0000-jane-doe", query, corpus_graph)
     term = explanation.terms[0]
-    assert term.strength == 0.0
-    assert term.projects == []
+    assert term["strength"] == 0.0
+    assert term["projects"] == []
 
 
 def test_explain_supporting_projects(corpus_graph, lexicon):
     query = parse_query("top python candidates", lexicon)
     explanation = explain("js0000-jane-doe", query, corpus_graph)
-    assert explanation.terms[0].projects == ["js0000-jane-doe:p1"]
+    assert explanation.terms[0]["projects"] == ["js0000-jane-doe:p1"]
 
 
 def test_explain_missing_jobseeker(corpus_graph, lexicon):
