@@ -4,10 +4,10 @@ Subcommands: ingest, query, explain, export, stats, eval. All machine
 readable output (--json) is deterministic: identical inputs and flags
 produce byte-identical bytes.
 
-A command imports only the modules it runs: this module imports the graph,
-lexicon and parser layers, and each command imports the rest itself (query
-and explain ``query``, stats ``stats``, eval ``evaluation``, and ingest
-``intermediate`` only with ``--intermediate``).
+A command imports only the modules it runs: this module imports the graph
+and lexicon layers, and each command imports the rest itself (query and
+explain ``query``, stats ``stats`` and on a corpus ``parser``, eval ``evaluation``,
+ingest ``parser``, ``scoring`` and, with ``--intermediate``, ``intermediate``).
 
 Each command runs with the cyclic garbage collector paused: its graph holds
 no cycles and is freed by reference counting on return, so the collector
@@ -29,7 +29,6 @@ from .lexicon import (
     load_sentiment_gazetteer,
     load_skill_lexicon,
 )
-from .parser import parse_resume
 
 
 def _lexicon_for_graph(lexicon_path: str | None, graph: KnowledgeGraph) -> SkillLexicon:
@@ -51,6 +50,8 @@ def _parse_corpus(corpus: Path, lexicon: SkillLexicon):
 
     A file skipped with a warning still consumes its seed, so other ids do not change.
     """
+    from .parser import parse_resume
+
     files = sorted(corpus.glob("*.txt"))
     if not files:
         print(f"warning: no .txt resumes in {corpus}", file=sys.stderr)

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ._io import check_document, read_document, write_document
 from .errors import (
@@ -49,13 +49,16 @@ from .errors import (
     NodeNotFoundError,
 )
 from .lexicon import SentimentGazetteer, SkillLexicon
-from .parser import MAX_DURATION_MONTHS, ResumeRecord, extract_skills
-from .scoring import score_description
+
+if TYPE_CHECKING:
+    from .parser import ResumeRecord
 
 GRAPH_SCHEMA_VERSION = 3
 _REINGEST = "; re-run `talentgraph ingest` to rebuild the graph file"
 WEIGHT_UNITS = 1 << 64  # accumulator units per score of 1.0
 _UNIT = 2.0 ** -64  # multiplied in as a float: big-int division is slower
+# The longest duration ``parser.parse_duration`` returns: "9999 years 9999 months".
+MAX_DURATION_MONTHS = 12 * 9999 + 9999
 
 
 class NodeKind(str, Enum):
@@ -194,6 +197,10 @@ class KnowledgeGraph:
         gazetteer: SentimentGazetteer,
     ) -> "KnowledgeGraph":
         """Ingest one parsed resume; rejects an already-ingested jobseeker id."""
+        # Read at call time: commands that never ingest never import these.
+        from .parser import extract_skills
+        from .scoring import score_description
+
         jobseeker = NodeId(NodeKind.JOBSEEKER, record.jobseeker_id)
         if jobseeker in self.nodes:
             raise DuplicateJobseekerError(
@@ -202,7 +209,8 @@ class KnowledgeGraph:
         self._ensure_node(jobseeker, name=record.name)
 
         for skill in sorted(record.declared_skills):
-            self._ensure_skill(skill, lexicon)
+            if (node := NodeId(NodeKind.SKILL, skill)) not in self.nodes:
+                self.nodes[node] = {"category": lexicon.category_of(skill) or ""}
             self._add(EdgeKind.JOBSEEKER_SKILL, record.jobseeker_id, skill)
 
         for ordinal, exp in enumerate(record.experiences):
@@ -220,17 +228,13 @@ class KnowledgeGraph:
             # it receives the identical contribution.
             units = round(score_description(exp.details, None, gazetteer) * WEIGHT_UNITS)
             for skill in sorted(mentioned):
-                self._ensure_skill(skill, lexicon)
+                if (node := NodeId(NodeKind.SKILL, skill)) not in self.nodes:
+                    self.nodes[node] = {"category": lexicon.category_of(skill) or ""}
                 self._add(EdgeKind.SKILL_PROJECT, skill, pkey, units, 1)
                 self._add(EdgeKind.JOBSEEKER_SKILL, record.jobseeker_id, skill,
                           units, 1, exp.duration_months)
                 self._add(EdgeKind.ORG_SKILL, org, skill, units, 1)
         return self
-
-    def _ensure_skill(self, skill: str, lexicon: SkillLexicon) -> None:
-        self._ensure_node(
-            NodeId(NodeKind.SKILL, skill), category=lexicon.category_of(skill) or ""
-        )
 
     # -- lookups ----------------------------------------------------------
 

@@ -48,7 +48,7 @@ from .errors import (
     LexiconFormatError,
     WeightRangeError,
 )
-from .tokenization import DEFAULT_KEEP_CHARS, tokenize
+from .tokenization import DEFAULT_KEEP_CHARS, token_pattern, tokenize
 
 
 def _fold(text: str) -> str:
@@ -112,9 +112,10 @@ class SkillLexicon:
         """
         extra = set("".join(self.alias_index)) - set("abcdefghijklmnopqrstuvwxyz0123456789 ")
         keep = DEFAULT_KEEP_CHARS + "".join(sorted(extra - set(DEFAULT_KEEP_CHARS)))
+        findall = token_pattern(keep).findall  # ``tokenize`` without a call per alias
         phrases: dict[tuple[str, ...], str] = {}
         for alias, canonical in self.alias_index.items():
-            phrase = tuple(tokenize(alias, keep_chars=keep))
+            phrase = tuple(filter(None, findall(alias.lower())))
             if phrase and phrases.setdefault(phrase, canonical) != canonical:
                 raise AliasConflictError(" ".join(phrase), phrases[phrase], canonical)
         longest: dict[str, int] = {}
@@ -129,23 +130,27 @@ STOP_WORDS = frozenset("a an and are as at by for in is of on or the to was were
 
 class SentimentGazetteer:
     """<skill-scope, keyword, class, weight> entries, with ``weights`` keyed by
-    (keyword, scope or None). The constructor rejects a weight outside [0, 1], a
-    repeated key, a keyword that is not one folded token, and a stop word:
-    ``STOP_WORDS`` is this rule's alone, and the tokenizer keeps them."""
+    (keyword, scope or None). The constructor rejects a weight that is not a number
+    in [0, 1], a repeated key, a keyword that is not one folded token, and a stop
+    word: ``STOP_WORDS`` is this rule's alone, and the tokenizer keeps them."""
 
     def __init__(self, entries: Iterable[SentimentEntry]):
         self.entries: list[SentimentEntry] = list(entries)
         self.weights: dict[tuple[str, str | None], float] = {}
         for i, entry in enumerate(self.entries):
             keyword, scope = key = (entry.keyword, entry.skill_scope)
+            # type() rather than isinstance(): a bool is an int in Python but not in JSON.
+            if type(entry.weight) is not float and type(entry.weight) is not int:
+                raise GazetteerFormatError(f"entries[{i}]: 'weight' must be a number")
             # The number itself: float() of a huge JSON integer overflows.
             if not 0 <= entry.weight <= 1:
                 raise WeightRangeError(f"entries[{i}]: weight {entry.weight} outside [0, 1]")
-            where = f"entries[{i}]: keyword {keyword!r}"
             if tokenize(keyword) != [keyword]:
-                raise GazetteerFormatError(f"{where} must be a single token")
+                raise GazetteerFormatError(
+                    f"entries[{i}]: keyword {keyword!r} must be a single token")
             if keyword in STOP_WORDS:
-                raise GazetteerFormatError(f"{where} is a stop word, which scoring drops")
+                raise GazetteerFormatError(
+                    f"entries[{i}]: keyword {keyword!r} is a stop word, which scoring drops")
             if key in self.weights:
                 scoped = "" if scope is None else f" for skill {scope!r}"
                 raise GazetteerFormatError(f"entries[{i}]: duplicate keyword {keyword!r}{scoped}")
@@ -159,26 +164,21 @@ def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
     """Build a lexicon from decoded records, enforcing all invariants."""
     entries = []
     for i, rec in enumerate(records):
-        where = f"skills[{i}]"
         if not isinstance(rec, dict):
-            raise LexiconFormatError(f"{where}: record must be an object")
+            raise LexiconFormatError(f"skills[{i}]: record must be an object")
         canonical = rec.get("canonical")
         category = rec.get("category")
         if not isinstance(canonical, str) or not canonical.strip():
-            raise LexiconFormatError(f"{where}: 'canonical' must be a non-empty string")
+            raise LexiconFormatError(f"skills[{i}]: 'canonical' must be a non-empty string")
         if not isinstance(category, str) or not category.strip():
-            raise LexiconFormatError(f"{where}: 'category' must be a non-empty string")
+            raise LexiconFormatError(f"skills[{i}]: 'category' must be a non-empty string")
         raw_aliases = rec.get("aliases", [])
-        if not isinstance(raw_aliases, list) or any(
-            not isinstance(a, str) for a in raw_aliases
-        ):
-            raise LexiconFormatError(f"{where}: 'aliases' must be a list of strings")
+        if not isinstance(raw_aliases, list) or not all(map(str.__instancecheck__, raw_aliases)):
+            raise LexiconFormatError(f"skills[{i}]: 'aliases' must be a list of strings")
         canonical = _fold(canonical)
         aliases = set(filter(None, map(_fold, raw_aliases)))
         aliases.add(canonical)  # canonical is always its own alias
-        entries.append(
-            SkillEntry(canonical=canonical, category=_fold(category), aliases=frozenset(aliases))
-        )
+        entries.append(SkillEntry(canonical, _fold(category), frozenset(aliases)))
     return SkillLexicon(entries)
 
 
@@ -213,31 +213,25 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
     """Build a gazetteer from decoded records, enforcing all invariants."""
     entries = []
     for i, rec in enumerate(records):
-        where = f"entries[{i}]"
         if not isinstance(rec, dict):
-            raise GazetteerFormatError(f"{where}: record must be an object")
+            raise GazetteerFormatError(f"entries[{i}]: record must be an object")
         keyword = rec.get("keyword")
         kw_class = rec.get("class")
         weight = rec.get("weight")
         if not isinstance(keyword, str) or not keyword.strip():
-            raise GazetteerFormatError(f"{where}: 'keyword' must be a non-empty string")
+            raise GazetteerFormatError(f"entries[{i}]: 'keyword' must be a non-empty string")
         if not isinstance(kw_class, str) or not kw_class.strip():
-            raise GazetteerFormatError(f"{where}: 'class' must be a non-empty string")
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise GazetteerFormatError(f"{where}: 'weight' must be a number")
+            raise GazetteerFormatError(f"entries[{i}]: 'class' must be a non-empty string")
+        # As the constructor does, but here so that faults keep this order.
+        if type(weight) is not float and type(weight) is not int:
+            raise GazetteerFormatError(f"entries[{i}]: 'weight' must be a number")
         scope = rec.get("skill")
         if scope is not None:
             if not isinstance(scope, str) or not scope.strip():
-                raise GazetteerFormatError(f"{where}: 'skill' must be a non-empty string")
+                raise GazetteerFormatError(f"entries[{i}]: 'skill' must be a non-empty string")
             scope = _fold(scope)
-        entries.append(
-            SentimentEntry(
-                keyword=_fold(keyword),
-                keyword_class=_fold(kw_class),
-                weight=weight,  # the constructor checks its range
-                skill_scope=scope,
-            )
-        )
+        # The constructor checks the weight's range.
+        entries.append(SentimentEntry(_fold(keyword), _fold(kw_class), weight, scope))
     return SentimentGazetteer(entries)
 
 

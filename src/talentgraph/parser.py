@@ -80,8 +80,6 @@ _DATE_SEARCH_RE = re.compile(
 _HALF_DATE_RE = re.compile(rf"(?:{_SEP})?(?:(?:{_MONTH_NAMES})\.?\s+)?\d{{4}}(?:{_SEP})?", re.I)
 # A count wider than a year's four digits is not a duration.
 _LONG_COUNT_RE = re.compile(r"\d{5}")
-# The longest duration parse_duration returns: "9999 years 9999 months".
-MAX_DURATION_MONTHS = 12 * 9999 + 9999
 
 _MONTH_NUM = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,

@@ -12,7 +12,7 @@ occurrences behind it, one per matched occurrence.
 """
 from __future__ import annotations
 
-from .lexicon import SentimentGazetteer, lookup_sentiment
+from .lexicon import SentimentGazetteer
 from .tokenization import tokenize
 
 
@@ -36,9 +36,10 @@ def match_contributions(
     skill: str | None,
     gazetteer: SentimentGazetteer,
 ) -> list[tuple[str, float]]:
-    """Per-occurrence (token, weight) pairs behind a description's score."""
-    return [
-        (token, weight)
-        for token in tokenize(details)
-        if (weight := lookup_sentiment(token, skill, gazetteer)) is not None
-    ]
+    """Per-occurrence (token, weight) pairs behind a description's score, each
+    weight read as ``lookup_sentiment`` reads it: a scoped entry wins."""
+    get = gazetteer.weights.get
+    tokens = tokenize(details)
+    if skill is None:
+        return [(t, w) for t in tokens if (w := get((t, None))) is not None]
+    return [(t, w) for t in tokens if (w := get((t, skill), get((t, None)))) is not None]

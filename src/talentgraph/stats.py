@@ -3,11 +3,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .graph import EdgeKind, KnowledgeGraph, NodeKind
 from .lexicon import SkillLexicon
-from .parser import ResumeRecord
+
+if TYPE_CHECKING:
+    from .parser import ResumeRecord
 
 
 @dataclass

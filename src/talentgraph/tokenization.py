@@ -13,7 +13,7 @@ DEFAULT_KEEP_CHARS = "+#-"
 
 
 @lru_cache(maxsize=None)
-def _token_re(keep_chars: str) -> re.Pattern[str]:
+def token_pattern(keep_chars: str) -> re.Pattern[str]:
     """A pattern whose every match is one whole run of ``a-z0-9`` and
     ``keep_chars`` and whose one group is that run stripped: leading hyphens
     and trailing dots and hyphens left outside it.
@@ -37,4 +37,4 @@ def tokenize(text: str, keep_chars: str = DEFAULT_KEEP_CHARS) -> list[str]:
     Tokens are lowercased; hyphens act as joiners only (stripped at token
     edges), and trailing dots are treated as sentence punctuation.
     """
-    return [t for t in _token_re(keep_chars).findall(text.lower()) if t]
+    return list(filter(None, token_pattern(keep_chars).findall(text.lower())))

@@ -155,6 +155,15 @@ def naive_months(raw):
     return months if months is not None and months >= 0 else 0
 
 
+def naive_lookup(entries, keyword, skill):
+    """Scan every entry: a scoped match first, then a scope-free one."""
+    for scope in ([skill] if skill is not None else []) + [None]:
+        for entry in entries:
+            if (entry.keyword, entry.skill_scope) == (keyword, scope):
+                return entry.weight
+    return None
+
+
 def naive_score(details, gazetteer):
     """Scope-free occurrence-weighted mean, straight off the entry list."""
     weights = {}

@@ -404,7 +404,7 @@ seen = [sorted(m for m in sys.modules if m.startswith("talentgraph."))]
 import talentgraph.cli
 
 def loaded():
-    return [m for m in ("evaluation", "intermediate", "query", "stats")
+    return [m for m in ("evaluation", "intermediate", "parser", "query", "scoring", "stats")
             if "talentgraph." + m in sys.modules]
 
 seen.append(loaded())
@@ -418,13 +418,15 @@ print(json.dumps(seen))
 
 def test_commands_import_only_the_modules_they_run(tmp_path):
     """A deterministic guard on start-up cost: ``import talentgraph`` loads no
-    submodule, and stats and ingest (without --intermediate) load neither
-    query, evaluation nor intermediate."""
+    submodule, ``import talentgraph.cli`` and stats on a graph file load
+    neither parser nor scoring, and stats and ingest (without --intermediate)
+    load neither query, evaluation nor intermediate."""
     graph = ingest(tmp_path)
     argv = [graph, CORPUS_DIR, "--lexicon", LEXICON_FILE, "--gazetteer", GAZETTEER_FILE,
             "--out", tmp_path / "child.json"]
     out = run_python("-c", IMPORT_GUARD, *map(str, argv))
-    assert json.loads(out.stdout.splitlines()[-1]) == [[], [], ["stats"], ["stats"]]
+    assert json.loads(out.stdout.splitlines()[-1]) == [
+        [], [], ["stats"], ["parser", "scoring", "stats"]]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])

@@ -17,6 +17,7 @@ from talentgraph.errors import (
     NodeNotFoundError,
 )
 from talentgraph.graph import (
+    MAX_DURATION_MONTHS,
     WEIGHT_UNITS,
     EdgeKind,
     KnowledgeGraph,
@@ -26,7 +27,7 @@ from talentgraph.graph import (
     project_key,
 )
 from talentgraph.lexicon import parse_sentiment_records, parse_skill_records
-from talentgraph.parser import MAX_DURATION_MONTHS, ExperienceEntry, ResumeRecord
+from talentgraph.parser import ExperienceEntry, ResumeRecord
 
 from conftest import build_graph, org_skill_strength, skill_years
 from oracle import OracleGraph, naive_graph_fault

@@ -36,6 +36,7 @@ from talentgraph.lexicon import (
 from talentgraph.parser import extract_skills
 
 from conftest import SRC
+from oracle import naive_lookup, naive_phrases
 
 
 def test_alias_normalization_cpp():
@@ -193,6 +194,28 @@ def test_gazetteer_constructor_rejects_weight_outside_unit_range(weight):
         SentimentGazetteer([robust, SentimentEntry("fast", "x", weight)])
 
 
+@pytest.mark.parametrize("weight", [True, "0.5", None], ids=["bool", "str", "none"])
+def test_gazetteer_constructor_rejects_weights_loading_rejects(weight):
+    """Direct construction rejects, with the loader's message, every weight
+    that is not a JSON number: a bool is not stored as 1.0."""
+    robust = SentimentEntry("robust", "x", 0.5)
+    message = r"^entries\[1\]: 'weight' must be a number$"
+    with pytest.raises(GazetteerFormatError, match=message):
+        SentimentGazetteer([robust, SentimentEntry("fast", "x", weight)])
+    with pytest.raises(GazetteerFormatError, match=message):
+        parse_sentiment_records([{"keyword": "robust", "class": "x", "weight": 0.5},
+                                 {"keyword": "fast", "class": "x", "weight": weight}])
+
+
+def test_gazetteer_loading_reports_record_faults_before_constructor_faults():
+    """Loading checks every record before the constructor checks any weight's
+    range, and a record's weight before its skill."""
+    out_of_range = {"keyword": "robust", "class": "x", "weight": 2.0}
+    not_a_number = {"keyword": "fast", "class": "x", "weight": "0.5", "skill": 7}
+    with pytest.raises(GazetteerFormatError, match=r"^entries\[1\]: 'weight' must be a number$"):
+        parse_sentiment_records([out_of_range, not_a_number])
+
+
 def test_lookup_scope_free_applies_to_any_skill():
     gaz = parse_sentiment_records(
         [{"keyword": "scalability", "class": "strong-technical", "weight": 0.9}]
@@ -296,15 +319,6 @@ GAZ_ENTRY = st.builds(
 )
 
 
-def naive_lookup(entries, keyword, skill):
-    """Scan every entry: a scoped match first, then a scope-free one."""
-    for scope in ([skill] if skill is not None else []) + [None]:
-        for entry in entries:
-            if (entry.keyword, entry.skill_scope) == (keyword, scope):
-                return entry.weight
-    return None
-
-
 @settings(max_examples=300, deadline=None)
 @given(entries=st.lists(GAZ_ENTRY, max_size=8))
 def test_gazetteer_rejects_first_repeated_key_or_matches_naive_scan(entries):
@@ -345,6 +359,35 @@ def test_lexicon_rejects_first_repeated_canonical_or_alias_conflict(entries):
     lexicon = SkillLexicon(entries)
     assert lexicon.alias_index == owners
     assert len(lexicon) == len(lexicon.canonicals()) == len(entries)
+
+
+# Unfolded aliases, as a direct caller may pass them: mixed case, double
+# spaces, symbols, and case variants that collide once lowercased.
+RAW_ALIASES = ["Java", "JAVA", "JDK  8", "jdk 8", ".NET", ".Net  Core", "C++", "c#",
+               "Node.JS", "  Spark  SQL ", "spark-", "Go"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(owners=st.lists(st.sampled_from([None, *CANONICALS]), min_size=len(RAW_ALIASES),
+                       max_size=len(RAW_ALIASES)))
+def test_phrase_index_of_a_directly_built_lexicon_matches_naive_phrases(owners):
+    """Every other phrase property folds aliases in ``parse_skill_records``
+    first; here the phrase index alone must lowercase and split them."""
+    aliases: dict[str, set[str]] = {}
+    for alias, owner in zip(RAW_ALIASES, owners):
+        if owner is not None:
+            aliases.setdefault(owner, set()).add(alias)
+    lexicon = SkillLexicon(SkillEntry(c, "x", frozenset(a)) for c, a in aliases.items())
+    keep, phrases = naive_phrases(lexicon)
+    if any(len(canonicals) > 1 for canonicals in phrases.values()):
+        with pytest.raises(AliasConflictError):
+            lexicon.phrase_index
+        return
+    index_keep, index, longest = lexicon.phrase_index
+    assert set(index_keep) == keep
+    assert {phrase: {c} for phrase, c in index.items()} == phrases
+    assert longest == {first: max(len(p) for p in phrases if p[0] == first)
+                       for first in {p[0] for p in phrases}}
 
 
 # Whitespace to str.isspace() and to re's \s, plus a zero-width space, which is neither.

@@ -11,10 +11,10 @@ import talentgraph.lexicon
 import talentgraph.parser
 import talentgraph.tokenization
 from talentgraph.errors import AliasConflictError, ResumeParseError
+from talentgraph.graph import MAX_DURATION_MONTHS
 from talentgraph.lexicon import load_skill_lexicon, parse_skill_records
 from talentgraph.parser import (
     DEFAULT_SECTION_HEADERS,
-    MAX_DURATION_MONTHS,
     ExperienceEntry,
     ResumeRecord,
     extract_skills,

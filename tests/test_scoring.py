@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talentgraph.lexicon import load_sentiment_gazetteer, parse_sentiment_records
+from talentgraph.lexicon import (
+    SentimentEntry,
+    SentimentGazetteer,
+    load_sentiment_gazetteer,
+    parse_sentiment_records,
+)
 from talentgraph.scoring import match_contributions, score_description
 
 from conftest import GAZETTEER_FILE
-from oracle import STOP_WORDS, naive_score
+from oracle import STOP_WORDS, naive_lookup, naive_score, naive_tokens
 
 FILLERS = ["built", "shipped", "tools", "team", "platform", "billing", "data",
            "nightly", "jobs", "pipeline", "reviewed", "code"]
@@ -135,3 +140,28 @@ def test_duplication_invariance(gazetteer):
 def test_score_matches_oracle_exactly(gazetteer, words):
     details = " ".join(words)
     assert score_description(details, None, gazetteer) == naive_score(details, gazetteer)
+
+
+SCOPED_KEYWORDS = ["fast", "robust", "clean"]
+# Per keyword, the weight of each scope it has an entry for: often both a
+# scoped and a scope-free entry, and often a weight of 0.0, which still matches.
+SCOPED_GAZETTEER = st.fixed_dictionaries({
+    keyword: st.dictionaries(st.sampled_from([None, "java", "c++"]),
+                             st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    for keyword in SCOPED_KEYWORDS
+})
+
+
+@pytest.mark.parametrize("skill", [None, "java"])
+@settings(max_examples=300, deadline=None)
+@given(weights=SCOPED_GAZETTEER,
+       words=st.lists(st.sampled_from(SCOPED_KEYWORDS + FILLERS + sorted(STOP_WORDS)),
+                      max_size=30))
+def test_match_contributions_match_naive_scoped_scan(skill, weights, words):
+    entries = [SentimentEntry(keyword, "x", weight, scope)
+               for keyword, by_scope in weights.items() for scope, weight in by_scope.items()]
+    gazetteer = SentimentGazetteer(entries)
+    details = " ".join(words)
+    expected = [(token, weight) for token in naive_tokens(details)
+                if (weight := naive_lookup(entries, token, skill)) is not None]
+    assert match_contributions(details, skill, gazetteer) == expected
