@@ -57,7 +57,7 @@ def _parse_corpus(corpus: Path, lexicon: SkillLexicon):
         print(f"warning: no .txt resumes in {corpus}", file=sys.stderr)
     for seed, path in enumerate(files):
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
             print(f"warning: {path} is not valid UTF-8, skipped", file=sys.stderr)
             continue
@@ -203,8 +203,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate_graph(graph, gold, lexicon, mode=args.topk_mode)
     if args.json:
         write_document({"schema_version": SCHEMA_VERSION, "metrics": report.to_dict()})
-    else:
-        print(report.format_table())
+        return 0
+    print("metric                        value")
+    print("-" * 35)
+    for heading, metrics, keys in (
+        ("skill extraction", report.extraction, ("precision", "recall", "f1")),
+        ("sentiment", report.sentiment, ("accuracy", "precision", "recall")),
+    ):
+        if metrics:
+            print(heading)
+            for key in keys:
+                print(f"  {'f1-score' if key == 'f1' else key:<27} {metrics[key]:.4f}")
+    if report.topk:
+        print(f"ranking ({'hit-rate' if args.topk_mode == 'hit' else 'precision'}@k)")
+        for k, value in sorted(report.topk.items()):
+            print(f"  top {k:<2} relevant            {value:.4f}")
     return 0
 
 

@@ -22,10 +22,15 @@ Gold fixture document::
 ``load_gold`` returns a dict of the same three keys, each always present:
 ``skills`` maps a jobseeker id to a set, ``sentiment`` a project key to its
 label, and ``queries`` is a list of (query text, set of relevant ids) pairs.
+
+Results are plain values: ``extraction_metrics`` returns ``{"precision",
+"recall", "f1"}`` and ``sentiment_metrics`` ``{"accuracy", "precision",
+"recall"}``, the dicts ``eval --json`` prints. ``evaluate_graph`` gathers them
+and the top-k figures in an ``EvalReport``; the CLI lays out its table.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -39,20 +44,6 @@ POSITIVE = "positive"
 NEUTRAL = "neutral"
 SENTIMENT_CLASSES = (POSITIVE, NEUTRAL)
 DEFAULT_SENTIMENT_THRESHOLD = 0.0
-
-
-@dataclass(frozen=True)
-class ExtractionMetrics:
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
-class SentimentMetrics:
-    accuracy: float
-    precision: float
-    recall: float
 
 
 def _check_keys(predicted: Mapping, gold: Mapping, what: str) -> None:
@@ -70,8 +61,8 @@ def _ratio(numerator: int, denominator: int) -> float:
 
 def extraction_metrics(
     predicted: Mapping[str, set[str]], gold: Mapping[str, set[str]]
-) -> ExtractionMetrics:
-    """Micro-averaged precision/recall/F1 over per-resume skill sets."""
+) -> dict[str, float]:
+    """Micro-averaged ``{"precision", "recall", "f1"}`` over per-resume skill sets."""
     _check_keys(predicted, gold, "extraction fixture")
     tp = fp = fn = 0
     for key in gold:
@@ -82,7 +73,7 @@ def extraction_metrics(
     precision = _ratio(tp, tp + fp)
     recall = _ratio(tp, tp + fn)
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return ExtractionMetrics(precision=precision, recall=recall, f1=f1)
+    return {"precision": precision, "recall": recall, "f1": f1}
 
 
 def classify_score(score: float) -> str:
@@ -91,8 +82,8 @@ def classify_score(score: float) -> str:
 
 def sentiment_metrics(
     predicted: Mapping[str, str], gold: Mapping[str, str]
-) -> SentimentMetrics:
-    """Binary classification counts for the positive class."""
+) -> dict[str, float]:
+    """Binary ``{"accuracy", "precision", "recall"}`` for the positive class."""
     _check_keys(predicted, gold, "sentiment fixture")
     if not gold:
         raise FixtureError("sentiment fixture is empty")
@@ -108,11 +99,11 @@ def sentiment_metrics(
         tp += pred_pos and gold_pos
         fp += pred_pos and not gold_pos
         fn += gold_pos and not pred_pos
-    return SentimentMetrics(
-        accuracy=correct / len(gold),
-        precision=_ratio(tp, tp + fp),
-        recall=_ratio(tp, tp + fn),
-    )
+    return {
+        "accuracy": correct / len(gold),
+        "precision": _ratio(tp, tp + fp),
+        "recall": _ratio(tp, tp + fn),
+    }
 
 
 def topk_accuracy(
@@ -178,37 +169,17 @@ def load_gold(path: str | Path) -> dict:
 
 @dataclass
 class EvalReport:
-    extraction: ExtractionMetrics | None = None
-    sentiment: SentimentMetrics | None = None
+    extraction: dict[str, float] | None = None
+    sentiment: dict[str, float] | None = None
     topk: dict[int, float] = field(default_factory=dict)
-    topk_mode: str = "hit"  # what ``topk`` holds: hit-rate@k or precision@k
 
     def to_dict(self) -> dict:
         # String keys: the writer sorts them, so int keys would reorder the bytes.
         return {
-            "extraction": asdict(self.extraction) if self.extraction else None,
-            "sentiment": asdict(self.sentiment) if self.sentiment else None,
+            "extraction": self.extraction,
+            "sentiment": self.sentiment,
             "topk": {str(k): v for k, v in sorted(self.topk.items())},
         }
-
-    def format_table(self) -> str:
-        lines = ["metric                        value", "-" * 35]
-        if self.extraction:
-            lines.append("skill extraction")
-            lines.append(f"  precision                   {self.extraction.precision:.4f}")
-            lines.append(f"  recall                      {self.extraction.recall:.4f}")
-            lines.append(f"  f1-score                    {self.extraction.f1:.4f}")
-        if self.sentiment:
-            lines.append("sentiment")
-            lines.append(f"  accuracy                    {self.sentiment.accuracy:.4f}")
-            lines.append(f"  precision                   {self.sentiment.precision:.4f}")
-            lines.append(f"  recall                      {self.sentiment.recall:.4f}")
-        if self.topk:
-            label = "hit-rate" if self.topk_mode == "hit" else "precision"
-            lines.append(f"ranking ({label}@k)")
-            for k, value in sorted(self.topk.items()):
-                lines.append(f"  top {k:<2} relevant            {value:.4f}")
-        return "\n".join(lines)
 
 
 def evaluate_graph(
@@ -224,7 +195,7 @@ def evaluate_graph(
     skill edges; rankings come from executing each gold query (widened to
     at least the top 10 so hit-rate@10 is meaningful).
     """
-    report = EvalReport(topk_mode=mode)
+    report = EvalReport()
     if gold["skills"]:
         known = set(graph.jobseeker_ids())
         missing = sorted(set(gold["skills"]) - known)

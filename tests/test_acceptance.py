@@ -370,17 +370,17 @@ def test_c7_metric_sanity():
     keys = [f"r{i}" for i in range(8)]
     gold_sets = {k: {"java", "sql"} for k in keys}
     perfect = extraction_metrics(gold_sets, gold_sets)
-    assert (perfect.precision, perfect.recall, perfect.f1) == (1.0, 1.0, 1.0)
+    assert perfect == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
     adversarial = extraction_metrics({k: {"cobol"} for k in keys}, gold_sets)
-    assert (adversarial.precision, adversarial.recall, adversarial.f1) == (0.0, 0.0, 0.0)
+    assert adversarial == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
 
     gold_classes = {k: ("positive" if i % 2 else "neutral") for i, k in enumerate(keys)}
     flipped = {
         k: ("neutral" if v == "positive" else "positive")
         for k, v in gold_classes.items()
     }
-    assert sentiment_metrics(gold_classes, gold_classes).accuracy == 1.0
-    assert sentiment_metrics(flipped, gold_classes).accuracy == 0.0
+    assert sentiment_metrics(gold_classes, gold_classes)["accuracy"] == 1.0
+    assert sentiment_metrics(flipped, gold_classes)["accuracy"] == 0.0
 
     rankings = {"q": ["a", "b", "c"]}
     assert topk_accuracy(rankings, {"q": {"a"}}, 3) == 1.0

@@ -11,6 +11,23 @@ import talentgraph
 from conftest import run_python
 
 
+PUBLIC_NAMES = [
+    "CorpusStats", "EdgeKind", "ExperienceEntry", "KnowledgeGraph", "NodeId", "NodeKind",
+    "Query", "QueryTerm", "RankedResult", "ResumeRecord", "ScoringConfig", "SentimentEntry",
+    "SentimentGazetteer", "SkillEntry", "SkillLexicon", "TalentGraphError", "WeightedEdge",
+    "compute_graph_stats", "compute_stats", "dump_sentiment_gazetteer", "dump_skill_lexicon",
+    "emit_intermediate", "execute", "explain", "extract_skills", "load_intermediate",
+    "load_sentiment_gazetteer", "load_skill_lexicon", "lookup_sentiment", "normalize_org",
+    "normalize_skill", "parse_duration", "parse_query", "parse_resume", "score_description",
+    "split_sections", "tokenize", "__version__",
+]
+
+
+def test_public_names_are_pinned():
+    """Refactors keep the package API: a name leaves or joins it only on purpose."""
+    assert talentgraph.__all__ == PUBLIC_NAMES
+
+
 @pytest.mark.parametrize("module", ["talentgraph", "talentgraph.parser"])
 def test_all_names_resolve_once(module):
     """A removed name left in ``__all__`` breaks ``from module import *``."""

@@ -81,6 +81,56 @@ def test_stats_dir_skips_file_that_is_not_utf8(tmp_path, capsys):
     assert json.loads(captured.out)["stats"]["resume_count"] == 6
 
 
+def test_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bom = "\ufeff".encode("utf-8")
+    (corpus / "a.txt").write_bytes(bom + b"Jane Doe\n\nSKILLS\njava\n")
+    (corpus / "b.txt").write_bytes(bom + b"Skills\njava, python\n")
+    inter = tmp_path / "intermediate.json"
+    assert run_cli("ingest", corpus, "--lexicon", LEXICON_FILE, "--gazetteer", GAZETTEER_FILE,
+                   "--out", tmp_path / "graph.json", "--intermediate", inter) == 0
+    assert json.loads(inter.read_text(encoding="utf-8"))["jobseekers"] == {
+        "js0000-jane-doe": {"_declared_skills": ["java"], "_name": "Jane Doe"},
+        "js0001-unknown": {"_declared_skills": ["java", "python"], "_name": "unknown"},
+    }
+    capsys.readouterr()
+    assert run_cli("stats", corpus, "--lexicon", LEXICON_FILE, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["distinct_skills"] == 2
+
+
+def test_ingest_verbose_prints_one_line_per_diagnostic(tmp_path, capsys):
+    ingest(tmp_path, extra=("-v",))
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    names = {path.name for path in CORPUS_DIR.glob("*.txt")}
+    assert lines and all(line.split(": ", 1)[0] in names for line in lines)
+    assert f"{len(lines)} diagnostics)" in captured.out
+
+
+def test_ingest_missing_corpus_is_error(tmp_path, capsys):
+    missing, out = tmp_path / "missing", tmp_path / "graph.json"
+    assert run_cli("ingest", missing, "--lexicon", LEXICON_FILE,
+                   "--gazetteer", GAZETTEER_FILE, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: corpus directory not found: {missing}\n"
+    assert not out.exists()
+
+
+def test_ingest_skips_empty_file_and_keeps_other_ids(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for path in CORPUS_DIR.glob("*.txt"):
+        (corpus / path.name).write_bytes(path.read_bytes())
+    empty = corpus / "r00_empty.txt"  # sorts first, so it holds seed 0
+    empty.write_text(" \n\n", encoding="utf-8")
+    out = tmp_path / "graph.json"
+    assert run_cli("ingest", corpus, "--lexicon", LEXICON_FILE,
+                   "--gazetteer", GAZETTEER_FILE, "--out", out) == 0
+    assert f"warning: {empty} is empty, skipped" in capsys.readouterr().err
+    ids = KnowledgeGraph.load(out).jobseeker_ids()
+    assert len(ids) == 6 and "js0001-jane-doe" in ids and "js0006-omar-hassan" in ids
+
+
 def test_ingest_phrase_conflict_writes_nothing(tmp_path, capsys):
     lexicon = tmp_path / "lexicon.json"
     lexicon.write_text(json.dumps({"schema_version": 1, "skills": [
@@ -213,6 +263,22 @@ def test_stats_on_dir_and_graph(tmp_path, capsys):
     from_graph = json.loads(capsys.readouterr().out)["stats"]
     assert from_dir["resume_count"] == from_graph["resume_count"] == 6
     assert from_dir["distinct_skills"] == 9
+
+
+def test_stats_dir_counts_declared_skills_and_graph_counts_mentioned_ones(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "r.txt").write_text(
+        "Sam Hill\n\nSKILLS\njava\n\nEXPERIENCE\nAcme Ltd.\nSearch\n2 years\n"
+        "Built a python indexer.\n", encoding="utf-8")
+    graph = tmp_path / "graph.json"
+    assert run_cli("ingest", corpus, "--lexicon", LEXICON_FILE,
+                   "--gazetteer", GAZETTEER_FILE, "--out", graph) == 0
+    capsys.readouterr()
+    assert run_cli("stats", corpus, "--lexicon", LEXICON_FILE, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["distinct_skills"] == 1
+    assert run_cli("stats", graph, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["distinct_skills"] == 2
 
 
 def test_stats_dir_requires_lexicon(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from talentgraph.cli import main
 from talentgraph.errors import FixtureError
 from talentgraph.evaluation import (
     classify_score,
@@ -14,7 +15,7 @@ from talentgraph.evaluation import (
     topk_accuracy,
 )
 
-from conftest import GOLD_FILE
+from conftest import GOLD_FILE, LEXICON_FILE
 
 
 # -- extraction ----------------------------------------------------------------
@@ -22,23 +23,23 @@ from conftest import GOLD_FILE
 def test_perfect_extraction():
     sets = {"r1": {"java", "c++"}, "r2": {"sql"}}
     metrics = extraction_metrics(sets, sets)
-    assert (metrics.precision, metrics.recall, metrics.f1) == (1.0, 1.0, 1.0)
+    assert metrics == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
 
 
 def test_empty_prediction_recall_zero():
     metrics = extraction_metrics({"r1": set()}, {"r1": {"java"}})
-    assert metrics.recall == 0.0
-    assert metrics.precision == 1.0  # documented convention
-    assert metrics.f1 == 0.0
+    assert metrics["recall"] == 0.0
+    assert metrics["precision"] == 1.0  # documented convention
+    assert metrics["f1"] == 0.0
 
 
 def test_counts_three_tp_one_fp_one_fn():
     metrics = extraction_metrics(
         {"r1": {"a", "b", "c", "d"}}, {"r1": {"a", "b", "c", "e"}}
     )
-    assert metrics.precision == pytest.approx(0.75)
-    assert metrics.recall == pytest.approx(0.75)
-    assert metrics.f1 == pytest.approx(0.75)
+    assert metrics["precision"] == pytest.approx(0.75)
+    assert metrics["recall"] == pytest.approx(0.75)
+    assert metrics["f1"] == pytest.approx(0.75)
 
 
 def test_extraction_swap_symmetry():
@@ -46,9 +47,9 @@ def test_extraction_swap_symmetry():
     gold = {"r1": {"b", "x"}, "r2": {"c", "d"}}
     forward = extraction_metrics(pred, gold)
     backward = extraction_metrics(gold, pred)
-    assert forward.precision == pytest.approx(backward.recall)
-    assert forward.recall == pytest.approx(backward.precision)
-    assert forward.f1 == pytest.approx(backward.f1)
+    assert forward["precision"] == pytest.approx(backward["recall"])
+    assert forward["recall"] == pytest.approx(backward["precision"])
+    assert forward["f1"] == pytest.approx(backward["f1"])
 
 
 def test_extraction_key_mismatch():
@@ -60,13 +61,13 @@ def test_extraction_key_mismatch():
 
 def test_sentiment_all_correct():
     labels = {f"p{i}": "positive" for i in range(5)}
-    assert sentiment_metrics(labels, labels).accuracy == 1.0
+    assert sentiment_metrics(labels, labels)["accuracy"] == 1.0
 
 
 def test_sentiment_all_wrong():
     pred = {"p0": "positive", "p1": "neutral"}
     gold = {"p0": "neutral", "p1": "positive"}
-    assert sentiment_metrics(pred, gold).accuracy == 0.0
+    assert sentiment_metrics(pred, gold)["accuracy"] == 0.0
 
 
 def test_sentiment_seventeen_of_twenty():
@@ -74,7 +75,7 @@ def test_sentiment_seventeen_of_twenty():
     pred = dict(gold)
     for key in ("p3", "p7", "p11"):
         pred[key] = "neutral"
-    assert sentiment_metrics(pred, gold).accuracy == pytest.approx(0.85)
+    assert sentiment_metrics(pred, gold)["accuracy"] == pytest.approx(0.85)
 
 
 def test_sentiment_bad_class_rejected():
@@ -148,12 +149,12 @@ def test_all_metrics_stay_in_unit_interval():
         pred = {k: set(rng.sample(skills, rng.randint(0, 4))) for k in keys}
         gold = {k: set(rng.sample(skills, rng.randint(0, 4))) for k in keys}
         metrics = extraction_metrics(pred, gold)
-        for value in (metrics.precision, metrics.recall, metrics.f1):
+        for value in (metrics["precision"], metrics["recall"], metrics["f1"]):
             assert 0.0 <= value <= 1.0
         pred_classes = {k: rng.choice(["positive", "neutral"]) for k in keys}
         gold_classes = {k: rng.choice(["positive", "neutral"]) for k in keys}
         sentiments = sentiment_metrics(pred_classes, gold_classes)
-        for value in (sentiments.accuracy, sentiments.precision, sentiments.recall):
+        for value in (sentiments["accuracy"], sentiments["precision"], sentiments["recall"]):
             assert 0.0 <= value <= 1.0
 
 
@@ -171,6 +172,11 @@ def test_load_gold_rejects_bad_class(tmp_path):
     for text, locator in [
         ('{"sentiment": {"p": "angry"}}', "sentiment.p"),
         ('{"queries": [{"query": "top java", "relevant": [1, 2]}]}', "queries[0].relevant"),
+        ('{"skills": []}', "'skills' must be an object"),
+        ('{"skills": {"js0": "java"}}', "skills.js0: expected a list of strings"),
+        ('{"sentiment": []}', "'sentiment' must be an object"),
+        ('{"queries": {}}', "'queries' must be a list"),
+        ('{"queries": [{"query": "top java"}]}', "queries[0]: expected {query, relevant}"),
     ]:
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(FixtureError) as err:
@@ -181,13 +187,13 @@ def test_load_gold_rejects_bad_class(tmp_path):
 def test_evaluate_graph_hand_counted(corpus_graph, lexicon):
     report = evaluate_graph(corpus_graph, load_gold(GOLD_FILE), lexicon)
     # 15 TP, 1 FP (john/linux), 1 FN (ana/react)
-    assert report.extraction.precision == pytest.approx(15 / 16)
-    assert report.extraction.recall == pytest.approx(15 / 16)
-    assert report.extraction.f1 == pytest.approx(15 / 16)
+    assert report.extraction["precision"] == pytest.approx(15 / 16)
+    assert report.extraction["recall"] == pytest.approx(15 / 16)
+    assert report.extraction["f1"] == pytest.approx(15 / 16)
     # 7 projects labeled, wei:p0 deliberately labeled neutral but scored positive
-    assert report.sentiment.accuracy == pytest.approx(6 / 7)
-    assert report.sentiment.precision == pytest.approx(5 / 6)
-    assert report.sentiment.recall == pytest.approx(1.0)
+    assert report.sentiment["accuracy"] == pytest.approx(6 / 7)
+    assert report.sentiment["precision"] == pytest.approx(5 / 6)
+    assert report.sentiment["recall"] == pytest.approx(1.0)
     # 3 of the 4 gold queries hit within every k
     assert report.topk == {
         3: pytest.approx(0.75),
@@ -203,9 +209,28 @@ def test_evaluate_graph_unknown_jobseeker(corpus_graph, lexicon):
         evaluate_graph(corpus_graph, gold, lexicon)
 
 
-def test_report_table_and_dict(corpus_graph, lexicon):
-    report = evaluate_graph(corpus_graph, load_gold(GOLD_FILE), lexicon)
-    table = report.format_table()
+@pytest.mark.parametrize("gold, message", [
+    ({"queries": [("top java", {"js0000-jane-doe"}), ("top java", set())]},
+     "duplicate gold query 'top java'"),
+    ({"sentiment": {"js0000-jane-doe:p9": "positive"}},
+     "gold references unknown project 'js0000-jane-doe:p9'"),
+], ids=["duplicate-query", "unknown-project"])
+def test_evaluate_graph_rejects_bad_gold(corpus_graph, lexicon, gold, message):
+    gold = {"skills": {}, "sentiment": {}, "queries": [], **gold}
+    with pytest.raises(FixtureError) as err:
+        evaluate_graph(corpus_graph, gold, lexicon)
+    assert str(err.value) == message
+
+
+def test_report_table_and_dict(corpus_graph, lexicon, tmp_path, capsys):
+    """The CLI lays out the report's table; ``to_dict`` is what --json prints."""
+    graph = tmp_path / "graph.json"
+    corpus_graph.save(graph)
+    assert main(["eval", str(graph), str(GOLD_FILE), "--lexicon", str(LEXICON_FILE)]) == 0
+    table = capsys.readouterr().out
     assert "skill extraction" in table and "hit-rate@k" in table
-    payload = report.to_dict()
+    assert "  f1-score                    0.9375\n" in table
+    payload = evaluate_graph(corpus_graph, load_gold(GOLD_FILE), lexicon).to_dict()
     assert payload["topk"]["3"] == pytest.approx(0.75)
+    assert set(payload["extraction"]) == {"precision", "recall", "f1"}
+    assert set(payload["sentiment"]) == {"accuracy", "precision", "recall"}

@@ -6,6 +6,7 @@ CHANGES.md."""
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 from hypothesis import given, settings
 
@@ -27,6 +28,10 @@ GOLDEN = {
     "explain": "ad49e6e5c1d7eb2f72c62570ad3a3ff58973d57d9ceaa31965969001140966ae",
     "explain --json": "9a444138b625f040f1e866183aeba9734e2d9cb95d50eba9f8d294e0b0cb396c",
     "eval --json": "e73aceec9f1ac5bdb5906036248453e5f1fc34cdf749341da6d002b3ea2e8696",
+    "ingest summary": "78abc665ac2f06116566339f8552b35fcfae6be94c9edf08439ea38b41a8e2c6",
+    "stats": "a2f6dc49a4dadaa58be485837c52e39a8340ebc24008627dff8ff8092729081f",
+    "eval --topk-mode precision": "0525850a74c7827da50b771f3532496857bc2d9b2e8c6ac82101e48acfa0b46a",
+    "stats corpus --json": "07c29c38493d83e82ffbf966857214a72a3a8a572b3e9b8f73104b5c64a36d01",
 }
 # Covers both bound forms, a satisfied and a failed term, and a term with no edge.
 EXPLAIN_DSL = "cpp 1-20, python 3+, java, kafka"
@@ -36,14 +41,18 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_cli_output_bytes_on_fixtures(tmp_path, capsys):
-    graph, intermediate = tmp_path / "graph.json", tmp_path / "intermediate.json"
+def test_cli_output_bytes_on_fixtures(tmp_path, capsys, monkeypatch):
+    # Relative output paths keep ingest's summary line, which names the graph
+    # file, the same in every temporary directory.
+    monkeypatch.chdir(tmp_path)
+    graph, intermediate = Path("graph.json"), Path("intermediate.json")
     assert main(["ingest", str(CORPUS_DIR), "--lexicon", str(LEXICON_FILE),
                  "--gazetteer", str(GAZETTEER_FILE), "--out", str(graph),
                  "--intermediate", str(intermediate)]) == 0
     got = {
         "ingest graph file": sha256(graph.read_bytes()),
         "ingest intermediate": sha256(intermediate.read_bytes()),
+        "ingest summary": sha256(capsys.readouterr().out.encode("utf-8")),
     }
     commands = {
         "export json": ["export", graph],
@@ -56,6 +65,10 @@ def test_cli_output_bytes_on_fixtures(tmp_path, capsys):
         "explain --json": ["explain", graph, "js0000-jane-doe", EXPLAIN_DSL, "--lexicon",
                            LEXICON_FILE, "--json"],
         "eval --json": ["eval", graph, GOLD_FILE, "--lexicon", LEXICON_FILE, "--json"],
+        "stats": ["stats", graph],
+        "eval --topk-mode precision": ["eval", graph, GOLD_FILE, "--lexicon", LEXICON_FILE,
+                                       "--topk-mode", "precision"],
+        "stats corpus --json": ["stats", CORPUS_DIR, "--lexicon", LEXICON_FILE, "--json"],
     }
     for name, argv in commands.items():
         capsys.readouterr()

@@ -69,7 +69,7 @@ def assert_lookups_match_oracle(graph: KnowledgeGraph, oracle: OracleGraph) -> N
         extraction = evaluate_graph(graph, gold, LEXICON).extraction
         # Precision and recall are both 1 exactly when every predicted set
         # equals the oracle's.
-        assert (extraction.precision, extraction.recall) == (1.0, 1.0)
+        assert (extraction["precision"], extraction["recall"]) == (1.0, 1.0)
     assert compute_graph_stats(graph).to_dict() == oracle.stats(LEXICON)
 
 

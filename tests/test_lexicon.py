@@ -119,6 +119,43 @@ def test_lexicon_format_errors(tmp_path):
         load_skill_lexicon(bad)
 
 
+@pytest.mark.parametrize("records, message", [
+    (["java"], "skills[0]: record must be an object"),
+    ([{"canonical": "java", "category": " "}], "skills[0]: 'category' must be a non-empty string"),
+    ([{"canonical": "java", "category": "x", "aliases": "java"}],
+     "skills[0]: 'aliases' must be a list of strings"),
+    ([{"canonical": "java", "category": "x", "aliases": ["jdk", 1]}],
+     "skills[0]: 'aliases' must be a list of strings"),
+], ids=["not-object", "empty-category", "aliases-not-list", "alias-not-string"])
+def test_lexicon_record_faults_are_located(records, message):
+    with pytest.raises(LexiconFormatError) as err:
+        parse_skill_records(records)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("record, message", [
+    ("fast", "entries[0]: record must be an object"),
+    ({"keyword": "", "class": "x", "weight": 0.5},
+     "entries[0]: 'keyword' must be a non-empty string"),
+    ({"keyword": "fast", "class": "", "weight": 0.5},
+     "entries[0]: 'class' must be a non-empty string"),
+    ({"keyword": "fast", "class": "x", "weight": 0.5, "skill": " "},
+     "entries[0]: 'skill' must be a non-empty string"),
+], ids=["not-object", "empty-keyword", "empty-class", "empty-skill"])
+def test_gazetteer_record_faults_are_located(record, message):
+    with pytest.raises(GazetteerFormatError) as err:
+        parse_sentiment_records([record])
+    assert str(err.value) == message
+
+
+def test_gazetteer_without_entries_array_is_error(tmp_path):
+    bad = tmp_path / "gaz.json"
+    bad.write_text(json.dumps({"entries": {}}), encoding="utf-8")
+    with pytest.raises(GazetteerFormatError) as err:
+        load_sentiment_gazetteer(bad)
+    assert str(err.value) == f"{bad}: missing 'entries' array"
+
+
 def test_lexicon_round_trip(lexicon, tmp_path):
     out = tmp_path / "lex.json"
     out.write_text(dump_skill_lexicon(lexicon), encoding="utf-8")

@@ -465,6 +465,22 @@ def test_parse_resume_deterministic(lexicon):
     assert first == second
 
 
+def test_parse_resume_block_of_date_and_skill_lines_has_no_organization(lexicon):
+    record, diagnostics = parse_resume(
+        "Sam Hill\n\nEXPERIENCE\nJava\nJan 2020 - Jun 2021\nPython\n", lexicon, 0)
+    assert [(e.organization, e.project_title, e.details) for e in record.experiences] == [
+        ("unknown-org", "untitled", "")]
+    assert "experience block 'Java': no organization line" in diagnostics
+
+
+def test_parse_resume_block_of_date_and_organization_is_untitled(lexicon):
+    record, diagnostics = parse_resume(
+        "Sam Hill\n\nEXPERIENCE\nAcme Ltd.\n2 years\n", lexicon, 0)
+    assert [(e.organization, e.project_title, e.details) for e in record.experiences] == [
+        ("acme", "untitled", "")]
+    assert not any("no organization line" in message for message in diagnostics)
+
+
 def test_parse_resume_empty_is_error(lexicon):
     with pytest.raises(ResumeParseError):
         parse_resume("   \n \n", lexicon, 0)

@@ -88,6 +88,16 @@ def test_parse_empty_query(lexicon):
         parse_query("top 5", lexicon)
 
 
+def test_parse_top_zero_rejected(lexicon):
+    with pytest.raises(QueryError, match=r"^top N must be positive$"):
+        parse_query("top 0 java", lexicon)
+
+
+def test_parse_term_of_only_filler_words_rejected(lexicon):
+    with pytest.raises(EmptyQueryError, match=r"^empty query term$"):
+        parse_query("java, candidates", lexicon)
+
+
 def test_parse_duplicate_skill_rejected(lexicon):
     with pytest.raises(QueryError):
         parse_query("java 1-2, java 3-4", lexicon)
