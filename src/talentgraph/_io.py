@@ -3,7 +3,7 @@ reads or writes: lexicon, gazetteer, graph, intermediate document, gold
 labels and the CLI's JSON output.
 
 A document is a UTF-8 JSON object. Its "schema_version", when present, must
-be 3 for a graph file and 1 for any other document; a missing field reads
+be 4 for a graph file and 1 for any other document; a missing field reads
 as 1. Every document is written in one canonical layout: top-level keys
 sorted, one per line; each element of a non-empty top-level list or object
 on its own line, encoded by the C encoder (sorted keys, no indent, non-ASCII

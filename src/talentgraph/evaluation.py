@@ -22,6 +22,8 @@ Gold fixture document::
 ``load_gold`` returns a dict of the same three keys, each always present:
 ``skills`` maps a jobseeker id to a set, ``sentiment`` a project key to its
 label, and ``queries`` is a list of (query text, set of relevant ids) pairs.
+``evaluate_graph`` rejects ids the graph lacks, and locates a fault in the
+i-th query, a parse error or an unknown relevant id, at ``queries[i]``.
 
 Results are plain values: ``extraction_metrics`` returns ``{"precision",
 "recall", "f1"}`` and ``sentiment_metrics`` ``{"accuracy", "precision",
@@ -35,7 +37,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from ._io import read_document
-from .errors import FixtureError, NodeNotFoundError
+from .errors import FixtureError, NodeNotFoundError, QueryError
 from .graph import EdgeKind, KnowledgeGraph
 from .lexicon import SkillLexicon
 from .query import Query, execute, parse_query
@@ -196,10 +198,9 @@ def evaluate_graph(
     at least the top 10 so hit-rate@10 is meaningful).
     """
     report = EvalReport()
+    known = set(graph.jobseeker_ids())
     if gold["skills"]:
-        known = set(graph.jobseeker_ids())
-        missing = sorted(set(gold["skills"]) - known)
-        if missing:
+        if missing := sorted(set(gold["skills"]) - known):
             raise FixtureError(f"gold references unknown jobseekers: {missing[:5]}")
         predicted_skills = {
             jobseeker_id: set(graph.out_edges(EdgeKind.JOBSEEKER_SKILL, jobseeker_id))
@@ -219,10 +220,16 @@ def evaluate_graph(
     if gold["queries"]:
         rankings: dict[str, list[str]] = {}
         relevant_map: dict[str, set[str]] = {}
-        for query_str, relevant in gold["queries"]:
+        for i, (query_str, relevant) in enumerate(gold["queries"]):
             if query_str in relevant_map:
                 raise FixtureError(f"duplicate gold query {query_str!r}")
-            parsed = parse_query(query_str, lexicon)
+            try:
+                parsed = parse_query(query_str, lexicon)
+            except QueryError as exc:
+                raise FixtureError(f"queries[{i}]: {exc}") from exc
+            if missing := sorted(relevant - known):
+                raise FixtureError(f"queries[{i}]: gold references unknown jobseekers: "
+                                   f"{missing[:5]}")
             widened = Query(terms=parsed.terms, top_k=max(10, parsed.top_k))
             rankings[query_str] = [r.jobseeker_id for r in execute(widened, graph)]
             relevant_map[query_str] = relevant

@@ -6,17 +6,18 @@ are summed as integers of 2**-64 units (exact for scores >= 2**-11), so any
 ingestion order or merge tree gives the same accumulators and file bytes.
 ``edges[(kind, source, target)]`` and ``get_edge`` give a ``WeightedEdge``
 that holds the accumulators only: its kind and endpoints are its key. The
-graph file (schema version 3) holds one section per node and edge kind, so
-no row repeats its kind; README, Graph file, gives its layout and checks.
+graph file (schema version 4) holds each resume fact once, and loading
+rebuilds every node and edge from it with the sums of construction, so a
+file cannot disagree with itself; README, Graph file, gives its layout.
 
 Construction per resume:
 
 1. Ensure the jobseeker node and a skill node (plus a zero-accumulator
    jobseeker-skill edge) for every declared skill.
 2. For each experience, ensure organization and project nodes with
-   jobseeker-project and project-org edges; project keys are surrogate
-   ("<jobseeker_id>:p<ordinal>") because project descriptions are never
-   unified across resumes.
+   jobseeker-project (holding the experience's months) and project-org
+   edges; project keys are surrogate ("<jobseeker_id>:p<ordinal>") because
+   project descriptions are never unified across resumes.
 3. Score the description once (scope-free) and accumulate that same score
    into the skill-project edge of every skill mentioned in the details.
 4. Accumulate the same score and the experience's months into the
@@ -42,18 +43,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ._io import check_document, read_document, write_document
-from .errors import (
-    DuplicateJobseekerError,
-    GraphConfigError,
-    GraphFormatError,
-    NodeNotFoundError,
-)
+from .errors import (DuplicateJobseekerError, GraphConfigError, GraphFormatError,
+                     NodeNotFoundError)
 from .lexicon import SentimentGazetteer, SkillLexicon
 
 if TYPE_CHECKING:
     from .parser import ResumeRecord
 
-GRAPH_SCHEMA_VERSION = 3
+GRAPH_SCHEMA_VERSION = 4
 _REINGEST = "; re-run `talentgraph ingest` to rebuild the graph file"
 WEIGHT_UNITS = 1 << 64  # accumulator units per score of 1.0
 _UNIT = 2.0 ** -64  # multiplied in as a float: big-int division is slower
@@ -84,16 +81,11 @@ EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
     EdgeKind.PROJECT_ORG: (NodeKind.PROJECT, NodeKind.ORGANIZATION),
 }
 
-# Kinds in file order (a str enum member sorts by its value), and the graph
-# file's section of each kind: "nodes/<kind>" or "edges/<kind>".
-_NODE_ORDER, _EDGE_ORDER = sorted(NodeKind), sorted(EdgeKind)
-_SECTIONS: dict[Enum, str] = {kind: f"nodes/{kind.value}" for kind in _NODE_ORDER} | {
-    kind: f"edges/{kind.value}" for kind in _EDGE_ORDER}
-_TOP_LEVEL = {"schema_version", "config", *_SECTIONS.values()}
+_TOP_LEVEL = {"schema_version", "config", "skills", "jobseekers"}
 _CONFIG_FIELDS = {"duration_bonus_factor", "duration_cap_months", "tool_version"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeId:
     kind: NodeKind
     key: str
@@ -146,23 +138,6 @@ def project_key(jobseeker_id: str, ordinal: int) -> str:
     return f"{jobseeker_id}:p{ordinal}"
 
 
-def _range_fault(units: int, count: int, months: int) -> str:
-    """Name the first range check, in README order, that an edge's accumulators fail."""
-    if count < 0 or units < 0 or months < 0:
-        return "negative accumulator"
-    if count > 2**53:
-        return f"support_count {count} above 2**53"
-    if count == 0 and units:
-        return "weight_units without support"
-    if count == 0 and months:
-        return "months_sum without support"
-    # Each contribution is a score in [0, 1], at most 2**64 units,
-    if units > count * WEIGHT_UNITS:
-        return f"weight_units {units} above support_count {count} * 2**64"
-    # and adds at most MAX_DURATION_MONTHS, so years stay a float.
-    return f"months_sum {months} above support_count {count} * {MAX_DURATION_MONTHS}"
-
-
 class KnowledgeGraph:
     def __init__(self, config: ScoringConfig | None = None):
         self.config = config or ScoringConfig()
@@ -172,10 +147,6 @@ class KnowledgeGraph:
         self._adjacency: dict[tuple[EdgeKind, bool], dict[str, dict[str, WeightedEdge]]] = {}
 
     # -- construction -----------------------------------------------------
-
-    def _ensure_node(self, node: NodeId, **attrs: str) -> None:
-        if node not in self.nodes:
-            self.nodes[node] = dict(attrs)
 
     def _add(self, kind: EdgeKind, source: str, target: str,
              units: int = 0, count: int = 0, months: int = 0) -> None:
@@ -190,12 +161,24 @@ class KnowledgeGraph:
         edge.support_count += count
         edge.months_sum += months
 
-    def add_resume(
-        self,
-        record: ResumeRecord,
-        lexicon: SkillLexicon,
-        gazetteer: SentimentGazetteer,
-    ) -> "KnowledgeGraph":
+    def _add_project(self, jobseeker_id: str, ordinal: int, title: str, org: str,
+                     months: int, units: int, skills: list[str]) -> None:
+        """Steps 2-5 for one experience: ``skills`` are the distinct skills its
+        details mention, each with a node already, and ``units`` its score.
+        The jobseeker is new, so the project and its edges are too."""
+        nodes, edges, pkey = self.nodes, self.edges, project_key(jobseeker_id, ordinal)
+        self._adjacency = {}  # edges are created below
+        nodes.setdefault(NodeId(NodeKind.ORGANIZATION, org), {})
+        nodes[NodeId(NodeKind.PROJECT, pkey)] = {"title": title}
+        edges[EdgeKind.JOBSEEKER_PROJECT, jobseeker_id, pkey] = WeightedEdge(0, 1, months)
+        edges[EdgeKind.PROJECT_ORG, pkey, org] = WeightedEdge(0, 1, 0)
+        for skill in skills:
+            edges[EdgeKind.SKILL_PROJECT, skill, pkey] = WeightedEdge(units, 1, 0)
+            self._add(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, skill, units, 1, months)
+            self._add(EdgeKind.ORG_SKILL, org, skill, units, 1)
+
+    def add_resume(self, record: ResumeRecord, lexicon: SkillLexicon,
+                   gazetteer: SentimentGazetteer) -> "KnowledgeGraph":
         """Ingest one parsed resume; rejects an already-ingested jobseeker id."""
         # Read at call time: commands that never ingest never import these.
         from .parser import extract_skills
@@ -203,37 +186,22 @@ class KnowledgeGraph:
 
         jobseeker = NodeId(NodeKind.JOBSEEKER, record.jobseeker_id)
         if jobseeker in self.nodes:
-            raise DuplicateJobseekerError(
-                f"jobseeker {record.jobseeker_id!r} already ingested"
-            )
-        self._ensure_node(jobseeker, name=record.name)
-
+            raise DuplicateJobseekerError(f"jobseeker {record.jobseeker_id!r} already ingested")
+        self.nodes[jobseeker] = {"name": record.name}
         for skill in sorted(record.declared_skills):
             if (node := NodeId(NodeKind.SKILL, skill)) not in self.nodes:
                 self.nodes[node] = {"category": lexicon.category_of(skill) or ""}
             self._add(EdgeKind.JOBSEEKER_SKILL, record.jobseeker_id, skill)
-
         for ordinal, exp in enumerate(record.experiences):
-            org = exp.organization
-            self._ensure_node(NodeId(NodeKind.ORGANIZATION, org))
-            pkey = project_key(record.jobseeker_id, ordinal)
-            self._ensure_node(NodeId(NodeKind.PROJECT, pkey), title=exp.project_title)
-            self._add(EdgeKind.JOBSEEKER_PROJECT, record.jobseeker_id, pkey, count=1)
-            self._add(EdgeKind.PROJECT_ORG, pkey, org, count=1)
-
-            mentioned = extract_skills(exp.details, lexicon)
-            if not mentioned:
-                continue
-            # One scope-free score per description: every skill mentioned in
-            # it receives the identical contribution.
-            units = round(score_description(exp.details, None, gazetteer) * WEIGHT_UNITS)
-            for skill in sorted(mentioned):
+            mentioned = sorted(extract_skills(exp.details, lexicon))
+            for skill in mentioned:
                 if (node := NodeId(NodeKind.SKILL, skill)) not in self.nodes:
                     self.nodes[node] = {"category": lexicon.category_of(skill) or ""}
-                self._add(EdgeKind.SKILL_PROJECT, skill, pkey, units, 1)
-                self._add(EdgeKind.JOBSEEKER_SKILL, record.jobseeker_id, skill,
-                          units, 1, exp.duration_months)
-                self._add(EdgeKind.ORG_SKILL, org, skill, units, 1)
+            units = 0
+            if mentioned:  # one scope-free score per description, the same for every skill
+                units = round(score_description(exp.details, None, gazetteer) * WEIGHT_UNITS)
+            self._add_project(record.jobseeker_id, ordinal, exp.project_title,
+                              exp.organization, exp.duration_months, units, mentioned)
         return self
 
     # -- lookups ----------------------------------------------------------
@@ -267,13 +235,13 @@ class KnowledgeGraph:
         """{source: edge} for the edges of ``kind`` entering ``target``; read only."""
         return self._adjacency_index(kind, False).get(target, {})
 
-    def _file_rows(self) -> tuple[dict[NodeKind, list[tuple]], dict[EdgeKind, list[tuple]]]:
+    def _sorted_rows(self) -> tuple[dict[NodeKind, list[tuple]], dict[EdgeKind, list[tuple]]]:
         """(key, attrs) rows per node kind and (source, target, edge) rows per
-        edge kind, in the graph file's order: kinds by value, then rows sorted."""
-        nodes: dict[NodeKind, list[tuple]] = {kind: [] for kind in _NODE_ORDER}
+        edge kind: kinds by value (a str enum member sorts by it), then rows sorted."""
+        nodes: dict[NodeKind, list[tuple]] = {kind: [] for kind in sorted(NodeKind)}
         for node, attrs in self.nodes.items():
             nodes[node.kind].append((node.key, attrs))
-        edges: dict[EdgeKind, list[tuple]] = {kind: [] for kind in _EDGE_ORDER}
+        edges: dict[EdgeKind, list[tuple]] = {kind: [] for kind in sorted(EdgeKind)}
         for (kind, source, target), edge in self.edges.items():
             edges[kind].append((source, target, edge))
         # Keys are unique within a kind, so no sort compares attrs or edges.
@@ -282,9 +250,9 @@ class KnowledgeGraph:
         return nodes, edges
 
     def edges_of_kind(self, kind: EdgeKind) -> Iterator[tuple[str, str, WeightedEdge]]:
-        """(source, target, edge) for every edge of ``kind`` in file order. It sorts
-        all edges on each call, so lookups by node use ``out_edges``/``in_edges``."""
-        yield from self._file_rows()[1][kind]
+        """(source, target, edge) for every edge of ``kind``, sorted. It sorts all
+        edges on each call, so lookups by node use ``out_edges``/``in_edges``."""
+        yield from self._sorted_rows()[1][kind]
 
     def jobseeker_ids(self) -> list[str]:
         return sorted(n.key for n in self.nodes if n.kind is NodeKind.JOBSEEKER)
@@ -304,12 +272,8 @@ class KnowledgeGraph:
         the first two."""
         if edge is None:
             return 0.0, 0.0, 0.0, 0
-        return (
-            edge.mean_weight(),
-            self.duration_bonus(edge.months_sum),
-            edge.months_sum / 12.0,
-            edge.support_count,
-        )
+        return (edge.mean_weight(), self.duration_bonus(edge.months_sum),
+                edge.months_sum / 12.0, edge.support_count)
 
     def jobseeker_skill_strength(self, jobseeker_id: str, skill: str) -> float:
         """Mean project sentiment for the skill plus the duration bonus."""
@@ -330,8 +294,7 @@ class KnowledgeGraph:
     def project_score(self, pkey: str) -> float:
         """The description score recorded on the project's skill edges (0 if none)."""
         self._require_node(NodeKind.PROJECT, pkey)
-        # Every skill edge of a project carries the same score; the one with
-        # the smallest skill is the one the file lists first.
+        # Every skill edge of a project carries the same score.
         edges = self.in_edges(EdgeKind.SKILL_PROJECT, pkey)
         return edges[min(edges)].mean_weight() if edges else 0.0
 
@@ -360,37 +323,55 @@ class KnowledgeGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
-        return (
-            self.config == other.config
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-        )
+        return (self.config, self.nodes, self.edges) == (other.config, other.nodes, other.edges)
 
     def to_dict(self) -> dict:
+        """The graph document: each resume fact once, sorted (README, Graph file)."""
         from . import __version__
 
-        doc: dict = {
+        skills, names, projects = [], {}, {}
+        for node, attrs in self.nodes.items():
+            if node.kind is NodeKind.SKILL:
+                skills.append([node.key, dict(attrs)])
+            elif node.kind is NodeKind.JOBSEEKER:
+                names[node.key] = attrs["name"]
+            elif node.kind is NodeKind.PROJECT:
+                projects[node.key] = [attrs["title"], "", 0, 0, []]
+        # One pass over the edges fills the project rows; the rest are sums of them.
+        declared: dict[str, list[str]] = {key: [] for key in names}
+        for (kind, source, target), edge in self.edges.items():
+            if kind is EdgeKind.SKILL_PROJECT:
+                row = projects[target]
+                row[3] = edge.weight_units
+                row[4].append(source)
+            elif kind is EdgeKind.JOBSEEKER_PROJECT:
+                projects[target][2] = edge.months_sum
+            elif kind is EdgeKind.PROJECT_ORG:
+                projects[source][1] = target
+            elif kind is EdgeKind.JOBSEEKER_SKILL and not edge.support_count:
+                declared[source].append(target)
+        jobseekers = []
+        for key in sorted(names):
+            rows = []  # the jobseeker's project rows, by ordinal
+            while (row := projects.get(project_key(key, len(rows)))) is not None:
+                row[4].sort()
+                rows.append(row)
+            jobseekers.append([key, names[key], sorted(declared[key]), rows])
+        skills.sort()  # keys are unique, so no sort compares attrs
+        return {
             "schema_version": GRAPH_SCHEMA_VERSION,
-            "config": {
-                "duration_bonus_factor": self.config.duration_bonus_factor,
-                "duration_cap_months": self.config.duration_cap_months,
-                "tool_version": __version__,
-            },
+            "config": {"duration_bonus_factor": self.config.duration_bonus_factor,
+                       "duration_cap_months": self.config.duration_cap_months,
+                       "tool_version": __version__},
+            "skills": skills,
+            "jobseekers": jobseekers,
         }
-        nodes, edges = self._file_rows()
-        for kind, rows in nodes.items():
-            doc[_SECTIONS[kind]] = [[key, dict(attrs)] for key, attrs in rows]
-        for kind, rows in edges.items():
-            doc[_SECTIONS[kind]] = [[source, target, e.weight_units, e.support_count, e.months_sum]
-                                    for source, target, e in rows]
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
-        """Check and load a graph document in one pass over its rows.
-
-        Each rejection is a ``GraphFormatError`` located at the config, a
-        section or one row of a section; see README, Graph file.
+        """Check a graph document row by row and rebuild the graph from it with
+        ``add_resume``'s sums. Each rejection is a ``GraphFormatError`` located
+        at the config, a section, a row or a project row; see README, Graph file.
         """
         check_document(doc, GraphFormatError, version=GRAPH_SCHEMA_VERSION, remedy=_REINGEST)
         config_doc = doc.get("config")
@@ -403,9 +384,8 @@ class KnowledgeGraph:
             version = config_doc.get("tool_version", "")
             if not isinstance(version, str):
                 raise GraphConfigError(f"tool_version {version!r} is not a string")
-            config = ScoringConfig(
-                config_doc["duration_bonus_factor"], config_doc["duration_cap_months"]
-            )
+            config = ScoringConfig(config_doc["duration_bonus_factor"],
+                                   config_doc["duration_cap_months"])
         except (KeyError, GraphConfigError) as exc:
             raise GraphFormatError(f"bad config: {exc}") from exc
         for name in doc:
@@ -414,56 +394,69 @@ class KnowledgeGraph:
 
         graph = cls(config)
         nodes, edges = graph.nodes, graph.edges
-        keys: dict[NodeKind, set[str]] = {}  # the keys loaded, per node kind
-        for kind in _NODE_ORDER:
-            where = _SECTIONS[kind]
-            rows = doc.get(where, [])
-            if type(rows) is not list:
-                raise GraphFormatError(f"{where}: not a list")
-            same_kind = keys[kind] = set()
-            for i, row in enumerate(rows):
-                if type(row) is not list or len(row) != 2:
-                    raise GraphFormatError(f"{where}[{i}]: not a [key, attrs] row")
-                key, attrs = row
-                if not isinstance(key, str) or not isinstance(attrs, dict):
-                    raise GraphFormatError(f"{where}[{i}]: bad key or attrs")
-                for name, value in attrs.items():
-                    if not isinstance(value, str):
-                        raise GraphFormatError(f"{where}[{i}]: attr {name!r} is not a string")
-                if key in same_kind:
-                    raise GraphFormatError(f"{where}[{i}]: duplicate node {key!r}")
-                same_kind.add(key)
-                nodes[NodeId(kind, key)] = dict(attrs)
-
-        for kind in _EDGE_ORDER:
-            where = _SECTIONS[kind]
-            rows = doc.get(where, [])
-            if type(rows) is not list:
-                raise GraphFormatError(f"{where}: not a list")
-            src_keys, dst_keys = (keys[end] for end in EDGE_ENDPOINTS[kind])
-            for i, row in enumerate(rows):
-                if type(row) is not list or len(row) != 5:
-                    raise GraphFormatError(f"{where}[{i}]: not a [source, target, "
-                                           "weight_units, support_count, months_sum] row")
-                source, target, units, count, months = row
-                if not isinstance(source, str) or not isinstance(target, str):
-                    raise GraphFormatError(f"{where}[{i}]: source and target must be strings")
-                # type() rather than isinstance(): JSON has no bool integers, and
-                # NaN or Infinity tokens load as floats.
-                if type(units) is not int or type(count) is not int or type(months) is not int:
-                    raise GraphFormatError(f"{where}[{i}]: weight_units, support_count "
-                                           "and months_sum must be integers")
-                # Every range check at once: no support forces units and months to 0.
-                if not (0 <= count <= 2**53 and 0 <= units <= count << 64
-                        and 0 <= months <= count * MAX_DURATION_MONTHS):
-                    raise GraphFormatError(f"{where}[{i}]: {_range_fault(units, count, months)}")
-                if source not in src_keys:
-                    raise GraphFormatError(f"{where}[{i}]: dangling source {source!r}")
-                if target not in dst_keys:
-                    raise GraphFormatError(f"{where}[{i}]: dangling target {target!r}")
-                edge = WeightedEdge(units, count, months)
-                if edges.setdefault((kind, source, target), edge) is not edge:
-                    raise GraphFormatError(f"{where}[{i}]: duplicate edge")
+        for name in ("skills", "jobseekers"):
+            if type(doc.get(name, [])) is not list:
+                raise GraphFormatError(f"{name}: not a list")
+        known: set[str] = set()
+        for i, row in enumerate(doc.get("skills", [])):
+            if type(row) is not list or len(row) != 2:
+                raise GraphFormatError(f"skills[{i}]: not a [key, attrs] row")
+            key, attrs = row
+            if not isinstance(key, str) or not isinstance(attrs, dict):
+                raise GraphFormatError(f"skills[{i}]: bad key or attrs")
+            for name, value in attrs.items():
+                if not isinstance(value, str):
+                    raise GraphFormatError(f"skills[{i}]: attr {name!r} is not a string")
+            if key in known:
+                raise GraphFormatError(f"skills[{i}]: duplicate skill {key!r}")
+            known.add(key)
+            nodes[NodeId(NodeKind.SKILL, key)] = dict(attrs)
+        for i, row in enumerate(doc.get("jobseekers", [])):
+            if type(row) is not list or len(row) != 4:
+                raise GraphFormatError(f"jobseekers[{i}]: "
+                                       "not an [id, name, declared, projects] row")
+            jobseeker, name, declared, projects = row
+            if not (isinstance(jobseeker, str) and isinstance(name, str)
+                    and type(declared) is list and type(projects) is list):
+                raise GraphFormatError(f"jobseekers[{i}]: id and name must be strings, "
+                                       "declared and projects lists")
+            if (node := NodeId(NodeKind.JOBSEEKER, jobseeker)) in nodes:
+                raise GraphFormatError(f"jobseekers[{i}]: duplicate jobseeker {jobseeker!r}")
+            nodes[node] = {"name": name}
+            for ordinal, project in enumerate(projects):
+                where = f"jobseekers[{i}].projects[{ordinal}]"
+                if type(project) is not list or len(project) != 5:
+                    raise GraphFormatError(f"{where}: not a [title, organization, months, "
+                                           "score_units, skills] row")
+                title, org, months, units, mentioned = project
+                if not (isinstance(title, str) and isinstance(org, str)
+                        and type(mentioned) is list):
+                    raise GraphFormatError(f"{where}: title and organization must be "
+                                           "strings, skills a list")
+                # type(): JSON has no bool integers, and NaN or Infinity load as floats.
+                if type(months) is not int or type(units) is not int:
+                    raise GraphFormatError(f"{where}: months and score_units must be integers")
+                if not 0 <= months <= MAX_DURATION_MONTHS:
+                    raise GraphFormatError(f"{where}: months {months} outside "
+                                           f"[0, {MAX_DURATION_MONTHS}]")
+                if not 0 <= units <= WEIGHT_UNITS:
+                    raise GraphFormatError(f"{where}: score_units {units} outside [0, 2**64]")
+                if units and not mentioned:
+                    raise GraphFormatError(f"{where}: score_units without a mentioned skill")
+                for skill in mentioned:
+                    if not isinstance(skill, str) or skill not in known:
+                        raise GraphFormatError(f"{where}: unknown skill {skill!r}")
+                    if mentioned.count(skill) > 1:
+                        raise GraphFormatError(f"{where}: skill {skill!r} is listed twice")
+                graph._add_project(jobseeker, ordinal, title, org, months, units, mentioned)
+            for skill in declared:
+                if not isinstance(skill, str) or skill not in known:
+                    raise GraphFormatError(f"jobseekers[{i}].declared: unknown skill {skill!r}")
+                edge = WeightedEdge()
+                if edges.setdefault((EdgeKind.JOBSEEKER_SKILL, jobseeker, skill),
+                                    edge) is not edge:
+                    raise GraphFormatError(f"jobseekers[{i}].declared: skill {skill!r} "
+                                           "is listed twice or mentioned by a project")
         return graph
 
     def save(self, path: str | Path) -> None:
@@ -480,7 +473,7 @@ class KnowledgeGraph:
             return text.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph talentgraph {"]
-        nodes, edges = self._file_rows()
+        nodes, edges = self._sorted_rows()
         # Each node's quoted dot id, made once and looked up by its edges' lines.
         ids: dict[NodeKind, dict[str, str]] = {kind: {} for kind in NodeKind}
         for kind, rows in nodes.items():

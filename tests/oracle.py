@@ -193,7 +193,9 @@ class OracleGraph:
                 pkey = f"{record.jobseeker_id}:p{ordinal}"
                 self.nodes.add(("organization", exp.organization))
                 self.nodes.add(("project", pkey))
-                self.edges[("jobseeker_project", record.jobseeker_id, pkey)][1] += 1
+                acc = self.edges[("jobseeker_project", record.jobseeker_id, pkey)]
+                acc[1] += 1
+                acc[2] += exp.duration_months
                 self.edges[("project_org", pkey, exp.organization)][1] += 1
                 mentioned = naive_extract_skills(exp.details, lexicon)
                 if not mentioned:
@@ -309,14 +311,6 @@ class OracleGraph:
 
 # -- graph documents ----------------------------------------------------------
 
-NODE_KINDS = ("jobseeker", "skill", "organization", "project")
-EDGE_KINDS = {  # kind -> (source kind, target kind)
-    "jobseeker_skill": ("jobseeker", "skill"),
-    "skill_project": ("skill", "project"),
-    "org_skill": ("organization", "skill"),
-    "jobseeker_project": ("jobseeker", "project"),
-    "project_org": ("project", "organization"),
-}
 LONGEST_DURATION_MONTHS = 129987  # README: the longest duration the parser reads
 
 
@@ -352,9 +346,9 @@ def naive_config_fault(config):
     return None
 
 
-def naive_node_fault(kind, row, seen):
-    """What is wrong with one row of a node section, given the (kind, key)
-    pairs before it."""
+def naive_skill_fault(row, skills):
+    """What is wrong with one row of the skills section, given the skill keys
+    before it."""
     if not isinstance(row, list) or len(row) != 2:
         return "not a [key, attrs] row"
     key, attrs = row
@@ -363,78 +357,106 @@ def naive_node_fault(kind, row, seen):
     for name in attrs:
         if not isinstance(attrs[name], str):
             return f"attr {name!r} is not a string"
-    if (kind, key) in seen:
-        return f"duplicate node {key!r}"
+    if key in skills:
+        return f"duplicate skill {key!r}"
     return None
 
 
-def naive_edge_fault(kind, row, nodes, seen):
-    """What is wrong with one row of an edge section, given every node and
-    the (kind, source, target) edges before it."""
-    if not isinstance(row, list) or len(row) != 5:
-        return "not a [source, target, weight_units, support_count, months_sum] row"
-    source, target, units, count, months = row
-    if not isinstance(source, str) or not isinstance(target, str):
-        return "source and target must be strings"
-    if not (is_json_int(units) and is_json_int(count) and is_json_int(months)):
-        return "weight_units, support_count and months_sum must be integers"
-    if units < 0 or count < 0 or months < 0:
-        return "negative accumulator"
-    if count > 2**53:
-        return f"support_count {count} above 2**53"
-    if count == 0 and units != 0:
-        return "weight_units without support"
-    if count == 0 and months != 0:
-        return "months_sum without support"
-    if units > count * 2**64:
-        return f"weight_units {units} above support_count {count} * 2**64"
-    if months > count * LONGEST_DURATION_MONTHS:
-        return f"months_sum {months} above support_count {count} * {LONGEST_DURATION_MONTHS}"
-    source_kind, target_kind = EDGE_KINDS[kind]
-    if (source_kind, source) not in nodes:
-        return f"dangling source {source!r}"
-    if (target_kind, target) not in nodes:
-        return f"dangling target {target!r}"
-    if (kind, source, target) in seen:
-        return "duplicate edge"
+def naive_project_fault(project, skills):
+    """What is wrong with one project row, given every skill key."""
+    if not isinstance(project, list) or len(project) != 5:
+        return "not a [title, organization, months, score_units, skills] row"
+    title, org, months, units, mentioned = project
+    if not (isinstance(title, str) and isinstance(org, str) and isinstance(mentioned, list)):
+        return "title and organization must be strings, skills a list"
+    if not (is_json_int(months) and is_json_int(units)):
+        return "months and score_units must be integers"
+    if months < 0 or months > LONGEST_DURATION_MONTHS:
+        return f"months {months} outside [0, {LONGEST_DURATION_MONTHS}]"
+    if units < 0 or units > 2**64:
+        return f"score_units {units} outside [0, 2**64]"
+    if units != 0 and len(mentioned) == 0:
+        return "score_units without a mentioned skill"
+    for skill in mentioned:
+        if not isinstance(skill, str) or skill not in skills:
+            return f"unknown skill {skill!r}"
+        if len([other for other in mentioned if other == skill]) > 1:
+            return f"skill {skill!r} is listed twice"
     return None
 
 
-# The graph file's sections in the order they are checked, as (section, kind):
-# every node kind, then every edge kind, each alphabetically.
-GRAPH_SECTIONS = ([("nodes/" + kind, kind) for kind in sorted(NODE_KINDS)]
-                  + [("edges/" + kind, kind) for kind in sorted(EDGE_KINDS)])
+def naive_jobseeker_fault(i, row, skills, jobseekers):
+    """What is wrong with row ``i`` of the jobseekers section, located, given
+    every skill key and the jobseeker ids before it."""
+    if not isinstance(row, list) or len(row) != 4:
+        return f"jobseekers[{i}]: not an [id, name, declared, projects] row"
+    jobseeker, name, declared, projects = row
+    if not (isinstance(jobseeker, str) and isinstance(name, str)
+            and isinstance(declared, list) and isinstance(projects, list)):
+        return f"jobseekers[{i}]: id and name must be strings, declared and projects lists"
+    if jobseeker in jobseekers:
+        return f"jobseekers[{i}]: duplicate jobseeker {jobseeker!r}"
+    mentioned = []
+    for n, project in enumerate(projects):
+        fault = naive_project_fault(project, skills)
+        if fault is not None:
+            return f"jobseekers[{i}].projects[{n}]: {fault}"
+        mentioned += project[4]
+    for n, skill in enumerate(declared):
+        if not isinstance(skill, str) or skill not in skills:
+            return f"jobseekers[{i}].declared: unknown skill {skill!r}"
+        if skill in declared[:n] or skill in mentioned:
+            return (f"jobseekers[{i}].declared: skill {skill!r} "
+                    "is listed twice or mentioned by a project")
+    return None
 
 
 def naive_graph_fault(doc):
-    """The message loading a graph document of schema version 3 fails with,
+    """The message loading a graph document of schema version 4 fails with,
     or None when it loads: each check of README's Graph file section in the
-    order listed there: the config, unknown top-level keys, then each node
-    section and each edge section row by row."""
+    order listed there: the config, unknown top-level keys, the two sections'
+    types, then each skill row and each jobseeker row with its projects and
+    declared skills."""
     config = doc.get("config")
     if not isinstance(config, dict):
         return "missing 'config' object"
     fault = naive_config_fault(config)
     if fault is not None:
         return f"bad config: {fault}"
-    known = ["schema_version", "config"] + [section for section, _ in GRAPH_SECTIONS]
     for name in doc:
-        if name not in known:
+        if name not in ("schema_version", "config", "skills", "jobseekers"):
             return f"unknown section {name!r}"
-    nodes, edges = set(), set()
-    for section, kind in GRAPH_SECTIONS:
-        rows = doc.get(section, [])
-        if not isinstance(rows, list):
+    for section in ("skills", "jobseekers"):
+        if not isinstance(doc.get(section, []), list):
             return f"{section}: not a list"
-        for i, row in enumerate(rows):
-            if kind in NODE_KINDS:
-                fault = naive_node_fault(kind, row, nodes)
-                if fault is None:
-                    nodes.add((kind, row[0]))
-            else:
-                fault = naive_edge_fault(kind, row, nodes, edges)
-                if fault is None:
-                    edges.add((kind, row[0], row[1]))
-            if fault is not None:
-                return f"{section}[{i}]: {fault}"
+    skills = []
+    for i, row in enumerate(doc.get("skills", [])):
+        fault = naive_skill_fault(row, skills)
+        if fault is not None:
+            return f"skills[{i}]: {fault}"
+        skills.append(row[0])
+    jobseekers = []
+    for i, row in enumerate(doc.get("jobseekers", [])):
+        fault = naive_jobseeker_fault(i, row, skills, jobseekers)
+        if fault is not None:
+            return fault
+        jobseekers.append(row[0])
     return None
+
+
+def naive_derived_edges(doc):
+    """The jobseeker-skill and org-skill accumulators of a loadable graph
+    document, [weight_units, support_count, months_sum] each, summed from its
+    project rows and declared skills."""
+    edges = defaultdict(lambda: [0, 0, 0])
+    for jobseeker, _, declared, projects in doc["jobseekers"]:
+        for skill in declared:
+            edges[("jobseeker_skill", jobseeker, skill)]
+        for _, org, months, units, mentioned in projects:
+            for skill in mentioned:
+                for key, add_months in ((("jobseeker_skill", jobseeker, skill), months),
+                                        (("org_skill", org, skill), 0)):
+                    edges[key][0] += units
+                    edges[key][1] += 1
+                    edges[key][2] += add_months
+    return dict(edges)

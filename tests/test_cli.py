@@ -296,6 +296,24 @@ def test_eval_subcommand(tmp_path, capsys):
     assert metrics["topk"]["10"] == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("query, relevant, message", [
+    ("top cobol", ["js0000-jane-doe"], "queries[1]: unknown skill 'cobol'"),
+    ("top java", ["js9999-ghost"],
+     "queries[1]: gold references unknown jobseekers: ['js9999-ghost']"),
+], ids=["unknown-skill", "unknown-relevant-id"])
+def test_eval_locates_a_bad_gold_query(tmp_path, capsys, query, relevant, message):
+    out = ingest(tmp_path)
+    gold = tmp_path / "gold.json"
+    gold.write_text(json.dumps({"queries": [
+        {"query": "top python", "relevant": ["js0000-jane-doe"]},
+        {"query": query, "relevant": relevant},
+    ]}), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("eval", out, gold, "--lexicon", LEXICON_FILE) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_eval_table_output(tmp_path, capsys):
     out = ingest(tmp_path)
     capsys.readouterr()
@@ -476,6 +494,10 @@ def loaded():
 seen.append(loaded())
 talentgraph.cli.main(["stats", sys.argv[1]])
 seen.append(loaded())
+talentgraph.cli.main(["export", sys.argv[1], "--format", "dot"])
+seen.append(loaded())
+talentgraph.cli.main(["query", sys.argv[1], "java, python"])
+seen.append(loaded())
 talentgraph.cli.main(["ingest", *sys.argv[2:]])
 seen.append(loaded())
 print(json.dumps(seen))
@@ -484,15 +506,16 @@ print(json.dumps(seen))
 
 def test_commands_import_only_the_modules_they_run(tmp_path):
     """A deterministic guard on start-up cost: ``import talentgraph`` loads no
-    submodule, ``import talentgraph.cli`` and stats on a graph file load
-    neither parser nor scoring, and stats and ingest (without --intermediate)
-    load neither query, evaluation nor intermediate."""
+    submodule; ``import talentgraph.cli``, and stats, export and query on a
+    graph file, load neither parser nor scoring, so loading a graph rebuilds
+    it without parsing or scoring; stats, export and ingest (without
+    --intermediate) load neither query, evaluation nor intermediate."""
     graph = ingest(tmp_path)
     argv = [graph, CORPUS_DIR, "--lexicon", LEXICON_FILE, "--gazetteer", GAZETTEER_FILE,
             "--out", tmp_path / "child.json"]
     out = run_python("-c", IMPORT_GUARD, *map(str, argv))
     assert json.loads(out.stdout.splitlines()[-1]) == [
-        [], [], ["stats"], ["parser", "scoring", "stats"]]
+        [], [], ["stats"], ["stats"], ["query", "stats"], ["parser", "query", "scoring", "stats"]]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])

@@ -10,16 +10,19 @@ from pathlib import Path
 
 from hypothesis import given, settings
 
+from talentgraph._io import dumps
 from talentgraph.cli import main
 from talentgraph.graph import KnowledgeGraph
+from talentgraph.query import execute, explain, parse_query
+from talentgraph.stats import compute_graph_stats
 
 from conftest import CORPUS_DIR, GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, build_graph
 from test_graph_index import GAZETTEER, LEXICON, record_sets
 
 GOLDEN = {
-    "ingest graph file": "2b25c0c7d79769b60afc50988e7e56b906aadb3757067444f33dc25e55869121",
+    "ingest graph file": "f25404d57ec57f0674519a53532bc4d91ef65fa5713389c852ece604cf9dec08",
     "ingest intermediate": "9b7af0e02ccc0a3249531ab63847e1c6d442ec387a2a39b011a943782c6dea35",
-    "export json": "2b25c0c7d79769b60afc50988e7e56b906aadb3757067444f33dc25e55869121",
+    "export json": "f25404d57ec57f0674519a53532bc4d91ef65fa5713389c852ece604cf9dec08",
     "export dot": "d6d27ec98e05843091815167be23b3d4218262701d7c90bc2ff8902bbfec538c",
     "query --json": "218ddc28de0d9b9fbf787b9a5dc16e3d0bb29b16a70b0656fee5dc9b57ef4168",
     "stats --json": "07c29c38493d83e82ffbf966857214a72a3a8a572b3e9b8f73104b5c64a36d01",
@@ -77,13 +80,22 @@ def test_cli_output_bytes_on_fixtures(tmp_path, capsys, monkeypatch):
     assert got == GOLDEN
 
 
+def outputs(graph: KnowledgeGraph) -> tuple:
+    """What the commands read off a graph: dot, stats, a ranking, every
+    jobseeker's explanation and the graph file's text."""
+    query = parse_query("c++, java 1+, python", LEXICON)
+    return (graph.to_dot(), compute_graph_stats(graph).to_dict(),
+            [result.to_dict() for result in execute(query, graph)],
+            [explain(jobseeker, query, graph).to_dict() for jobseeker in graph.jobseeker_ids()],
+            dumps(graph.to_dict()))
+
+
 @settings(max_examples=100, deadline=None)
 @given(records=record_sets())
 def test_graph_file_loads_the_graph_it_saved_in_kind_then_key_order(records):
-    """The in-memory graph, and so every output but the graph file's own
-    bytes, does not depend on how the file lays out its rows."""
+    """The loaded graph, and every output read off it, equals the built
+    graph's, whatever order the load rebuilds nodes and edges in."""
     graph = build_graph(records, LEXICON, GAZETTEER)
     loaded = KnowledgeGraph.from_dict(graph.to_dict())
     assert loaded == graph
-    assert list(loaded.nodes) == sorted(graph.nodes, key=lambda node: (node.kind, node.key))
-    assert list(loaded.edges) == sorted(graph.edges)
+    assert outputs(loaded) == outputs(graph)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from talentgraph import __version__
 from talentgraph._io import dumps
 from talentgraph.errors import (
     DuplicateJobseekerError,
@@ -21,7 +24,6 @@ from talentgraph.graph import (
     WEIGHT_UNITS,
     EdgeKind,
     KnowledgeGraph,
-    NodeId,
     NodeKind,
     ScoringConfig,
     project_key,
@@ -30,7 +32,7 @@ from talentgraph.lexicon import parse_sentiment_records, parse_skill_records
 from talentgraph.parser import ExperienceEntry, ResumeRecord
 
 from conftest import build_graph, org_skill_strength, skill_years
-from oracle import OracleGraph, naive_graph_fault
+from oracle import OracleGraph, naive_derived_edges, naive_graph_fault
 from test_graph_index import GAZETTEER, LEXICON, record_sets
 
 
@@ -425,87 +427,104 @@ def test_integer_bonus_factor_saves_as_the_float_it_loads_as(tmp_path):
 CONFIG = {"duration_bonus_factor": 0.5, "duration_cap_months": 120}
 
 
-JS_SKILL = "edges/jobseeker_skill"
-E0 = r"edges/jobseeker_skill\[0\]"  # the locator of JS_SKILL's first row
-N0 = r"nodes/jobseeker\[0\]"
+S0 = r"skills\[0\]"
+J0 = r"jobseekers\[0\]"
+P0 = r"jobseekers\[0\]\.projects\[0\]"  # the locator of the first project row
+PROJECT = ("jobseekers", 0, 3, 0)  # the path to the first project row
 
 
 def test_from_dict_rejects_dangling_edge():
-    doc = {"schema_version": 3, "config": CONFIG, "nodes/jobseeker": [["js0", {}]],
-           JS_SKILL: [["js0", "java", 0, 0, 0]]}
-    with pytest.raises(GraphFormatError, match=rf"^{E0}: dangling target 'java'$"):
+    """A project's skill edges need the skill's row."""
+    doc = {"schema_version": 4, "config": CONFIG,
+           "jobseekers": [["js0", "Jo", [], [["Ledger", "acme", 12, 0, ["java"]]]]]}
+    with pytest.raises(GraphFormatError, match=rf"^{P0}: unknown skill 'java'$"):
         KnowledgeGraph.from_dict(doc)
 
 
 def test_from_dict_rejects_weight_without_support():
-    doc = {"schema_version": 3, "config": CONFIG,
-           "nodes/jobseeker": [["js0", {}]], "nodes/skill": [["java", {}]],
-           JS_SKILL: [["js0", "java", WEIGHT_UNITS * 2 // 5, 0, 0]]}
-    with pytest.raises(GraphFormatError, match=rf"^{E0}: weight_units without support$"):
+    doc = {"schema_version": 4, "config": CONFIG, "skills": [["java", {}]],
+           "jobseekers": [["js0", "Jo", ["java"], [["Ledger", "acme", 0, WEIGHT_UNITS * 2 // 5, []]]]]}
+    with pytest.raises(GraphFormatError, match=rf"^{P0}: score_units without a mentioned skill$"):
         KnowledgeGraph.from_dict(doc)
 
 
 def test_from_dict_rejects_unknown_kind():
-    doc = {"schema_version": 3, "config": CONFIG, "nodes/wizard": [["x", {}]]}
+    doc = {"schema_version": 4, "config": CONFIG, "nodes/wizard": [["x", {}]]}
     with pytest.raises(GraphFormatError, match=r"^unknown section 'nodes/wizard'$"):
         KnowledgeGraph.from_dict(doc)
 
 
 LOADABLE_DOC = {
-    "schema_version": 3,
+    "schema_version": 4,
     "config": CONFIG,
-    "nodes/jobseeker": [["js0", {"name": "Jo"}]],
-    "nodes/skill": [["java", {"category": "language"}]],
-    JS_SKILL: [["js0", "java", WEIGHT_UNITS // 2, 1, 12]],
+    "skills": [["java", {"category": "language"}]],
+    "jobseekers": [["js0", "Jo", [], [["Ledger", "acme", 12, WEIGHT_UNITS // 2, ["java"]]]]],
 }
-NO_SUPPORT_ROW = ["js0", "java", 0, 0, 12]
-TYPES = r"weight_units, support_count and months_sum must be integers"
-EDGE_ROW = r"not a \[source, target, weight_units, support_count, months_sum\] row"
+TYPES = r"months and score_units must be integers"
+STRINGS = r"title and organization must be strings, skills a list"
+FIELDS = r"id and name must be strings, declared and projects lists"
+PROJECT_ROW = r"not a \[title, organization, months, score_units, skills\] row"
 NODE_ROW = r"not a \[key, attrs\] row"
 V1_EDGE = {"kind": "jobseeker_skill", "source": "js0", "target": "java",
            "weight_sum": 0.5, "support_count": 1, "months_sum": 12}
 V2_EDGE = ["jobseeker_skill", "js0", "java", WEIGHT_UNITS // 2, 1, 12]
+V3_EDGE = ["js0", "java", WEIGHT_UNITS // 2, 1, 12]
+MONTHS = rf"outside \[0, {MAX_DURATION_MONTHS}\]"
 
-# (path to the replaced value in LOADABLE_DOC, new value, the whole message)
+# (path to the replaced value in LOADABLE_DOC, new value, the whole message).
+# Edges are rebuilt from project rows, so the "edge" and "weight" cases break
+# a project row or its list, and the "node" cases a skill row.
 MALFORMED = {
-    "nodes-not-a-list": (("nodes/jobseeker",), {"a": 1}, r"nodes/jobseeker: not a list"),
-    "edges-not-a-list": ((JS_SKILL,), 5, r"edges/jobseeker_skill: not a list"),
-    "list-source": ((JS_SKILL, 0, 0), [], rf"{E0}: source and target must be strings"),
-    "object-target": ((JS_SKILL, 0, 1), {}, rf"{E0}: source and target must be strings"),
-    "nan-weight": ((JS_SKILL, 0, 2), math.nan, rf"{E0}: {TYPES}"),
-    "inf-weight": ((JS_SKILL, 0, 2), math.inf, rf"{E0}: {TYPES}"),
-    "mean-weight-above-1": ((JS_SKILL, 0, 2), WEIGHT_UNITS + 1,
-                            rf"{E0}: weight_units {WEIGHT_UNITS + 1} above "
-                            r"support_count 1 \* 2\*\*64"),
-    "bool-weight": ((JS_SKILL, 0, 2), True, rf"{E0}: {TYPES}"),
-    "string-weight": ((JS_SKILL, 0, 2), "0.5", rf"{E0}: {TYPES}"),
-    "float-weight": ((JS_SKILL, 0, 2), 0.5, rf"{E0}: {TYPES}"),
-    "fractional-support": ((JS_SKILL, 0, 3), 1.9, rf"{E0}: {TYPES}"),
-    "bool-support": ((JS_SKILL, 0, 3), True, rf"{E0}: {TYPES}"),
-    "fractional-months": ((JS_SKILL, 0, 4), 1.9, rf"{E0}: {TYPES}"),
-    "bool-months": ((JS_SKILL, 0, 4), True, rf"{E0}: {TYPES}"),
-    "negative-months": ((JS_SKILL, 0, 4), -1, rf"{E0}: negative accumulator"),
-    "months-without-support": ((JS_SKILL, 0), NO_SUPPORT_ROW,
-                               rf"{E0}: months_sum without support"),
-    "months-above-longest-duration": ((JS_SKILL, 0, 4), MAX_DURATION_MONTHS + 1,
-                                      rf"{E0}: months_sum {MAX_DURATION_MONTHS + 1} "
-                                      rf"above support_count 1 \* {MAX_DURATION_MONTHS}"),
-    "months-too-large-for-a-float": ((JS_SKILL, 0, 4), 10**400,
-                                     rf"{E0}: months_sum 1{'0' * 400} above "
-                                     rf"support_count 1 \* {MAX_DURATION_MONTHS}"),
-    "short-edge-row": ((JS_SKILL, 0), LOADABLE_DOC[JS_SKILL][0][:4], rf"{E0}: {EDGE_ROW}"),
-    "long-edge-row": ((JS_SKILL, 0), LOADABLE_DOC[JS_SKILL][0] + [0], rf"{E0}: {EDGE_ROW}"),
-    "v1-edge-record": ((JS_SKILL, 0), V1_EDGE, rf"{E0}: {EDGE_ROW}"),
-    "v2-edge-row": ((JS_SKILL, 0), V2_EDGE, rf"{E0}: {EDGE_ROW}"),
-    "v1-node-record": (("nodes/jobseeker", 0), {"kind": "jobseeker", "key": "js0", "attrs": {}},
-                       rf"{N0}: {NODE_ROW}"),
-    "v2-node-row": (("nodes/jobseeker", 0), ["jobseeker", "js0", {}], rf"{N0}: {NODE_ROW}"),
-    "string-node-row": (("nodes/jobseeker", 0), "abc", rf"{N0}: {NODE_ROW}"),
-    "non-string-attr": (("nodes/jobseeker", 0, 1, "name"), 5,
-                        rf"{N0}: attr 'name' is not a string"),
-    "edge-in-another-kinds-section": (("edges/org_skill",), LOADABLE_DOC[JS_SKILL],
-                                      r"edges/org_skill\[0\]: dangling source 'js0'"),
+    "nodes-not-a-list": (("skills",), {"a": 1}, r"skills: not a list"),
+    "jobseekers-not-a-list": (("jobseekers",), {}, r"jobseekers: not a list"),
+    "edges-not-a-list": (("jobseekers", 0, 3), 5, rf"{J0}: {FIELDS}"),
+    "declared-not-a-list": (("jobseekers", 0, 2), "java", rf"{J0}: {FIELDS}"),
+    "number-name": (("jobseekers", 0, 1), 5, rf"{J0}: {FIELDS}"),
+    "short-jobseeker-row": (("jobseekers", 0), ["js0", "Jo", []],
+                            rf"{J0}: not an \[id, name, declared, projects\] row"),
+    "duplicate-jobseeker": (("jobseekers", 1), LOADABLE_DOC["jobseekers"][0],
+                            r"jobseekers\[1\]: duplicate jobseeker 'js0'"),
+    "list-source": ((*PROJECT, 1), [], rf"{P0}: {STRINGS}"),
+    "number-title": ((*PROJECT, 0), 7, rf"{P0}: {STRINGS}"),
+    "object-target": ((*PROJECT, 4, 0), {}, rf"{P0}: unknown skill \{{\}}"),
+    "skills-not-a-list": ((*PROJECT, 4), "java", rf"{P0}: {STRINGS}"),
+    "nan-weight": ((*PROJECT, 3), math.nan, rf"{P0}: {TYPES}"),
+    "inf-weight": ((*PROJECT, 3), math.inf, rf"{P0}: {TYPES}"),
+    "mean-weight-above-1": ((*PROJECT, 3), WEIGHT_UNITS + 1,
+                            rf"{P0}: score_units {WEIGHT_UNITS + 1} outside \[0, 2\*\*64\]"),
+    "negative-weight": ((*PROJECT, 3), -1, rf"{P0}: score_units -1 outside \[0, 2\*\*64\]"),
+    "bool-weight": ((*PROJECT, 3), True, rf"{P0}: {TYPES}"),
+    "string-weight": ((*PROJECT, 3), "0.5", rf"{P0}: {TYPES}"),
+    "float-weight": ((*PROJECT, 3), 0.5, rf"{P0}: {TYPES}"),
+    "weight-without-skills": ((*PROJECT, 4), [], rf"{P0}: score_units without a mentioned skill"),
+    "fractional-months": ((*PROJECT, 2), 1.9, rf"{P0}: {TYPES}"),
+    "bool-months": ((*PROJECT, 2), True, rf"{P0}: {TYPES}"),
+    "negative-months": ((*PROJECT, 2), -1, rf"{P0}: months -1 {MONTHS}"),
+    "months-above-longest-duration": ((*PROJECT, 2), MAX_DURATION_MONTHS + 1,
+                                      rf"{P0}: months {MAX_DURATION_MONTHS + 1} {MONTHS}"),
+    "months-too-large-for-a-float": ((*PROJECT, 2), 10**400, rf"{P0}: months 1{'0' * 400} {MONTHS}"),
+    "unknown-skill": ((*PROJECT, 4, 0), "cobol", rf"{P0}: unknown skill 'cobol'"),
+    "repeated-skill": ((*PROJECT, 4, 1), "java", rf"{P0}: skill 'java' is listed twice"),
+    "unknown-declared-skill": (("jobseekers", 0, 2, 0), "cobol",
+                               rf"{J0}\.declared: unknown skill 'cobol'"),
+    "declared-and-mentioned": (("jobseekers", 0, 2, 0), "java",
+                               rf"{J0}\.declared: skill 'java' is listed twice or "
+                               "mentioned by a project"),
+    "short-edge-row": (PROJECT, LOADABLE_DOC["jobseekers"][0][3][0][:4], rf"{P0}: {PROJECT_ROW}"),
+    "long-edge-row": (PROJECT, LOADABLE_DOC["jobseekers"][0][3][0] + [0], rf"{P0}: {PROJECT_ROW}"),
+    "v1-edge-record": (PROJECT, V1_EDGE, rf"{P0}: {PROJECT_ROW}"),
+    "v2-edge-row": (PROJECT, V2_EDGE, rf"{P0}: {PROJECT_ROW}"),
+    "edge-in-another-kinds-section": (("jobseekers", 0), V3_EDGE,
+                                      rf"{J0}: not an \[id, name, declared, projects\] row"),
+    "v1-node-record": (("skills", 0), {"kind": "skill", "key": "java", "attrs": {}},
+                       rf"{S0}: {NODE_ROW}"),
+    "v2-node-row": (("skills", 0), ["skill", "java", {}], rf"{S0}: {NODE_ROW}"),
+    "string-node-row": (("skills", 0), "abc", rf"{S0}: {NODE_ROW}"),
+    "non-string-attr": (("skills", 0, 1, "category"), 5, rf"{S0}: attr 'category' is not a string"),
+    "duplicate-skill": (("skills", 1), ["java", {}], r"skills\[1\]: duplicate skill 'java'"),
     "v2-nodes-list": (("nodes",), [], r"unknown section 'nodes'"),
+    "v3-edge-section": (("edges/jobseeker_skill",), [V3_EDGE],
+                        r"unknown section 'edges/jobseeker_skill'"),
     "misspelled-section": (("edgse",), [], r"unknown section 'edgse'"),
     "misspelled-kind": (("edges/org_skil",), [], r"unknown section 'edges/org_skil'"),
     "unknown-config-field": (("config", "extra"), 1, r"bad config: unknown field 'extra'"),
@@ -525,10 +544,6 @@ MALFORMED = {
                         r"bad config: duration_cap_months must be <= 2\*\*53"),
     "cap-of-401-digits": (("config", "duration_cap_months"), 10**400,
                           r"bad config: duration_cap_months must be <= 2\*\*53"),
-    "support-above-2**53": ((JS_SKILL, 0, 3), 2**53 + 1,
-                            rf"{E0}: support_count {2**53 + 1} above 2\*\*53"),
-    "support-too-large-for-a-float": ((JS_SKILL, 0, 3), 10**330,
-                                      rf"{E0}: support_count 1{'0' * 330} above 2\*\*53"),
 }
 
 
@@ -539,7 +554,10 @@ def replaced(doc: dict, path: tuple, value) -> dict:
     holder = doc
     for step in parents:
         holder = holder[step]
-    holder[last] = value
+    if isinstance(holder, list) and last == len(holder):
+        holder.append(value)
+    else:
+        holder[last] = value
     return doc
 
 
@@ -551,7 +569,8 @@ def test_loadable_doc_loads():
 
 
 def test_loadable_doc_at_every_bound_gives_finite_strengths():
-    doc = replaced(LOADABLE_DOC, (JS_SKILL, 0, 3), 2**53)
+    doc = replaced(LOADABLE_DOC, (*PROJECT, 2), MAX_DURATION_MONTHS)
+    doc = replaced(doc, (*PROJECT, 3), WEIGHT_UNITS)
     doc = replaced(doc, ("config", "duration_cap_months"), 2**53)
     graph = KnowledgeGraph.from_dict(replaced(doc, ("config", "duration_bonus_factor"), 1e6))
     edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, "js0", "java")
@@ -565,7 +584,7 @@ def test_load_rejects_nan_and_infinity_tokens(tmp_path, token):
     text = dumps(LOADABLE_DOC)
     assert text.count(units) == 1
     path.write_text(text.replace(units, token), encoding="utf-8")
-    with pytest.raises(GraphFormatError, match=rf"^{E0}: {TYPES}$"):
+    with pytest.raises(GraphFormatError, match=rf"^{P0}: {TYPES}$"):
         KnowledgeGraph.load(path)
 
 
@@ -576,8 +595,20 @@ def test_from_dict_rejects_malformed_document(path, value, message):
 
 
 REPLACEMENTS = [None, [], {}, "x", math.nan, math.inf, -1, 1.9, True, 1e6, 3 * WEIGHT_UNITS]
-NODE_SECTIONS = [f"nodes/{kind.value}" for kind in sorted(NodeKind)]
-EDGE_SECTIONS = [f"edges/{kind.value}" for kind in sorted(EdgeKind)]
+
+
+def field_paths(doc: dict) -> list[tuple]:
+    """The path to every field of every row, project row and skill list entry."""
+    paths = []
+    for i, (_, attrs) in enumerate(doc["skills"]):
+        paths += [("skills", i, 0), ("skills", i, 1)] + [("skills", i, 1, name) for name in attrs]
+    for i, (_, _, declared, projects) in enumerate(doc["jobseekers"]):
+        paths += [("jobseekers", i, j) for j in range(4)]
+        paths += [("jobseekers", i, 2, k) for k in range(len(declared))]
+        for n, project in enumerate(projects):
+            paths += [("jobseekers", i, 3, n, j) for j in range(5)]
+            paths += [("jobseekers", i, 3, n, 4, k) for k in range(len(project[4]))]
+    return paths
 
 
 @settings(max_examples=200, deadline=None)
@@ -585,25 +616,30 @@ EDGE_SECTIONS = [f"edges/{kind.value}" for kind in sorted(EdgeKind)]
 def test_from_dict_round_trips_and_rejects_any_replaced_field(records, data):
     graph = build_graph(records, LEXICON, GAZETTEER)
     doc = graph.to_dict()
-    assert set(doc) == {"schema_version", "config", *NODE_SECTIONS, *EDGE_SECTIONS}
-    loaded = KnowledgeGraph.from_dict(doc)
-    assert loaded == graph
-    # Nodes and edges iterate in document order: node sections, then edge
-    # sections, each in kind order.
-    assert list(loaded.nodes) == [NodeId(kind, key) for kind in sorted(NodeKind)
-                                  for key, _ in doc[f"nodes/{kind.value}"]]
-    assert list(loaded.edges) == [(kind, source, target) for kind in sorted(EdgeKind)
-                                  for source, target, *_ in doc[f"edges/{kind.value}"]]
-    paths = [
-        (section, i, j)
-        for section in NODE_SECTIONS + EDGE_SECTIONS
-        for i, row in enumerate(doc[section])
-        for j in range(len(row))
-    ] + [(section, i, 1, name) for section in NODE_SECTIONS
-         for i, (_, attrs) in enumerate(doc[section]) for name in attrs]
+    assert set(doc) == {"schema_version", "config", "skills", "jobseekers"}
+    assert KnowledgeGraph.from_dict(doc) == graph
+    paths = field_paths(doc)
     assume(paths)
     path = data.draw(st.sampled_from(paths))
     assert_loads_as_the_oracle_says(replaced(doc, path, data.draw(st.sampled_from(REPLACEMENTS))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=record_sets(), data=st.data())
+def test_loaded_graph_rebuilds_the_derived_edges_of_any_merge_tree(records, data):
+    """A graph built by any merge tree saves to a file that loads as it, and
+    every sum the file leaves out equals the oracle's."""
+    graph = merge_tree(records, data)
+    doc = graph.to_dict()
+    assert KnowledgeGraph.from_dict(doc) == graph
+    derived = {(kind.value, source, target): [e.weight_units, e.support_count, e.months_sum]
+               for (kind, source, target), e in graph.edges.items()
+               if kind in (EdgeKind.JOBSEEKER_SKILL, EdgeKind.ORG_SKILL)}
+    assert derived == naive_derived_edges(doc)
+    oracle = OracleGraph(records, LEXICON, GAZETTEER, graph.config)
+    for key, (units, count, months) in derived.items():
+        assert (count, months) == tuple(oracle.edges[key][1:]), key
+        assert units * 2.0**-64 == pytest.approx(oracle.edges[key][0], abs=1e-9), key
 
 
 def assert_loads_as_the_oracle_says(doc: dict) -> None:
@@ -623,42 +659,59 @@ def test_oracle_names_each_malformed_documents_fault(path, value, message):
     assert re.fullmatch(message, naive_graph_fault(replaced(LOADABLE_DOC, path, value)))
 
 
-# Where a broken row or section may move: every section, misspellings of two
-# and the config's own key, which the config check meets first.
-SECTION_NAMES = NODE_SECTIONS + EDGE_SECTIONS + ["edges/org_skil", "nodes", "config"]
+def rows_at(doc: dict, path: tuple) -> list:
+    """The list at ``path`` in ``doc``, or [] when there is none."""
+    holder = doc
+    for step in path:
+        try:
+            holder = holder[step]
+        except (KeyError, IndexError, TypeError):
+            return []
+    return holder if isinstance(holder, list) else []
 
 
-def accumulators(data) -> list[int]:
-    """[weight_units, support_count, months_sum], each at, near or just past a bound."""
-    count = data.draw(st.sampled_from([-1, 0, 1, 2, 2**53, 2**53 + 1]))
-    top_units, top_months = max(count, 0) * WEIGHT_UNITS, max(count, 0) * MAX_DURATION_MONTHS
-    units = data.draw(st.sampled_from([-1, 0, 1, top_units, top_units + 1]))
-    return [units, count, data.draw(st.sampled_from([-1, 0, 1, top_months, top_months + 1]))]
-
-
-def broken(doc: dict, section: str, i: int, keys: list[str], data) -> dict:
-    """``doc`` with row ``i`` of ``section`` duplicated or moved into another
-    (or an unknown) section, or its node key or an edge endpoint replaced by
-    one of ``keys``, or one of its fields or an edge's accumulators replaced."""
-    row = doc[section][i]
-    how = data.draw(st.sampled_from(
+def broken(doc: dict, path: tuple, keys: list[str], data) -> dict:
+    """``doc`` with the row at ``path`` (a skill, jobseeker or project row)
+    duplicated or moved into another (or an unknown) section or project list,
+    its key replaced by one of ``keys``, one of its fields replaced, its skill
+    list cleared or grown, or, for a project row, its months and score set
+    near a bound."""
+    row, project = rows_at(doc, path[:-1])[path[-1]], len(path) == 4
+    # The field holding the row's skill list: declared or mentioned skills.
+    skill_list = None if path[0] == "skills" else 4 if project else 2
+    how = data.draw(st.sampled_from(  # skill lists are edited twice as often as the rest
         ["duplicate", "move", "key", "field"]
-        + (["accumulators"] if section in EDGE_SECTIONS else [])
+        + (["skills"] * 2 if skill_list is not None else []) + (["numbers"] if project else [])
     ))
     if how == "duplicate":
-        at = data.draw(st.integers(0, len(doc[section])))
-        return replaced(doc, (section,), doc[section][:at] + [row] + doc[section][at:])
+        rows = rows_at(doc, path[:-1])
+        at = data.draw(st.integers(0, len(rows)))
+        return replaced(doc, path[:-1], rows[:at] + [row] + rows[at:])
     if how == "move":
-        other = data.draw(st.sampled_from(SECTION_NAMES))
-        rows = doc.get(other) if isinstance(doc.get(other), list) else []
-        return replaced(doc, (other,), rows + [row])
+        others = [("skills",), ("jobseekers",), ("edges/org_skil",), ("nodes",), ("config",)]
+        others += [("jobseekers", j, 3) for j in range(len(doc["jobseekers"]))]
+        other = data.draw(st.sampled_from(others))
+        return replaced(doc, other, rows_at(doc, other) + [row])
     if how == "key":
-        field = 0 if section in NODE_SECTIONS else data.draw(st.sampled_from([0, 1]))
-        return replaced(doc, (section, i, field), data.draw(st.sampled_from(keys)))
-    if how == "accumulators":
-        return replaced(doc, (section, i), row[:2] + accumulators(data))
+        return replaced(doc, (*path, 1 if project else 0), data.draw(st.sampled_from(keys)))
+    if how == "skills":
+        skills = rows_at(doc, (*path, skill_list))
+        # Besides any key: the list's own skills and, for declared skills,
+        # the ones the jobseeker's projects mention.
+        near = skills + [skill for project in rows_at(doc, (*path, 3)) if skill_list == 2
+                         for skill in rows_at(project, (4,))]
+        edit = data.draw(st.sampled_from(["clear", "any", "near"] if near else ["clear", "any"]))
+        if edit == "clear":
+            return replaced(doc, (*path, skill_list), [])
+        added = data.draw(st.sampled_from(keys if edit == "any" else near))
+        return replaced(doc, (*path, skill_list), skills + [added])
+    if how == "numbers":
+        doc = replaced(doc, (*path, 2), data.draw(st.sampled_from(
+            [-1, 0, 1, MAX_DURATION_MONTHS, MAX_DURATION_MONTHS + 1])))
+        return replaced(doc, (*path, 3), data.draw(st.sampled_from(
+            [-1, 0, 1, WEIGHT_UNITS, WEIGHT_UNITS + 1])))
     field = data.draw(st.integers(0, len(row) - 1))
-    return replaced(doc, (section, i, field), data.draw(st.sampled_from(REPLACEMENTS)))
+    return replaced(doc, (*path, field), data.draw(st.sampled_from(REPLACEMENTS)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -666,30 +719,51 @@ def broken(doc: dict, section: str, i: int, keys: list[str], data) -> dict:
 def test_from_dict_reports_the_first_fault_the_oracle_finds(records, data):
     """Up to three faults in one row, so that which one is reported counts."""
     doc = build_graph(records, LEXICON, GAZETTEER).to_dict()
-    sections = [section for section in NODE_SECTIONS + EDGE_SECTIONS if doc[section]]
-    assume(sections)
-    section = data.draw(st.sampled_from(sections))
-    i = data.draw(st.integers(0, len(doc[section]) - 1))
-    keys = sorted({key for name in NODE_SECTIONS for key, _ in doc[name]}) + ["nowhere"]
+    paths = {  # the row kind is drawn first, so that the many skill rows do not crowd out the rest
+        "skill": [("skills", i) for i in range(len(doc["skills"]))],
+        "jobseeker": [("jobseekers", i) for i in range(len(doc["jobseekers"]))],
+        "project": [("jobseekers", i, 3, n) for i, row in enumerate(doc["jobseekers"])
+                    for n in range(len(row[3]))],
+    }
+    kinds = [kind for kind, rows in paths.items() if rows]
+    assume(kinds)
+    path = data.draw(st.sampled_from(paths[data.draw(st.sampled_from(kinds))]))
+    keys = sorted({key for key, _ in doc["skills"]} | {row[0] for row in doc["jobseekers"]})
     for _ in range(data.draw(st.integers(1, 3))):
-        doc = broken(doc, section, i, keys, data)
+        doc = broken(doc, path, keys + ["nowhere"], data)
     assert_loads_as_the_oracle_says(doc)
 
 
+def test_saved_rows_are_sorted_whatever_order_the_file_had():
+    """A file that lists its rows and skill lists out of order loads as the
+    sorted file does, and saves the sorted bytes."""
+    doc = {"schema_version": 4, "config": CONFIG,
+           "skills": [["sql", {}], ["java", {}], ["c++", {}]],
+           "jobseekers": [["js1", "Al", ["sql", "c++"], []],
+                          ["js0", "Jo", ["sql"], [["Ledger", "acme", 12, 1, ["java", "c++"]]]]]}
+    loaded = KnowledgeGraph.from_dict(doc)
+    assert loaded.to_dict() == {**doc, "config": {**CONFIG, "tool_version": __version__},
+        "skills": [["c++", {}], ["java", {}], ["sql", {}]],
+        "jobseekers": [["js0", "Jo", ["sql"], [["Ledger", "acme", 12, 1, ["c++", "java"]]]],
+                       ["js1", "Al", ["c++", "sql"], []]]}
+    assert KnowledgeGraph.from_dict(loaded.to_dict()) == loaded
+
+
+def test_readme_graph_file_example_is_what_save_writes(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("**Graph file**", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "graph.json"
+    KnowledgeGraph.from_dict(json.loads(example)).save(path)
+    assert path.read_text(encoding="utf-8") == example
+
+
 # Keys, a title and a name with the characters dot quotes.
-JS, ORG, PROJECT = 'js"0\\', 'Acme "Q" \\ Co', 'js"0\\:p0'
+JS, ORG, TITLE = 'js"0\\', 'Acme "Q" \\ Co', 'Say "hi" \\ now'
 QUOTED_DOC = {
-    "schema_version": 3,
+    "schema_version": 4,
     "config": CONFIG,
-    "nodes/jobseeker": [[JS, {"name": 'Jo "J" \\ Doe'}]],
-    "nodes/organization": [[ORG, {}]],
-    "nodes/project": [[PROJECT, {"title": 'Say "hi" \\ now'}]],
-    "nodes/skill": [["c++", {"category": ""}]],
-    "edges/jobseeker_project": [[JS, PROJECT, 0, 1, 0]],
-    JS_SKILL: [[JS, "c++", WEIGHT_UNITS // 2, 1, 12]],
-    "edges/org_skill": [[ORG, "c++", WEIGHT_UNITS // 2, 1, 0]],
-    "edges/project_org": [[PROJECT, ORG, 0, 1, 0]],
-    "edges/skill_project": [["c++", PROJECT, WEIGHT_UNITS // 2, 1, 0]],
+    "skills": [["c++", {"category": ""}]],
+    "jobseekers": [[JS, 'Jo "J" \\ Doe', [], [[TITLE, ORG, 12, WEIGHT_UNITS // 2, ["c++"]]]]],
 }
 
 

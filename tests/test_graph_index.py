@@ -116,11 +116,11 @@ def test_explain_eval_and_stats_do_not_sort_the_edges(corpus_graph, monkeypatch)
     def refuse(self):
         raise AssertionError("sorted every edge")
 
-    monkeypatch.setattr(KnowledgeGraph, "_file_rows", refuse)
+    monkeypatch.setattr(KnowledgeGraph, "_sorted_rows", refuse)
     query = parse_query("top c++, java, python", LEXICON)
     for jobseeker_id in corpus_graph.jobseeker_ids():
         assert explain(jobseeker_id, query, corpus_graph).terms
     assert evaluate_graph(corpus_graph, load_gold(GOLD_FILE), LEXICON).extraction
     assert compute_graph_stats(corpus_graph).resume_count == len(corpus_graph.jobseeker_ids())
     with pytest.raises(AssertionError, match="sorted every edge"):
-        corpus_graph.to_dict()
+        corpus_graph.to_dot()

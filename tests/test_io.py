@@ -41,8 +41,8 @@ LOADERS = {
     "lexicon": (load_skill_lexicon, LexiconFormatError, {"skills": []}, True, 1),
     "gazetteer": (load_sentiment_gazetteer, GazetteerFormatError, {"entries": []}, True, 1),
     "gold": (load_gold, FixtureError, {}, True, 1),
-    "graph-load": (KnowledgeGraph.load, GraphFormatError, GRAPH_DOC, True, 3),
-    "graph-from-dict": (KnowledgeGraph.from_dict, GraphFormatError, GRAPH_DOC, False, 3),
+    "graph-load": (KnowledgeGraph.load, GraphFormatError, GRAPH_DOC, True, 4),
+    "graph-from-dict": (KnowledgeGraph.from_dict, GraphFormatError, GRAPH_DOC, False, 4),
     "read-intermediate": (read_intermediate, DocumentFormatError, {"jobseekers": {}}, True, 1),
     "load-intermediate": (load_intermediate, DocumentFormatError, {"jobseekers": {}}, False, 1),
 }
@@ -77,22 +77,31 @@ def test_loaders_reject_other_schema_versions(tmp_path, name, version):
     check_versions(tmp_path, name, version)
 
 
-@pytest.mark.parametrize("version", [1, 2, True, "3", 3.0])
+@pytest.mark.parametrize("version", [1, 2, 3, True, "4", 4.0])
 @pytest.mark.parametrize("name", GRAPH_LOADERS)
-def test_graph_loaders_accept_only_version_3(tmp_path, name, version):
+def test_graph_loaders_accept_only_version_4(tmp_path, name, version):
     message = check_versions(tmp_path, name, version)
     assert message.endswith(
-        "(expected 3); re-run `talentgraph ingest` to rebuild the graph file"
+        "(expected 4); re-run `talentgraph ingest` to rebuild the graph file"
     )
 
 
-def test_v2_graph_file_is_refused_with_the_reingest_hint():
-    """The graph file of tests/fixtures as the version 2 writer left it."""
-    path = FIXTURES / "graph_v2.json"
+def refused_older_graph_file(version: int) -> None:
+    """The graph file of tests/fixtures as the given version's writer left it
+    is refused with the re-ingest hint."""
+    path = FIXTURES / f"graph_v{version}.json"
     with pytest.raises(GraphFormatError) as err:
         KnowledgeGraph.load(path)
-    assert str(err.value) == (f"{path}: schema_version 2 is not supported (expected 3); "
+    assert str(err.value) == (f"{path}: schema_version {version} is not supported (expected 4); "
                               "re-run `talentgraph ingest` to rebuild the graph file")
+
+
+def test_v2_graph_file_is_refused_with_the_reingest_hint():
+    refused_older_graph_file(2)
+
+
+def test_v3_graph_file_is_refused_with_the_reingest_hint():
+    refused_older_graph_file(3)
 
 
 @pytest.mark.parametrize("name", sorted(n for n, loader in LOADERS.items() if loader[3]))
