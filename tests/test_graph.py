@@ -473,7 +473,9 @@ MONTHS = rf"outside \[0, {MAX_DURATION_MONTHS}\]"
 
 # (path to the replaced value in LOADABLE_DOC, new value, the whole message).
 # Edges are rebuilt from project rows, so the "edge" and "weight" cases break
-# a project row or its list, and the "node" cases a skill row.
+# a project row or its list, and the "node" cases a skill row. Support counts
+# are rebuilt from the projects' skill lists, so the "support" cases put a
+# count where such a list belongs.
 MALFORMED = {
     "nodes-not-a-list": (("skills",), {"a": 1}, r"skills: not a list"),
     "jobseekers-not-a-list": (("jobseekers",), {}, r"jobseekers: not a list"),
@@ -488,6 +490,10 @@ MALFORMED = {
     "number-title": ((*PROJECT, 0), 7, rf"{P0}: {STRINGS}"),
     "object-target": ((*PROJECT, 4, 0), {}, rf"{P0}: unknown skill \{{\}}"),
     "skills-not-a-list": ((*PROJECT, 4), "java", rf"{P0}: {STRINGS}"),
+    "bool-support": ((*PROJECT, 4), True, rf"{P0}: {STRINGS}"),
+    "fractional-support": ((*PROJECT, 4), 1.9, rf"{P0}: {STRINGS}"),
+    "support-above-2**53": ((*PROJECT, 4), 2**53 + 1, rf"{P0}: {STRINGS}"),
+    "support-too-large-for-a-float": ((*PROJECT, 4), 10**330, rf"{P0}: {STRINGS}"),
     "nan-weight": ((*PROJECT, 3), math.nan, rf"{P0}: {TYPES}"),
     "inf-weight": ((*PROJECT, 3), math.inf, rf"{P0}: {TYPES}"),
     "mean-weight-above-1": ((*PROJECT, 3), WEIGHT_UNITS + 1,
