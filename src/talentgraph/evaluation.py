@@ -22,8 +22,8 @@ Gold fixture document::
 ``load_gold`` returns a dict of the same three keys, each always present:
 ``skills`` maps a jobseeker id to a set, ``sentiment`` a project key to its
 label, and ``queries`` is a list of (query text, set of relevant ids) pairs.
-``evaluate_graph`` rejects ids the graph lacks, and locates a fault in the
-i-th query, a parse error or an unknown relevant id, at ``queries[i]``.
+``evaluate_graph`` rejects ids the graph lacks and locates every fault, at
+``skills``, at ``sentiment.<key>`` or, for the i-th query, at ``queries[i]``.
 
 Results are plain values: ``extraction_metrics`` returns ``{"precision",
 "recall", "f1"}`` and ``sentiment_metrics`` ``{"accuracy", "precision",
@@ -201,7 +201,7 @@ def evaluate_graph(
     known = set(graph.jobseeker_ids())
     if gold["skills"]:
         if missing := sorted(set(gold["skills"]) - known):
-            raise FixtureError(f"gold references unknown jobseekers: {missing[:5]}")
+            raise FixtureError(f"skills: gold references unknown jobseekers: {missing[:5]}")
         predicted_skills = {
             jobseeker_id: set(graph.out_edges(EdgeKind.JOBSEEKER_SKILL, jobseeker_id))
             for jobseeker_id in gold["skills"]
@@ -214,7 +214,8 @@ def evaluate_graph(
             try:
                 predicted_classes[pkey] = classify_score(graph.project_score(pkey))
             except NodeNotFoundError as exc:
-                raise FixtureError(f"gold references unknown project {pkey!r}") from exc
+                raise FixtureError(f"sentiment.{pkey}: gold references unknown "
+                                   f"project {pkey!r}") from exc
         report.sentiment = sentiment_metrics(predicted_classes, gold["sentiment"])
 
     if gold["queries"]:
@@ -222,7 +223,7 @@ def evaluate_graph(
         relevant_map: dict[str, set[str]] = {}
         for i, (query_str, relevant) in enumerate(gold["queries"]):
             if query_str in relevant_map:
-                raise FixtureError(f"duplicate gold query {query_str!r}")
+                raise FixtureError(f"queries[{i}]: duplicate gold query {query_str!r}")
             try:
                 parsed = parse_query(query_str, lexicon)
             except QueryError as exc:

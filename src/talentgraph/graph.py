@@ -33,6 +33,10 @@ command indexes only the kinds it reads. After construction the graph is
 immutable by convention and safe for concurrent reads: readers racing on a
 first lookup each build the same index and publish it with one dict item
 assignment. Parallel ingestion builds shard graphs and merges them.
+
+``NodeId``, the key of ``nodes``, compares and hashes by value. It is slotted
+but not frozen, sparing a load a frozen constructor per node, so like a
+finished graph it is immutable by convention.
 """
 from __future__ import annotations
 
@@ -73,6 +77,11 @@ class EdgeKind(str, Enum):
     PROJECT_ORG = "project_org"
 
 
+# The members under plain names, for the per-row code of a load: CPython 3.11's
+# ``EnumType.__getattr__`` makes each ``NodeKind.SKILL`` read cost about 0.2 us.
+_JOBSEEKER, _SKILL, _ORGANIZATION, _PROJECT = NodeKind
+_JOBSEEKER_SKILL, _SKILL_PROJECT, _ORG_SKILL, _JOBSEEKER_PROJECT, _PROJECT_ORG = EdgeKind
+
 EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
     EdgeKind.JOBSEEKER_SKILL: (NodeKind.JOBSEEKER, NodeKind.SKILL),
     EdgeKind.SKILL_PROJECT: (NodeKind.SKILL, NodeKind.PROJECT),
@@ -85,7 +94,7 @@ _TOP_LEVEL = {"schema_version", "config", "skills", "jobseekers"}
 _CONFIG_FIELDS = {"duration_bonus_factor", "duration_cap_months", "tool_version"}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)  # not frozen; see the module docstring
 class NodeId:
     kind: NodeKind
     key: str
@@ -168,14 +177,22 @@ class KnowledgeGraph:
         The jobseeker is new, so the project and its edges are too."""
         nodes, edges, pkey = self.nodes, self.edges, project_key(jobseeker_id, ordinal)
         self._adjacency = {}  # edges are created below
-        nodes.setdefault(NodeId(NodeKind.ORGANIZATION, org), {})
-        nodes[NodeId(NodeKind.PROJECT, pkey)] = {"title": title}
-        edges[EdgeKind.JOBSEEKER_PROJECT, jobseeker_id, pkey] = WeightedEdge(0, 1, months)
-        edges[EdgeKind.PROJECT_ORG, pkey, org] = WeightedEdge(0, 1, 0)
+        nodes.setdefault(NodeId(_ORGANIZATION, org), {})
+        nodes[NodeId(_PROJECT, pkey)] = {"title": title}
+        edges[_JOBSEEKER_PROJECT, jobseeker_id, pkey] = WeightedEdge(0, 1, months)
+        edges[_PROJECT_ORG, pkey, org] = WeightedEdge(0, 1, 0)
+        get = edges.get  # ``_add`` inlined: a load runs this once per mentioned skill
         for skill in skills:
-            edges[EdgeKind.SKILL_PROJECT, skill, pkey] = WeightedEdge(units, 1, 0)
-            self._add(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, skill, units, 1, months)
-            self._add(EdgeKind.ORG_SKILL, org, skill, units, 1)
+            edges[_SKILL_PROJECT, skill, pkey] = WeightedEdge(units, 1, 0)
+            if (edge := get((_JOBSEEKER_SKILL, jobseeker_id, skill))) is None:
+                edge = edges[_JOBSEEKER_SKILL, jobseeker_id, skill] = WeightedEdge()
+            edge.weight_units += units
+            edge.support_count += 1
+            edge.months_sum += months
+            if (edge := get((_ORG_SKILL, org, skill))) is None:
+                edge = edges[_ORG_SKILL, org, skill] = WeightedEdge()
+            edge.weight_units += units
+            edge.support_count += 1
 
     def add_resume(self, record: ResumeRecord, lexicon: SkillLexicon,
                    gazetteer: SentimentGazetteer) -> "KnowledgeGraph":
@@ -398,6 +415,11 @@ class KnowledgeGraph:
             if type(doc.get(name, [])) is not list:
                 raise GraphFormatError(f"{name}: not a list")
         known: set[str] = set()
+
+        def bad_project(i: int, ordinal: int, fault: str) -> GraphFormatError:
+            # The locator is formatted only for the row that is rejected.
+            return GraphFormatError(f"jobseekers[{i}].projects[{ordinal}]: {fault}")
+
         for i, row in enumerate(doc.get("skills", [])):
             if type(row) is not list or len(row) != 2:
                 raise GraphFormatError(f"skills[{i}]: not a [key, attrs] row")
@@ -410,7 +432,7 @@ class KnowledgeGraph:
             if key in known:
                 raise GraphFormatError(f"skills[{i}]: duplicate skill {key!r}")
             known.add(key)
-            nodes[NodeId(NodeKind.SKILL, key)] = dict(attrs)
+            nodes[NodeId(_SKILL, key)] = dict(attrs)
         for i, row in enumerate(doc.get("jobseekers", [])):
             if type(row) is not list or len(row) != 4:
                 raise GraphFormatError(f"jobseekers[{i}]: "
@@ -420,41 +442,39 @@ class KnowledgeGraph:
                     and type(declared) is list and type(projects) is list):
                 raise GraphFormatError(f"jobseekers[{i}]: id and name must be strings, "
                                        "declared and projects lists")
-            if (node := NodeId(NodeKind.JOBSEEKER, jobseeker)) in nodes:
+            if (node := NodeId(_JOBSEEKER, jobseeker)) in nodes:
                 raise GraphFormatError(f"jobseekers[{i}]: duplicate jobseeker {jobseeker!r}")
             nodes[node] = {"name": name}
             for ordinal, project in enumerate(projects):
-                where = f"jobseekers[{i}].projects[{ordinal}]"
                 if type(project) is not list or len(project) != 5:
-                    raise GraphFormatError(f"{where}: not a [title, organization, months, "
-                                           "score_units, skills] row")
+                    raise bad_project(i, ordinal, "not a [title, organization, months, "
+                                                  "score_units, skills] row")
                 title, org, months, units, mentioned = project
                 if not (isinstance(title, str) and isinstance(org, str)
                         and type(mentioned) is list):
-                    raise GraphFormatError(f"{where}: title and organization must be "
-                                           "strings, skills a list")
+                    raise bad_project(i, ordinal, "title and organization must be strings, "
+                                                  "skills a list")
                 # type(): JSON has no bool integers, and NaN or Infinity load as floats.
                 if type(months) is not int or type(units) is not int:
-                    raise GraphFormatError(f"{where}: months and score_units must be integers")
+                    raise bad_project(i, ordinal, "months and score_units must be integers")
                 if not 0 <= months <= MAX_DURATION_MONTHS:
-                    raise GraphFormatError(f"{where}: months {months} outside "
-                                           f"[0, {MAX_DURATION_MONTHS}]")
+                    raise bad_project(i, ordinal, f"months {months} outside "
+                                                  f"[0, {MAX_DURATION_MONTHS}]")
                 if not 0 <= units <= WEIGHT_UNITS:
-                    raise GraphFormatError(f"{where}: score_units {units} outside [0, 2**64]")
+                    raise bad_project(i, ordinal, f"score_units {units} outside [0, 2**64]")
                 if units and not mentioned:
-                    raise GraphFormatError(f"{where}: score_units without a mentioned skill")
+                    raise bad_project(i, ordinal, "score_units without a mentioned skill")
                 for skill in mentioned:
                     if not isinstance(skill, str) or skill not in known:
-                        raise GraphFormatError(f"{where}: unknown skill {skill!r}")
+                        raise bad_project(i, ordinal, f"unknown skill {skill!r}")
                     if mentioned.count(skill) > 1:
-                        raise GraphFormatError(f"{where}: skill {skill!r} is listed twice")
+                        raise bad_project(i, ordinal, f"skill {skill!r} is listed twice")
                 graph._add_project(jobseeker, ordinal, title, org, months, units, mentioned)
             for skill in declared:
                 if not isinstance(skill, str) or skill not in known:
                     raise GraphFormatError(f"jobseekers[{i}].declared: unknown skill {skill!r}")
                 edge = WeightedEdge()
-                if edges.setdefault((EdgeKind.JOBSEEKER_SKILL, jobseeker, skill),
-                                    edge) is not edge:
+                if edges.setdefault((_JOBSEEKER_SKILL, jobseeker, skill), edge) is not edge:
                     raise GraphFormatError(f"jobseekers[{i}].declared: skill {skill!r} "
                                            "is listed twice or mentioned by a project")
         return graph

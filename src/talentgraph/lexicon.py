@@ -56,7 +56,8 @@ def _fold(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-@dataclass(frozen=True)
+# Slotted but not frozen, as ``graph.NodeId``: a lexicon load makes one per record.
+@dataclass(slots=True, unsafe_hash=True)
 class SkillEntry:
     canonical: str
     category: str

@@ -211,14 +211,17 @@ def test_evaluate_graph_unknown_jobseeker(corpus_graph, lexicon):
 
 @pytest.mark.parametrize("gold, message", [
     ({"queries": [("top java", {"js0000-jane-doe"}), ("top java", set())]},
-     "duplicate gold query 'top java'"),
+     "queries[1]: duplicate gold query 'top java'"),
+    ({"skills": {"js0000-jane-doe": {"java"}, "js9999-ghost": {"java"}}},
+     "skills: gold references unknown jobseekers: ['js9999-ghost']"),
     ({"sentiment": {"js0000-jane-doe:p9": "positive"}},
-     "gold references unknown project 'js0000-jane-doe:p9'"),
+     "sentiment.js0000-jane-doe:p9: gold references unknown project 'js0000-jane-doe:p9'"),
     ({"queries": [("top java", {"js0000-jane-doe"}), ("top cobol", set())]},
      "queries[1]: unknown skill 'cobol'"),
     ({"queries": [("top java 99+", {"js0000-jane-doe", "js9999-ghost", "js0000"})]},
      "queries[0]: gold references unknown jobseekers: ['js0000', 'js9999-ghost']"),
-], ids=["duplicate-query", "unknown-project", "unknown-query-skill", "unknown-relevant-ids"])
+], ids=["duplicate-query", "unknown-skills-ids", "unknown-project", "unknown-query-skill",
+        "unknown-relevant-ids"])
 def test_evaluate_graph_rejects_bad_gold(corpus_graph, lexicon, gold, message):
     gold = {"skills": {}, "sentiment": {}, "queries": [], **gold}
     with pytest.raises(FixtureError) as err:

@@ -24,6 +24,7 @@ from talentgraph.graph import (
     WEIGHT_UNITS,
     EdgeKind,
     KnowledgeGraph,
+    NodeId,
     NodeKind,
     ScoringConfig,
     project_key,
@@ -85,6 +86,17 @@ def test_single_jobseeker_single_project_shape(lexicon, gazetteer):
     # step 5 also records the org-skill average
     assert g.get_edge(EdgeKind.ORG_SKILL, "acme", "c++") is not None
     assert len(g.edges) == 5
+
+
+def test_node_ids_compare_hash_and_print_by_value(corpus_graph):
+    """``NodeId`` is slotted and not frozen, but it is a value: a dict key by
+    kind and key, with the repr a frozen dataclass had."""
+    a, b = NodeId(NodeKind.SKILL, "c++"), NodeId(NodeKind.SKILL, "c++")
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != NodeId(NodeKind.JOBSEEKER, "c++") and a != ("skill", "c++")
+    assert corpus_graph.nodes[a] is corpus_graph.nodes[b]
+    assert repr(a) == "NodeId(kind=<NodeKind.SKILL: 'skill'>, key='c++')"
+    assert not hasattr(a, "__dict__")
 
 
 def test_two_jobseekers_share_one_skill_node(lexicon, gazetteer):
@@ -389,6 +401,18 @@ def test_graph_round_trip(corpus_graph, tmp_path):
     path = tmp_path / "graph.json"
     corpus_graph.save(path)
     assert KnowledgeGraph.load(path) == corpus_graph
+
+
+def test_loading_sums_project_edges_without_a_call_per_edge(corpus_graph, monkeypatch):
+    """The loader accumulates jobseeker-skill and org-skill edges inline;
+    ``_add`` is left to ``add_resume``'s declared skills and to ``merge``."""
+    doc = corpus_graph.to_dict()
+
+    def no_add(*args):
+        raise AssertionError("from_dict called KnowledgeGraph._add")
+
+    monkeypatch.setattr(KnowledgeGraph, "_add", no_add)
+    assert KnowledgeGraph.from_dict(doc) == corpus_graph
 
 
 def test_graph_round_trip_preserves_config(lexicon, gazetteer, corpus_records, tmp_path):

@@ -48,6 +48,15 @@ def test_alias_normalization_cpp():
     assert normalize_skill("c++", lexicon) == "c++"
 
 
+def test_skill_entries_compare_and_hash_by_value():
+    """``SkillEntry`` is slotted and not frozen, but compares and hashes by value."""
+    entry = SkillEntry("java", "languages", frozenset({"java", "jdk"}))
+    same = SkillEntry("java", "languages", frozenset({"jdk", "java"}))
+    assert entry == same and hash(entry) == hash(same)
+    assert entry != SkillEntry("java", "tools", frozenset({"java", "jdk"}))
+    assert not hasattr(entry, "__dict__")
+
+
 def test_empty_lexicon():
     lexicon = parse_skill_records([])
     assert len(lexicon) == 0
