@@ -8,6 +8,7 @@ A command imports only the modules it runs: this module imports the graph
 and lexicon layers, and each command imports the rest itself (query and
 explain ``query``, stats ``stats`` and on a corpus ``parser``, eval ``evaluation``,
 ingest ``parser``, ``scoring`` and, with ``--intermediate``, ``intermediate``).
+It also builds only its own subcommand's parser (see ``build_arg_parser``).
 
 Each command runs with the cyclic garbage collector paused: its graph holds
 no cycles and is freed by reference counting on return, so the collector
@@ -221,66 +222,80 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("ingest", "query", "explain", "export", "stats", "eval")
+
+
+def build_arg_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The whole parser tree; when ``argv`` starts with a command, a tree of that
+    command's subparser alone, which parses ``argv`` and prints what the whole
+    tree would. Each subcommand's ``func`` is the module's at build time."""
     parser = argparse.ArgumentParser(
         prog="talentgraph",
         description="Parse resumes, build a sentiment-weighted skill graph, run ranking queries.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    # The usage line lists every command; a metavar on the whole tree would
+    # also rename "argument command" in its errors.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
 
-    p = sub.add_parser("ingest", help="parse a resume directory and persist the graph")
-    p.add_argument("corpus", help="directory of UTF-8 .txt resumes, one per file")
-    p.add_argument("--lexicon", required=True, help="skill lexicon JSON file")
-    p.add_argument("--gazetteer", required=True, help="sentiment gazetteer JSON file")
-    p.add_argument("--out", required=True, help="graph file to write")
-    p.add_argument("--intermediate", help="also write the exchange document here")
-    p.add_argument("--duration-bonus-factor", type=float,
-                   default=ScoringConfig.duration_bonus_factor)
-    p.add_argument("--duration-cap-months", type=int, default=ScoringConfig.duration_cap_months)
-    p.add_argument("-v", "--verbose", action="store_true", help="print parse diagnostics")
-    p.set_defaults(func=_cmd_ingest)
+    def add(name: str, summary: str) -> argparse.ArgumentParser | None:
+        return sub.add_parser(name, help=summary) if only in (None, name) else None
 
-    p = sub.add_parser("query", help="rank jobseekers for a query")
-    p.add_argument("graph", help="graph file from ingest")
-    p.add_argument("dsl", help='query, e.g. "C++ 8-10, Java 6-8, Python 2-3"')
-    p.add_argument("--lexicon", help="lexicon for alias-aware skill resolution")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--out", help="write the output to this file")
-    p.set_defaults(func=_cmd_query)
+    if p := add("ingest", "parse a resume directory and persist the graph"):
+        p.add_argument("corpus", help="directory of UTF-8 .txt resumes, one per file")
+        p.add_argument("--lexicon", required=True, help="skill lexicon JSON file")
+        p.add_argument("--gazetteer", required=True, help="sentiment gazetteer JSON file")
+        p.add_argument("--out", required=True, help="graph file to write")
+        p.add_argument("--intermediate", help="also write the exchange document here")
+        p.add_argument("--duration-bonus-factor", type=float,
+                       default=ScoringConfig.duration_bonus_factor)
+        p.add_argument("--duration-cap-months", type=int,
+                       default=ScoringConfig.duration_cap_months)
+        p.add_argument("-v", "--verbose", action="store_true", help="print parse diagnostics")
+        p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("explain", help="decompose one jobseeker's score for a query")
-    p.add_argument("graph")
-    p.add_argument("jobseeker", help="jobseeker id")
-    p.add_argument("dsl")
-    p.add_argument("--lexicon")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_explain)
+    if p := add("query", "rank jobseekers for a query"):
+        p.add_argument("graph", help="graph file from ingest")
+        p.add_argument("dsl", help='query, e.g. "C++ 8-10, Java 6-8, Python 2-3"')
+        p.add_argument("--lexicon", help="lexicon for alias-aware skill resolution")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.add_argument("--out", help="write the output to this file")
+        p.set_defaults(func=_cmd_query)
 
-    p = sub.add_parser("export", help="re-serialize a graph file")
-    p.add_argument("graph")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_export)
+    if p := add("explain", "decompose one jobseeker's score for a query"):
+        p.add_argument("graph")
+        p.add_argument("jobseeker", help="jobseeker id")
+        p.add_argument("dsl")
+        p.add_argument("--lexicon")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("stats", help="corpus or graph statistics")
-    p.add_argument("path", help="resume directory or graph file")
-    p.add_argument("--lexicon", help="required for directory input")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_stats)
+    if p := add("export", "re-serialize a graph file"):
+        p.add_argument("graph")
+        p.add_argument("--format", choices=("json", "dot"), default="json")
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_export)
 
-    p = sub.add_parser("eval", help="score the graph against a gold fixture")
-    p.add_argument("graph")
-    p.add_argument("gold", help="gold labels JSON file")
-    p.add_argument("--lexicon")
-    p.add_argument("--topk-mode", choices=("hit", "precision"), default="hit")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_eval)
+    if p := add("stats", "corpus or graph statistics"):
+        p.add_argument("path", help="resume directory or graph file")
+        p.add_argument("--lexicon", help="required for directory input")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_stats)
+
+    if p := add("eval", "score the graph against a gold fixture"):
+        p.add_argument("graph")
+        p.add_argument("gold", help="gold labels JSON file")
+        p.add_argument("--lexicon")
+        p.add_argument("--topk-mode", choices=("hit", "precision"), default="hit")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_eval)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_arg_parser(argv).parse_args(argv)
     was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -77,8 +77,8 @@ class EdgeKind(str, Enum):
     PROJECT_ORG = "project_org"
 
 
-# The members under plain names, for the per-row code of a load: CPython 3.11's
-# ``EnumType.__getattr__`` makes each ``NodeKind.SKILL`` read cost about 0.2 us.
+# The members under plain names, for per-node and per-edge code (build, load, save):
+# CPython 3.11's ``EnumType.__getattr__`` makes each ``NodeKind.SKILL`` read cost about 0.2 us.
 _JOBSEEKER, _SKILL, _ORGANIZATION, _PROJECT = NodeKind
 _JOBSEEKER_SKILL, _SKILL_PROJECT, _ORG_SKILL, _JOBSEEKER_PROJECT, _PROJECT_ORG = EdgeKind
 
@@ -173,12 +173,11 @@ class KnowledgeGraph:
     def _add_project(self, jobseeker_id: str, ordinal: int, title: str, org: str,
                      months: int, units: int, skills: list[str]) -> None:
         """Steps 2-5 for one experience: ``skills`` are the distinct skills its
-        details mention, each with a node already, and ``units`` its score.
-        The jobseeker is new, so the project and its edges are too."""
-        nodes, edges, pkey = self.nodes, self.edges, project_key(jobseeker_id, ordinal)
+        details mention and ``units`` its score; each skill and the organization
+        has a node already. The jobseeker is new, so the project and its edges are too."""
+        edges, pkey = self.edges, project_key(jobseeker_id, ordinal)
         self._adjacency = {}  # edges are created below
-        nodes.setdefault(NodeId(_ORGANIZATION, org), {})
-        nodes[NodeId(_PROJECT, pkey)] = {"title": title}
+        self.nodes[NodeId(_PROJECT, pkey)] = {"title": title}
         edges[_JOBSEEKER_PROJECT, jobseeker_id, pkey] = WeightedEdge(0, 1, months)
         edges[_PROJECT_ORG, pkey, org] = WeightedEdge(0, 1, 0)
         get = edges.get  # ``_add`` inlined: a load runs this once per mentioned skill
@@ -201,22 +200,23 @@ class KnowledgeGraph:
         from .parser import extract_skills
         from .scoring import score_description
 
-        jobseeker = NodeId(NodeKind.JOBSEEKER, record.jobseeker_id)
+        jobseeker = NodeId(_JOBSEEKER, record.jobseeker_id)
         if jobseeker in self.nodes:
             raise DuplicateJobseekerError(f"jobseeker {record.jobseeker_id!r} already ingested")
         self.nodes[jobseeker] = {"name": record.name}
         for skill in sorted(record.declared_skills):
-            if (node := NodeId(NodeKind.SKILL, skill)) not in self.nodes:
+            if (node := NodeId(_SKILL, skill)) not in self.nodes:
                 self.nodes[node] = {"category": lexicon.category_of(skill) or ""}
-            self._add(EdgeKind.JOBSEEKER_SKILL, record.jobseeker_id, skill)
+            self._add(_JOBSEEKER_SKILL, record.jobseeker_id, skill)
         for ordinal, exp in enumerate(record.experiences):
             mentioned = sorted(extract_skills(exp.details, lexicon))
             for skill in mentioned:
-                if (node := NodeId(NodeKind.SKILL, skill)) not in self.nodes:
+                if (node := NodeId(_SKILL, skill)) not in self.nodes:
                     self.nodes[node] = {"category": lexicon.category_of(skill) or ""}
             units = 0
             if mentioned:  # one scope-free score per description, the same for every skill
                 units = round(score_description(exp.details, None, gazetteer) * WEIGHT_UNITS)
+            self.nodes.setdefault(NodeId(_ORGANIZATION, exp.organization), {})
             self._add_project(record.jobseeker_id, ordinal, exp.project_title,
                               exp.organization, exp.duration_months, units, mentioned)
         return self
@@ -275,7 +275,7 @@ class KnowledgeGraph:
         return sorted(n.key for n in self.nodes if n.kind is NodeKind.JOBSEEKER)
 
     def skill_keys(self) -> list[str]:
-        return sorted(n.key for n in self.nodes if n.kind is NodeKind.SKILL)
+        return sorted(n.key for n in self.nodes if n.kind is _SKILL)
 
     # -- derived strengths ------------------------------------------------
 
@@ -348,24 +348,24 @@ class KnowledgeGraph:
 
         skills, names, projects = [], {}, {}
         for node, attrs in self.nodes.items():
-            if node.kind is NodeKind.SKILL:
+            if node.kind is _SKILL:
                 skills.append([node.key, dict(attrs)])
-            elif node.kind is NodeKind.JOBSEEKER:
+            elif node.kind is _JOBSEEKER:
                 names[node.key] = attrs["name"]
-            elif node.kind is NodeKind.PROJECT:
+            elif node.kind is _PROJECT:
                 projects[node.key] = [attrs["title"], "", 0, 0, []]
         # One pass over the edges fills the project rows; the rest are sums of them.
         declared: dict[str, list[str]] = {key: [] for key in names}
         for (kind, source, target), edge in self.edges.items():
-            if kind is EdgeKind.SKILL_PROJECT:
+            if kind is _SKILL_PROJECT:
                 row = projects[target]
                 row[3] = edge.weight_units
                 row[4].append(source)
-            elif kind is EdgeKind.JOBSEEKER_PROJECT:
+            elif kind is _JOBSEEKER_PROJECT:
                 projects[target][2] = edge.months_sum
-            elif kind is EdgeKind.PROJECT_ORG:
+            elif kind is _PROJECT_ORG:
                 projects[source][1] = target
-            elif kind is EdgeKind.JOBSEEKER_SKILL and not edge.support_count:
+            elif kind is _JOBSEEKER_SKILL and not edge.support_count:
                 declared[source].append(target)
         jobseekers = []
         for key in sorted(names):
@@ -415,6 +415,7 @@ class KnowledgeGraph:
             if type(doc.get(name, [])) is not list:
                 raise GraphFormatError(f"{name}: not a list")
         known: set[str] = set()
+        orgs: set[str] = set()  # each organization's node is added once
 
         def bad_project(i: int, ordinal: int, fault: str) -> GraphFormatError:
             # The locator is formatted only for the row that is rejected.
@@ -464,11 +465,19 @@ class KnowledgeGraph:
                     raise bad_project(i, ordinal, f"score_units {units} outside [0, 2**64]")
                 if units and not mentioned:
                     raise bad_project(i, ordinal, "score_units without a mentioned skill")
-                for skill in mentioned:
-                    if not isinstance(skill, str) or skill not in known:
-                        raise bad_project(i, ordinal, f"unknown skill {skill!r}")
-                    if mentioned.count(skill) > 1:
-                        raise bad_project(i, ordinal, f"skill {skill!r} is listed twice")
+                try:  # one check per row; the loop only locates a fault
+                    clean = known.issuperset(mentioned) and len(set(mentioned)) == len(mentioned)
+                except TypeError:  # an unhashable skill, which the loop names
+                    clean = False
+                if not clean:
+                    for skill in mentioned:
+                        if not isinstance(skill, str) or skill not in known:
+                            raise bad_project(i, ordinal, f"unknown skill {skill!r}")
+                        if mentioned.count(skill) > 1:
+                            raise bad_project(i, ordinal, f"skill {skill!r} is listed twice")
+                if org not in orgs:
+                    orgs.add(org)
+                    nodes[NodeId(_ORGANIZATION, org)] = {}
                 graph._add_project(jobseeker, ordinal, title, org, months, units, mentioned)
             for skill in declared:
                 if not isinstance(skill, str) or skill not in known:

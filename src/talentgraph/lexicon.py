@@ -31,7 +31,7 @@ entry with a "skill" field applies only to that canonical skill and takes
 precedence over a scope-free entry for the same keyword.
 
 A lexicon's phrase index, the form free-text skill matching uses, is derived
-from ``alias_index`` on first use and cached. This relies on the lexicon being
+from the entries' aliases on first use and cached. This relies on the lexicon being
 immutable; a concurrent first use builds equal values.
 """
 from __future__ import annotations
@@ -81,16 +81,20 @@ class SkillLexicon:
 
     def __init__(self, entries: Iterable[SkillEntry]):
         self.entries: list[SkillEntry] = list(entries)
-        self._by_canonical: dict[str, SkillEntry] = {}
-        self.alias_index: dict[str, str] = {}
+        by_canonical: dict[str, SkillEntry] = {}
+        index: dict[str, str] = {}
         for i, entry in enumerate(self.entries):
-            if entry.canonical in self._by_canonical:
-                raise LexiconFormatError(f"skills[{i}]: duplicate canonical {entry.canonical!r}")
-            self._by_canonical[entry.canonical] = entry
-            for alias in sorted(entry.aliases):
-                owner = self.alias_index.setdefault(alias, entry.canonical)
-                if owner != entry.canonical:
-                    raise AliasConflictError(alias, owner, entry.canonical)
+            canonical = entry.canonical
+            if canonical in by_canonical:
+                raise LexiconFormatError(f"skills[{i}]: duplicate canonical {canonical!r}")
+            by_canonical[canonical] = entry
+            for alias in entry.aliases:
+                if index.setdefault(alias, canonical) != canonical:
+                    # The set iterates in hash order: name the sorted-first alias
+                    # another skill owns, so that the error is the same every run.
+                    alias = min(a for a in entry.aliases if index.get(a, canonical) != canonical)
+                    raise AliasConflictError(alias, index[alias], canonical)
+        self._by_canonical, self.alias_index = by_canonical, index
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -115,10 +119,11 @@ class SkillLexicon:
         keep = DEFAULT_KEEP_CHARS + "".join(sorted(extra - set(DEFAULT_KEEP_CHARS)))
         findall = token_pattern(keep).findall  # ``tokenize`` without a call per alias
         phrases: dict[tuple[str, ...], str] = {}
-        for alias, canonical in self.alias_index.items():
-            phrase = tuple(filter(None, findall(alias.lower())))
-            if phrase and phrases.setdefault(phrase, canonical) != canonical:
-                raise AliasConflictError(" ".join(phrase), phrases[phrase], canonical)
+        for entry in self.entries:  # sorted aliases: a conflict is named the same every run
+            for alias in sorted(entry.aliases):
+                phrase = tuple(filter(None, findall(alias.lower())))
+                if phrase and phrases.setdefault(phrase, entry.canonical) != entry.canonical:
+                    raise AliasConflictError(" ".join(phrase), phrases[phrase], entry.canonical)
         longest: dict[str, int] = {}
         for phrase in sorted(phrases, key=len):  # the longest phrase is written last
             longest[phrase[0]] = len(phrase)
@@ -177,7 +182,9 @@ def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
         if not isinstance(raw_aliases, list) or not all(map(str.__instancecheck__, raw_aliases)):
             raise LexiconFormatError(f"skills[{i}]: 'aliases' must be a list of strings")
         canonical = _fold(canonical)
-        aliases = set(filter(None, map(_fold, raw_aliases)))
+        # ``_fold`` written out, sparing a function call per alias.
+        aliases = {" ".join(alias.lower().split()) for alias in raw_aliases}
+        aliases.discard("")
         aliases.add(canonical)  # canonical is always its own alias
         entries.append(SkillEntry(canonical, _fold(category), frozenset(aliases)))
     return SkillLexicon(entries)

@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from .graph import EdgeKind, KnowledgeGraph, NodeKind
+from .graph import _JOBSEEKER, _SKILL, EdgeKind, KnowledgeGraph  # the aliases: read per node
 from .lexicon import SkillLexicon
 
 if TYPE_CHECKING:
@@ -51,9 +51,9 @@ def compute_graph_stats(graph: KnowledgeGraph) -> CorpusStats:
     resume_count = 0
     categories: Counter = Counter()
     for node, attrs in graph.nodes.items():
-        if node.kind is NodeKind.JOBSEEKER:
+        if node.kind is _JOBSEEKER:
             resume_count += 1
-        elif node.kind is NodeKind.SKILL:
+        elif node.kind is _SKILL:
             categories[attrs.get("category") or "uncategorized"] += 1
     if resume_count == 0:
         return CorpusStats()

@@ -454,10 +454,11 @@ def test_cli_byte_identical_across_subprocess_runs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_real_interpreter_output_equals_in_process_output(tmp_path, capsys):
+def test_real_interpreter_output_equals_in_process_output(tmp_path, capsys, monkeypatch):
     """Every command in a fresh interpreter, which imports only the modules
     the command imports itself; in this process every module is already
     imported, so a missing import shows only in the child."""
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped alike here and in the child
     graph, intermediate = tmp_path / "graph.json", tmp_path / "intermediate.json"
     dsl = "java 6-8, python"
     for argv in (
@@ -472,13 +473,70 @@ def test_real_interpreter_output_equals_in_process_output(tmp_path, capsys):
         ["stats", CORPUS_DIR, "--lexicon", LEXICON_FILE],
         ["eval", graph, GOLD_FILE, "--lexicon", LEXICON_FILE, "--json"],
         ["export", graph, "--format", "dot"],
+        # Only the child's ``main`` reads its command from ``sys.argv``.
+        ["--help"],
+        ["query", "--help"],
+        ["query", graph, dsl, "--bogus"],
     ):
         argv = [str(a) for a in argv]
-        assert main(argv) == 0
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
+        assert code == (2 if "--bogus" in argv else 0)
         written = graph.read_bytes(), intermediate.read_bytes()
-        assert run_talentgraph(*argv).stdout.decode("utf-8") == capsys.readouterr().out
+        child = run_talentgraph(*argv, check=False)
+        out = capsys.readouterr()
+        assert (child.returncode, child.stdout.decode("utf-8"), child.stderr.decode("utf-8")) == (
+            code, out.out, out.err)
         # ingest rewrites both files in the child; no other command writes one.
         assert (graph.read_bytes(), intermediate.read_bytes()) == written
+
+
+# argv that argparse answers itself, with help or a usage error.
+ARGPARSE_CASES = {
+    "help": ["--help"],
+    **{f"{command}-help": [command, "-h"]
+       for command in ("ingest", "query", "explain", "export", "stats", "eval")},
+    "no-command": [],
+    "unknown-command": ["bogus"],
+    "miscased-command": ["Query"],
+    "unknown-option-after-query": ["query", "g.json", "java", "--bogus"],
+    "unknown-option-after-stats": ["stats", "g.json", "--bogus"],
+    "query-missing-positionals": ["query"],
+    "explain-missing-positionals": ["explain", "g.json"],
+    "ingest-missing-options": ["ingest", "corpus"],
+    "query-extra-positional": ["query", "g.json", "java", "extra"],
+    "stats-extra-positional": ["stats", "g.json", "h.json"],
+    "bad-format": ["export", "g.json", "--format", "png"],
+    "bad-topk-mode": ["eval", "g.json", "gold.json", "--topk-mode", "recall"],
+    "non-integer-cap": ["ingest", "corpus", "--lexicon", "l.json", "--gazetteer", "z.json",
+                        "--out", "o.json", "--duration-cap-months", "ten"],
+}
+
+
+def argparse_outcome(parse, argv: list[str], capsys) -> tuple:
+    with pytest.raises(SystemExit) as exit_:
+        parse(list(argv))
+    out = capsys.readouterr()
+    return exit_.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("columns", ["30", "80", "200"])
+@pytest.mark.parametrize("argv", ARGPARSE_CASES.values(), ids=ARGPARSE_CASES.keys())
+def test_main_prints_what_the_whole_parser_tree_prints(argv, columns, monkeypatch, capsys):
+    """``main`` builds the subparser of the command it is given alone; its help
+    and usage errors are the whole tree's at every terminal width."""
+    monkeypatch.setenv("COLUMNS", columns)
+    whole = argparse_outcome(cli.build_arg_parser().parse_args, argv, capsys)
+    assert argparse_outcome(main, argv, capsys) == whole
+
+
+def test_usage_errors_name_the_command_argument(capsys):
+    _, _, err = argparse_outcome(main, ["bogus"], capsys)
+    assert "error: argument command: invalid choice: 'bogus'" in err
+    _, _, err = argparse_outcome(main, [], capsys)
+    assert err.endswith("error: the following arguments are required: command\n")
 
 
 IMPORT_GUARD = """

@@ -535,6 +535,10 @@ MALFORMED = {
     "months-too-large-for-a-float": ((*PROJECT, 2), 10**400, rf"{P0}: months 1{'0' * 400} {MONTHS}"),
     "unknown-skill": ((*PROJECT, 4, 0), "cobol", rf"{P0}: unknown skill 'cobol'"),
     "repeated-skill": ((*PROJECT, 4, 1), "java", rf"{P0}: skill 'java' is listed twice"),
+    # The first fault in list order, as the per-skill scan finds it behind the set checks.
+    "repeated-skill-before-unknown": ((*PROJECT, 4), ["java", "java", "cobol"],
+                                      rf"{P0}: skill 'java' is listed twice"),
+    "unhashable-skill": ((*PROJECT, 4), [[], "java"], rf"{P0}: unknown skill \[\]"),
     "unknown-declared-skill": (("jobseekers", 0, 2, 0), "cobol",
                                rf"{J0}\.declared: unknown skill 'cobol'"),
     "declared-and-mentioned": (("jobseekers", 0, 2, 0), "java",
@@ -719,7 +723,10 @@ def broken(doc: dict, path: tuple, keys: list[str], data) -> dict:
         return replaced(doc, path[:-1], rows[:at] + [row] + rows[at:])
     if how == "move":
         others = [("skills",), ("jobseekers",), ("edges/org_skil",), ("nodes",), ("config",)]
-        others += [("jobseekers", j, 3) for j in range(len(doc["jobseekers"]))]
+        # A row too short to hold a project list, such as a skill row moved in
+        # by an earlier edit, has no list to move into.
+        others += [("jobseekers", j, 3) for j, other_row in enumerate(doc["jobseekers"])
+                   if len(other_row) >= 3]
         other = data.draw(st.sampled_from(others))
         return replaced(doc, other, rows_at(doc, other) + [row])
     if how == "key":

@@ -75,13 +75,18 @@ def test_alias_conflict_names_both_canonicals():
 
 
 def test_alias_conflict_names_the_same_alias_under_every_hash_seed():
-    """A record with several taken aliases names the first in sorted order,
-    whatever order its alias set iterates in."""
+    """A record with several taken aliases, or aliases whose phrases are taken,
+    names the first in sorted order, whatever order its alias set iterates in."""
     script = (
-        "from talentgraph.lexicon import parse_skill_records\n"
+        "from talentgraph.lexicon import SkillEntry, SkillLexicon, parse_skill_records\n"
         "try:\n"
         "    parse_skill_records([{'canonical': c, 'category': 'x',\n"
         "                          'aliases': ['jdk', 'jvm', 'j2ee']} for c in ('java', 'kotlin')])\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+        "aliases = {'java': {'JDK', 'JVM', 'J2EE'}, 'kotlin': {'jdk', 'jvm', 'j2ee'}}\n"
+        "try:\n"
+        "    SkillLexicon(SkillEntry(c, 'x', frozenset(a)) for c, a in aliases.items()).phrase_index\n"
         "except Exception as exc:\n"
         "    print(exc)\n"
     )
@@ -89,7 +94,7 @@ def test_alias_conflict_names_the_same_alias_under_every_hash_seed():
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": str(seed)}
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout == "alias 'j2ee' maps to both 'java' and 'kotlin'\n", seed
+        assert result.stdout == "alias 'j2ee' maps to both 'java' and 'kotlin'\n" * 2, seed
 
 def test_canonical_is_its_own_alias_even_when_omitted():
     lexicon = parse_skill_records(
@@ -397,9 +402,15 @@ def test_lexicon_rejects_first_repeated_canonical_or_alias_conflict(entries):
             with pytest.raises(LexiconFormatError, match=rf"^skills\[{i}\]: duplicate canonical"):
                 SkillLexicon(entries)
             return
-        if any(owners.get(alias, entry.canonical) != entry.canonical for alias in entry.aliases):
-            with pytest.raises(AliasConflictError):
+        taken = sorted(alias for alias in entry.aliases
+                       if owners.get(alias, entry.canonical) != entry.canonical)
+        if taken:  # the error names the sorted-first taken alias, whatever the set order
+            with pytest.raises(AliasConflictError) as err:
                 SkillLexicon(entries)
+            alias, owner = taken[0], owners[taken[0]]
+            assert (err.value.alias, err.value.canonicals) == (alias, (owner, entry.canonical))
+            assert str(err.value) == (f"alias {alias!r} maps to both {owner!r} "
+                                      f"and {entry.canonical!r}")
             return
         owners.update(dict.fromkeys(entry.aliases, entry.canonical))
     lexicon = SkillLexicon(entries)
