@@ -21,7 +21,7 @@ _EXPORTS = {
     "intermediate": ("emit_intermediate", "load_intermediate"),
     "lexicon": ("SentimentEntry", "SentimentGazetteer", "SkillEntry", "SkillLexicon",
                 "dump_sentiment_gazetteer", "dump_skill_lexicon", "load_sentiment_gazetteer",
-                "load_skill_lexicon", "lookup_sentiment", "normalize_skill"),
+                "load_skill_lexicon", "normalize_skill"),
     "parser": ("ExperienceEntry", "ResumeRecord", "extract_skills", "normalize_org",
                "parse_duration", "parse_resume", "split_sections"),
     "query": ("Query", "QueryTerm", "RankedResult", "execute", "explain", "parse_query"),

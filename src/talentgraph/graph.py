@@ -18,7 +18,7 @@ Construction per resume:
    jobseeker-project (holding the experience's months) and project-org
    edges; project keys are surrogate ("<jobseeker_id>:p<ordinal>") because
    project descriptions are never unified across resumes.
-3. Score the description once (scope-free) and accumulate that same score
+3. Score the description once and accumulate that same score
    into the skill-project edge of every skill mentioned in the details.
 4. Accumulate the same score and the experience's months into the
    jobseeker-skill edge.
@@ -214,8 +214,8 @@ class KnowledgeGraph:
                 if (node := NodeId(_SKILL, skill)) not in self.nodes:
                     self.nodes[node] = {"category": lexicon.category_of(skill) or ""}
             units = 0
-            if mentioned:  # one scope-free score per description, the same for every skill
-                units = round(score_description(exp.details, None, gazetteer) * WEIGHT_UNITS)
+            if mentioned:  # one score per description, the same for every skill
+                units = round(score_description(exp.details, gazetteer) * WEIGHT_UNITS)
             self.nodes.setdefault(NodeId(_ORGANIZATION, exp.organization), {})
             self._add_project(record.jobseeker_id, ordinal, exp.project_title,
                               exp.organization, exp.duration_months, units, mentioned)

@@ -20,15 +20,14 @@ Gazetteer document::
       "schema_version": 1,
       "entries": [
         {"keyword": "scalability", "class": "strong-technical", "weight": 0.9},
-        {"keyword": "debugging", "class": "strong-technical", "weight": 0.8,
-         "skill": "c++"}
+        {"keyword": "debugging", "class": "strong-technical", "weight": 0.8}
       ]
     }
 
 All strings are lowercase-folded and whitespace-trimmed at load time; lookups
-fold the same way, so matching is case-insensitive throughout. A gazetteer
-entry with a "skill" field applies only to that canonical skill and takes
-precedence over a scope-free entry for the same keyword.
+fold the same way, so matching is case-insensitive throughout. A keyword
+weighs the same whatever skill a description mentions: an entry with a
+"skill" field is rejected, never dropped.
 
 A lexicon's phrase index, the form free-text skill matching uses, is derived
 from the entries' aliases on first use and cached. This relies on the lexicon being
@@ -64,12 +63,12 @@ class SkillEntry:
     aliases: frozenset[str]
 
 
-@dataclass(frozen=True)
+# Slotted but not frozen, as ``SkillEntry``: a gazetteer load makes one per record.
+@dataclass(slots=True, unsafe_hash=True)
 class SentimentEntry:
     keyword: str
     keyword_class: str
     weight: float
-    skill_scope: str | None = None
 
 
 class SkillLexicon:
@@ -119,11 +118,16 @@ class SkillLexicon:
         keep = DEFAULT_KEEP_CHARS + "".join(sorted(extra - set(DEFAULT_KEEP_CHARS)))
         findall = token_pattern(keep).findall  # ``tokenize`` without a call per alias
         phrases: dict[tuple[str, ...], str] = {}
-        for entry in self.entries:  # sorted aliases: a conflict is named the same every run
-            for alias in sorted(entry.aliases):
+        for entry in self.entries:
+            canonical = entry.canonical
+            for alias in entry.aliases:  # lower(): a direct caller may pass unfolded aliases
                 phrase = tuple(filter(None, findall(alias.lower())))
-                if phrase and phrases.setdefault(phrase, entry.canonical) != entry.canonical:
-                    raise AliasConflictError(" ".join(phrase), phrases[phrase], entry.canonical)
+                if phrase and phrases.setdefault(phrase, canonical) != canonical:
+                    # Hash order, so as ``__init__`` does, name the sorted-first taken alias.
+                    owned = (tuple(filter(None, findall(a.lower())))
+                             for a in sorted(entry.aliases))
+                    phrase = next(p for p in owned if phrases.get(p, canonical) != canonical)
+                    raise AliasConflictError(" ".join(phrase), phrases[phrase], canonical)
         longest: dict[str, int] = {}
         for phrase in sorted(phrases, key=len):  # the longest phrase is written last
             longest[phrase[0]] = len(phrase)
@@ -135,16 +139,16 @@ STOP_WORDS = frozenset("a an and are as at by for in is of on or the to was were
 
 
 class SentimentGazetteer:
-    """<skill-scope, keyword, class, weight> entries, with ``weights`` keyed by
-    (keyword, scope or None). The constructor rejects a weight that is not a number
-    in [0, 1], a repeated key, a keyword that is not one folded token, and a stop
-    word: ``STOP_WORDS`` is this rule's alone, and the tokenizer keeps them."""
+    """<keyword, class, weight> entries, with ``weights`` mapping each keyword to
+    its weight. The constructor rejects a weight that is not a number in [0, 1], a
+    repeated keyword, a keyword that is not one folded token, and a stop word:
+    ``STOP_WORDS`` is this rule's alone, and the tokenizer keeps them."""
 
     def __init__(self, entries: Iterable[SentimentEntry]):
         self.entries: list[SentimentEntry] = list(entries)
-        self.weights: dict[tuple[str, str | None], float] = {}
+        self.weights: dict[str, float] = {}
         for i, entry in enumerate(self.entries):
-            keyword, scope = key = (entry.keyword, entry.skill_scope)
+            keyword = entry.keyword
             # type() rather than isinstance(): a bool is an int in Python but not in JSON.
             if type(entry.weight) is not float and type(entry.weight) is not int:
                 raise GazetteerFormatError(f"entries[{i}]: 'weight' must be a number")
@@ -157,10 +161,9 @@ class SentimentGazetteer:
             if keyword in STOP_WORDS:
                 raise GazetteerFormatError(
                     f"entries[{i}]: keyword {keyword!r} is a stop word, which scoring drops")
-            if key in self.weights:
-                scoped = "" if scope is None else f" for skill {scope!r}"
-                raise GazetteerFormatError(f"entries[{i}]: duplicate keyword {keyword!r}{scoped}")
-            self.weights[key] = float(entry.weight)
+            if keyword in self.weights:
+                raise GazetteerFormatError(f"entries[{i}]: duplicate keyword {keyword!r}")
+            self.weights[keyword] = float(entry.weight)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -233,13 +236,11 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
         # As the constructor does, but here so that faults keep this order.
         if type(weight) is not float and type(weight) is not int:
             raise GazetteerFormatError(f"entries[{i}]: 'weight' must be a number")
-        scope = rec.get("skill")
-        if scope is not None:
-            if not isinstance(scope, str) or not scope.strip():
-                raise GazetteerFormatError(f"entries[{i}]: 'skill' must be a non-empty string")
-            scope = _fold(scope)
+        if "skill" in rec:
+            raise GazetteerFormatError(
+                f"entries[{i}]: 'skill' is not supported: a keyword weighs the same for any skill")
         # The constructor checks the weight's range.
-        entries.append(SentimentEntry(_fold(keyword), _fold(kw_class), weight, scope))
+        entries.append(SentimentEntry(_fold(keyword), _fold(kw_class), weight))
     return SentimentGazetteer(entries)
 
 
@@ -253,28 +254,8 @@ def load_sentiment_gazetteer(source: str | Path) -> SentimentGazetteer:
 
 
 def dump_sentiment_gazetteer(gazetteer: SentimentGazetteer) -> str:
-    records = []
-    for e in sorted(
-        gazetteer.entries, key=lambda e: (e.keyword, e.skill_scope or "", e.keyword_class)
-    ):
-        rec: dict = {"keyword": e.keyword, "class": e.keyword_class, "weight": float(e.weight)}
-        if e.skill_scope is not None:
-            rec["skill"] = e.skill_scope
-        records.append(rec)
+    records = [
+        {"keyword": e.keyword, "class": e.keyword_class, "weight": float(e.weight)}
+        for e in sorted(gazetteer.entries, key=lambda e: e.keyword)
+    ]
     return dumps({"schema_version": SCHEMA_VERSION, "entries": records})
-
-
-def lookup_sentiment(
-    keyword: str, skill: str | None, gazetteer: SentimentGazetteer
-) -> float | None:
-    """Weight for a keyword, preferring an entry scoped to the given skill.
-
-    Falls back to a scope-free entry; returns None when neither exists.
-    Callers pass keywords already lowercased by the tokenizer.
-    """
-    weights = gazetteer.weights
-    if skill is not None:
-        weight = weights.get((keyword, skill))
-        if weight is not None:
-            return weight
-    return weights.get((keyword, None))

@@ -16,13 +16,9 @@ from .lexicon import SentimentGazetteer
 from .tokenization import tokenize
 
 
-def score_description(
-    details: str,
-    skill: str | None,
-    gazetteer: SentimentGazetteer,
-) -> float:
-    """Score a description, optionally under a skill's gazetteer scope."""
-    matches = match_contributions(details, skill, gazetteer)
+def score_description(details: str, gazetteer: SentimentGazetteer) -> float:
+    """Score a description: the mean weight of its gazetteer-matched tokens."""
+    matches = match_contributions(details, gazetteer)
     if not matches:
         return 0.0
     total = 0.0
@@ -31,15 +27,7 @@ def score_description(
     return total / len(matches)
 
 
-def match_contributions(
-    details: str,
-    skill: str | None,
-    gazetteer: SentimentGazetteer,
-) -> list[tuple[str, float]]:
-    """Per-occurrence (token, weight) pairs behind a description's score, each
-    weight read as ``lookup_sentiment`` reads it: a scoped entry wins."""
+def match_contributions(details: str, gazetteer: SentimentGazetteer) -> list[tuple[str, float]]:
+    """Per-occurrence (token, weight) pairs behind a description's score."""
     get = gazetteer.weights.get
-    tokens = tokenize(details)
-    if skill is None:
-        return [(t, w) for t in tokens if (w := get((t, None))) is not None]
-    return [(t, w) for t in tokens if (w := get((t, skill), get((t, None)))) is not None]
+    return [(t, w) for t in tokenize(details) if (w := get(t)) is not None]

@@ -5,7 +5,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from .graph import _JOBSEEKER, _SKILL, EdgeKind, KnowledgeGraph  # the aliases: read per node
+# The aliases: read per node and per edge.
+from .graph import _JOBSEEKER, _JOBSEEKER_PROJECT, _JOBSEEKER_SKILL, _SKILL, KnowledgeGraph
 from .lexicon import SkillLexicon
 
 if TYPE_CHECKING:
@@ -57,11 +58,16 @@ def compute_graph_stats(graph: KnowledgeGraph) -> CorpusStats:
             categories[attrs.get("category") or "uncategorized"] += 1
     if resume_count == 0:
         return CorpusStats()
-    edge_counts = Counter(kind for kind, _, _ in graph.edges)
+    skill_edges = project_edges = 0
+    for kind, _, _ in graph.edges:
+        if kind is _JOBSEEKER_SKILL:
+            skill_edges += 1
+        elif kind is _JOBSEEKER_PROJECT:
+            project_edges += 1
     return CorpusStats(
         resume_count=resume_count,
         distinct_skills=categories.total(),
-        avg_skills_per_resume=edge_counts[EdgeKind.JOBSEEKER_SKILL] / resume_count,
-        avg_projects_per_resume=edge_counts[EdgeKind.JOBSEEKER_PROJECT] / resume_count,
+        avg_skills_per_resume=skill_edges / resume_count,
+        avg_projects_per_resume=project_edges / resume_count,
         skills_by_category=dict(categories),
     )

@@ -14,21 +14,29 @@ DEFAULT_KEEP_CHARS = "+#-"
 
 @lru_cache(maxsize=None)
 def token_pattern(keep_chars: str) -> re.Pattern[str]:
-    """A pattern whose every match is one whole run of ``a-z0-9`` and
-    ``keep_chars`` and whose one group is that run stripped: leading hyphens
-    and trailing dots and hyphens left outside it.
+    """A pattern that finds each token of a run of ``a-z0-9`` and ``keep_chars``:
+    the run without its leading hyphens and its trailing dots and hyphens.
 
-    Every part is greedy, and the group backtracks only over the run's
-    trailing dots and hyphens, so a match costs time linear in its run.
+    With C the run's characters, L those of C a token may end on (all but
+    ``.`` and ``-``) and F those it may start on (all but ``-``):
+
+    - without a kept ``.``, ``[L][C]*[L]|[L]``, whose matches are the tokens;
+    - with one, ``([F][C]*[L]|[L])|\\.[.\\-]*``, whose one group is the token or
+      empty. The second alternative eats a run's dead tail of dots and hyphens
+      in one match, so that the search does not rescan it from each dot.
+
+    A match's ``[C]*`` runs to the end of its run and backs off only over the
+    run's trailing dots and hyphens. The search then passes that tail with a
+    one-character failure per hyphen, or one dead-tail match, so tokenizing
+    takes time linear in the text.
     """
     cls = "a-z0-9" + re.escape(keep_chars)
     last = "a-z0-9" + re.escape(keep_chars.replace(".", "").replace("-", ""))
-    tail = "".join(ch for ch in ".-" if ch in keep_chars)
-    # Only kept dots and hyphens: a "[.-]*" would run on past the end of a
-    # run and swallow the start of the next one.
-    lead = "-*" if "-" in keep_chars else ""
-    trail = f"[{re.escape(tail)}]*" if tail else ""
-    return re.compile(f"(?=[{cls}]){lead}([{cls}]*[{last}]|){trail}")
+    if "." not in keep_chars:
+        return re.compile(f"[{last}][{cls}]*[{last}]|[{last}]")
+    first = "a-z0-9" + re.escape(keep_chars.replace("-", ""))
+    dead = r"\.[.\-]*" if "-" in keep_chars else r"\.+"
+    return re.compile(f"([{first}][{cls}]*[{last}]|[{last}])|{dead}")
 
 
 def tokenize(text: str, keep_chars: str = DEFAULT_KEEP_CHARS) -> list[str]:
@@ -37,4 +45,6 @@ def tokenize(text: str, keep_chars: str = DEFAULT_KEEP_CHARS) -> list[str]:
     Tokens are lowercased; hyphens act as joiners only (stripped at token
     edges), and trailing dots are treated as sentence punctuation.
     """
-    return list(filter(None, token_pattern(keep_chars).findall(text.lower())))
+    pattern = token_pattern(keep_chars)
+    tokens = pattern.findall(text.lower())
+    return list(filter(None, tokens)) if pattern.groups else tokens

@@ -155,20 +155,19 @@ def naive_months(raw):
     return months if months is not None and months >= 0 else 0
 
 
-def naive_lookup(entries, keyword, skill):
-    """Scan every entry: a scoped match first, then a scope-free one."""
-    for scope in ([skill] if skill is not None else []) + [None]:
-        for entry in entries:
-            if (entry.keyword, entry.skill_scope) == (keyword, scope):
-                return entry.weight
+def naive_lookup(entries, keyword):
+    """Scan every entry for the keyword's weight; None when none has it."""
+    for entry in entries:
+        if entry.keyword == keyword:
+            return entry.weight
     return None
 
 
 def naive_score(details, gazetteer):
-    """Scope-free occurrence-weighted mean, straight off the entry list."""
+    """Occurrence-weighted mean, straight off the entry list."""
     weights = {}
     for entry in gazetteer.entries:
-        if entry.skill_scope is None and entry.keyword not in weights:
+        if entry.keyword not in weights:
             weights[entry.keyword] = entry.weight
     hits = [weights[t] for t in naive_tokens(details) if t in weights]
     total = 0.0

@@ -66,7 +66,7 @@ def synthetic_records(rng, count, lexicon, gazetteer):
     """Random but reproducible resumes exercising every construction path."""
     skills = sorted(lexicon.canonicals())
     aliases = sorted(lexicon.alias_index)
-    keywords = sorted({e.keyword for e in gazetteer.entries if e.skill_scope is None})
+    keywords = sorted({e.keyword for e in gazetteer.entries})
     vocabulary = keywords + FILLER_WORDS + aliases
     records = []
     for i in range(count):
@@ -311,19 +311,19 @@ def test_c4_query_conformance(lexicon, gazetteer):
 @criterion(5, "sentiment scoring properties over 1000 descriptions")
 def test_c5_scoring_properties(gazetteer):
     rng = random.Random(31415)
-    keywords = sorted({e.keyword for e in gazetteer.entries if e.skill_scope is None})
+    keywords = sorted({e.keyword for e in gazetteer.entries})
     vocabulary = keywords + FILLER_WORDS
     for _ in range(1000):
         words = rng.choices(vocabulary, k=rng.randint(0, 20))
         details = " ".join(words)
-        score = score_description(details, None, gazetteer)
+        score = score_description(details, gazetteer)
 
         shuffled = words[:]
         rng.shuffle(shuffled)
-        permuted = score_description(" ".join(shuffled), None, gazetteer)
+        permuted = score_description(" ".join(shuffled), gazetteer)
         assert permuted == pytest.approx(score, abs=SCORE_TOL)
-        contributions = [w for _, w in match_contributions(details, None, gazetteer)]
-        assert len(match_contributions(" ".join(shuffled), None, gazetteer)) == len(contributions)
+        contributions = [w for _, w in match_contributions(details, gazetteer)]
+        assert len(match_contributions(" ".join(shuffled), gazetteer)) == len(contributions)
 
         if contributions:
             assert min(contributions) - SCORE_TOL <= score
@@ -331,12 +331,12 @@ def test_c5_scoring_properties(gazetteer):
         else:
             assert score == 0.0
 
-        padded = score_description(details + " zzqqx", None, gazetteer)
+        padded = score_description(details + " zzqqx", gazetteer)
         assert padded == pytest.approx(score, abs=SCORE_TOL)
 
-        doubled = score_description(details + " " + details, None, gazetteer)
+        doubled = score_description(details + " " + details, gazetteer)
         assert doubled == pytest.approx(score, abs=SCORE_TOL)
-        assert len(match_contributions(details + " " + details, None, gazetteer)) == 2 * len(
+        assert len(match_contributions(details + " " + details, gazetteer)) == 2 * len(
             contributions
         )
 

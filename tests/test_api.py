@@ -17,9 +17,9 @@ PUBLIC_NAMES = [
     "SentimentGazetteer", "SkillEntry", "SkillLexicon", "TalentGraphError", "WeightedEdge",
     "compute_graph_stats", "compute_stats", "dump_sentiment_gazetteer", "dump_skill_lexicon",
     "emit_intermediate", "execute", "explain", "extract_skills", "load_intermediate",
-    "load_sentiment_gazetteer", "load_skill_lexicon", "lookup_sentiment", "normalize_org",
-    "normalize_skill", "parse_duration", "parse_query", "parse_resume", "score_description",
-    "split_sections", "tokenize", "__version__",
+    "load_sentiment_gazetteer", "load_skill_lexicon", "normalize_org", "normalize_skill",
+    "parse_duration", "parse_query", "parse_resume", "score_description", "split_sections",
+    "tokenize", "__version__",
 ]
 
 

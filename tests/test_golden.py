@@ -6,6 +6,7 @@ CHANGES.md."""
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -99,3 +100,40 @@ def test_graph_file_loads_the_graph_it_saved_in_kind_then_key_order(records):
     loaded = KnowledgeGraph.from_dict(graph.to_dict())
     assert loaded == graph
     assert outputs(loaded) == outputs(graph)
+
+
+# No fixture alias holds a ".", so the fixture ingest never keeps one inside a
+# token. This lexicon does, and the extra resume puts dots and hyphens at token
+# edges, inside tokens and in runs of their own.
+DOTTED_SKILLS = [
+    {"canonical": "node.js", "category": "web technologies", "aliases": ["node.js", "nodejs"]},
+    {"canonical": ".net", "category": "frameworks", "aliases": [".net", "dotnet"]},
+    {"canonical": "asp.net", "category": "frameworks", "aliases": ["asp.net", "asp.net core"]},
+]
+DOTTED_RESUME = """Lee Park
+
+SKILLS
+Node.js, .NET, Java.
+
+EXPERIENCE
+Globex Corp.
+Billing Rewrite
+Mar 2019 - Feb 2021
+Led a robust ASP.NET Core rewrite of -.NET-. billing... and Node.js.
+Scalable client-server design; --performance-- ... .-.- debugging of C++.
+"""
+DOTTED_GRAPH_FILE = "7d6118005181f4ce98e2f7fcd469abc1ec2a310da31a0c379cd8efbd592eea88"
+
+
+def test_ingest_bytes_with_a_dotted_lexicon(tmp_path):
+    doc = json.loads(LEXICON_FILE.read_text(encoding="utf-8"))
+    doc["skills"] += DOTTED_SKILLS
+    lexicon, graph, corpus = tmp_path / "lexicon.json", tmp_path / "graph.json", tmp_path / "c"
+    lexicon.write_text(json.dumps(doc), encoding="utf-8")
+    corpus.mkdir()
+    for path in CORPUS_DIR.glob("*.txt"):
+        (corpus / path.name).write_bytes(path.read_bytes())
+    (corpus / "r07_lee_park.txt").write_text(DOTTED_RESUME, encoding="utf-8")
+    assert main(["ingest", str(corpus), "--lexicon", str(lexicon),
+                 "--gazetteer", str(GAZETTEER_FILE), "--out", str(graph)]) == 0
+    assert sha256(graph.read_bytes()) == DOTTED_GRAPH_FILE

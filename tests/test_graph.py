@@ -245,8 +245,8 @@ def test_missing_node_is_error(lexicon, gazetteer):
 
 
 def test_multi_skill_equality_even_with_scoped_entries(lexicon, gazetteer):
-    # "performance" has a c++-scoped weight; the per-description score must
-    # still be identical on every mentioned skill's edges.
+    # A gazetteer refuses a skill-scoped entry (see tests/test_lexicon.py), so
+    # the per-description score is identical on every mentioned skill's edges.
     g = KnowledgeGraph()
     g.add_resume(
         record("js0", experiences=[exp("acme", "c++ and java performance, robust")]),
@@ -255,7 +255,7 @@ def test_multi_skill_equality_even_with_scoped_entries(lexicon, gazetteer):
     cpp = g.get_edge(EdgeKind.SKILL_PROJECT, "c++", "js0:p0")
     java = g.get_edge(EdgeKind.SKILL_PROJECT, "java", "js0:p0")
     assert cpp.weight_sum == java.weight_sum
-    # scope-free lookup: performance 0.6, robust 0.5
+    # performance 0.6, robust 0.5
     assert cpp.weight_sum == pytest.approx(0.55)
 
 

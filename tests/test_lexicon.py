@@ -28,7 +28,6 @@ from talentgraph.lexicon import (
     dump_skill_lexicon,
     load_sentiment_gazetteer,
     load_skill_lexicon,
-    lookup_sentiment,
     normalize_skill,
     parse_sentiment_records,
     parse_skill_records,
@@ -54,6 +53,15 @@ def test_skill_entries_compare_and_hash_by_value():
     same = SkillEntry("java", "languages", frozenset({"jdk", "java"}))
     assert entry == same and hash(entry) == hash(same)
     assert entry != SkillEntry("java", "tools", frozenset({"java", "jdk"}))
+    assert not hasattr(entry, "__dict__")
+
+
+def test_sentiment_entries_compare_and_hash_by_value():
+    """``SentimentEntry`` is slotted and not frozen, but compares and hashes by value."""
+    entry = SentimentEntry("robust", "strong-technical", 0.5)
+    assert entry == SentimentEntry("robust", "strong-technical", 0.5)
+    assert hash(entry) == hash(SentimentEntry("robust", "strong-technical", 0.5))
+    assert entry != SentimentEntry("robust", "strong-technical", 0.6)
     assert not hasattr(entry, "__dict__")
 
 
@@ -147,15 +155,20 @@ def test_lexicon_record_faults_are_located(records, message):
     assert str(err.value) == message
 
 
+# Every keyword weighs the same for any skill: a scope is refused, never dropped.
+SKILL_FIELD = "entries[0]: 'skill' is not supported: a keyword weighs the same for any skill"
+
+
 @pytest.mark.parametrize("record, message", [
     ("fast", "entries[0]: record must be an object"),
     ({"keyword": "", "class": "x", "weight": 0.5},
      "entries[0]: 'keyword' must be a non-empty string"),
     ({"keyword": "fast", "class": "", "weight": 0.5},
      "entries[0]: 'class' must be a non-empty string"),
-    ({"keyword": "fast", "class": "x", "weight": 0.5, "skill": " "},
-     "entries[0]: 'skill' must be a non-empty string"),
-], ids=["not-object", "empty-keyword", "empty-class", "empty-skill"])
+    ({"keyword": "fast", "class": "x", "weight": 0.5, "skill": " "}, SKILL_FIELD),
+    ({"keyword": "fast", "class": "x", "weight": 0.5, "skill": "java"}, SKILL_FIELD),
+    ({"keyword": "fast", "class": "x", "weight": 0.5, "skill": None}, SKILL_FIELD),
+], ids=["not-object", "empty-keyword", "empty-class", "empty-skill", "scoped", "null-skill"])
 def test_gazetteer_record_faults_are_located(record, message):
     with pytest.raises(GazetteerFormatError) as err:
         parse_sentiment_records([record])
@@ -185,7 +198,7 @@ def test_gazetteer_single_entry():
         [{"keyword": "scalability", "class": "strong-technical", "weight": 0.9}]
     )
     assert len(gaz) == 1
-    assert gaz.weights == {("scalability", None): 0.9}
+    assert gaz.weights == {"scalability": 0.9}
 
 
 def test_gazetteer_weight_range():
@@ -201,7 +214,7 @@ def test_gazetteer_weight_range():
 def test_gazetteer_empty():
     gaz = parse_sentiment_records([])
     assert len(gaz) == 0
-    assert lookup_sentiment("anything", None, gaz) is None
+    assert gaz.weights == {}
 
 
 def test_gazetteer_keyword_must_be_single_token():
@@ -213,7 +226,7 @@ def test_gazetteer_keyword_must_be_single_token():
     gaz = parse_sentiment_records(
         [{"keyword": "client-server", "class": "strong-technical", "weight": 0.6}]
     )
-    assert gaz.weights == {("client-server", None): 0.6}
+    assert gaz.weights == {"client-server": 0.6}
 
 
 def test_gazetteer_keyword_must_not_be_a_stop_word():
@@ -267,49 +280,31 @@ def test_gazetteer_loading_reports_record_faults_before_constructor_faults():
         parse_sentiment_records([out_of_range, not_a_number])
 
 
-def test_lookup_scope_free_applies_to_any_skill():
-    gaz = parse_sentiment_records(
-        [{"keyword": "scalability", "class": "strong-technical", "weight": 0.9}]
-    )
-    assert lookup_sentiment("scalability", "c++", gaz) == 0.9
-    assert lookup_sentiment("scalability", None, gaz) == 0.9
-
-
-def test_lookup_scoped_entry_does_not_leak():
-    gaz = parse_sentiment_records(
-        [{"keyword": "scalability", "class": "strong-technical", "weight": 0.9,
-          "skill": "c++"}]
-    )
-    assert lookup_sentiment("scalability", "java", gaz) is None
-    assert lookup_sentiment("scalability", None, gaz) is None
-    assert lookup_sentiment("scalability", "c++", gaz) == 0.9
+def test_lookup_scoped_entry_does_not_leak(tmp_path):
+    """A skill-scoped entry is refused, located at its record, whether it
+    repeats a scope-free keyword or not: no weight applies to one skill only."""
+    scalability = {"keyword": "scalability", "class": "strong-technical", "weight": 0.9}
+    scoped = {**scalability, "weight": 0.95, "skill": "c++"}
+    for records in ([scalability, scoped], [scoped, scalability]):
+        index = records.index(scoped)
+        message = rf"^entries\[{index}\]: 'skill' is not supported: "
+        with pytest.raises(GazetteerFormatError, match=message):
+            parse_sentiment_records(records)
+    path = tmp_path / "gaz.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": [scalability, scoped]}),
+                    encoding="utf-8")
+    with pytest.raises(GazetteerFormatError, match=r"^entries\[1\]: 'skill' is not supported"):
+        load_sentiment_gazetteer(path)
+    with pytest.raises(TypeError):
+        SentimentEntry("scalability", "strong-technical", 0.95, "c++")
 
 
 def test_lookup_management_keyword_without_skill():
     gaz = parse_sentiment_records(
         [{"keyword": "lead", "class": "strong-management", "weight": 0.7}]
     )
-    assert lookup_sentiment("lead", None, gaz) == 0.7
-
-
-def test_scope_isolation_by_enumeration():
-    gaz = parse_sentiment_records(
-        [
-            {"keyword": "performance", "class": "t", "weight": 0.95, "skill": "c++"},
-            {"keyword": "performance", "class": "t", "weight": 0.6},
-            {"keyword": "debugging", "class": "t", "weight": 0.3, "skill": "java"},
-        ]
-    )
-    expected = {
-        ("performance", "c++"): 0.95,
-        ("performance", "java"): 0.6,
-        ("performance", None): 0.6,
-        ("debugging", "c++"): None,
-        ("debugging", "java"): 0.3,
-        ("debugging", None): None,
-    }
-    for (keyword, skill), want in expected.items():
-        assert lookup_sentiment(keyword, skill, gaz) == want
+    assert gaz.weights["lead"] == 0.7
+    assert gaz.weights.get("led") is None
 
 
 def test_gazetteer_round_trip(gazetteer, tmp_path):
@@ -345,44 +340,39 @@ def test_lexicon_rejects_duplicate_canonical():
 
 
 def test_gazetteer_rejects_duplicate_keyword_in_one_scope():
+    """One scope: a keyword has one weight, whatever its class or case."""
     fast = {"keyword": "fast", "class": "x", "weight": 0.9}
-    scoped = {**fast, "skill": "java"}
-    assert len(parse_sentiment_records([fast, scoped])) == 2  # two scopes
     with pytest.raises(GazetteerFormatError, match=r"^entries\[1\]: duplicate keyword 'fast'$"):
         parse_sentiment_records([fast, {**fast, "keyword": "FAST", "weight": 0.1}])
-    with pytest.raises(
-        GazetteerFormatError, match=r"^entries\[2\]: duplicate keyword 'fast' for skill 'java'$"
-    ):
-        parse_sentiment_records([fast, scoped, {**scoped, "skill": "Java", "class": "y"}])
+    with pytest.raises(GazetteerFormatError, match=r"^entries\[2\]: duplicate keyword 'fast'$"):
+        parse_sentiment_records([fast, {**fast, "keyword": "slow"}, {**fast, "class": "y"}])
 
 
 
 # -- one index per dictionary ---------------------------------------------------
 
 KEYWORDS = ["fast", "robust", "clean"]
-SCOPES = [None, "java", "c++"]
 GAZ_ENTRY = st.builds(
     SentimentEntry,
     keyword=st.sampled_from(KEYWORDS),
     keyword_class=st.just("x"),
     weight=st.floats(0, 1),
-    skill_scope=st.sampled_from(SCOPES),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(entries=st.lists(GAZ_ENTRY, max_size=8))
 def test_gazetteer_rejects_first_repeated_key_or_matches_naive_scan(entries):
-    keys = [(e.keyword, e.skill_scope) for e in entries]
+    keys = [e.keyword for e in entries]
     first_repeat = next((i for i, key in enumerate(keys) if key in keys[:i]), None)
     if first_repeat is not None:
         with pytest.raises(GazetteerFormatError, match=rf"^entries\[{first_repeat}\]: duplicate"):
             SentimentGazetteer(entries)
         return
     gaz = SentimentGazetteer(entries)
+    assert gaz.weights == {e.keyword: e.weight for e in entries}
     for keyword in KEYWORDS + ["absent"]:
-        for skill in SCOPES + ["go"]:
-            assert lookup_sentiment(keyword, skill, gaz) == naive_lookup(entries, keyword, skill)
+        assert gaz.weights.get(keyword) == naive_lookup(entries, keyword)
 
 
 CANONICALS = ["java", "python", "go", "rust"]

@@ -141,6 +141,16 @@ def test_tokenize_matches_oracle(text, keep):
     assert tokenize(text, keep) == naive_tokens(text, keep, frozenset())
 
 
+@settings(max_examples=200, deadline=None)
+@given(text=TOKEN_TEXT, keep=KEEP.map(lambda keep: keep.replace(".", "")))
+def test_token_pattern_matches_are_the_tokens_without_a_kept_dot(text, keep):
+    """Without a kept ".", no match is empty or needs a group read: the
+    matches themselves are the oracle's tokens."""
+    pattern = talentgraph.tokenization.token_pattern(keep)
+    assert pattern.groups == 0
+    assert pattern.findall(text.lower()) == naive_tokens(text, keep, frozenset())
+
+
 def test_tokenize_is_linear_in_a_run():
     """A pattern that rescans a run from each of its dots and hyphens would
     take hours on these runs of 200k to 300k characters."""
@@ -149,6 +159,11 @@ def test_tokenize_is_linear_in_a_run():
     assert tokenize(dashes, keep_chars="+#-.") == [dashes]
     assert tokenize("x-" * 150_000, keep_chars="+#-.") == ["x-" * 149_999 + "x"]
     assert tokenize("-." * 150_000, keep_chars="+#-.") == []
+    assert tokenize("a" + "-" * 300_000) == ["a"]
+    assert tokenize("-" * 300_000) == []
+    for keep in ["+#-.", "+#."]:
+        assert tokenize("." * 300_000, keep_chars=keep) == []
+        assert tokenize("." * 150_000 + "a", keep_chars=keep) == ["." * 150_000 + "a"]
     assert time.process_time() - start < 1
 
 
