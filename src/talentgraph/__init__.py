@@ -19,9 +19,9 @@ _EXPORTS = {
     "evaluation": (),
     "graph": ("EdgeKind", "KnowledgeGraph", "NodeId", "NodeKind", "ScoringConfig", "WeightedEdge"),
     "intermediate": ("emit_intermediate", "load_intermediate"),
-    "lexicon": ("SentimentEntry", "SentimentGazetteer", "SkillEntry", "SkillLexicon",
-                "dump_sentiment_gazetteer", "dump_skill_lexicon", "load_sentiment_gazetteer",
-                "load_skill_lexicon", "normalize_skill"),
+    "lexicon": ("SentimentGazetteer", "SkillLexicon", "dump_sentiment_gazetteer",
+                "dump_skill_lexicon", "load_sentiment_gazetteer", "load_skill_lexicon",
+                "normalize_skill"),
     "parser": ("ExperienceEntry", "ResumeRecord", "extract_skills", "normalize_org",
                "parse_duration", "parse_resume", "split_sections"),
     "query": ("Query", "QueryTerm", "RankedResult", "execute", "explain", "parse_query"),

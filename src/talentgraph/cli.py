@@ -24,26 +24,20 @@ from pathlib import Path
 from ._io import SCHEMA_VERSION, write_document, write_text
 from .errors import TalentGraphError
 from .graph import KnowledgeGraph, ScoringConfig
-from .lexicon import (
-    SkillEntry,
-    SkillLexicon,
-    load_sentiment_gazetteer,
-    load_skill_lexicon,
-)
+from .lexicon import SkillLexicon, load_sentiment_gazetteer, load_skill_lexicon
 
 
 def _lexicon_for_graph(lexicon_path: str | None, graph: KnowledgeGraph) -> SkillLexicon:
-    """Load the lexicon, or fall back to canonical-only entries from the graph.
+    """Load the lexicon, or fall back to one whose only aliases are the graph's
+    skill keys, each its own canonical.
 
     The fallback resolves canonical skill names but no aliases, which is
     enough for queries written against graph skill keys.
     """
     if lexicon_path:
         return load_skill_lexicon(lexicon_path)
-    return SkillLexicon(
-        SkillEntry(canonical=key, category="uncategorized", aliases=frozenset([key]))
-        for key in graph.skill_keys()
-    )
+    keys = graph.skill_keys()
+    return SkillLexicon(dict(zip(keys, keys)), dict.fromkeys(keys, "uncategorized"))
 
 
 def _parse_corpus(corpus: Path, lexicon: SkillLexicon):

@@ -206,13 +206,13 @@ class KnowledgeGraph:
         self.nodes[jobseeker] = {"name": record.name}
         for skill in sorted(record.declared_skills):
             if (node := NodeId(_SKILL, skill)) not in self.nodes:
-                self.nodes[node] = {"category": lexicon.category_of(skill) or ""}
+                self.nodes[node] = {"category": lexicon.categories.get(skill) or ""}
             self._add(_JOBSEEKER_SKILL, record.jobseeker_id, skill)
         for ordinal, exp in enumerate(record.experiences):
             mentioned = sorted(extract_skills(exp.details, lexicon))
             for skill in mentioned:
                 if (node := NodeId(_SKILL, skill)) not in self.nodes:
-                    self.nodes[node] = {"category": lexicon.category_of(skill) or ""}
+                    self.nodes[node] = {"category": lexicon.categories.get(skill) or ""}
             units = 0
             if mentioned:  # one score per description, the same for every skill
                 units = round(score_description(exp.details, gazetteer) * WEIGHT_UNITS)

@@ -29,13 +29,15 @@ fold the same way, so matching is case-insensitive throughout. A keyword
 weighs the same whatever skill a description mentions: an entry with a
 "skill" field is rejected, never dropped.
 
+A loaded lexicon is two dicts, alias -> canonical and canonical -> category,
+and a gazetteer two more, keyword -> weight and keyword -> class; the
+loaders fill them in one pass over the records and check them as they go.
 A lexicon's phrase index, the form free-text skill matching uses, is derived
-from the entries' aliases on first use and cached. This relies on the lexicon being
+from its aliases on first use and cached. This relies on the lexicon being
 immutable; a concurrent first use builds equal values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -55,55 +57,20 @@ def _fold(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-# Slotted but not frozen, as ``graph.NodeId``: a lexicon load makes one per record.
-@dataclass(slots=True, unsafe_hash=True)
-class SkillEntry:
-    canonical: str
-    category: str
-    aliases: frozenset[str]
-
-
-# Slotted but not frozen, as ``SkillEntry``: a gazetteer load makes one per record.
-@dataclass(slots=True, unsafe_hash=True)
-class SentimentEntry:
-    keyword: str
-    keyword_class: str
-    weight: float
-
-
 class SkillLexicon:
-    """Canonical skills with an alias->canonical index.
+    """Canonical skills: ``alias_index`` maps each alias to its canonical, and
+    ``categories`` each canonical to its category.
 
-    The constructor rejects a repeated canonical and any alias claimed by two
-    different skills, so the alias index is injective into canonicals.
+    The constructor takes both dicts as they are; ``parse_skill_records`` is the
+    one that folds them and rejects a repeated canonical and an alias claimed by
+    two skills, so that the alias index is injective into canonicals.
     """
 
-    def __init__(self, entries: Iterable[SkillEntry]):
-        self.entries: list[SkillEntry] = list(entries)
-        by_canonical: dict[str, SkillEntry] = {}
-        index: dict[str, str] = {}
-        for i, entry in enumerate(self.entries):
-            canonical = entry.canonical
-            if canonical in by_canonical:
-                raise LexiconFormatError(f"skills[{i}]: duplicate canonical {canonical!r}")
-            by_canonical[canonical] = entry
-            for alias in entry.aliases:
-                if index.setdefault(alias, canonical) != canonical:
-                    # The set iterates in hash order: name the sorted-first alias
-                    # another skill owns, so that the error is the same every run.
-                    alias = min(a for a in entry.aliases if index.get(a, canonical) != canonical)
-                    raise AliasConflictError(alias, index[alias], canonical)
-        self._by_canonical, self.alias_index = by_canonical, index
+    def __init__(self, alias_index: dict[str, str], categories: dict[str, str]):
+        self.alias_index, self.categories = alias_index, categories
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def canonicals(self) -> set[str]:
-        return set(self._by_canonical)
-
-    def category_of(self, canonical: str) -> str | None:
-        entry = self._by_canonical.get(canonical)
-        return entry.category if entry else None
+        return len(self.categories)
 
     @cached_property
     def phrase_index(self) -> tuple[str, dict[tuple[str, ...], str], dict[str, int]]:
@@ -116,21 +83,24 @@ class SkillLexicon:
         """
         extra = set("".join(self.alias_index)) - set("abcdefghijklmnopqrstuvwxyz0123456789 ")
         keep = DEFAULT_KEEP_CHARS + "".join(sorted(extra - set(DEFAULT_KEEP_CHARS)))
-        findall = token_pattern(keep).findall  # ``tokenize`` without a call per alias
+        pattern = token_pattern(keep)
+        findall, grouped = pattern.findall, pattern.groups  # ``tokenize`` without its call
         phrases: dict[tuple[str, ...], str] = {}
-        for entry in self.entries:
-            canonical = entry.canonical
-            for alias in entry.aliases:  # lower(): a direct caller may pass unfolded aliases
-                phrase = tuple(filter(None, findall(alias.lower())))
-                if phrase and phrases.setdefault(phrase, canonical) != canonical:
-                    # Hash order, so as ``__init__`` does, name the sorted-first taken alias.
-                    owned = (tuple(filter(None, findall(a.lower())))
-                             for a in sorted(entry.aliases))
-                    phrase = next(p for p in owned if phrases.get(p, canonical) != canonical)
-                    raise AliasConflictError(" ".join(phrase), phrases[phrase], canonical)
         longest: dict[str, int] = {}
-        for phrase in sorted(phrases, key=len):  # the longest phrase is written last
-            longest[phrase[0]] = len(phrase)
+        for alias, canonical in self.alias_index.items():
+            phrase = findall(alias.lower())  # lower(): a direct caller may pass unfolded aliases
+            phrase = tuple(filter(None, phrase) if grouped else phrase)
+            if not phrase:
+                continue
+            if phrases.setdefault(phrase, canonical) != canonical:
+                # Name the sorted-first alias of this skill whose phrase another owns,
+                # so that the error does not depend on the dict's order.
+                owned = (tuple(tokenize(a, keep)) for a in sorted(
+                    a for a, c in self.alias_index.items() if c == canonical))
+                phrase = next(p for p in owned if phrases.get(p, canonical) != canonical)
+                raise AliasConflictError(" ".join(phrase), phrases[phrase], canonical)
+            if longest.get(phrase[0], 0) < len(phrase):
+                longest[phrase[0]] = len(phrase)
         return keep, phrases, longest
 
 
@@ -139,39 +109,29 @@ STOP_WORDS = frozenset("a an and are as at by for in is of on or the to was were
 
 
 class SentimentGazetteer:
-    """<keyword, class, weight> entries, with ``weights`` mapping each keyword to
-    its weight. The constructor rejects a weight that is not a number in [0, 1], a
-    repeated keyword, a keyword that is not one folded token, and a stop word:
-    ``STOP_WORDS`` is this rule's alone, and the tokenizer keeps them."""
+    """``weights`` maps each keyword to its weight, ``classes`` to its class.
 
-    def __init__(self, entries: Iterable[SentimentEntry]):
-        self.entries: list[SentimentEntry] = list(entries)
-        self.weights: dict[str, float] = {}
-        for i, entry in enumerate(self.entries):
-            keyword = entry.keyword
-            # type() rather than isinstance(): a bool is an int in Python but not in JSON.
-            if type(entry.weight) is not float and type(entry.weight) is not int:
-                raise GazetteerFormatError(f"entries[{i}]: 'weight' must be a number")
-            # The number itself: float() of a huge JSON integer overflows.
-            if not 0 <= entry.weight <= 1:
-                raise WeightRangeError(f"entries[{i}]: weight {entry.weight} outside [0, 1]")
-            if tokenize(keyword) != [keyword]:
-                raise GazetteerFormatError(
-                    f"entries[{i}]: keyword {keyword!r} must be a single token")
-            if keyword in STOP_WORDS:
-                raise GazetteerFormatError(
-                    f"entries[{i}]: keyword {keyword!r} is a stop word, which scoring drops")
-            if keyword in self.weights:
-                raise GazetteerFormatError(f"entries[{i}]: duplicate keyword {keyword!r}")
-            self.weights[keyword] = float(entry.weight)
+    The constructor takes both dicts as they are; ``parse_sentiment_records``
+    rejects a weight that is not a number in [0, 1], a repeated keyword, a keyword
+    that is not one folded token, and a stop word: ``STOP_WORDS`` is this rule's
+    alone, and the tokenizer keeps them."""
+
+    def __init__(self, weights: dict[str, float], classes: dict[str, str]):
+        self.weights, self.classes = weights, classes
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.weights)
 
 
 def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
-    """Build a lexicon from decoded records, enforcing all invariants."""
-    entries = []
+    """Build a lexicon from decoded records, enforcing all invariants.
+
+    A record's shape fault raises at once. The first repeated canonical or alias
+    conflict is held until the pass ends, so a later shape fault is reported first.
+    """
+    index: dict[str, str] = {}
+    categories: dict[str, str] = {}
+    fault = None
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise LexiconFormatError(f"skills[{i}]: record must be an object")
@@ -184,13 +144,26 @@ def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
         raw_aliases = rec.get("aliases", [])
         if not isinstance(raw_aliases, list) or not all(map(str.__instancecheck__, raw_aliases)):
             raise LexiconFormatError(f"skills[{i}]: 'aliases' must be a list of strings")
-        canonical = _fold(canonical)
-        # ``_fold`` written out, sparing a function call per alias.
-        aliases = {" ".join(alias.lower().split()) for alias in raw_aliases}
-        aliases.discard("")
-        aliases.add(canonical)  # canonical is always its own alias
-        entries.append(SkillEntry(canonical, _fold(category), frozenset(aliases)))
-    return SkillLexicon(entries)
+        if fault is not None:
+            continue
+        # ``_fold`` written out, here and below, sparing a function call per string.
+        canonical = " ".join(canonical.lower().split())
+        if canonical in categories:
+            fault = LexiconFormatError(f"skills[{i}]: duplicate canonical {canonical!r}")
+            continue
+        categories[canonical] = " ".join(category.lower().split())
+        taken = index.setdefault(canonical, canonical) != canonical  # its own alias
+        for alias in raw_aliases:
+            alias = " ".join(alias.lower().split())
+            if alias and index.setdefault(alias, canonical) != canonical:
+                taken = True
+        if taken:  # name the sorted-first alias another skill owns, whatever the order
+            aliases = {canonical, *(" ".join(a.lower().split()) for a in raw_aliases)}
+            alias = min(a for a in aliases if index.get(a, canonical) != canonical)
+            fault = AliasConflictError(alias, index[alias], canonical)
+    if fault is not None:
+        raise fault
+    return SkillLexicon(index, categories)
 
 
 def load_skill_lexicon(source: str | Path) -> SkillLexicon:
@@ -204,13 +177,13 @@ def load_skill_lexicon(source: str | Path) -> SkillLexicon:
 
 def dump_skill_lexicon(lexicon: SkillLexicon) -> str:
     """Serialize a lexicon back to its document format (stable ordering)."""
+    aliases: dict[str, list[str]] = {canonical: [] for canonical in lexicon.categories}
+    for alias, canonical in lexicon.alias_index.items():
+        aliases[canonical].append(alias)
     records = [
-        {
-            "canonical": e.canonical,
-            "category": e.category,
-            "aliases": sorted(e.aliases),
-        }
-        for e in sorted(lexicon.entries, key=lambda e: e.canonical)
+        {"canonical": canonical, "category": lexicon.categories[canonical],
+         "aliases": sorted(aliases[canonical])}
+        for canonical in sorted(aliases)
     ]
     return dumps({"schema_version": SCHEMA_VERSION, "skills": records})
 
@@ -221,8 +194,17 @@ def normalize_skill(token_or_phrase: str, lexicon: SkillLexicon) -> str | None:
 
 
 def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
-    """Build a gazetteer from decoded records, enforcing all invariants."""
-    entries = []
+    """Build a gazetteer from decoded records, enforcing all invariants.
+
+    A record's shape fault raises at once. The first fault in a weight's range or
+    a keyword (not one token, a stop word, a repeat) is held until the pass ends,
+    so a later shape fault is reported first.
+    """
+    weights: dict[str, float] = {}
+    classes: dict[str, str] = {}
+    fault = None
+    # A folded keyword is one token when the tokenizer's pattern matches all of it.
+    single_token = token_pattern(DEFAULT_KEEP_CHARS).fullmatch
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise GazetteerFormatError(f"entries[{i}]: record must be an object")
@@ -233,15 +215,32 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
             raise GazetteerFormatError(f"entries[{i}]: 'keyword' must be a non-empty string")
         if not isinstance(kw_class, str) or not kw_class.strip():
             raise GazetteerFormatError(f"entries[{i}]: 'class' must be a non-empty string")
-        # As the constructor does, but here so that faults keep this order.
+        # type() rather than isinstance(): a bool is an int in Python but not in JSON.
         if type(weight) is not float and type(weight) is not int:
             raise GazetteerFormatError(f"entries[{i}]: 'weight' must be a number")
         if "skill" in rec:
             raise GazetteerFormatError(
                 f"entries[{i}]: 'skill' is not supported: a keyword weighs the same for any skill")
-        # The constructor checks the weight's range.
-        entries.append(SentimentEntry(_fold(keyword), _fold(kw_class), weight))
-    return SentimentGazetteer(entries)
+        if fault is not None:
+            continue
+        keyword = _fold(keyword)
+        # The number itself: float() of a huge JSON integer overflows.
+        if not 0 <= weight <= 1:
+            fault = WeightRangeError(f"entries[{i}]: weight {weight} outside [0, 1]")
+        elif not single_token(keyword):
+            fault = GazetteerFormatError(
+                f"entries[{i}]: keyword {keyword!r} must be a single token")
+        elif keyword in STOP_WORDS:
+            fault = GazetteerFormatError(
+                f"entries[{i}]: keyword {keyword!r} is a stop word, which scoring drops")
+        elif keyword in weights:
+            fault = GazetteerFormatError(f"entries[{i}]: duplicate keyword {keyword!r}")
+        else:
+            weights[keyword] = float(weight)
+            classes[keyword] = _fold(kw_class)
+    if fault is not None:
+        raise fault
+    return SentimentGazetteer(weights, classes)
 
 
 def load_sentiment_gazetteer(source: str | Path) -> SentimentGazetteer:
@@ -254,8 +253,6 @@ def load_sentiment_gazetteer(source: str | Path) -> SentimentGazetteer:
 
 
 def dump_sentiment_gazetteer(gazetteer: SentimentGazetteer) -> str:
-    records = [
-        {"keyword": e.keyword, "class": e.keyword_class, "weight": float(e.weight)}
-        for e in sorted(gazetteer.entries, key=lambda e: e.keyword)
-    ]
+    classes, weights = gazetteer.classes, gazetteer.weights
+    records = [{"keyword": k, "class": classes[k], "weight": weights[k]} for k in sorted(weights)]
     return dumps({"schema_version": SCHEMA_VERSION, "entries": records})

@@ -87,6 +87,9 @@ _MONTH_NUM = {
 }
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
+_ORG_LEAD_RE = re.compile(r"^[^a-z0-9]+")
+_SPACES_RE = re.compile(r"\s+")
+_PARAGRAPH_RE = re.compile(r"\n\s*\n")
 
 
 @dataclass
@@ -183,7 +186,7 @@ def parse_duration(raw: str, diagnostics: list[str] | None = None) -> int:
 def normalize_org(raw: str) -> str:
     """Case-fold, trim punctuation and strip legal-form suffixes."""
     text = raw.strip().lower()
-    text = re.sub(r"^[^a-z0-9]+", "", text)
+    text = _ORG_LEAD_RE.sub("", text)
     while True:
         text = text.rstrip(" \t.,;:&")
         words = text.split()
@@ -191,7 +194,7 @@ def normalize_org(raw: str) -> str:
             text = " ".join(words[:-1])
             continue
         break
-    text = re.sub(r"\s+", " ", text)
+    text = _SPACES_RE.sub(" ", text)
     return text if text else "unknown-org"
 
 
@@ -270,7 +273,7 @@ def parse_resume(text: str, lexicon: SkillLexicon, id_seed: int) -> tuple[Resume
     declared = extract_skills(sections["skills"], lexicon)
 
     experiences: list[ExperienceEntry] = []
-    for block in re.split(r"\n\s*\n", sections["experience"]):
+    for block in _PARAGRAPH_RE.split(sections["experience"]):
         if not block.strip():
             continue
         lines = block.split("\n")

@@ -37,7 +37,7 @@ def compute_stats(records: Iterable[ResumeRecord], lexicon: SkillLexicon) -> Cor
         all_skills |= record.declared_skills
         skill_total += len(record.declared_skills)
         project_total += len(record.experiences)
-    categories = Counter(lexicon.category_of(s) or "uncategorized" for s in all_skills)
+    categories = Counter(lexicon.categories.get(s) or "uncategorized" for s in all_skills)
     return CorpusStats(
         resume_count=len(records),
         distinct_skills=len(all_skills),

@@ -7,6 +7,7 @@ production code and this file disagree, one of them is wrong.
 """
 from __future__ import annotations
 
+import json
 import math
 import re
 from collections import defaultdict
@@ -155,20 +156,17 @@ def naive_months(raw):
     return months if months is not None and months >= 0 else 0
 
 
-def naive_lookup(entries, keyword):
-    """Scan every entry for the keyword's weight; None when none has it."""
-    for entry in entries:
-        if entry.keyword == keyword:
-            return entry.weight
+def naive_lookup(records, keyword):
+    """Scan every gazetteer record for the keyword's weight; None when none has it."""
+    for record in records:
+        if record["keyword"] == keyword:
+            return record["weight"]
     return None
 
 
 def naive_score(details, gazetteer):
-    """Occurrence-weighted mean, straight off the entry list."""
-    weights = {}
-    for entry in gazetteer.entries:
-        if entry.keyword not in weights:
-            weights[entry.keyword] = entry.weight
+    """Occurrence-weighted mean, one keyword at a time."""
+    weights = gazetteer.weights
     hits = [weights[t] for t in naive_tokens(details) if t in weights]
     total = 0.0
     for weight in hits:  # left to right: sum() compensates from Python 3.12
@@ -294,11 +292,10 @@ class OracleGraph:
         for kind, _, _ in self.edges:
             skill_edges += kind == "jobseeker_skill"
             project_edges += kind == "jobseeker_project"
-        category = {entry.canonical: entry.category for entry in lexicon.entries}
         by_category = defaultdict(int)
         for kind, key in self.nodes:
             if kind == "skill":
-                by_category[category.get(key) or "uncategorized"] += 1
+                by_category[lexicon.categories.get(key) or "uncategorized"] += 1
         return {
             "resume_count": len(jobseekers),
             "distinct_skills": sum(1 for kind, _ in self.nodes if kind == "skill"),
@@ -306,6 +303,96 @@ class OracleGraph:
             "avg_projects_per_resume": project_edges / len(jobseekers),
             "skills_by_category": dict(by_category),
         }
+
+
+# -- lexicon and gazetteer documents ---------------------------------------------
+
+def naive_fold(text):
+    return re.sub(r"\s+", " ", text.strip().lower())
+
+
+def naive_dumps(doc):
+    """README's canonical layout: top-level keys sorted, one per line; each
+    element of a non-empty top-level list on a line of its own; every value
+    compact JSON with sorted keys and non-ASCII escaped; a trailing newline."""
+    lines = []
+    for key in sorted(doc):
+        value = doc[key]
+        text = json.dumps(value, sort_keys=True)
+        if isinstance(value, list) and value:
+            text = "[\n" + ",\n".join(json.dumps(v, sort_keys=True) for v in value) + "\n]"
+        lines.append(f"{json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def naive_load_lexicon(records):
+    """(alias -> canonical, canonical -> category, dumped document), or the
+    first fault as (error class name, message). Two passes, as README orders
+    the checks: every record's shape, then repeats and alias conflicts."""
+    skills = []
+    for i, rec in enumerate(records):
+        where = f"skills[{i}]: "
+        if not isinstance(rec, dict):
+            return "LexiconFormatError", where + "record must be an object"
+        for field in ("canonical", "category"):
+            if not isinstance(rec.get(field), str) or not rec[field].strip():
+                return "LexiconFormatError", where + f"'{field}' must be a non-empty string"
+        aliases = rec.get("aliases", [])
+        if not isinstance(aliases, list) or any(not isinstance(a, str) for a in aliases):
+            return "LexiconFormatError", where + "'aliases' must be a list of strings"
+        canonical = naive_fold(rec["canonical"])
+        folded = {naive_fold(a) for a in aliases if naive_fold(a)} | {canonical}
+        skills.append((canonical, naive_fold(rec["category"]), folded))
+    index, categories = {}, {}
+    for i, (canonical, category, aliases) in enumerate(skills):
+        if canonical in categories:
+            return "LexiconFormatError", f"skills[{i}]: duplicate canonical {canonical!r}"
+        taken = sorted(a for a in aliases if a in index)  # owned by an earlier skill
+        if taken:
+            return ("AliasConflictError",
+                    f"alias {taken[0]!r} maps to both {index[taken[0]]!r} and {canonical!r}")
+        categories[canonical] = category
+        for alias in aliases:
+            index[alias] = canonical
+    skills = [{"canonical": c, "category": categories[c],
+               "aliases": sorted(a for a in index if index[a] == c)} for c in sorted(categories)]
+    return index, categories, naive_dumps({"schema_version": 1, "skills": skills})
+
+
+def naive_load_gazetteer(records):
+    """(keyword -> weight, keyword -> class, dumped document), or the first
+    fault as (error class name, message). Two passes, as README orders the
+    checks: every record's shape, then each weight's range and keyword."""
+    entries = []
+    for i, rec in enumerate(records):
+        where = f"entries[{i}]: "
+        if not isinstance(rec, dict):
+            return "GazetteerFormatError", where + "record must be an object"
+        for field in ("keyword", "class"):
+            if not isinstance(rec.get(field), str) or not rec[field].strip():
+                return "GazetteerFormatError", where + f"'{field}' must be a non-empty string"
+        weight = rec.get("weight")
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            return "GazetteerFormatError", where + "'weight' must be a number"
+        if "skill" in rec:
+            return ("GazetteerFormatError",
+                    where + "'skill' is not supported: a keyword weighs the same for any skill")
+        entries.append((naive_fold(rec["keyword"]), naive_fold(rec["class"]), weight))
+    weights, classes = {}, {}
+    for i, (keyword, keyword_class, weight) in enumerate(entries):
+        where = f"entries[{i}]: "
+        if not 0 <= weight <= 1:
+            return "WeightRangeError", where + f"weight {weight} outside [0, 1]"
+        if naive_tokens(keyword, stop_words=frozenset()) != [keyword]:
+            return "GazetteerFormatError", where + f"keyword {keyword!r} must be a single token"
+        if keyword in STOP_WORDS:
+            return ("GazetteerFormatError",
+                    where + f"keyword {keyword!r} is a stop word, which scoring drops")
+        if keyword in weights:
+            return "GazetteerFormatError", where + f"duplicate keyword {keyword!r}"
+        weights[keyword], classes[keyword] = float(weight), keyword_class
+    entries = [{"keyword": k, "class": classes[k], "weight": weights[k]} for k in sorted(weights)]
+    return weights, classes, naive_dumps({"schema_version": 1, "entries": entries})
 
 
 # -- graph documents ----------------------------------------------------------

@@ -64,9 +64,9 @@ def criterion(number, name):
 
 def synthetic_records(rng, count, lexicon, gazetteer):
     """Random but reproducible resumes exercising every construction path."""
-    skills = sorted(lexicon.canonicals())
+    skills = sorted(lexicon.categories)
     aliases = sorted(lexicon.alias_index)
-    keywords = sorted({e.keyword for e in gazetteer.entries})
+    keywords = sorted(gazetteer.weights)
     vocabulary = keywords + FILLER_WORDS + aliases
     records = []
     for i in range(count):
@@ -311,7 +311,7 @@ def test_c4_query_conformance(lexicon, gazetteer):
 @criterion(5, "sentiment scoring properties over 1000 descriptions")
 def test_c5_scoring_properties(gazetteer):
     rng = random.Random(31415)
-    keywords = sorted({e.keyword for e in gazetteer.entries})
+    keywords = sorted(gazetteer.weights)
     vocabulary = keywords + FILLER_WORDS
     for _ in range(1000):
         words = rng.choices(vocabulary, k=rng.randint(0, 20))

@@ -13,8 +13,8 @@ from conftest import run_python
 
 PUBLIC_NAMES = [
     "CorpusStats", "EdgeKind", "ExperienceEntry", "KnowledgeGraph", "NodeId", "NodeKind",
-    "Query", "QueryTerm", "RankedResult", "ResumeRecord", "ScoringConfig", "SentimentEntry",
-    "SentimentGazetteer", "SkillEntry", "SkillLexicon", "TalentGraphError", "WeightedEdge",
+    "Query", "QueryTerm", "RankedResult", "ResumeRecord", "ScoringConfig",
+    "SentimentGazetteer", "SkillLexicon", "TalentGraphError", "WeightedEdge",
     "compute_graph_stats", "compute_stats", "dump_sentiment_gazetteer", "dump_skill_lexicon",
     "emit_intermediate", "execute", "explain", "extract_skills", "load_intermediate",
     "load_sentiment_gazetteer", "load_skill_lexicon", "normalize_org", "normalize_skill",

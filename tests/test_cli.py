@@ -8,6 +8,7 @@ import pytest
 from talentgraph import cli
 from talentgraph.cli import main
 from talentgraph.graph import KnowledgeGraph, ScoringConfig
+from talentgraph.lexicon import load_skill_lexicon
 from talentgraph.query import execute, parse_query
 
 from conftest import (
@@ -185,6 +186,31 @@ def test_query_alias_needs_lexicon(tmp_path, capsys):
     assert run_cli("query", out, "top CPP candidates") == 1
     assert "unknown skill" in capsys.readouterr().err
     assert run_cli("query", out, "top CPP candidates", "--lexicon", LEXICON_FILE) == 0
+
+
+def test_fallback_lexicon_accepts_exactly_the_graph_skill_keys(tmp_path, capsys):
+    """Without --lexicon, query, explain and eval resolve a skill by its key in
+    the graph and nothing else: a key prints what the same command prints with
+    --lexicon, and an alias or a skill no resume holds is an unknown skill."""
+    out = ingest(tmp_path)
+    keys = KnowledgeGraph.load(out).skill_keys()
+    phrases = sorted({*keys, *load_skill_lexicon(LEXICON_FILE).alias_index})
+    assert set(keys) < set(phrases)
+    gold = tmp_path / "gold.json"
+    capsys.readouterr()
+    for phrase in phrases:
+        gold.write_text(json.dumps({"queries": [{"query": phrase, "relevant": []}]}))
+        for command in (["query", out, phrase, "--json"], ["query", out, phrase],
+                        ["explain", out, "js0000-jane-doe", phrase],
+                        ["eval", out, gold, "--json"]):
+            assert run_cli(*command, "--lexicon", LEXICON_FILE) == 0, command
+            expected = capsys.readouterr().out
+            if phrase in keys:
+                assert run_cli(*command) == 0, command
+                assert capsys.readouterr().out == expected, command
+            else:
+                assert run_cli(*command) == 1, command
+                assert "unknown skill" in capsys.readouterr().err, command
 
 
 def test_query_multi_range_empty_result(tmp_path, capsys):

@@ -41,7 +41,7 @@ def _experience(draw) -> ExperienceEntry:
 @st.composite
 def record_sets(draw) -> list[ResumeRecord]:
     ids = draw(st.lists(st.sampled_from([f"js{i}" for i in range(8)]), max_size=6, unique=True))
-    declarable = sorted(LEXICON.canonicals()) + ["cobol"]  # cobol: not in the lexicon
+    declarable = sorted(LEXICON.categories) + ["cobol"]  # cobol: not in the lexicon
     return [
         ResumeRecord(
             jobseeker_id=jobseeker_id,
@@ -56,7 +56,7 @@ def record_sets(draw) -> list[ResumeRecord]:
 def assert_lookups_match_oracle(graph: KnowledgeGraph, oracle: OracleGraph) -> None:
     jobseekers = oracle.jobseeker_ids()
     for jobseeker_id in jobseekers:
-        for skill in sorted(LEXICON.canonicals()):
+        for skill in sorted(LEXICON.categories):
             assert graph.supporting_projects(jobseeker_id, skill) == oracle.supporting_projects(
                 jobseeker_id, skill
             )

@@ -6,21 +6,21 @@ import os
 import re
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import talentgraph
 from talentgraph.errors import (
     AliasConflictError,
     GazetteerFormatError,
     LexiconFormatError,
+    TalentGraphError,
     WeightRangeError,
 )
 from talentgraph.lexicon import (
-    SentimentEntry,
-    SentimentGazetteer,
-    SkillEntry,
     SkillLexicon,
     STOP_WORDS,
     _fold,
@@ -33,9 +33,10 @@ from talentgraph.lexicon import (
     parse_skill_records,
 )
 from talentgraph.parser import extract_skills
+from talentgraph.tokenization import DEFAULT_KEEP_CHARS, token_pattern, tokenize
 
-from conftest import SRC
-from oracle import naive_lookup, naive_phrases
+from conftest import GAZETTEER_FILE, LEXICON_FILE, SRC
+from oracle import naive_load_gazetteer, naive_load_lexicon, naive_lookup, naive_phrases
 
 
 def test_alias_normalization_cpp():
@@ -45,24 +46,6 @@ def test_alias_normalization_cpp():
     assert lexicon.alias_index["cpp"] == "c++"
     assert normalize_skill("CPP", lexicon) == "c++"
     assert normalize_skill("c++", lexicon) == "c++"
-
-
-def test_skill_entries_compare_and_hash_by_value():
-    """``SkillEntry`` is slotted and not frozen, but compares and hashes by value."""
-    entry = SkillEntry("java", "languages", frozenset({"java", "jdk"}))
-    same = SkillEntry("java", "languages", frozenset({"jdk", "java"}))
-    assert entry == same and hash(entry) == hash(same)
-    assert entry != SkillEntry("java", "tools", frozenset({"java", "jdk"}))
-    assert not hasattr(entry, "__dict__")
-
-
-def test_sentiment_entries_compare_and_hash_by_value():
-    """``SentimentEntry`` is slotted and not frozen, but compares and hashes by value."""
-    entry = SentimentEntry("robust", "strong-technical", 0.5)
-    assert entry == SentimentEntry("robust", "strong-technical", 0.5)
-    assert hash(entry) == hash(SentimentEntry("robust", "strong-technical", 0.5))
-    assert entry != SentimentEntry("robust", "strong-technical", 0.6)
-    assert not hasattr(entry, "__dict__")
 
 
 def test_empty_lexicon():
@@ -86,7 +69,7 @@ def test_alias_conflict_names_the_same_alias_under_every_hash_seed():
     """A record with several taken aliases, or aliases whose phrases are taken,
     names the first in sorted order, whatever order its alias set iterates in."""
     script = (
-        "from talentgraph.lexicon import SkillEntry, SkillLexicon, parse_skill_records\n"
+        "from talentgraph.lexicon import SkillLexicon, parse_skill_records\n"
         "try:\n"
         "    parse_skill_records([{'canonical': c, 'category': 'x',\n"
         "                          'aliases': ['jdk', 'jvm', 'j2ee']} for c in ('java', 'kotlin')])\n"
@@ -94,7 +77,8 @@ def test_alias_conflict_names_the_same_alias_under_every_hash_seed():
         "    print(exc)\n"
         "aliases = {'java': {'JDK', 'JVM', 'J2EE'}, 'kotlin': {'jdk', 'jvm', 'j2ee'}}\n"
         "try:\n"
-        "    SkillLexicon(SkillEntry(c, 'x', frozenset(a)) for c, a in aliases.items()).phrase_index\n"
+        "    SkillLexicon({a: c for c, owned in aliases.items() for a in owned},\n"
+        "                 dict.fromkeys(aliases, 'x')).phrase_index\n"
         "except Exception as exc:\n"
         "    print(exc)\n"
     )
@@ -188,9 +172,7 @@ def test_lexicon_round_trip(lexicon, tmp_path):
     out.write_text(dump_skill_lexicon(lexicon), encoding="utf-8")
     reloaded = load_skill_lexicon(out)
     assert reloaded.alias_index == lexicon.alias_index
-    assert sorted(reloaded.entries, key=lambda e: e.canonical) == sorted(
-        lexicon.entries, key=lambda e: e.canonical
-    )
+    assert reloaded.categories == lexicon.categories
 
 
 def test_gazetteer_single_entry():
@@ -240,32 +222,30 @@ def test_gazetteer_keyword_must_not_be_a_stop_word():
             parse_sentiment_records([{**robust, "keyword": word}])
 
 
+# The constructor takes finished dicts: loading is where a keyword or weight is checked.
+ROBUST = {"keyword": "robust", "class": "x", "weight": 0.5}
+
+
 def test_gazetteer_constructor_rejects_keywords_that_never_match():
-    robust = SentimentEntry("robust", "x", 0.5)
     message = r"^entries\[0\]: keyword 'with' is a stop word, which scoring drops$"
     with pytest.raises(GazetteerFormatError, match=message):
-        SentimentGazetteer([SentimentEntry("with", "x", 0.9), robust])
-    for keyword in ["team player", "Robust", ""]:
-        message = rf"^entries\[1\]: keyword {keyword!r} must be a single token$"
+        parse_sentiment_records([{**ROBUST, "keyword": "With", "weight": 0.9}, ROBUST])
+    for keyword in ["team player", "-robust", "robust.", "c/c++"]:
+        message = rf"^entries\[1\]: keyword {re.escape(repr(keyword))} must be a single token$"
         with pytest.raises(GazetteerFormatError, match=message):
-            SentimentGazetteer([robust, SentimentEntry(keyword, "x", 0.5)])
+            parse_sentiment_records([ROBUST, {**ROBUST, "keyword": keyword}])
 
 
 @pytest.mark.parametrize("weight", [2.0, -0.1, math.nan])
 def test_gazetteer_constructor_rejects_weight_outside_unit_range(weight):
-    robust = SentimentEntry("robust", "x", 0.5)
     with pytest.raises(WeightRangeError, match=rf"^entries\[1\]: weight {weight} outside \[0, 1\]$"):
-        SentimentGazetteer([robust, SentimentEntry("fast", "x", weight)])
+        parse_sentiment_records([ROBUST, {**ROBUST, "keyword": "fast", "weight": weight}])
 
 
 @pytest.mark.parametrize("weight", [True, "0.5", None], ids=["bool", "str", "none"])
 def test_gazetteer_constructor_rejects_weights_loading_rejects(weight):
-    """Direct construction rejects, with the loader's message, every weight
-    that is not a JSON number: a bool is not stored as 1.0."""
-    robust = SentimentEntry("robust", "x", 0.5)
+    """Every weight that is not a JSON number is rejected: a bool is not stored as 1.0."""
     message = r"^entries\[1\]: 'weight' must be a number$"
-    with pytest.raises(GazetteerFormatError, match=message):
-        SentimentGazetteer([robust, SentimentEntry("fast", "x", weight)])
     with pytest.raises(GazetteerFormatError, match=message):
         parse_sentiment_records([{"keyword": "robust", "class": "x", "weight": 0.5},
                                  {"keyword": "fast", "class": "x", "weight": weight}])
@@ -295,8 +275,6 @@ def test_lookup_scoped_entry_does_not_leak(tmp_path):
                     encoding="utf-8")
     with pytest.raises(GazetteerFormatError, match=r"^entries\[1\]: 'skill' is not supported"):
         load_sentiment_gazetteer(path)
-    with pytest.raises(TypeError):
-        SentimentEntry("scalability", "strong-technical", 0.95, "c++")
 
 
 def test_lookup_management_keyword_without_skill():
@@ -311,15 +289,15 @@ def test_gazetteer_round_trip(gazetteer, tmp_path):
     out = tmp_path / "gaz.json"
     out.write_text(dump_sentiment_gazetteer(gazetteer), encoding="utf-8")
     reloaded = load_sentiment_gazetteer(out)
-    assert sorted(reloaded.entries, key=str) == sorted(gazetteer.entries, key=str)
+    assert reloaded.classes == gazetteer.classes
     assert reloaded.weights == gazetteer.weights
 
 
 def test_alias_index_is_union_of_entry_aliases(lexicon):
-    union = set()
-    for entry in lexicon.entries:
-        union |= entry.aliases
+    records = json.loads(LEXICON_FILE.read_text(encoding="utf-8"))["skills"]
+    union = {_fold(alias) for rec in records for alias in [rec["canonical"], *rec["aliases"]]}
     assert set(lexicon.alias_index) == union
+    assert set(lexicon.categories) == {_fold(rec["canonical"]) for rec in records}
 
 
 def test_alias_punctuation_kept_in_tokens():
@@ -352,60 +330,55 @@ def test_gazetteer_rejects_duplicate_keyword_in_one_scope():
 # -- one index per dictionary ---------------------------------------------------
 
 KEYWORDS = ["fast", "robust", "clean"]
-GAZ_ENTRY = st.builds(
-    SentimentEntry,
-    keyword=st.sampled_from(KEYWORDS),
-    keyword_class=st.just("x"),
-    weight=st.floats(0, 1),
-)
+GAZ_RECORD = st.fixed_dictionaries(
+    {"keyword": st.sampled_from(KEYWORDS), "class": st.just("x"), "weight": st.floats(0, 1)})
 
 
 @settings(max_examples=300, deadline=None)
-@given(entries=st.lists(GAZ_ENTRY, max_size=8))
-def test_gazetteer_rejects_first_repeated_key_or_matches_naive_scan(entries):
-    keys = [e.keyword for e in entries]
+@given(records=st.lists(GAZ_RECORD, max_size=8))
+def test_gazetteer_rejects_first_repeated_key_or_matches_naive_scan(records):
+    keys = [rec["keyword"] for rec in records]
     first_repeat = next((i for i, key in enumerate(keys) if key in keys[:i]), None)
     if first_repeat is not None:
         with pytest.raises(GazetteerFormatError, match=rf"^entries\[{first_repeat}\]: duplicate"):
-            SentimentGazetteer(entries)
+            parse_sentiment_records(records)
         return
-    gaz = SentimentGazetteer(entries)
-    assert gaz.weights == {e.keyword: e.weight for e in entries}
+    gaz = parse_sentiment_records(records)
+    assert gaz.weights == {rec["keyword"]: rec["weight"] for rec in records}
     for keyword in KEYWORDS + ["absent"]:
-        assert gaz.weights.get(keyword) == naive_lookup(entries, keyword)
+        assert gaz.weights.get(keyword) == naive_lookup(records, keyword)
 
 
 CANONICALS = ["java", "python", "go", "rust"]
-SKILL_ENTRY = st.builds(
-    lambda canonical, others: SkillEntry(canonical, "x", frozenset({canonical, *others})),
+SKILL_RECORD = st.builds(
+    lambda canonical, others: {"canonical": canonical, "category": "x", "aliases": others},
     st.sampled_from(CANONICALS),
-    st.sets(st.sampled_from(CANONICALS + ["golang", "py"]), max_size=2),
+    st.lists(st.sampled_from(CANONICALS + ["golang", "py"]), max_size=2),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(entries=st.lists(SKILL_ENTRY, max_size=6))
-def test_lexicon_rejects_first_repeated_canonical_or_alias_conflict(entries):
+@given(records=st.lists(SKILL_RECORD, max_size=6))
+def test_lexicon_rejects_first_repeated_canonical_or_alias_conflict(records):
     owners: dict[str, str] = {}
-    for i, entry in enumerate(entries):
-        if any(e.canonical == entry.canonical for e in entries[:i]):
+    for i, rec in enumerate(records):
+        canonical, aliases = rec["canonical"], {rec["canonical"], *rec["aliases"]}
+        if any(r["canonical"] == canonical for r in records[:i]):
             with pytest.raises(LexiconFormatError, match=rf"^skills\[{i}\]: duplicate canonical"):
-                SkillLexicon(entries)
+                parse_skill_records(records)
             return
-        taken = sorted(alias for alias in entry.aliases
-                       if owners.get(alias, entry.canonical) != entry.canonical)
-        if taken:  # the error names the sorted-first taken alias, whatever the set order
+        taken = sorted(alias for alias in aliases if owners.get(alias, canonical) != canonical)
+        if taken:  # the error names the sorted-first taken alias, whatever the record order
             with pytest.raises(AliasConflictError) as err:
-                SkillLexicon(entries)
+                parse_skill_records(records)
             alias, owner = taken[0], owners[taken[0]]
-            assert (err.value.alias, err.value.canonicals) == (alias, (owner, entry.canonical))
-            assert str(err.value) == (f"alias {alias!r} maps to both {owner!r} "
-                                      f"and {entry.canonical!r}")
+            assert (err.value.alias, err.value.canonicals) == (alias, (owner, canonical))
+            assert str(err.value) == f"alias {alias!r} maps to both {owner!r} and {canonical!r}"
             return
-        owners.update(dict.fromkeys(entry.aliases, entry.canonical))
-    lexicon = SkillLexicon(entries)
+        owners.update(dict.fromkeys(aliases, canonical))
+    lexicon = parse_skill_records(records)
     assert lexicon.alias_index == owners
-    assert len(lexicon) == len(lexicon.canonicals()) == len(entries)
+    assert len(lexicon) == len(lexicon.categories) == len(records)
 
 
 # Unfolded aliases, as a direct caller may pass them: mixed case, double
@@ -420,11 +393,8 @@ RAW_ALIASES = ["Java", "JAVA", "JDK  8", "jdk 8", ".NET", ".Net  Core", "C++", "
 def test_phrase_index_of_a_directly_built_lexicon_matches_naive_phrases(owners):
     """Every other phrase property folds aliases in ``parse_skill_records``
     first; here the phrase index alone must lowercase and split them."""
-    aliases: dict[str, set[str]] = {}
-    for alias, owner in zip(RAW_ALIASES, owners):
-        if owner is not None:
-            aliases.setdefault(owner, set()).add(alias)
-    lexicon = SkillLexicon(SkillEntry(c, "x", frozenset(a)) for c, a in aliases.items())
+    index = {alias: owner for alias, owner in zip(RAW_ALIASES, owners) if owner is not None}
+    lexicon = SkillLexicon(index, dict.fromkeys(index.values(), "x"))
     keep, phrases = naive_phrases(lexicon)
     if any(len(canonicals) > 1 for canonicals in phrases.values()):
         with pytest.raises(AliasConflictError):
@@ -445,3 +415,98 @@ UNICODE_SPACES = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u300
 @given(text=st.one_of(st.text(), st.text(st.sampled_from(UNICODE_SPACES + "aZİΣ"))))
 def test_fold_equals_regex_fold(text):
     assert _fold(text) == re.sub(r"\s+", " ", text.strip().lower())
+
+
+# -- one pass over the records against the naive loaders ------------------------
+
+LEXICON_FAULTS = [
+    "java", None, {"canonical": "", "category": "x"}, {"canonical": 1, "category": "x"},
+    {"canonical": "java"}, {"canonical": "java", "category": " "},
+    {"canonical": "java", "category": "x", "aliases": "java"},
+    {"canonical": "java", "category": "x", "aliases": ["jdk", 1]},
+]
+# Canonicals and aliases that fold alike, repeat and claim each other's names.
+LEXICON_RECORD = st.fixed_dictionaries(
+    {"canonical": st.sampled_from(["java", " Java", "python", "GO", "go", "rust", "kotlin",
+                                   "c++", ".net"]),
+     "category": st.sampled_from(["x", " Lang  Tools "])},
+    optional={"aliases": st.lists(st.sampled_from(
+        ["Java", "JDK  8", "jdk 8", "golang", "py", " ", "C++", ".NET", "Go", "Kotlin", "kt"]),
+        max_size=3)},
+)
+GAZETTEER_FAULTS = [
+    "fast", None, {"keyword": "", "class": "x", "weight": 0.5},
+    {"keyword": "fast", "class": " ", "weight": 0.5}, {"keyword": "fast", "class": "x"},
+    {"keyword": "fast", "class": "x", "weight": True},
+    {"keyword": "fast", "class": "x", "weight": "0.5"},
+    {"keyword": "fast", "class": "x", "weight": 0.5, "skill": "java"},
+]
+# Keywords that repeat once folded, are not one token or are stop words, and
+# weights outside [0, 1] (a 401-digit integer among them).
+GAZETTEER_RECORD = st.fixed_dictionaries(
+    {"keyword": st.sampled_from(["fast", " FAST", "robust", "clean", "client-server", "c++",
+                                 "c#", "lead", "team player", "With", "-fast", "clean."]),
+     "class": st.sampled_from(["x", " Strong  Tech "]),
+     "weight": st.floats(0, 1) | st.sampled_from([0, 1, 0.5, 0.9, 1.5, -0.1, math.nan, 10**400])},
+)
+
+
+def records_with_faults(valid, faults):
+    """Valid-looking records, in about a third of the cases with one or two
+    shape faults spliced in."""
+    spliced = st.lists(st.tuples(st.integers(0, 6), st.sampled_from(faults)),
+                       min_size=1, max_size=2)
+    return st.tuples(st.lists(valid, max_size=6),
+                     st.just([]) | st.just([]) | spliced).map(lambda drawn: splice(*drawn))
+
+
+def splice(records, faults):
+    for at, fault in faults:
+        records.insert(min(at, len(records)), fault)
+    return records
+
+
+def loaded(parse, dump, fields, records):
+    """What a loader makes of the records: its dicts and dump, or its fault."""
+    try:
+        result = parse(records)
+    except TalentGraphError as exc:
+        return type(exc).__name__, str(exc)
+    return (*(getattr(result, field) for field in fields), dump(result))
+
+
+@settings(max_examples=500, deadline=None)
+@given(records=records_with_faults(LEXICON_RECORD, LEXICON_FAULTS))
+def test_skill_records_load_as_the_naive_loader_does(records):
+    assert loaded(parse_skill_records, dump_skill_lexicon, ("alias_index", "categories"),
+                  records) == naive_load_lexicon(records)
+
+
+@settings(max_examples=500, deadline=None)
+@given(records=records_with_faults(GAZETTEER_RECORD, GAZETTEER_FAULTS))
+def test_sentiment_records_load_as_the_naive_loader_does(records):
+    assert loaded(parse_sentiment_records, dump_sentiment_gazetteer, ("weights", "classes"),
+                  records) == naive_load_gazetteer(records)
+
+
+def test_gazetteer_load_makes_no_tokenize_call(monkeypatch):
+    calls = []
+
+    def counting_tokenize(*args, **kwargs):
+        calls.append(args)
+        return tokenize(*args, **kwargs)
+
+    for module in (talentgraph.lexicon, talentgraph.tokenization):
+        monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    assert len(load_sentiment_gazetteer(GAZETTEER_FILE)) > 0
+    assert calls == []
+
+
+def test_single_token_check_agrees_with_tokenize():
+    """The loader's single-token check, a full match of the tokenizer's pattern,
+    says what ``tokenize(keyword) == [keyword]`` says, on every short string."""
+    fullmatch = token_pattern(DEFAULT_KEEP_CHARS).fullmatch
+    for n in range(5):
+        for chars in product("aZ9-+#.é İß_", repeat=n):
+            text = "".join(chars)
+            assert bool(fullmatch(text)) == (tokenize(text) == [text]), text

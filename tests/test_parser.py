@@ -198,7 +198,7 @@ def test_extract_skills_longest_match_first():
 
 
 def test_extract_skills_subset_of_canonicals(lexicon, corpus_records):
-    canonicals = lexicon.canonicals()
+    canonicals = set(lexicon.categories)
     for record in corpus_records:
         assert record.declared_skills <= canonicals
         for exp in record.experiences:

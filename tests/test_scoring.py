@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talentgraph.lexicon import (
-    SentimentEntry,
-    SentimentGazetteer,
-    load_sentiment_gazetteer,
-)
+from talentgraph.lexicon import load_sentiment_gazetteer, parse_sentiment_records
 from talentgraph.scoring import match_contributions, score_description
 
 from conftest import GAZETTEER_FILE
@@ -20,11 +16,11 @@ FILLERS = ["built", "shipped", "tools", "team", "platform", "billing", "data",
            "nightly", "jobs", "pipeline", "reviewed", "code"]
 
 
-KEYWORDS = sorted({e.keyword for e in load_sentiment_gazetteer(GAZETTEER_FILE).entries})
+KEYWORDS = sorted(load_sentiment_gazetteer(GAZETTEER_FILE).weights)
 
 
 def make_description_pool(gazetteer, rng, count):
-    keywords = sorted({e.keyword for e in gazetteer.entries})
+    keywords = sorted(gazetteer.weights)
     pool = []
     for _ in range(count):
         words = rng.choices(keywords + FILLERS, k=rng.randint(0, 18))
@@ -140,9 +136,10 @@ def test_match_contributions_match_naive_scoped_scan(skill, data):
                                         st.sampled_from([0.0, 1.0]) | st.floats(0, 1)))
     words = data.draw(st.lists(st.sampled_from(keywords + FILLERS + sorted(STOP_WORDS)),
                                max_size=30))
-    entries = [SentimentEntry(keyword, "x", weight) for keyword, weight in weights.items()]
-    gazetteer = SentimentGazetteer(entries)
+    records = [{"keyword": keyword, "class": "x", "weight": weight}
+               for keyword, weight in weights.items()]
+    gazetteer = parse_sentiment_records(records)
     details = " ".join(words)
     expected = [(token, weight) for token in naive_tokens(details)
-                if (weight := naive_lookup(entries, token)) is not None]
+                if (weight := naive_lookup(records, token)) is not None]
     assert match_contributions(details, gazetteer) == expected
