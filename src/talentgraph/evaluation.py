@@ -19,9 +19,10 @@ Gold fixture document::
       "queries": [{"query": "top c++ candidates", "relevant": ["<id>", ...]}]
     }
 
-``load_gold`` returns a dict of the same three keys, each always present:
-``skills`` maps a jobseeker id to a set, ``sentiment`` a project key to its
-label, and ``queries`` is a list of (query text, set of relevant ids) pairs.
+``load_gold`` rejects any other top-level key, and returns a dict of the same
+three keys, each always present: ``skills`` maps a jobseeker id to a set,
+``sentiment`` a project key to its label, and ``queries`` is a list of
+(query text, set of relevant ids) pairs.
 ``evaluate_graph`` rejects ids the graph lacks and locates every fault, at
 ``skills``, at ``sentiment.<key>`` or, for the i-th query, at ``queries[i]``.
 
@@ -137,6 +138,9 @@ def load_gold(path: str | Path) -> dict:
     """Load and validate a gold fixture document (see the module docstring)."""
     doc = read_document(path, "gold", FixtureError)
     gold: dict = {"skills": {}, "sentiment": {}, "queries": []}
+    for name in doc:
+        if name not in gold and name != "schema_version":
+            raise FixtureError(f"unknown section {name!r}")
     skills = doc.get("skills", {})
     if not isinstance(skills, dict):
         raise FixtureError("'skills' must be an object")

@@ -1,9 +1,10 @@
 """Weighted knowledge graph of jobseekers, skills, organizations, projects.
 
-Edges carry (sum, count) accumulators rather than running means, and two
-graphs built from disjoint corpora merge by component-wise addition. Scores
-are summed as integers of 2**-64 units (exact for scores >= 2**-11), so any
-ingestion order or merge tree gives the same accumulators and file bytes.
+Edges carry (sum, count) accumulators rather than running means. A merge of
+two graphs over disjoint corpora loads both graphs' rows, so ``_add_project``
+sums every graph. Scores are summed as integers of 2**-64 units (exact for
+scores >= 2**-11), so any ingestion order or merge tree gives the same
+accumulators and file bytes.
 ``edges[(kind, source, target)]`` and ``get_edge`` give a ``WeightedEdge``
 that holds the accumulators only: its kind and endpoints are its key. The
 graph file (schema version 4) holds each resume fact once, and loading
@@ -28,8 +29,8 @@ Construction per resume:
 
 Lookups by node (``out_edges``, ``in_edges``) go through one adjacency
 index per (edge kind, direction), derived from ``edges`` on its first lookup
-and emptied whenever a new edge is created, so ingestion builds none and a
-command indexes only the kinds it reads. After construction the graph is
+and emptied by each ``add_resume``, so ingestion builds none and a command
+indexes only the kinds it reads. After construction the graph is
 immutable by convention and safe for concurrent reads: readers racing on a
 first lookup each build the same index and publish it with one dict item
 assignment. Parallel ingestion builds shard graphs and merges them.
@@ -157,30 +158,16 @@ class KnowledgeGraph:
 
     # -- construction -----------------------------------------------------
 
-    def _add(self, kind: EdgeKind, source: str, target: str,
-             units: int = 0, count: int = 0, months: int = 0) -> None:
-        """Add to an edge's accumulators, creating the edge if it is missing."""
-        key = (kind, source, target)
-        edge = self.edges.get(key)
-        if edge is None:
-            edge = self.edges[key] = WeightedEdge()
-            if self._adjacency:
-                self._adjacency = {}
-        edge.weight_units += units
-        edge.support_count += count
-        edge.months_sum += months
-
     def _add_project(self, jobseeker_id: str, ordinal: int, title: str, org: str,
                      months: int, units: int, skills: list[str]) -> None:
         """Steps 2-5 for one experience: ``skills`` are the distinct skills its
         details mention and ``units`` its score; each skill and the organization
         has a node already. The jobseeker is new, so the project and its edges are too."""
         edges, pkey = self.edges, project_key(jobseeker_id, ordinal)
-        self._adjacency = {}  # edges are created below
         self.nodes[NodeId(_PROJECT, pkey)] = {"title": title}
         edges[_JOBSEEKER_PROJECT, jobseeker_id, pkey] = WeightedEdge(0, 1, months)
         edges[_PROJECT_ORG, pkey, org] = WeightedEdge(0, 1, 0)
-        get = edges.get  # ``_add`` inlined: a load runs this once per mentioned skill
+        get = edges.get
         for skill in skills:
             edges[_SKILL_PROJECT, skill, pkey] = WeightedEdge(units, 1, 0)
             if (edge := get((_JOBSEEKER_SKILL, jobseeker_id, skill))) is None:
@@ -203,11 +190,12 @@ class KnowledgeGraph:
         jobseeker = NodeId(_JOBSEEKER, record.jobseeker_id)
         if jobseeker in self.nodes:
             raise DuplicateJobseekerError(f"jobseeker {record.jobseeker_id!r} already ingested")
+        self._adjacency = {}  # edges are created below
         self.nodes[jobseeker] = {"name": record.name}
         for skill in sorted(record.declared_skills):
             if (node := NodeId(_SKILL, skill)) not in self.nodes:
                 self.nodes[node] = {"category": lexicon.categories.get(skill) or ""}
-            self._add(_JOBSEEKER_SKILL, record.jobseeker_id, skill)
+            self.edges[_JOBSEEKER_SKILL, record.jobseeker_id, skill] = WeightedEdge()
         for ordinal, exp in enumerate(record.experiences):
             mentioned = sorted(extract_skills(exp.details, lexicon))
             for skill in mentioned:
@@ -318,22 +306,22 @@ class KnowledgeGraph:
     # -- merge ------------------------------------------------------------
 
     def merge(self, other: "KnowledgeGraph") -> "KnowledgeGraph":
-        """Combine two graphs over disjoint jobseeker sets (same config, and the
-        same attrs on every node both hold)."""
+        """Load both graphs' rows as one graph: they must share the config, hold
+        disjoint jobseekers and agree on the attrs of every skill both hold."""
         if self.config != other.config:
             raise GraphConfigError(f"config mismatch: {self.config} vs {other.config}")
         overlap = set(self.jobseeker_ids()) & set(other.jobseeker_ids())
         if overlap:
             raise DuplicateJobseekerError(f"jobseekers in both graphs: {sorted(overlap)}")
-        merged = KnowledgeGraph(self.config)
-        for graph in (self, other):
-            for node, attrs in graph.nodes.items():
-                if merged.nodes.setdefault(node, dict(attrs)) != attrs:
-                    raise GraphConfigError(f"attrs mismatch on {node.kind.value} {node.key!r}: "
-                                           f"{merged.nodes[node]} vs {attrs}")
-            for key, e in graph.edges.items():
-                merged._add(*key, e.weight_units, e.support_count, e.months_sum)
-        return merged
+        doc, theirs = self.to_dict(), other.to_dict()
+        skills = dict(doc["skills"])
+        for key, attrs in theirs["skills"]:  # sorted, so a conflict names the first skill
+            if skills.setdefault(key, attrs) != attrs:
+                raise GraphConfigError(f"attrs mismatch on skill {key!r}: "
+                                       f"{skills[key]} vs {attrs}")
+        doc["skills"] = [[key, skills[key]] for key in sorted(skills)]
+        doc["jobseekers"] = sorted(doc["jobseekers"] + theirs["jobseekers"])  # ids are unique
+        return KnowledgeGraph.from_dict(doc)
 
     # -- persistence ------------------------------------------------------
 

@@ -56,14 +56,12 @@ def emit_intermediate(records: Iterable[ResumeRecord]) -> dict:
             _RESERVED_NAME: record.name,
             _RESERVED_SKILLS: sorted(record.declared_skills),
         }
-        counters: dict[str, int] = {}
         for seq, exp in enumerate(record.experiences):
             if exp.organization.startswith("_"):
                 raise DocumentFormatError(f"jobseekers.{record.jobseeker_id}."
                                           f"{exp.organization}: organization key is reserved")
             org = body.setdefault(exp.organization, {})
-            counters[exp.organization] = counters.get(exp.organization, 0) + 1
-            org[f"project{counters[exp.organization]}"] = {
+            org[f"project{len(org) + 1}"] = {
                 "title": exp.project_title,
                 "duration": exp.duration_raw,
                 "details": exp.details,
@@ -103,7 +101,7 @@ def load_intermediate(doc: dict) -> list[ResumeRecord]:
                 f"{path}.{_RESERVED_SKILLS}: expected a list of strings"
             )
 
-        staged = []  # (seq, document order, org, project payload path, payload)
+        staged = []  # (seq, document order, org, payload): (seq, order) is unique
         order = 0
         for org, projects in body.items():
             if org.startswith("_"):
@@ -127,7 +125,7 @@ def load_intermediate(doc: dict) -> list[ResumeRecord]:
                 order += 1
 
         experiences = []
-        for seq, _, org, payload in sorted(staged, key=lambda item: (item[0], item[1])):
+        for seq, _, org, payload in sorted(staged):
             raw_duration = payload["duration"]
             experiences.append(
                 ExperienceEntry(

@@ -177,6 +177,7 @@ def test_load_gold_rejects_bad_class(tmp_path):
         ('{"sentiment": []}', "'sentiment' must be an object"),
         ('{"queries": {}}', "'queries' must be a list"),
         ('{"queries": [{"query": "top java"}]}', "queries[0]: expected {query, relevant}"),
+        ('{"querys": [{"query": "top java", "relevant": []}]}', "unknown section 'querys'"),
     ]:
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(FixtureError) as err:

@@ -272,6 +272,11 @@ def test_merge_identity(lexicon, gazetteer, corpus_records):
     g = build_graph(corpus_records, lexicon, gazetteer)
     merged = g.merge(KnowledgeGraph())
     assert merged == g
+    # A skill row that no jobseeker references is kept, on either side.
+    doc = g.to_dict()
+    doc["skills"].append(["zz-unreferenced", {"category": "misc"}])
+    loaded = KnowledgeGraph.from_dict(doc)
+    assert loaded.merge(KnowledgeGraph()) == loaded == KnowledgeGraph().merge(loaded)
 
 
 def test_merge_commutative_on_strengths(lexicon, gazetteer, corpus_records):
@@ -291,12 +296,8 @@ def test_merge_equals_sequential_ingestion(lexicon, gazetteer, corpus_records):
     a = build_graph(corpus_records[:2], lexicon, gazetteer)
     b = build_graph(corpus_records[2:], lexicon, gazetteer)
     merged = a.merge(b)
-    assert set(merged.edges) == set(sequential.edges)
-    for key, edge in sequential.edges.items():
-        other = merged.edges[key]
-        assert other.weight_sum == pytest.approx(edge.weight_sum, abs=1e-12)
-        assert other.support_count == edge.support_count
-        assert other.months_sum == edge.months_sum
+    assert merged == sequential
+    assert dumps(merged.to_dict()) == dumps(sequential.to_dict())
 
 
 def test_merge_config_mismatch(lexicon, gazetteer):
@@ -401,18 +402,6 @@ def test_graph_round_trip(corpus_graph, tmp_path):
     path = tmp_path / "graph.json"
     corpus_graph.save(path)
     assert KnowledgeGraph.load(path) == corpus_graph
-
-
-def test_loading_sums_project_edges_without_a_call_per_edge(corpus_graph, monkeypatch):
-    """The loader accumulates jobseeker-skill and org-skill edges inline;
-    ``_add`` is left to ``add_resume``'s declared skills and to ``merge``."""
-    doc = corpus_graph.to_dict()
-
-    def no_add(*args):
-        raise AssertionError("from_dict called KnowledgeGraph._add")
-
-    monkeypatch.setattr(KnowledgeGraph, "_add", no_add)
-    assert KnowledgeGraph.from_dict(doc) == corpus_graph
 
 
 def test_graph_round_trip_preserves_config(lexicon, gazetteer, corpus_records, tmp_path):

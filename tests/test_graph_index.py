@@ -1,7 +1,7 @@
 """Lookups by node go through the graph's derived adjacency indexes.
 
-Each (kind, direction) index is built on its first lookup and emptied when
-an edge is created, so each answer must equal a naive rescan of the edges,
+Each (kind, direction) index is built on its first lookup and emptied by
+each ``add_resume``, so each answer must equal a naive rescan of the edges,
 whatever the ingestion order, merge tree or round trip that produced the
 graph.
 """
@@ -104,6 +104,10 @@ def test_new_edge_seen_by_next_lookup():
     assert set(graph.in_edges(EdgeKind.JOBSEEKER_SKILL, "java")) == {"js0", "js1"}
     assert set(graph.in_edges(EdgeKind.SKILL_PROJECT, project_key("js1", 0))) == {"java"}
     assert graph.supporting_projects("js1", "java") == [project_key("js1", 0)]
+    # Declared skills alone create edges too: no project is added.
+    graph.add_resume(ResumeRecord("js2", "js2", {"java", "sql"}, []), LEXICON, GAZETTEER)
+    assert set(graph.in_edges(EdgeKind.JOBSEEKER_SKILL, "java")) == {"js0", "js1", "js2"}
+    assert set(graph.out_edges(EdgeKind.JOBSEEKER_SKILL, "js2")) == {"java", "sql"}
 
 
 def test_cold_explain_indexes_only_the_kind_it_reads(corpus_graph):

@@ -222,11 +222,10 @@ def test_gazetteer_keyword_must_not_be_a_stop_word():
             parse_sentiment_records([{**robust, "keyword": word}])
 
 
-# The constructor takes finished dicts: loading is where a keyword or weight is checked.
 ROBUST = {"keyword": "robust", "class": "x", "weight": 0.5}
 
 
-def test_gazetteer_constructor_rejects_keywords_that_never_match():
+def test_parse_sentiment_records_rejects_keywords_that_never_match():
     message = r"^entries\[0\]: keyword 'with' is a stop word, which scoring drops$"
     with pytest.raises(GazetteerFormatError, match=message):
         parse_sentiment_records([{**ROBUST, "keyword": "With", "weight": 0.9}, ROBUST])
@@ -237,13 +236,13 @@ def test_gazetteer_constructor_rejects_keywords_that_never_match():
 
 
 @pytest.mark.parametrize("weight", [2.0, -0.1, math.nan])
-def test_gazetteer_constructor_rejects_weight_outside_unit_range(weight):
+def test_parse_sentiment_records_rejects_weight_outside_unit_range(weight):
     with pytest.raises(WeightRangeError, match=rf"^entries\[1\]: weight {weight} outside \[0, 1\]$"):
         parse_sentiment_records([ROBUST, {**ROBUST, "keyword": "fast", "weight": weight}])
 
 
 @pytest.mark.parametrize("weight", [True, "0.5", None], ids=["bool", "str", "none"])
-def test_gazetteer_constructor_rejects_weights_loading_rejects(weight):
+def test_parse_sentiment_records_rejects_weights_that_are_not_numbers(weight):
     """Every weight that is not a JSON number is rejected: a bool is not stored as 1.0."""
     message = r"^entries\[1\]: 'weight' must be a number$"
     with pytest.raises(GazetteerFormatError, match=message):
