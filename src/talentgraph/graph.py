@@ -5,35 +5,35 @@ two graphs over disjoint corpora loads both graphs' rows, so ``_add_project``
 sums every graph. Scores are summed as integers of 2**-64 units (exact for
 scores >= 2**-11), so any ingestion order or merge tree gives the same
 accumulators and file bytes.
-``edges[(kind, source, target)]`` and ``get_edge`` give a ``WeightedEdge``
-that holds the accumulators only: its kind and endpoints are its key. The
-graph file (schema version 4) holds each resume fact once, and loading
-rebuilds every node and edge from it with the sums of construction, so a
-file cannot disagree with itself; README, Graph file, gives its layout.
+Edges are stored per kind as ``{(source, target): WeightedEdge}``; a
+``WeightedEdge`` holds the accumulators only, and ``edges`` is a read-only
+``{(kind, source, target): edge}`` snapshot of every kind. The graph file
+(schema version 4) holds each resume fact once: loading checks every row and
+rebuilds the graph with the sums of construction, so a file cannot disagree
+with itself; README, Graph file, gives its layout.
 
 Construction per resume:
 
 1. Ensure the jobseeker node and a skill node (plus a zero-accumulator
    jobseeker-skill edge) for every declared skill.
-2. For each experience, ensure organization and project nodes with
-   jobseeker-project (holding the experience's months) and project-org
-   edges; project keys are surrogate ("<jobseeker_id>:p<ordinal>") because
-   project descriptions are never unified across resumes.
-3. Score the description once and accumulate that same score
-   into the skill-project edge of every skill mentioned in the details.
-4. Accumulate the same score and the experience's months into the
-   jobseeker-skill edge.
-5. Accumulate the same score into the org-skill edge.
-6. The accumulated months feed a bounded duration bonus at read time:
+2. For each experience, ensure organization and project nodes and keep the
+   project row; project keys are surrogate ("<jobseeker_id>:p<ordinal>")
+   because project descriptions are never unified across resumes.
+3. Score the description once and accumulate that same score and the
+   experience's months into the jobseeker-skill edge of every skill
+   mentioned in the details.
+4. The accumulated months feed a bounded duration bonus at read time:
    strength = mean(score) + factor * min(months, cap) / cap.
 
-Lookups by node (``out_edges``, ``in_edges``) go through one adjacency
-index per (edge kind, direction), derived from ``edges`` on its first lookup
-and emptied by each ``add_resume``, so ingestion builds none and a command
-indexes only the kinds it reads. After construction the graph is
+The other four kinds (jobseeker-project, project-org, skill-project and
+org-skill) are built from the project rows, and the adjacency index behind
+``out_edges``/``in_edges`` from one kind per (kind, direction), each on its
+first read. Each ``add_resume`` drops them, so ingestion builds none and a
+command builds only what it reads. After construction the graph is
 immutable by convention and safe for concurrent reads: readers racing on a
-first lookup each build the same index and publish it with one dict item
-assignment. Parallel ingestion builds shard graphs and merges them.
+first read each build the same dict in full, publish it with one dict item
+assignment, and never mutate an edge object another kind or index holds.
+Parallel ingestion builds shard graphs and merges them.
 
 ``NodeId``, the key of ``nodes``, compares and hashes by value. It is slotted
 but not frozen, sparing a load a frozen constructor per node, so like a
@@ -45,7 +45,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from ._io import check_document, read_document, write_document
 from .errors import (DuplicateJobseekerError, GraphConfigError, GraphFormatError,
@@ -103,7 +104,7 @@ class NodeId:
 
 @dataclass(slots=True)
 class WeightedEdge:
-    """An edge's accumulators; its kind and endpoints are its key in ``edges``."""
+    """An edge's accumulators; its endpoints are its key in its kind's dict."""
     weight_units: int = 0  # sum of quantized scores, in units of 2**-64
     support_count: int = 0
     months_sum: int = 0
@@ -148,37 +149,68 @@ def project_key(jobseeker_id: str, ordinal: int) -> str:
     return f"{jobseeker_id}:p{ordinal}"
 
 
+# A project row: (jobseeker, project key, title, organization, months, score units,
+# mentioned skills). Each builder below makes one derived kind's dict from the rows.
+def _jobseeker_project_edges(rows: list[tuple]) -> dict[tuple[str, str], WeightedEdge]:
+    return {(jobseeker, pkey): WeightedEdge(0, 1, months)
+            for jobseeker, pkey, _, _, months, _, _ in rows}
+
+
+def _project_org_edges(rows: list[tuple]) -> dict[tuple[str, str], WeightedEdge]:
+    return {(pkey, org): WeightedEdge(0, 1, 0) for _, pkey, _, org, _, _, _ in rows}
+
+
+def _skill_project_edges(rows: list[tuple]) -> dict[tuple[str, str], WeightedEdge]:
+    return {(skill, pkey): WeightedEdge(units, 1, 0)
+            for _, pkey, _, _, _, units, skills in rows for skill in skills}
+
+
+def _org_skill_edges(rows: list[tuple]) -> dict[tuple[str, str], WeightedEdge]:
+    edges: dict[tuple[str, str], WeightedEdge] = {}
+    get = edges.get
+    for _, _, _, org, _, units, skills in rows:
+        for skill in skills:
+            if (edge := get((org, skill))) is None:
+                edge = edges[org, skill] = WeightedEdge()
+            edge.weight_units += units
+            edge.support_count += 1
+    return edges
+
+
+_DERIVED = {_JOBSEEKER_PROJECT: _jobseeker_project_edges, _PROJECT_ORG: _project_org_edges,
+            _SKILL_PROJECT: _skill_project_edges, _ORG_SKILL: _org_skill_edges}
+
+
 class KnowledgeGraph:
     def __init__(self, config: ScoringConfig | None = None):
         self.config = config or ScoringConfig()
         self.nodes: dict[NodeId, dict[str, str]] = {}
-        self.edges: dict[tuple[EdgeKind, str, str], WeightedEdge] = {}
-        # (kind, outgoing) -> {node: {other endpoint: edge}}; see the module docstring.
+        self._jobseeker_skill: dict[tuple[str, str], WeightedEdge] = {}
+        self._projects: list[tuple] = []  # the project rows, each jobseeker's by ordinal
+        # Every kind built so far -> {(source, target): edge}; see the module docstring.
+        self._edges: dict[EdgeKind, dict] = {_JOBSEEKER_SKILL: self._jobseeker_skill}
+        # (kind, outgoing) -> {node: {other endpoint: edge}}
         self._adjacency: dict[tuple[EdgeKind, bool], dict[str, dict[str, WeightedEdge]]] = {}
 
     # -- construction -----------------------------------------------------
 
     def _add_project(self, jobseeker_id: str, ordinal: int, title: str, org: str,
-                     months: int, units: int, skills: list[str]) -> None:
-        """Steps 2-5 for one experience: ``skills`` are the distinct skills its
-        details mention and ``units`` its score; each skill and the organization
-        has a node already. The jobseeker is new, so the project and its edges are too."""
-        edges, pkey = self.edges, project_key(jobseeker_id, ordinal)
+                     months: int, units: int, skills: Sequence[str]) -> None:
+        """Steps 2 and 3 for one experience: ``skills`` are the distinct skills
+        its details mention, kept in the project row, and ``units`` its score;
+        each skill and the organization has a node already. The jobseeker is
+        new, so the project is too."""
+        pkey = project_key(jobseeker_id, ordinal)
         self.nodes[NodeId(_PROJECT, pkey)] = {"title": title}
-        edges[_JOBSEEKER_PROJECT, jobseeker_id, pkey] = WeightedEdge(0, 1, months)
-        edges[_PROJECT_ORG, pkey, org] = WeightedEdge(0, 1, 0)
+        self._projects.append((jobseeker_id, pkey, title, org, months, units, skills))
+        edges = self._jobseeker_skill
         get = edges.get
         for skill in skills:
-            edges[_SKILL_PROJECT, skill, pkey] = WeightedEdge(units, 1, 0)
-            if (edge := get((_JOBSEEKER_SKILL, jobseeker_id, skill))) is None:
-                edge = edges[_JOBSEEKER_SKILL, jobseeker_id, skill] = WeightedEdge()
+            if (edge := get((jobseeker_id, skill))) is None:
+                edge = edges[jobseeker_id, skill] = WeightedEdge()
             edge.weight_units += units
             edge.support_count += 1
             edge.months_sum += months
-            if (edge := get((_ORG_SKILL, org, skill))) is None:
-                edge = edges[_ORG_SKILL, org, skill] = WeightedEdge()
-            edge.weight_units += units
-            edge.support_count += 1
 
     def add_resume(self, record: ResumeRecord, lexicon: SkillLexicon,
                    gazetteer: SentimentGazetteer) -> "KnowledgeGraph":
@@ -190,12 +222,13 @@ class KnowledgeGraph:
         jobseeker = NodeId(_JOBSEEKER, record.jobseeker_id)
         if jobseeker in self.nodes:
             raise DuplicateJobseekerError(f"jobseeker {record.jobseeker_id!r} already ingested")
-        self._adjacency = {}  # edges are created below
+        # Edges are created below: the derived kinds and the indexes are rebuilt on next read.
+        self._edges, self._adjacency = {_JOBSEEKER_SKILL: self._jobseeker_skill}, {}
         self.nodes[jobseeker] = {"name": record.name}
         for skill in sorted(record.declared_skills):
             if (node := NodeId(_SKILL, skill)) not in self.nodes:
                 self.nodes[node] = {"category": lexicon.categories.get(skill) or ""}
-            self.edges[_JOBSEEKER_SKILL, record.jobseeker_id, skill] = WeightedEdge()
+            self._jobseeker_skill[record.jobseeker_id, skill] = WeightedEdge()
         for ordinal, exp in enumerate(record.experiences):
             mentioned = sorted(extract_skills(exp.details, lexicon))
             for skill in mentioned:
@@ -218,17 +251,34 @@ class KnowledgeGraph:
         if not self.has_node(kind, key):
             raise NodeNotFoundError(f"no {kind.value} node {key!r}")
 
+    @property
+    def edges(self) -> Mapping[tuple[EdgeKind, str, str], WeightedEdge]:
+        """Every edge by ``(kind, source, target)``, read only: a snapshot of every
+        kind, each built if it is not yet, for readers of the whole graph."""
+        return MappingProxyType({(kind, *key): edge for kind in EdgeKind
+                                 for key, edge in self._edges_of(kind).items()})
+
+    def _edges_of(self, kind: EdgeKind) -> dict[tuple[str, str], WeightedEdge]:
+        edges = self._edges.get(kind)
+        if edges is None:  # a derived kind, built in full and then published
+            edges = self._edges[kind] = _DERIVED[kind](self._projects)
+        return edges
+
+    def edge_count(self, kind: EdgeKind) -> int:
+        return len(self._edges_of(kind))
+
     def get_edge(self, kind: EdgeKind, source: str, target: str) -> WeightedEdge | None:
-        return self.edges.get((kind, source, target))
+        if kind is _JOBSEEKER_SKILL:  # one dict deep: queries read it per jobseeker and term
+            return self._jobseeker_skill.get((source, target))
+        return self._edges_of(kind).get((source, target))
 
     def _adjacency_index(self, kind: EdgeKind, outgoing: bool) -> dict[str, dict]:
         index = self._adjacency.get((kind, outgoing))
         if index is None:
             index = {}
-            for (edge_kind, source, target), edge in self.edges.items():
-                if edge_kind is kind:
-                    node, other = (source, target) if outgoing else (target, source)
-                    index.setdefault(node, {})[other] = edge
+            for (source, target), edge in self._edges_of(kind).items():
+                node, other = (source, target) if outgoing else (target, source)
+                index.setdefault(node, {})[other] = edge
             self._adjacency[kind, outgoing] = index  # published only once filled
         return index
 
@@ -240,24 +290,25 @@ class KnowledgeGraph:
         """{source: edge} for the edges of ``kind`` entering ``target``; read only."""
         return self._adjacency_index(kind, False).get(target, {})
 
+    def _sorted_edges(self, kind: EdgeKind) -> list[tuple[str, str, WeightedEdge]]:
+        rows = [(source, target, edge) for (source, target), edge in self._edges_of(kind).items()]
+        rows.sort()  # keys are unique within a kind, so no sort compares edges
+        return rows
+
     def _sorted_rows(self) -> tuple[dict[NodeKind, list[tuple]], dict[EdgeKind, list[tuple]]]:
         """(key, attrs) rows per node kind and (source, target, edge) rows per
         edge kind: kinds by value (a str enum member sorts by it), then rows sorted."""
         nodes: dict[NodeKind, list[tuple]] = {kind: [] for kind in sorted(NodeKind)}
         for node, attrs in self.nodes.items():
             nodes[node.kind].append((node.key, attrs))
-        edges: dict[EdgeKind, list[tuple]] = {kind: [] for kind in sorted(EdgeKind)}
-        for (kind, source, target), edge in self.edges.items():
-            edges[kind].append((source, target, edge))
-        # Keys are unique within a kind, so no sort compares attrs or edges.
-        for rows in (*nodes.values(), *edges.values()):
-            rows.sort()
-        return nodes, edges
+        for rows in nodes.values():
+            rows.sort()  # keys are unique within a kind, so no sort compares attrs
+        return nodes, {kind: self._sorted_edges(kind) for kind in sorted(EdgeKind)}
 
     def edges_of_kind(self, kind: EdgeKind) -> Iterator[tuple[str, str, WeightedEdge]]:
-        """(source, target, edge) for every edge of ``kind``, sorted. It sorts all
-        edges on each call, so lookups by node use ``out_edges``/``in_edges``."""
-        yield from self._sorted_rows()[1][kind]
+        """(source, target, edge) for every edge of ``kind``, sorted. It sorts the
+        kind on each call, so lookups by node use ``out_edges``/``in_edges``."""
+        yield from self._sorted_edges(kind)
 
     def jobseeker_ids(self) -> list[str]:
         return sorted(n.key for n in self.nodes if n.kind is NodeKind.JOBSEEKER)
@@ -290,10 +341,11 @@ class KnowledgeGraph:
 
     def supporting_projects(self, jobseeker_id: str, skill: str) -> list[str]:
         """Project keys of this jobseeker whose details mention the skill."""
+        mentions = self._edges_of(_SKILL_PROJECT)
         return sorted(
             pkey
             for pkey in self.out_edges(EdgeKind.JOBSEEKER_PROJECT, jobseeker_id)
-            if (EdgeKind.SKILL_PROJECT, skill, pkey) in self.edges
+            if (skill, pkey) in mentions
         )
 
     def project_score(self, pkey: str) -> float:
@@ -334,34 +386,20 @@ class KnowledgeGraph:
         """The graph document: each resume fact once, sorted (README, Graph file)."""
         from . import __version__
 
-        skills, names, projects = [], {}, {}
+        skills, jobseekers = [], {}
         for node, attrs in self.nodes.items():
             if node.kind is _SKILL:
                 skills.append([node.key, dict(attrs)])
             elif node.kind is _JOBSEEKER:
-                names[node.key] = attrs["name"]
-            elif node.kind is _PROJECT:
-                projects[node.key] = [attrs["title"], "", 0, 0, []]
-        # One pass over the edges fills the project rows; the rest are sums of them.
-        declared: dict[str, list[str]] = {key: [] for key in names}
-        for (kind, source, target), edge in self.edges.items():
-            if kind is _SKILL_PROJECT:
-                row = projects[target]
-                row[3] = edge.weight_units
-                row[4].append(source)
-            elif kind is _JOBSEEKER_PROJECT:
-                projects[target][2] = edge.months_sum
-            elif kind is _PROJECT_ORG:
-                projects[source][1] = target
-            elif kind is _JOBSEEKER_SKILL and not edge.support_count:
-                declared[source].append(target)
-        jobseekers = []
-        for key in sorted(names):
-            rows = []  # the jobseeker's project rows, by ordinal
-            while (row := projects.get(project_key(key, len(rows)))) is not None:
-                row[4].sort()
-                rows.append(row)
-            jobseekers.append([key, names[key], sorted(declared[key]), rows])
+                jobseekers[node.key] = [node.key, attrs["name"], [], []]
+        # Declared skills are the edges no project supports; the rest are sums of the rows.
+        for (source, target), edge in self._jobseeker_skill.items():
+            if not edge.support_count:
+                jobseekers[source][2].append(target)
+        for jobseeker, _, title, org, months, units, mentioned in self._projects:
+            jobseekers[jobseeker][3].append([title, org, months, units, sorted(mentioned)])
+        for row in jobseekers.values():
+            row[2].sort()
         skills.sort()  # keys are unique, so no sort compares attrs
         return {
             "schema_version": GRAPH_SCHEMA_VERSION,
@@ -369,13 +407,13 @@ class KnowledgeGraph:
                        "duration_cap_months": self.config.duration_cap_months,
                        "tool_version": __version__},
             "skills": skills,
-            "jobseekers": jobseekers,
+            "jobseekers": [jobseekers[key] for key in sorted(jobseekers)],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
         """Check a graph document row by row and rebuild the graph from it with
-        ``add_resume``'s sums. Each rejection is a ``GraphFormatError`` located
+        ``add_resume``'s sums and rows. Each rejection is a ``GraphFormatError`` located
         at the config, a section, a row or a project row; see README, Graph file.
         """
         check_document(doc, GraphFormatError, version=GRAPH_SCHEMA_VERSION, remedy=_REINGEST)
@@ -398,7 +436,7 @@ class KnowledgeGraph:
                 raise GraphFormatError(f"unknown section {name!r}")
 
         graph = cls(config)
-        nodes, edges = graph.nodes, graph.edges
+        nodes, edges = graph.nodes, graph._jobseeker_skill
         for name in ("skills", "jobseekers"):
             if type(doc.get(name, [])) is not list:
                 raise GraphFormatError(f"{name}: not a list")
@@ -466,12 +504,13 @@ class KnowledgeGraph:
                 if org not in orgs:
                     orgs.add(org)
                     nodes[NodeId(_ORGANIZATION, org)] = {}
-                graph._add_project(jobseeker, ordinal, title, org, months, units, mentioned)
+                # A copy: the graph keeps the row, and the caller keeps the document.
+                graph._add_project(jobseeker, ordinal, title, org, months, units, tuple(mentioned))
             for skill in declared:
                 if not isinstance(skill, str) or skill not in known:
                     raise GraphFormatError(f"jobseekers[{i}].declared: unknown skill {skill!r}")
                 edge = WeightedEdge()
-                if edges.setdefault((_JOBSEEKER_SKILL, jobseeker, skill), edge) is not edge:
+                if edges.setdefault((jobseeker, skill), edge) is not edge:
                     raise GraphFormatError(f"jobseekers[{i}].declared: skill {skill!r} "
                                            "is listed twice or mentioned by a project")
         return graph

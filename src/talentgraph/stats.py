@@ -5,8 +5,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-# The aliases: read per node and per edge.
-from .graph import _JOBSEEKER, _JOBSEEKER_PROJECT, _JOBSEEKER_SKILL, _SKILL, KnowledgeGraph
+# The aliases: read per node.
+from .graph import _JOBSEEKER, _JOBSEEKER_SKILL, _PROJECT, _SKILL, KnowledgeGraph
 from .lexicon import SkillLexicon
 
 if TYPE_CHECKING:
@@ -49,25 +49,21 @@ def compute_stats(records: Iterable[ResumeRecord], lexicon: SkillLexicon) -> Cor
 
 def compute_graph_stats(graph: KnowledgeGraph) -> CorpusStats:
     """Same statistics read off a built graph (skills = jobseeker-skill edges)."""
-    resume_count = 0
+    resume_count = project_count = 0  # each project has one jobseeker-project edge
     categories: Counter = Counter()
     for node, attrs in graph.nodes.items():
         if node.kind is _JOBSEEKER:
             resume_count += 1
         elif node.kind is _SKILL:
             categories[attrs.get("category") or "uncategorized"] += 1
+        elif node.kind is _PROJECT:
+            project_count += 1
     if resume_count == 0:
         return CorpusStats()
-    skill_edges = project_edges = 0
-    for kind, _, _ in graph.edges:
-        if kind is _JOBSEEKER_SKILL:
-            skill_edges += 1
-        elif kind is _JOBSEEKER_PROJECT:
-            project_edges += 1
     return CorpusStats(
         resume_count=resume_count,
         distinct_skills=categories.total(),
-        avg_skills_per_resume=skill_edges / resume_count,
-        avg_projects_per_resume=project_edges / resume_count,
+        avg_skills_per_resume=graph.edge_count(_JOBSEEKER_SKILL) / resume_count,
+        avg_projects_per_resume=project_count / resume_count,
         skills_by_category=dict(categories),
     )

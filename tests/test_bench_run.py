@@ -1,9 +1,10 @@
-"""The benchmark's ingest and cli workloads, run briefly. Their correctness
-checks read ``graph.nodes``, the ``graph.edges`` keys and the edge
-accumulators directly, so a change to the graph's layout breaks the
-benchmark before it breaks any other test; the cli workload also checks the
-dot line counts, eval, stats and rankings after each cold load. These tests
-change nothing under bench/."""
+"""The benchmark's workloads, run briefly. Their correctness checks read
+``graph.nodes``, the ``graph.edges`` keys and the edge accumulators
+directly, so a change to the graph's layout breaks the benchmark before it
+breaks any other test; the cli workload also checks the dot line counts,
+eval, stats and rankings after each cold load, and the rank workload checks
+explains, which read the jobseeker-project and skill-project edges. These
+tests change nothing under bench/."""
 from __future__ import annotations
 
 import json
@@ -30,3 +31,7 @@ def test_bench_ingest_workload_is_correct():
 
 def test_bench_cli_workload_is_correct():
     run_workload("cli")
+
+
+def test_bench_rank_workload_is_correct():
+    run_workload("rank")

@@ -1,9 +1,10 @@
-"""Lookups by node go through the graph's derived adjacency indexes.
+"""Lookups by node go through the graph's derived adjacency indexes, and
+the four project-derived edge kinds are built from the project rows.
 
-Each (kind, direction) index is built on its first lookup and emptied by
-each ``add_resume``, so each answer must equal a naive rescan of the edges,
-whatever the ingestion order, merge tree or round trip that produced the
-graph.
+Each (kind, direction) index and each derived kind is built on its first
+read and dropped by each ``add_resume``, so each answer must equal a naive
+rescan of the edges, whatever the ingestion order, merge tree, round trip or
+order of first reads that produced the graph.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talentgraph import graph as graph_module
+from talentgraph.cli import main
 from talentgraph.evaluation import evaluate_graph, load_gold
 from talentgraph.graph import EdgeKind, KnowledgeGraph, project_key
 from talentgraph.lexicon import load_sentiment_gazetteer, load_skill_lexicon
@@ -23,6 +26,8 @@ from oracle import OracleGraph
 
 LEXICON = load_skill_lexicon(LEXICON_FILE)
 GAZETTEER = load_sentiment_gazetteer(GAZETTEER_FILE)
+DERIVED = [EdgeKind.JOBSEEKER_PROJECT, EdgeKind.SKILL_PROJECT, EdgeKind.ORG_SKILL,
+           EdgeKind.PROJECT_ORG]
 DETAIL_WORDS = ["c++", "cpp", "java", "py", "apache spark", "sql", "react",
                 "robust", "scalable", "debugging", "performance", "lead", "the", "service"]
 
@@ -110,10 +115,73 @@ def test_new_edge_seen_by_next_lookup():
     assert set(graph.out_edges(EdgeKind.JOBSEEKER_SKILL, "js2")) == {"java", "sql"}
 
 
+def assert_edges_match_oracle(graph: KnowledgeGraph, oracle: OracleGraph) -> None:
+    got = {(kind.value, source, target): edge
+           for (kind, source, target), edge in graph.edges.items()}
+    assert set(got) == set(oracle.edges)
+    for key, (weight, count, months) in oracle.edges.items():
+        assert (got[key].support_count, got[key].months_sum) == (count, months), key
+        assert got[key].weight_sum == pytest.approx(weight, abs=1e-9), key
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=record_sets(), data=st.data())
+def test_derived_kinds_read_in_any_order_equal_the_eager_build_and_oracle(records, data):
+    """A loaded graph whose derived kinds are read in a drawn order, some not
+    at all before the comparison, equals a build that reads every kind after
+    each ``add_resume``; a kind read mid-ingestion is rebuilt after the next."""
+    oracle = OracleGraph(records, LEXICON, GAZETTEER, KnowledgeGraph().config)
+    eager = KnowledgeGraph()
+    for record in records:
+        eager.add_resume(record, LEXICON, GAZETTEER)
+        assert len(eager.edges) == sum(map(eager.edge_count, EdgeKind))  # builds every kind
+    cut = data.draw(st.integers(0, len(records)))
+    built = build_graph(records[:cut], LEXICON, GAZETTEER)
+    for kind in data.draw(st.lists(st.sampled_from(DERIVED), unique=True)):
+        built.get_edge(kind, "js0", "java")
+    for record in records[cut:]:
+        built.add_resume(record, LEXICON, GAZETTEER)
+    loaded = KnowledgeGraph.from_dict(built.to_dict())
+    read = data.draw(st.permutations(DERIVED))[:data.draw(st.integers(0, len(DERIVED)))]
+    for kind in read:
+        loaded.edge_count(kind)
+    assert set(loaded._edges) == {EdgeKind.JOBSEEKER_SKILL, *read}
+    for graph in (built, loaded):
+        assert graph == eager
+        assert_edges_match_oracle(graph, oracle)
+
+
 def test_cold_explain_indexes_only_the_kind_it_reads(corpus_graph):
+    graph = KnowledgeGraph.from_dict(corpus_graph.to_dict())
     query = parse_query("top c++, java, python", LEXICON)
-    explain(corpus_graph.jobseeker_ids()[0], query, corpus_graph)
-    assert set(corpus_graph._adjacency) == {(EdgeKind.JOBSEEKER_PROJECT, True)}
+    explain(graph.jobseeker_ids()[0], query, graph)
+    assert set(graph._adjacency) == {(EdgeKind.JOBSEEKER_PROJECT, True)}
+    assert set(graph._edges) == {EdgeKind.JOBSEEKER_SKILL, EdgeKind.JOBSEEKER_PROJECT,
+                                 EdgeKind.SKILL_PROJECT}
+
+
+@pytest.mark.parametrize("argv, kinds", [
+    (["query", "GRAPH", "c++, java", "--lexicon", LEXICON_FILE], []),
+    (["stats", "GRAPH"], []),
+    (["explain", "GRAPH", "js0000-jane-doe", "top c++, java, python"],
+     [EdgeKind.JOBSEEKER_PROJECT, EdgeKind.SKILL_PROJECT]),
+    (["eval", "GRAPH", GOLD_FILE, "--lexicon", LEXICON_FILE], [EdgeKind.SKILL_PROJECT]),
+    (["export", "GRAPH"], []),
+    (["export", "GRAPH", "--format", "dot"], DERIVED),
+], ids=["query", "stats", "explain", "eval", "export-json", "export-dot"])
+def test_cold_commands_build_only_the_derived_kinds_they_read(
+    argv, kinds, corpus_graph, tmp_path, monkeypatch
+):
+    path = tmp_path / "graph.json"
+    corpus_graph.save(path)
+    built = []
+    for kind in DERIVED:
+        def build(rows, kind=kind, builder=graph_module._DERIVED[kind]):
+            built.append(kind)
+            return builder(rows)
+        monkeypatch.setitem(graph_module._DERIVED, kind, build)
+    assert main([str(path) if arg == "GRAPH" else str(arg) for arg in argv]) == 0
+    assert sorted(built) == sorted(kinds)  # each kind built once at most
 
 
 def test_explain_eval_and_stats_do_not_sort_the_edges(corpus_graph, monkeypatch):

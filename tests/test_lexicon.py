@@ -250,9 +250,11 @@ def test_parse_sentiment_records_rejects_weights_that_are_not_numbers(weight):
                                  {"keyword": "fast", "class": "x", "weight": weight}])
 
 
-def test_gazetteer_loading_reports_record_faults_before_constructor_faults():
-    """Loading checks every record before the constructor checks any weight's
-    range, and a record's weight before its skill."""
+def test_parse_sentiment_records_reports_a_later_shape_fault_before_an_earlier_range_fault():
+    """``parse_sentiment_records`` raises a record's shape fault at once but holds
+    a range fault until the pass ends, so a later record's non-number weight is
+    reported before an earlier record's out-of-range weight; and a record's
+    weight is checked before its skill."""
     out_of_range = {"keyword": "robust", "class": "x", "weight": 2.0}
     not_a_number = {"keyword": "fast", "class": "x", "weight": "0.5", "skill": 7}
     with pytest.raises(GazetteerFormatError, match=r"^entries\[1\]: 'weight' must be a number$"):
