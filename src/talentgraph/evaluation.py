@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 from ._io import read_document
 from .errors import FixtureError, NodeNotFoundError, QueryError
-from .graph import EdgeKind, KnowledgeGraph
+from .graph import KnowledgeGraph
 from .lexicon import SkillLexicon
 from .query import Query, execute, parse_query
 
@@ -207,7 +207,7 @@ def evaluate_graph(
         if missing := sorted(set(gold["skills"]) - known):
             raise FixtureError(f"skills: gold references unknown jobseekers: {missing[:5]}")
         predicted_skills = {
-            jobseeker_id: set(graph.out_edges(EdgeKind.JOBSEEKER_SKILL, jobseeker_id))
+            jobseeker_id: set(graph.jobseeker_skills(jobseeker_id))
             for jobseeker_id in gold["skills"]
         }
         report.extraction = extraction_metrics(predicted_skills, gold["skills"])

@@ -5,10 +5,10 @@ two graphs over disjoint corpora loads both graphs' rows, so ``_add_project``
 sums every graph. Scores are summed as integers of 2**-64 units (exact for
 scores >= 2**-11), so any ingestion order or merge tree gives the same
 accumulators and file bytes.
-Edges are stored per kind as ``{(source, target): WeightedEdge}``; a
-``WeightedEdge`` holds the accumulators only, and ``edges`` is a read-only
-``{(kind, source, target): edge}`` snapshot of every kind. The graph file
-(schema version 4) holds each resume fact once: loading checks every row and
+The graph keeps only the facts its file holds: each jobseeker's
+``{skill: WeightedEdge}`` (a ``WeightedEdge`` holds the accumulators only)
+and each jobseeker's project rows by ordinal. The graph file (schema
+version 4) holds each resume fact once: loading checks every row and
 rebuilds the graph with the sums of construction, so a file cannot disagree
 with itself; README, Graph file, gives its layout.
 
@@ -25,14 +25,14 @@ Construction per resume:
 4. The accumulated months feed a bounded duration bonus at read time:
    strength = mean(score) + factor * min(months, cap) / cap.
 
-The other four kinds (jobseeker-project, project-org, skill-project and
-org-skill) are built from the project rows, and the adjacency index behind
-``out_edges``/``in_edges`` from one kind per (kind, direction), each on its
-first read. Each ``add_resume`` drops them, so ingestion builds none and a
-command builds only what it reads. After construction the graph is
-immutable by convention and safe for concurrent reads: readers racing on a
-first read each build the same dict in full, publish it with one dict item
-assignment, and never mutate an edge object another kind or index holds.
+Reads never write. Lookups for one jobseeker (``jobseeker_skills``,
+``supporting_projects``, ``project_score``) read that jobseeker's own
+entries. The other four kinds (jobseeker-project, project-org, skill-project
+and org-skill) are built from the project rows by each read of the whole
+graph (``edges``, ``edges_of_kind``, ``to_dot``, and ``edge_count`` and
+``get_edge`` of one of those kinds), and never kept, so each of their edge
+objects is a fresh copy. After construction the graph is immutable by
+convention and so safe for concurrent reads.
 Parallel ingestion builds shard graphs and merges them.
 
 ``NodeId``, the key of ``nodes``, compares and hashes by value. It is slotted
@@ -149,48 +149,18 @@ def project_key(jobseeker_id: str, ordinal: int) -> str:
     return f"{jobseeker_id}:p{ordinal}"
 
 
-# A project row: (jobseeker, project key, title, organization, months, score units,
-# mentioned skills). Each builder below makes one derived kind's dict from the rows.
-def _jobseeker_project_edges(rows: list[tuple]) -> dict[tuple[str, str], WeightedEdge]:
-    return {(jobseeker, pkey): WeightedEdge(0, 1, months)
-            for jobseeker, pkey, _, _, months, _, _ in rows}
-
-
-def _project_org_edges(rows: list[tuple]) -> dict[tuple[str, str], WeightedEdge]:
-    return {(pkey, org): WeightedEdge(0, 1, 0) for _, pkey, _, org, _, _, _ in rows}
-
-
-def _skill_project_edges(rows: list[tuple]) -> dict[tuple[str, str], WeightedEdge]:
-    return {(skill, pkey): WeightedEdge(units, 1, 0)
-            for _, pkey, _, _, _, units, skills in rows for skill in skills}
-
-
-def _org_skill_edges(rows: list[tuple]) -> dict[tuple[str, str], WeightedEdge]:
-    edges: dict[tuple[str, str], WeightedEdge] = {}
-    get = edges.get
-    for _, _, _, org, _, units, skills in rows:
-        for skill in skills:
-            if (edge := get((org, skill))) is None:
-                edge = edges[org, skill] = WeightedEdge()
-            edge.weight_units += units
-            edge.support_count += 1
-    return edges
-
-
-_DERIVED = {_JOBSEEKER_PROJECT: _jobseeker_project_edges, _PROJECT_ORG: _project_org_edges,
-            _SKILL_PROJECT: _skill_project_edges, _ORG_SKILL: _org_skill_edges}
+# The skills of a jobseeker the graph does not hold; read only.
+_NO_EDGES: Mapping[str, WeightedEdge] = MappingProxyType({})
 
 
 class KnowledgeGraph:
     def __init__(self, config: ScoringConfig | None = None):
         self.config = config or ScoringConfig()
         self.nodes: dict[NodeId, dict[str, str]] = {}
-        self._jobseeker_skill: dict[tuple[str, str], WeightedEdge] = {}
-        self._projects: list[tuple] = []  # the project rows, each jobseeker's by ordinal
-        # Every kind built so far -> {(source, target): edge}; see the module docstring.
-        self._edges: dict[EdgeKind, dict] = {_JOBSEEKER_SKILL: self._jobseeker_skill}
-        # (kind, outgoing) -> {node: {other endpoint: edge}}
-        self._adjacency: dict[tuple[EdgeKind, bool], dict[str, dict[str, WeightedEdge]]] = {}
+        # Every jobseeker -> {skill: jobseeker-skill edge}, and -> its project rows by
+        # ordinal, each (project key, title, organization, months, score units, skills).
+        self._jobseeker_skill: dict[str, dict[str, WeightedEdge]] = {}
+        self._projects: dict[str, list[tuple]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -198,16 +168,17 @@ class KnowledgeGraph:
                      months: int, units: int, skills: Sequence[str]) -> None:
         """Steps 2 and 3 for one experience: ``skills`` are the distinct skills
         its details mention, kept in the project row, and ``units`` its score;
-        each skill and the organization has a node already. The jobseeker is
-        new, so the project is too."""
+        each skill and the organization has a node already, and the jobseeker its
+        entries, with rows for the ordinals before this one. The jobseeker is new,
+        so the project is too."""
         pkey = project_key(jobseeker_id, ordinal)
         self.nodes[NodeId(_PROJECT, pkey)] = {"title": title}
-        self._projects.append((jobseeker_id, pkey, title, org, months, units, skills))
-        edges = self._jobseeker_skill
+        self._projects[jobseeker_id].append((pkey, title, org, months, units, skills))
+        edges = self._jobseeker_skill[jobseeker_id]
         get = edges.get
         for skill in skills:
-            if (edge := get((jobseeker_id, skill))) is None:
-                edge = edges[jobseeker_id, skill] = WeightedEdge()
+            if (edge := get(skill)) is None:
+                edge = edges[skill] = WeightedEdge()
             edge.weight_units += units
             edge.support_count += 1
             edge.months_sum += months
@@ -222,13 +193,13 @@ class KnowledgeGraph:
         jobseeker = NodeId(_JOBSEEKER, record.jobseeker_id)
         if jobseeker in self.nodes:
             raise DuplicateJobseekerError(f"jobseeker {record.jobseeker_id!r} already ingested")
-        # Edges are created below: the derived kinds and the indexes are rebuilt on next read.
-        self._edges, self._adjacency = {_JOBSEEKER_SKILL: self._jobseeker_skill}, {}
         self.nodes[jobseeker] = {"name": record.name}
+        skills = self._jobseeker_skill[record.jobseeker_id] = {}
+        self._projects[record.jobseeker_id] = []
         for skill in sorted(record.declared_skills):
             if (node := NodeId(_SKILL, skill)) not in self.nodes:
                 self.nodes[node] = {"category": lexicon.categories.get(skill) or ""}
-            self._jobseeker_skill[record.jobseeker_id, skill] = WeightedEdge()
+            skills[skill] = WeightedEdge()
         for ordinal, exp in enumerate(record.experiences):
             mentioned = sorted(extract_skills(exp.details, lexicon))
             for skill in mentioned:
@@ -251,47 +222,62 @@ class KnowledgeGraph:
         if not self.has_node(kind, key):
             raise NodeNotFoundError(f"no {kind.value} node {key!r}")
 
+    def _derived(self) -> dict[EdgeKind, dict[tuple[str, str], WeightedEdge]]:
+        """The four project-derived kinds, each ``{(source, target): edge}``, built
+        from the project rows in one pass on each call and never kept."""
+        skill_project: dict[tuple[str, str], WeightedEdge] = {}
+        org_skill: dict[tuple[str, str], WeightedEdge] = {}
+        jobseeker_project: dict[tuple[str, str], WeightedEdge] = {}
+        project_org: dict[tuple[str, str], WeightedEdge] = {}
+        get = org_skill.get
+        for jobseeker, rows in self._projects.items():
+            for pkey, _, org, months, units, skills in rows:
+                jobseeker_project[jobseeker, pkey] = WeightedEdge(0, 1, months)
+                project_org[pkey, org] = WeightedEdge(0, 1, 0)
+                for skill in skills:
+                    skill_project[skill, pkey] = WeightedEdge(units, 1, 0)
+                    if (edge := get((org, skill))) is None:
+                        edge = org_skill[org, skill] = WeightedEdge()
+                    edge.weight_units += units
+                    edge.support_count += 1
+        return {_SKILL_PROJECT: skill_project, _ORG_SKILL: org_skill,
+                _JOBSEEKER_PROJECT: jobseeker_project, _PROJECT_ORG: project_org}
+
     @property
     def edges(self) -> Mapping[tuple[EdgeKind, str, str], WeightedEdge]:
-        """Every edge by ``(kind, source, target)``, read only: a snapshot of every
-        kind, each built if it is not yet, for readers of the whole graph."""
-        return MappingProxyType({(kind, *key): edge for kind in EdgeKind
-                                 for key, edge in self._edges_of(kind).items()})
-
-    def _edges_of(self, kind: EdgeKind) -> dict[tuple[str, str], WeightedEdge]:
-        edges = self._edges.get(kind)
-        if edges is None:  # a derived kind, built in full and then published
-            edges = self._edges[kind] = _DERIVED[kind](self._projects)
-        return edges
+        """Every edge by ``(kind, source, target)``, read only, for readers of the
+        whole graph: built on each access, derived kinds included."""
+        edges = {(_JOBSEEKER_SKILL, jobseeker, skill): edge
+                 for jobseeker, skills in self._jobseeker_skill.items()
+                 for skill, edge in skills.items()}
+        for kind, kind_edges in self._derived().items():
+            edges.update(((kind, source, target), edge)
+                         for (source, target), edge in kind_edges.items())
+        return MappingProxyType(edges)
 
     def edge_count(self, kind: EdgeKind) -> int:
-        return len(self._edges_of(kind))
+        if kind == _JOBSEEKER_SKILL:  # ==: a kind's plain value is accepted too
+            return sum(map(len, self._jobseeker_skill.values()))
+        return len(self._derived()[kind])
 
     def get_edge(self, kind: EdgeKind, source: str, target: str) -> WeightedEdge | None:
-        if kind is _JOBSEEKER_SKILL:  # one dict deep: queries read it per jobseeker and term
-            return self._jobseeker_skill.get((source, target))
-        return self._edges_of(kind).get((source, target))
+        # A direct read, tested by identity first: queries make it per jobseeker and term.
+        if kind is _JOBSEEKER_SKILL or kind == _JOBSEEKER_SKILL:
+            return self._jobseeker_skill.get(source, _NO_EDGES).get(target)
+        return self._derived()[kind].get((source, target))
 
-    def _adjacency_index(self, kind: EdgeKind, outgoing: bool) -> dict[str, dict]:
-        index = self._adjacency.get((kind, outgoing))
-        if index is None:
-            index = {}
-            for (source, target), edge in self._edges_of(kind).items():
-                node, other = (source, target) if outgoing else (target, source)
-                index.setdefault(node, {})[other] = edge
-            self._adjacency[kind, outgoing] = index  # published only once filled
-        return index
+    def jobseeker_skills(self, jobseeker_id: str) -> Mapping[str, WeightedEdge]:
+        """{skill: jobseeker-skill edge} of the jobseeker, read only; empty for
+        no such jobseeker."""
+        return MappingProxyType(self._jobseeker_skill.get(jobseeker_id, _NO_EDGES))
 
-    def out_edges(self, kind: EdgeKind, source: str) -> Mapping[str, WeightedEdge]:
-        """{target: edge} for the edges of ``kind`` leaving ``source``; read only."""
-        return self._adjacency_index(kind, True).get(source, {})
-
-    def in_edges(self, kind: EdgeKind, target: str) -> Mapping[str, WeightedEdge]:
-        """{source: edge} for the edges of ``kind`` entering ``target``; read only."""
-        return self._adjacency_index(kind, False).get(target, {})
-
-    def _sorted_edges(self, kind: EdgeKind) -> list[tuple[str, str, WeightedEdge]]:
-        rows = [(source, target, edge) for (source, target), edge in self._edges_of(kind).items()]
+    def _kind_rows(self, kind: EdgeKind, derived: Mapping[EdgeKind, dict]) -> list[tuple]:
+        """(source, target, edge) rows of ``kind``, sorted; ``derived`` is ``_derived()``
+        unless ``kind`` is jobseeker-skill."""
+        if kind == _JOBSEEKER_SKILL:  # walked in order: sorting a flat copy is slower
+            return [(jobseeker, skill, edge) for jobseeker in sorted(self._jobseeker_skill)
+                    for skill, edge in sorted(self._jobseeker_skill[jobseeker].items())]
+        rows = [(source, target, edge) for (source, target), edge in derived[kind].items()]
         rows.sort()  # keys are unique within a kind, so no sort compares edges
         return rows
 
@@ -303,12 +289,14 @@ class KnowledgeGraph:
             nodes[node.kind].append((node.key, attrs))
         for rows in nodes.values():
             rows.sort()  # keys are unique within a kind, so no sort compares attrs
-        return nodes, {kind: self._sorted_edges(kind) for kind in sorted(EdgeKind)}
+        derived = self._derived()
+        return nodes, {kind: self._kind_rows(kind, derived) for kind in sorted(EdgeKind)}
 
     def edges_of_kind(self, kind: EdgeKind) -> Iterator[tuple[str, str, WeightedEdge]]:
-        """(source, target, edge) for every edge of ``kind``, sorted. It sorts the
-        kind on each call, so lookups by node use ``out_edges``/``in_edges``."""
-        yield from self._sorted_edges(kind)
+        """(source, target, edge) for every edge of ``kind``, sorted: a read of the
+        whole graph, made on each call, so lookups by jobseeker use
+        ``jobseeker_skills`` and ``supporting_projects``."""
+        yield from self._kind_rows(kind, {} if kind == _JOBSEEKER_SKILL else self._derived())
 
     def jobseeker_ids(self) -> list[str]:
         return sorted(n.key for n in self.nodes if n.kind is NodeKind.JOBSEEKER)
@@ -341,19 +329,15 @@ class KnowledgeGraph:
 
     def supporting_projects(self, jobseeker_id: str, skill: str) -> list[str]:
         """Project keys of this jobseeker whose details mention the skill."""
-        mentions = self._edges_of(_SKILL_PROJECT)
-        return sorted(
-            pkey
-            for pkey in self.out_edges(EdgeKind.JOBSEEKER_PROJECT, jobseeker_id)
-            if (skill, pkey) in mentions
-        )
+        return sorted(pkey for pkey, _, _, _, _, skills in self._projects.get(jobseeker_id, ())
+                      if skill in skills)
 
     def project_score(self, pkey: str) -> float:
         """The description score recorded on the project's skill edges (0 if none)."""
         self._require_node(NodeKind.PROJECT, pkey)
-        # Every skill edge of a project carries the same score.
-        edges = self.in_edges(EdgeKind.SKILL_PROJECT, pkey)
-        return edges[min(edges)].mean_weight() if edges else 0.0
+        jobseeker, _, ordinal = pkey.rpartition(":p")  # no ordinal holds ":p"
+        _, _, _, _, units, _ = self._projects[jobseeker][int(ordinal)]
+        return units * _UNIT  # the score on each of its skill-project edges
 
     # -- merge ------------------------------------------------------------
 
@@ -386,28 +370,28 @@ class KnowledgeGraph:
         """The graph document: each resume fact once, sorted (README, Graph file)."""
         from . import __version__
 
-        skills, jobseekers = [], {}
+        skills, names = [], {}
         for node, attrs in self.nodes.items():
             if node.kind is _SKILL:
                 skills.append([node.key, dict(attrs)])
             elif node.kind is _JOBSEEKER:
-                jobseekers[node.key] = [node.key, attrs["name"], [], []]
-        # Declared skills are the edges no project supports; the rest are sums of the rows.
-        for (source, target), edge in self._jobseeker_skill.items():
-            if not edge.support_count:
-                jobseekers[source][2].append(target)
-        for jobseeker, _, title, org, months, units, mentioned in self._projects:
-            jobseekers[jobseeker][3].append([title, org, months, units, sorted(mentioned)])
-        for row in jobseekers.values():
-            row[2].sort()
+                names[node.key] = attrs["name"]
         skills.sort()  # keys are unique, so no sort compares attrs
+        # Declared skills are the edges no project supports; the rest are sums of the rows.
+        jobseekers = [
+            [jobseeker, names[jobseeker],
+             sorted(skill for skill, edge in edges.items() if not edge.support_count),
+             [[title, org, months, units, sorted(mentioned)]
+              for _, title, org, months, units, mentioned in self._projects[jobseeker]]]
+            for jobseeker, edges in sorted(self._jobseeker_skill.items())
+        ]
         return {
             "schema_version": GRAPH_SCHEMA_VERSION,
             "config": {"duration_bonus_factor": self.config.duration_bonus_factor,
                        "duration_cap_months": self.config.duration_cap_months,
                        "tool_version": __version__},
             "skills": skills,
-            "jobseekers": [jobseekers[key] for key in sorted(jobseekers)],
+            "jobseekers": jobseekers,
         }
 
     @classmethod
@@ -436,7 +420,7 @@ class KnowledgeGraph:
                 raise GraphFormatError(f"unknown section {name!r}")
 
         graph = cls(config)
-        nodes, edges = graph.nodes, graph._jobseeker_skill
+        nodes = graph.nodes
         for name in ("skills", "jobseekers"):
             if type(doc.get(name, [])) is not list:
                 raise GraphFormatError(f"{name}: not a list")
@@ -472,6 +456,8 @@ class KnowledgeGraph:
             if (node := NodeId(_JOBSEEKER, jobseeker)) in nodes:
                 raise GraphFormatError(f"jobseekers[{i}]: duplicate jobseeker {jobseeker!r}")
             nodes[node] = {"name": name}
+            edges = graph._jobseeker_skill[jobseeker] = {}
+            graph._projects[jobseeker] = []
             for ordinal, project in enumerate(projects):
                 if type(project) is not list or len(project) != 5:
                     raise bad_project(i, ordinal, "not a [title, organization, months, "
@@ -510,7 +496,7 @@ class KnowledgeGraph:
                 if not isinstance(skill, str) or skill not in known:
                     raise GraphFormatError(f"jobseekers[{i}].declared: unknown skill {skill!r}")
                 edge = WeightedEdge()
-                if edges.setdefault((jobseeker, skill), edge) is not edge:
+                if edges.setdefault(skill, edge) is not edge:
                     raise GraphFormatError(f"jobseekers[{i}].declared: skill {skill!r} "
                                            "is listed twice or mentioned by a project")
         return graph

@@ -566,6 +566,33 @@ def test_parse_resume_long_digit_run_never_raises(lexicon):
     assert any("unrecognized, treated as unknown" in d for d in diagnostics)
 
 
+MESSY_PIECE = (
+    st.sampled_from(sorted(DEFAULT_SECTION_HEADERS)).flatmap(
+        lambda key: st.sampled_from([key, key.upper() + ":"]))
+    | st.sampled_from(["Jan 2020 - Jun 2021", "Mar. 2019 -", "- Apr 2019", "2019 to", "2021",
+                       "18 months", "1 yr 6 mos", "Sep 2019 – ſep 2018", "99999 years",
+                       "(2019 - 2021)", "0 months"])
+    | st.sampled_from(["•", "-", "*", "–", "\ufeff", "\r\n", "\r", "\n\n", "\t", "Ltd.",
+                       "java", "c++", "apache spark"])
+    | st.text(max_size=8)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.tuples(MESSY_PIECE, st.sampled_from(["\n", "\r\n", "\r", " ", ""])),
+                     max_size=16))
+def test_parse_resume_never_raises_on_messy_text(lexicon, parts):
+    """Messy text with any non-whitespace character parses to a record."""
+    text = "".join(piece + sep for piece, sep in parts)
+    if not text.strip():
+        with pytest.raises(ResumeParseError):
+            parse_resume(text, lexicon, 0)
+        return
+    record, diagnostics = parse_resume(text, lexicon, 0)
+    assert isinstance(record, ResumeRecord) and all(isinstance(d, str) for d in diagnostics)
+    assert all(0 <= e.duration_months <= MAX_DURATION_MONTHS for e in record.experiences)
+
+
 def test_parse_resume_name_low_confidence_flagged(lexicon):
     _, diagnostics = parse_resume("Omar Hassan\nJust prose.", lexicon, 0)
     assert any("low confidence" in d for d in diagnostics)
