@@ -47,6 +47,15 @@ def check_document(doc: object, error_cls: type[Exception], where: str = "",
     return doc
 
 
+def check_keys(obj: dict, known: set[str] | frozenset[str], error_cls: type[Exception],
+               where: str = "", what: str = "field") -> None:
+    """Raise ``error_cls``, located at ``where``, naming the first key of ``obj``
+    in its own order that is not in ``known``: no loader drops what it does not read."""
+    if not obj.keys() <= known:
+        name = next(key for key in obj if key not in known)
+        raise error_cls(f"{where}unknown {what} {name!r}")
+
+
 def read_document(path: str | Path, kind: str, error_cls: type[Exception],
                   version: int = SCHEMA_VERSION, remedy: str = "") -> dict:
     """Read and check one document, raising ``error_cls`` located at the file."""

@@ -19,10 +19,10 @@ Gold fixture document::
       "queries": [{"query": "top c++ candidates", "relevant": ["<id>", ...]}]
     }
 
-``load_gold`` rejects any other top-level key, and returns a dict of the same
-three keys, each always present: ``skills`` maps a jobseeker id to a set,
-``sentiment`` a project key to its label, and ``queries`` is a list of
-(query text, set of relevant ids) pairs.
+``load_gold`` rejects any other top-level key or query key, and returns a
+dict of the same three keys, each always present: ``skills`` maps a jobseeker
+id to a set, ``sentiment`` a project key to its label, and ``queries`` is a
+list of (query text, set of relevant ids) pairs.
 ``evaluate_graph`` rejects ids the graph lacks and locates every fault, at
 ``skills``, at ``sentiment.<key>`` or, for the i-th query, at ``queries[i]``.
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from ._io import read_document
+from ._io import check_keys, read_document
 from .errors import FixtureError, NodeNotFoundError, QueryError
 from .graph import KnowledgeGraph
 from .lexicon import SkillLexicon
@@ -138,9 +138,7 @@ def load_gold(path: str | Path) -> dict:
     """Load and validate a gold fixture document (see the module docstring)."""
     doc = read_document(path, "gold", FixtureError)
     gold: dict = {"skills": {}, "sentiment": {}, "queries": []}
-    for name in doc:
-        if name not in gold and name != "schema_version":
-            raise FixtureError(f"unknown section {name!r}")
+    check_keys(doc, {"schema_version", *gold}, FixtureError, what="section")
     skills = doc.get("skills", {})
     if not isinstance(skills, dict):
         raise FixtureError("'skills' must be an object")
@@ -161,11 +159,10 @@ def load_gold(path: str | Path) -> dict:
     if not isinstance(queries, list):
         raise FixtureError("'queries' must be a list")
     for i, item in enumerate(queries):
-        if (
-            not isinstance(item, dict)
-            or not isinstance(item.get("query"), str)
-            or not isinstance(item.get("relevant"), list)
-        ):
+        if isinstance(item, dict):
+            check_keys(item, {"query", "relevant"}, FixtureError, f"queries[{i}]: ")
+        if not (isinstance(item, dict) and isinstance(item.get("query"), str)
+                and isinstance(item.get("relevant"), list)):
             raise FixtureError(f"queries[{i}]: expected {{query, relevant}}")
         if any(not isinstance(r, str) for r in item["relevant"]):
             raise FixtureError(f"queries[{i}].relevant: expected a list of strings")

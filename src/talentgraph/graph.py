@@ -48,7 +48,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from ._io import check_document, read_document, write_document
+from ._io import check_document, check_keys, read_document, write_document
 from .errors import (DuplicateJobseekerError, GraphConfigError, GraphFormatError,
                      NodeNotFoundError)
 from .lexicon import SentimentGazetteer, SkillLexicon
@@ -328,9 +328,9 @@ class KnowledgeGraph:
         return sentiment + bonus
 
     def supporting_projects(self, jobseeker_id: str, skill: str) -> list[str]:
-        """Project keys of this jobseeker whose details mention the skill."""
-        return sorted(pkey for pkey, _, _, _, _, skills in self._projects.get(jobseeker_id, ())
-                      if skill in skills)
+        """Keys of this jobseeker's projects whose details mention the skill, by ordinal."""
+        return [pkey for pkey, _, _, _, _, skills in self._projects.get(jobseeker_id, ())
+                if skill in skills]
 
     def project_score(self, pkey: str) -> float:
         """The description score recorded on the project's skill edges (0 if none)."""
@@ -405,9 +405,7 @@ class KnowledgeGraph:
         if not isinstance(config_doc, dict):
             raise GraphFormatError("missing 'config' object")
         try:
-            for name in config_doc:
-                if name not in _CONFIG_FIELDS:
-                    raise GraphConfigError(f"unknown field {name!r}")
+            check_keys(config_doc, _CONFIG_FIELDS, GraphConfigError)
             version = config_doc.get("tool_version", "")
             if not isinstance(version, str):
                 raise GraphConfigError(f"tool_version {version!r} is not a string")
@@ -415,9 +413,7 @@ class KnowledgeGraph:
                                    config_doc["duration_cap_months"])
         except (KeyError, GraphConfigError) as exc:
             raise GraphFormatError(f"bad config: {exc}") from exc
-        for name in doc:
-            if name not in _TOP_LEVEL:
-                raise GraphFormatError(f"unknown section {name!r}")
+        check_keys(doc, _TOP_LEVEL, GraphFormatError, what="section")
 
         graph = cls(config)
         nodes = graph.nodes

@@ -25,7 +25,8 @@ holding its projects; the reserved "_name" and "_declared_skills" siblings
 carry what the org nesting cannot. Duration strings are preserved raw and
 re-parsed to months on load (deterministically). The optional "seq" field
 records each experience's position in the original record so grouping by
-organization stays order-lossless.
+organization stays order-lossless. Loading rejects, located, any key it
+does not read: a top-level key, an underscore key or a project key.
 
 Jobseekers are keyed, not ordered: loading returns records sorted by
 jobseeker id, which is the corpus order for parser-assigned ids.
@@ -35,12 +36,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from ._io import SCHEMA_VERSION, check_document, read_document, write_document
+from ._io import SCHEMA_VERSION, check_document, check_keys, read_document, write_document
 from .errors import DocumentFormatError, DuplicateJobseekerError
 from .parser import ExperienceEntry, ResumeRecord, parse_duration
 
 _RESERVED_NAME = "_name"
 _RESERVED_SKILLS = "_declared_skills"
+_PROJECT_FIELDS = frozenset({"title", "duration", "details", "seq"})
 
 
 def emit_intermediate(records: Iterable[ResumeRecord]) -> dict:
@@ -80,6 +82,7 @@ def _require_str(value: object, path: str) -> str:
 def load_intermediate(doc: dict) -> list[ResumeRecord]:
     """Inverse of emit_intermediate, modulo duration re-parsing."""
     check_document(doc, DocumentFormatError)
+    check_keys(doc, {"schema_version", "jobseekers"}, DocumentFormatError, what="section")
     jobseekers = doc.get("jobseekers")
     if not isinstance(jobseekers, dict):
         raise DocumentFormatError("missing 'jobseekers' object")
@@ -114,6 +117,7 @@ def load_intermediate(doc: dict) -> list[ResumeRecord]:
                 ppath = f"{path}.{org}.{pkey}"
                 if not isinstance(payload, dict):
                     raise DocumentFormatError(f"{ppath}: expected an object")
+                check_keys(payload, _PROJECT_FIELDS, DocumentFormatError, f"{ppath}: ")
                 for required in ("title", "duration", "details"):
                     if required not in payload:
                         raise DocumentFormatError(f"{ppath}.{required}: missing")

@@ -25,13 +25,13 @@ Gazetteer document::
     }
 
 All strings are lowercase-folded and whitespace-trimmed at load time; lookups
-fold the same way, so matching is case-insensitive throughout. A keyword
-weighs the same whatever skill a description mentions: an entry with a
-"skill" field is rejected, never dropped.
+fold the same way, so matching is case-insensitive throughout. A key the
+loaders do not read, such as a misspelled "aliases" or a skill-scoped
+gazetteer entry's "skill", is rejected, never dropped.
 
 A loaded lexicon is two dicts, alias -> canonical and canonical -> category,
 and a gazetteer two more, keyword -> weight and keyword -> class; the
-loaders fill them in one pass over the records and check them as they go.
+loaders fill them in one pass, raising the first fault in record order.
 A lexicon's phrase index, the form free-text skill matching uses, is derived
 from its aliases on first use and cached. This relies on the lexicon being
 immutable; a concurrent first use builds equal values.
@@ -42,7 +42,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from ._io import SCHEMA_VERSION, dumps, read_document
+from ._io import SCHEMA_VERSION, check_keys, dumps, read_document
 from .errors import (
     AliasConflictError,
     GazetteerFormatError,
@@ -123,18 +123,21 @@ class SentimentGazetteer:
         return len(self.weights)
 
 
-def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
-    """Build a lexicon from decoded records, enforcing all invariants.
+_SKILL_FIELDS = frozenset({"canonical", "category", "aliases"})
+_ENTRY_FIELDS = frozenset({"keyword", "class", "weight"})
 
-    A record's shape fault raises at once. The first repeated canonical or alias
-    conflict is held until the pass ends, so a later shape fault is reported first.
-    """
+
+def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
+    """Build a lexicon from decoded records, raising the first fault in record
+    order: a record's unknown field, then its shape, then a repeated canonical
+    or an alias another skill owns."""
     index: dict[str, str] = {}
     categories: dict[str, str] = {}
-    fault = None
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise LexiconFormatError(f"skills[{i}]: record must be an object")
+        if not rec.keys() <= _SKILL_FIELDS:  # the test alone, sparing a valid record its locator
+            check_keys(rec, _SKILL_FIELDS, LexiconFormatError, f"skills[{i}]: ")
         canonical = rec.get("canonical")
         category = rec.get("category")
         if not isinstance(canonical, str) or not canonical.strip():
@@ -144,13 +147,10 @@ def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
         raw_aliases = rec.get("aliases", [])
         if not isinstance(raw_aliases, list) or not all(map(str.__instancecheck__, raw_aliases)):
             raise LexiconFormatError(f"skills[{i}]: 'aliases' must be a list of strings")
-        if fault is not None:
-            continue
         # ``_fold`` written out, here and below, sparing a function call per string.
         canonical = " ".join(canonical.lower().split())
         if canonical in categories:
-            fault = LexiconFormatError(f"skills[{i}]: duplicate canonical {canonical!r}")
-            continue
+            raise LexiconFormatError(f"skills[{i}]: duplicate canonical {canonical!r}")
         categories[canonical] = " ".join(category.lower().split())
         taken = index.setdefault(canonical, canonical) != canonical  # its own alias
         for alias in raw_aliases:
@@ -160,15 +160,14 @@ def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
         if taken:  # name the sorted-first alias another skill owns, whatever the order
             aliases = {canonical, *(" ".join(a.lower().split()) for a in raw_aliases)}
             alias = min(a for a in aliases if index.get(a, canonical) != canonical)
-            fault = AliasConflictError(alias, index[alias], canonical)
-    if fault is not None:
-        raise fault
+            raise AliasConflictError(alias, index[alias], canonical)
     return SkillLexicon(index, categories)
 
 
 def load_skill_lexicon(source: str | Path) -> SkillLexicon:
     """Load the skills dictionary from a JSON document."""
     doc = read_document(source, "lexicon", LexiconFormatError)
+    check_keys(doc, {"schema_version", "skills"}, LexiconFormatError, f"{source}: ", "section")
     records = doc.get("skills")
     if not isinstance(records, list):
         raise LexiconFormatError(f"{source}: missing 'skills' array")
@@ -194,20 +193,18 @@ def normalize_skill(token_or_phrase: str, lexicon: SkillLexicon) -> str | None:
 
 
 def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
-    """Build a gazetteer from decoded records, enforcing all invariants.
-
-    A record's shape fault raises at once. The first fault in a weight's range or
-    a keyword (not one token, a stop word, a repeat) is held until the pass ends,
-    so a later shape fault is reported first.
-    """
+    """Build a gazetteer from decoded records, raising the first fault in record
+    order: a record's unknown field, then its shape, then its weight's range,
+    then its keyword (not one token, a stop word, a repeat)."""
     weights: dict[str, float] = {}
     classes: dict[str, str] = {}
-    fault = None
     # A folded keyword is one token when the tokenizer's pattern matches all of it.
     single_token = token_pattern(DEFAULT_KEEP_CHARS).fullmatch
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise GazetteerFormatError(f"entries[{i}]: record must be an object")
+        if not rec.keys() <= _ENTRY_FIELDS:
+            check_keys(rec, _ENTRY_FIELDS, GazetteerFormatError, f"entries[{i}]: ")
         keyword = rec.get("keyword")
         kw_class = rec.get("class")
         weight = rec.get("weight")
@@ -218,34 +215,26 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
         # type() rather than isinstance(): a bool is an int in Python but not in JSON.
         if type(weight) is not float and type(weight) is not int:
             raise GazetteerFormatError(f"entries[{i}]: 'weight' must be a number")
-        if "skill" in rec:
-            raise GazetteerFormatError(
-                f"entries[{i}]: 'skill' is not supported: a keyword weighs the same for any skill")
-        if fault is not None:
-            continue
         keyword = _fold(keyword)
         # The number itself: float() of a huge JSON integer overflows.
         if not 0 <= weight <= 1:
-            fault = WeightRangeError(f"entries[{i}]: weight {weight} outside [0, 1]")
-        elif not single_token(keyword):
-            fault = GazetteerFormatError(
-                f"entries[{i}]: keyword {keyword!r} must be a single token")
-        elif keyword in STOP_WORDS:
-            fault = GazetteerFormatError(
+            raise WeightRangeError(f"entries[{i}]: weight {weight} outside [0, 1]")
+        if not single_token(keyword):
+            raise GazetteerFormatError(f"entries[{i}]: keyword {keyword!r} must be a single token")
+        if keyword in STOP_WORDS:
+            raise GazetteerFormatError(
                 f"entries[{i}]: keyword {keyword!r} is a stop word, which scoring drops")
-        elif keyword in weights:
-            fault = GazetteerFormatError(f"entries[{i}]: duplicate keyword {keyword!r}")
-        else:
-            weights[keyword] = float(weight)
-            classes[keyword] = _fold(kw_class)
-    if fault is not None:
-        raise fault
+        if keyword in weights:
+            raise GazetteerFormatError(f"entries[{i}]: duplicate keyword {keyword!r}")
+        weights[keyword] = float(weight)
+        classes[keyword] = _fold(kw_class)
     return SentimentGazetteer(weights, classes)
 
 
 def load_sentiment_gazetteer(source: str | Path) -> SentimentGazetteer:
     """Load the skill-sentiment gazetteer from a JSON document."""
     doc = read_document(source, "gazetteer", GazetteerFormatError)
+    check_keys(doc, {"schema_version", "entries"}, GazetteerFormatError, f"{source}: ", "section")
     records = doc.get("entries")
     if not isinstance(records, list):
         raise GazetteerFormatError(f"{source}: missing 'entries' array")

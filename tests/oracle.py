@@ -257,12 +257,16 @@ class OracleGraph:
     # -- lookups by node, each a full rescan of the edge dict ------------------
 
     def supporting_projects(self, jobseeker_id, skill):
+        """In ordinal order: the number after the key's last ":p"."""
         return sorted(
-            target
-            for kind, source, target in self.edges
-            if kind == "jobseeker_project"
-            and source == jobseeker_id
-            and ("skill_project", skill, target) in self.edges
+            (
+                target
+                for kind, source, target in self.edges
+                if kind == "jobseeker_project"
+                and source == jobseeker_id
+                and ("skill_project", skill, target) in self.edges
+            ),
+            key=lambda pkey: int(pkey.rsplit(":p", 1)[1]),
         )
 
     def project_score(self, pkey):
@@ -325,15 +329,23 @@ def naive_dumps(doc):
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def naive_unknown_field(rec, fields):
+    """The first key of the record, in its own order, that is not one of ``fields``."""
+    unknown = [key for key in rec if key not in fields]
+    return f"unknown field {unknown[0]!r}" if unknown else None
+
+
 def naive_load_lexicon(records):
     """(alias -> canonical, canonical -> category, dumped document), or the
-    first fault as (error class name, message). Two passes, as README orders
-    the checks: every record's shape, then repeats and alias conflicts."""
-    skills = []
+    first fault as (error class name, message). One pass, as README orders
+    the checks: each record's fields, its shape, then a repeat or a conflict."""
+    index, categories = {}, {}
     for i, rec in enumerate(records):
         where = f"skills[{i}]: "
         if not isinstance(rec, dict):
             return "LexiconFormatError", where + "record must be an object"
+        if unknown := naive_unknown_field(rec, ("canonical", "category", "aliases")):
+            return "LexiconFormatError", where + unknown
         for field in ("canonical", "category"):
             if not isinstance(rec.get(field), str) or not rec[field].strip():
                 return "LexiconFormatError", where + f"'{field}' must be a non-empty string"
@@ -341,17 +353,14 @@ def naive_load_lexicon(records):
         if not isinstance(aliases, list) or any(not isinstance(a, str) for a in aliases):
             return "LexiconFormatError", where + "'aliases' must be a list of strings"
         canonical = naive_fold(rec["canonical"])
-        folded = {naive_fold(a) for a in aliases if naive_fold(a)} | {canonical}
-        skills.append((canonical, naive_fold(rec["category"]), folded))
-    index, categories = {}, {}
-    for i, (canonical, category, aliases) in enumerate(skills):
+        aliases = {naive_fold(a) for a in aliases if naive_fold(a)} | {canonical}
         if canonical in categories:
-            return "LexiconFormatError", f"skills[{i}]: duplicate canonical {canonical!r}"
+            return "LexiconFormatError", where + f"duplicate canonical {canonical!r}"
         taken = sorted(a for a in aliases if a in index)  # owned by an earlier skill
         if taken:
             return ("AliasConflictError",
                     f"alias {taken[0]!r} maps to both {index[taken[0]]!r} and {canonical!r}")
-        categories[canonical] = category
+        categories[canonical] = naive_fold(rec["category"])
         for alias in aliases:
             index[alias] = canonical
     skills = [{"canonical": c, "category": categories[c],
@@ -361,26 +370,22 @@ def naive_load_lexicon(records):
 
 def naive_load_gazetteer(records):
     """(keyword -> weight, keyword -> class, dumped document), or the first
-    fault as (error class name, message). Two passes, as README orders the
-    checks: every record's shape, then each weight's range and keyword."""
-    entries = []
+    fault as (error class name, message). One pass, as README orders the
+    checks: each record's fields, its shape, its weight's range, its keyword."""
+    weights, classes = {}, {}
     for i, rec in enumerate(records):
         where = f"entries[{i}]: "
         if not isinstance(rec, dict):
             return "GazetteerFormatError", where + "record must be an object"
+        if unknown := naive_unknown_field(rec, ("keyword", "class", "weight")):
+            return "GazetteerFormatError", where + unknown
         for field in ("keyword", "class"):
             if not isinstance(rec.get(field), str) or not rec[field].strip():
                 return "GazetteerFormatError", where + f"'{field}' must be a non-empty string"
         weight = rec.get("weight")
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             return "GazetteerFormatError", where + "'weight' must be a number"
-        if "skill" in rec:
-            return ("GazetteerFormatError",
-                    where + "'skill' is not supported: a keyword weighs the same for any skill")
-        entries.append((naive_fold(rec["keyword"]), naive_fold(rec["class"]), weight))
-    weights, classes = {}, {}
-    for i, (keyword, keyword_class, weight) in enumerate(entries):
-        where = f"entries[{i}]: "
+        keyword = naive_fold(rec["keyword"])
         if not 0 <= weight <= 1:
             return "WeightRangeError", where + f"weight {weight} outside [0, 1]"
         if naive_tokens(keyword, stop_words=frozenset()) != [keyword]:
@@ -390,7 +395,7 @@ def naive_load_gazetteer(records):
                     where + f"keyword {keyword!r} is a stop word, which scoring drops")
         if keyword in weights:
             return "GazetteerFormatError", where + f"duplicate keyword {keyword!r}"
-        weights[keyword], classes[keyword] = float(weight), keyword_class
+        weights[keyword], classes[keyword] = float(weight), naive_fold(rec["class"])
     entries = [{"keyword": k, "class": classes[k], "weight": weights[k]} for k in sorted(weights)]
     return weights, classes, naive_dumps({"schema_version": 1, "entries": entries})
 

@@ -3,8 +3,8 @@
 directly, so a change to the graph's layout breaks the benchmark before it
 breaks any other test; the cli workload also checks the dot line counts,
 eval, stats and rankings after each cold load, and the rank workload checks
-explains, which read the jobseeker-project and skill-project edges. These
-tests change nothing under bench/."""
+explains, which read the jobseeker's own project rows. These tests change
+nothing under bench/."""
 from __future__ import annotations
 
 import json

@@ -149,6 +149,24 @@ def test_jobseeker_id_holding_a_project_suffix(tmp_path, capsys):
             oracle.supporting_projects(jobseeker_id, skill) for skill in skills]
 
 
+def test_explain_lists_projects_in_ordinal_order(tmp_path, capsys):
+    """A jobseeker with 12 projects: ``a:p2`` comes before ``a:p10``, as the
+    projects' ordinals order them, not as their keys sort."""
+    details = ["robust java", "java and sql", "the sql"] * 4
+    records = [ResumeRecord("a", "a", set(),
+                            [ExperienceEntry("acme", "untitled", 6, text, "") for text in details])]
+    oracle = OracleGraph(records, LEXICON, GAZETTEER, KnowledgeGraph().config)
+    path = tmp_path / "graph.json"
+    build_graph(records, LEXICON, GAZETTEER).save(path)
+    assert oracle.supporting_projects("a", "java") == [
+        project_key("a", n) for n in (0, 1, 3, 4, 6, 7, 9, 10)]
+    skills = ["java", "sql"]
+    assert main(["explain", str(path), "a", ", ".join(skills), "--json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["explanation"]["terms"]
+    assert [term["projects"] for term in terms] == [
+        oracle.supporting_projects("a", skill) for skill in skills]
+
+
 def assert_edges_match_oracle(graph: KnowledgeGraph, oracle: OracleGraph) -> None:
     got = {(kind.value, source, target): edge
            for (kind, source, target), edge in graph.edges.items()}

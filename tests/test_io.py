@@ -1,6 +1,7 @@
 """The versioned JSON document format: version policy and round trips."""
 from __future__ import annotations
 
+import copy
 import json
 import json.encoder
 import math
@@ -49,23 +50,24 @@ LOADERS = {
 GRAPH_LOADERS = ["graph-from-dict", "graph-load"]
 
 
+def load_as(name, doc, path):
+    """Load ``doc`` with the named loader, through the file at ``path`` if it reads one."""
+    loader, _, _, from_file, _ = LOADERS[name]
+    if not from_file:
+        return loader(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return loader(path)
+
+
 def check_versions(tmp_path, name, version):
     """Load the loader's smallest document at its own version, then expect
     ``version`` to be rejected with a message located at the file; return
     that message."""
-    loader, error_cls, doc, from_file, accepted = LOADERS[name]
+    _, error_cls, doc, from_file, accepted = LOADERS[name]
     path = tmp_path / "doc.json"
-
-    def load(schema_version):
-        versioned = {**doc, "schema_version": schema_version}
-        if not from_file:
-            return loader(versioned)
-        path.write_text(json.dumps(versioned), encoding="utf-8")
-        return loader(path)
-
-    load(accepted)
+    load_as(name, {**doc, "schema_version": accepted}, path)
     with pytest.raises(error_cls, match="schema_version") as err:
-        load(version)
+        load_as(name, {**doc, "schema_version": version}, path)
     if from_file:
         assert str(path) in str(err.value)
     return str(err.value)
@@ -113,6 +115,56 @@ def test_file_loaders_reject_integer_too_long_to_read(tmp_path, name):
     path.write_text(text.replace('"big": 0', '"big": ' + "9" * 5000), encoding="utf-8")
     with pytest.raises(error_cls, match="not valid JSON"):
         loader(path)
+
+
+PROJECT = {"title": "t", "duration": "", "details": "", "seq": 0}
+# (loader, a valid document, the path to a key added where the loader reads keys
+# by name, the message that key raises)
+STRAY_KEYS = {
+    "lexicon-section": ("lexicon", {"skills": []}, ("stray",),
+                        "{path}: unknown section 'stray'"),
+    "lexicon-record": ("lexicon", {"skills": [{"canonical": "java", "category": "x"}]},
+                       ("skills", 0, "stray"), "skills[0]: unknown field 'stray'"),
+    "gazetteer-section": ("gazetteer", {"entries": []}, ("stray",),
+                          "{path}: unknown section 'stray'"),
+    "gazetteer-record": ("gazetteer", {"entries": [{"keyword": "fast", "class": "x",
+                                                    "weight": 0.5}]},
+                         ("entries", 0, "stray"), "entries[0]: unknown field 'stray'"),
+    "graph-section": ("graph-load", GRAPH_DOC, ("stray",), "unknown section 'stray'"),
+    "graph-config": ("graph-load", GRAPH_DOC, ("config", "stray"),
+                     "bad config: unknown field 'stray'"),
+    "intermediate-section": ("read-intermediate", {"jobseekers": {}}, ("stray",),
+                             "unknown section 'stray'"),
+    "intermediate-reserved": ("read-intermediate", {"jobseekers": {"js1": {"_name": "a"}}},
+                              ("jobseekers", "js1", "_stray"),
+                              "jobseekers.js1._stray: unknown reserved key"),
+    "intermediate-project": ("read-intermediate",
+                             {"jobseekers": {"js1": {"acme": {"project1": PROJECT}}}},
+                             ("jobseekers", "js1", "acme", "project1", "stray"),
+                             "jobseekers.js1.acme.project1: unknown field 'stray'"),
+    "gold-section": ("gold", {}, ("stray",), "unknown section 'stray'"),
+    "gold-query": ("gold", {"queries": [{"query": "java", "relevant": []}]},
+                   ("queries", 0, "stray"), "queries[0]: unknown field 'stray'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_KEYS))
+def test_loaders_reject_a_key_they_do_not_read(tmp_path, case):
+    """Every object a loader reads by key name refuses, located, a key it
+    would otherwise drop; the same document without it loads."""
+    name, doc, where, message = STRAY_KEYS[case]
+    _, error_cls, _, _, version = LOADERS[name]
+    path = tmp_path / "doc.json"
+    doc = {**copy.deepcopy(doc), "schema_version": version}
+    load_as(name, doc, path)
+    *steps, key = where
+    target = doc
+    for step in steps:
+        target = target[step]
+    target[key] = 1
+    with pytest.raises(error_cls) as err:
+        load_as(name, doc, path)
+    assert str(err.value) == message.format(path=path)
 
 
 WORDS = ["java", "python", "c++", "scalability", "robust", "built", "tools", "the"]

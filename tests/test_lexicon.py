@@ -140,7 +140,7 @@ def test_lexicon_record_faults_are_located(records, message):
 
 
 # Every keyword weighs the same for any skill: a scope is refused, never dropped.
-SKILL_FIELD = "entries[0]: 'skill' is not supported: a keyword weighs the same for any skill"
+SKILL_FIELD = "entries[0]: unknown field 'skill'"
 
 
 @pytest.mark.parametrize("record, message", [
@@ -157,6 +157,15 @@ def test_gazetteer_record_faults_are_located(record, message):
     with pytest.raises(GazetteerFormatError) as err:
         parse_sentiment_records([record])
     assert str(err.value) == message
+
+
+def test_misspelled_aliases_field_is_rejected_at_its_record():
+    """A misspelled field is refused, never dropped: loading this record
+    without its aliases would leave "cpp" an unknown skill."""
+    java = {"canonical": "java", "category": "lang", "aliases": ["jdk"]}
+    typo = {"canonical": "c++", "category": "lang", "alias": ["cpp"]}
+    with pytest.raises(LexiconFormatError, match=r"^skills\[1\]: unknown field 'alias'$"):
+        parse_skill_records([java, typo])
 
 
 def test_gazetteer_without_entries_array_is_error(tmp_path):
@@ -250,15 +259,16 @@ def test_parse_sentiment_records_rejects_weights_that_are_not_numbers(weight):
                                  {"keyword": "fast", "class": "x", "weight": weight}])
 
 
-def test_parse_sentiment_records_reports_a_later_shape_fault_before_an_earlier_range_fault():
-    """``parse_sentiment_records`` raises a record's shape fault at once but holds
-    a range fault until the pass ends, so a later record's non-number weight is
-    reported before an earlier record's out-of-range weight; and a record's
-    weight is checked before its skill."""
+def test_parse_sentiment_records_reports_an_earlier_range_fault_before_a_later_shape_fault():
+    """``parse_sentiment_records`` raises each fault where it finds it, so an
+    earlier record's out-of-range weight is reported before a later record's
+    non-number weight; and a record's fields are checked before its weight."""
     out_of_range = {"keyword": "robust", "class": "x", "weight": 2.0}
     not_a_number = {"keyword": "fast", "class": "x", "weight": "0.5", "skill": 7}
-    with pytest.raises(GazetteerFormatError, match=r"^entries\[1\]: 'weight' must be a number$"):
+    with pytest.raises(WeightRangeError, match=r"^entries\[0\]: weight 2.0 outside \[0, 1\]$"):
         parse_sentiment_records([out_of_range, not_a_number])
+    with pytest.raises(GazetteerFormatError, match=r"^entries\[0\]: unknown field 'skill'$"):
+        parse_sentiment_records([not_a_number, out_of_range])
 
 
 def test_lookup_scoped_entry_does_not_leak(tmp_path):
@@ -268,13 +278,13 @@ def test_lookup_scoped_entry_does_not_leak(tmp_path):
     scoped = {**scalability, "weight": 0.95, "skill": "c++"}
     for records in ([scalability, scoped], [scoped, scalability]):
         index = records.index(scoped)
-        message = rf"^entries\[{index}\]: 'skill' is not supported: "
+        message = rf"^entries\[{index}\]: unknown field 'skill'$"
         with pytest.raises(GazetteerFormatError, match=message):
             parse_sentiment_records(records)
     path = tmp_path / "gaz.json"
     path.write_text(json.dumps({"schema_version": 1, "entries": [scalability, scoped]}),
                     encoding="utf-8")
-    with pytest.raises(GazetteerFormatError, match=r"^entries\[1\]: 'skill' is not supported"):
+    with pytest.raises(GazetteerFormatError, match=r"^entries\[1\]: unknown field 'skill'$"):
         load_sentiment_gazetteer(path)
 
 
@@ -425,6 +435,7 @@ LEXICON_FAULTS = [
     {"canonical": "java"}, {"canonical": "java", "category": " "},
     {"canonical": "java", "category": "x", "aliases": "java"},
     {"canonical": "java", "category": "x", "aliases": ["jdk", 1]},
+    {"canonical": "java", "category": "x", "alias": ["jdk"]},
 ]
 # Canonicals and aliases that fold alike, repeat and claim each other's names.
 LEXICON_RECORD = st.fixed_dictionaries(
@@ -441,6 +452,7 @@ GAZETTEER_FAULTS = [
     {"keyword": "fast", "class": "x", "weight": True},
     {"keyword": "fast", "class": "x", "weight": "0.5"},
     {"keyword": "fast", "class": "x", "weight": 0.5, "skill": "java"},
+    {"keyword": "fast", "klass": "x", "weight": 0.5},
 ]
 # Keywords that repeat once folded, are not one token or are stop words, and
 # weights outside [0, 1] (a 401-digit integer among them).
