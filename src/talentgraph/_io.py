@@ -2,12 +2,13 @@
 reads or writes: lexicon, gazetteer, graph, intermediate document, gold
 labels and the CLI's JSON output.
 
-A document is a UTF-8 JSON object. Its "schema_version", when present, must
-be 4 for a graph file and 1 for any other document; a missing field reads
-as 1. Every document is written in one canonical layout: top-level keys
-sorted, one per line; each element of a non-empty top-level list or object
-on its own line, encoded by the C encoder (sorted keys, no indent, non-ASCII
-escaped); one trailing newline. Identical content gives identical bytes.
+A document is a UTF-8 JSON object, and no object in it repeats a key. Its
+"schema_version", when present, must be 4 for a graph file and 1 for any
+other document; a missing field reads as 1. Every document is written in one
+canonical layout: top-level keys sorted, one per line; each element of a
+non-empty top-level list or object on its own line, encoded by the C encoder
+(sorted keys, no indent, non-ASCII escaped); one trailing newline.
+Identical content gives identical bytes.
 """
 from __future__ import annotations
 
@@ -56,6 +57,15 @@ def check_keys(obj: dict, known: set[str] | frozenset[str], error_cls: type[Exce
         raise error_cls(f"{where}unknown {what} {name!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """An object's pairs as a dict; a repeated key, of which json keeps one value, raises."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
 def read_document(path: str | Path, kind: str, error_cls: type[Exception],
                   version: int = SCHEMA_VERSION, remedy: str = "") -> dict:
     """Read and check one document, raising ``error_cls`` located at the file."""
@@ -65,8 +75,8 @@ def read_document(path: str | Path, kind: str, error_cls: type[Exception],
     except (OSError, UnicodeDecodeError) as exc:
         raise error_cls(f"cannot read {kind} file {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
-    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
+        doc = json.loads(raw, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # a JSONDecodeError, a repeated key or an over-long integer
         raise error_cls(f"{path}: not valid JSON ({exc})") from exc
     return check_document(doc, error_cls, f"{path}: ", version, remedy)
 

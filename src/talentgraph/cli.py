@@ -23,7 +23,7 @@ from pathlib import Path
 
 from ._io import SCHEMA_VERSION, write_document, write_text
 from .errors import TalentGraphError
-from .graph import KnowledgeGraph, ScoringConfig
+from .graph import EdgeKind, KnowledgeGraph, ScoringConfig
 from .lexicon import SkillLexicon, load_sentiment_gazetteer, load_skill_lexicon
 
 
@@ -91,7 +91,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         write_intermediate(records, args.intermediate)
     print(
         f"ingested {len(records)} resumes -> {args.out} "
-        f"({len(graph.nodes)} nodes, {len(graph.edges)} edges, "
+        f"({len(graph.nodes)} nodes, {sum(map(graph.edge_count, EdgeKind))} edges, "
         f"{diagnostics} diagnostics)"
     )
     return 0

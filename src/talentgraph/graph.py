@@ -28,10 +28,11 @@ Construction per resume:
 Reads never write. Lookups for one jobseeker (``jobseeker_skills``,
 ``supporting_projects``, ``project_score``) read that jobseeker's own
 entries. The other four kinds (jobseeker-project, project-org, skill-project
-and org-skill) are built from the project rows by each read of the whole
-graph (``edges``, ``edges_of_kind``, ``to_dot``, and ``edge_count`` and
-``get_edge`` of one of those kinds), and never kept, so each of their edge
-objects is a fresh copy. After construction the graph is immutable by
+and org-skill) are built from the project rows by each read of their edge
+objects (``edges``, and ``edges_of_kind`` and ``get_edge`` of one of those
+kinds), and never kept, so each of their edge objects is a fresh copy;
+``edge_count`` and ``to_dot`` count and render them from the rows and build
+none. After construction the graph is immutable by
 convention and so safe for concurrent reads.
 Parallel ingestion builds shard graphs and merges them.
 
@@ -84,14 +85,6 @@ class EdgeKind(str, Enum):
 _JOBSEEKER, _SKILL, _ORGANIZATION, _PROJECT = NodeKind
 _JOBSEEKER_SKILL, _SKILL_PROJECT, _ORG_SKILL, _JOBSEEKER_PROJECT, _PROJECT_ORG = EdgeKind
 
-EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
-    EdgeKind.JOBSEEKER_SKILL: (NodeKind.JOBSEEKER, NodeKind.SKILL),
-    EdgeKind.SKILL_PROJECT: (NodeKind.SKILL, NodeKind.PROJECT),
-    EdgeKind.ORG_SKILL: (NodeKind.ORGANIZATION, NodeKind.SKILL),
-    EdgeKind.JOBSEEKER_PROJECT: (NodeKind.JOBSEEKER, NodeKind.PROJECT),
-    EdgeKind.PROJECT_ORG: (NodeKind.PROJECT, NodeKind.ORGANIZATION),
-}
-
 _TOP_LEVEL = {"schema_version", "config", "skills", "jobseekers"}
 _CONFIG_FIELDS = {"duration_bonus_factor", "duration_cap_months", "tool_version"}
 
@@ -116,6 +109,13 @@ class WeightedEdge:
 
     def mean_weight(self) -> float:
         return self.weight_units * _UNIT / self.support_count if self.support_count else 0.0
+
+
+class _WeightTexts(dict):
+    """Each mean weight's ``.3f`` text, formatted once: many edges share a weight."""
+    def __missing__(self, mean: float) -> str:
+        text = self[mean] = f"{mean:.3f}"
+        return text
 
 
 @dataclass(frozen=True)
@@ -256,9 +256,17 @@ class KnowledgeGraph:
         return MappingProxyType(edges)
 
     def edge_count(self, kind: EdgeKind) -> int:
+        """The edges of ``kind``, counted from the kept rows: none is built."""
         if kind == _JOBSEEKER_SKILL:  # ==: a kind's plain value is accepted too
             return sum(map(len, self._jobseeker_skill.values()))
-        return len(self._derived()[kind])
+        if kind == _SKILL_PROJECT:
+            return sum(len(row[5]) for rows in self._projects.values() for row in rows)
+        if kind == _ORG_SKILL:
+            return len({(row[2], skill) for rows in self._projects.values()
+                        for row in rows for skill in row[5]})
+        if kind == _JOBSEEKER_PROJECT or kind == _PROJECT_ORG:  # one per project row
+            return sum(map(len, self._projects.values()))
+        raise KeyError(kind)
 
     def get_edge(self, kind: EdgeKind, source: str, target: str) -> WeightedEdge | None:
         # A direct read, tested by identity first: queries make it per jobseeker and term.
@@ -271,32 +279,16 @@ class KnowledgeGraph:
         no such jobseeker."""
         return MappingProxyType(self._jobseeker_skill.get(jobseeker_id, _NO_EDGES))
 
-    def _kind_rows(self, kind: EdgeKind, derived: Mapping[EdgeKind, dict]) -> list[tuple]:
-        """(source, target, edge) rows of ``kind``, sorted; ``derived`` is ``_derived()``
-        unless ``kind`` is jobseeker-skill."""
-        if kind == _JOBSEEKER_SKILL:  # walked in order: sorting a flat copy is slower
-            return [(jobseeker, skill, edge) for jobseeker in sorted(self._jobseeker_skill)
-                    for skill, edge in sorted(self._jobseeker_skill[jobseeker].items())]
-        rows = [(source, target, edge) for (source, target), edge in derived[kind].items()]
-        rows.sort()  # keys are unique within a kind, so no sort compares edges
-        return rows
-
-    def _sorted_rows(self) -> tuple[dict[NodeKind, list[tuple]], dict[EdgeKind, list[tuple]]]:
-        """(key, attrs) rows per node kind and (source, target, edge) rows per
-        edge kind: kinds by value (a str enum member sorts by it), then rows sorted."""
-        nodes: dict[NodeKind, list[tuple]] = {kind: [] for kind in sorted(NodeKind)}
-        for node, attrs in self.nodes.items():
-            nodes[node.kind].append((node.key, attrs))
-        for rows in nodes.values():
-            rows.sort()  # keys are unique within a kind, so no sort compares attrs
-        derived = self._derived()
-        return nodes, {kind: self._kind_rows(kind, derived) for kind in sorted(EdgeKind)}
-
     def edges_of_kind(self, kind: EdgeKind) -> Iterator[tuple[str, str, WeightedEdge]]:
         """(source, target, edge) for every edge of ``kind``, sorted: a read of the
         whole graph, made on each call, so lookups by jobseeker use
         ``jobseeker_skills`` and ``supporting_projects``."""
-        yield from self._kind_rows(kind, {} if kind == _JOBSEEKER_SKILL else self._derived())
+        if kind == _JOBSEEKER_SKILL:  # walked in order: sorting a flat copy is slower
+            yield from [(jobseeker, skill, edge) for jobseeker in sorted(self._jobseeker_skill)
+                        for skill, edge in sorted(self._jobseeker_skill[jobseeker].items())]
+        else:  # keys are unique within a kind, so no sort compares edges
+            yield from sorted((source, target, edge)
+                              for (source, target), edge in self._derived()[kind].items())
 
     def jobseeker_ids(self) -> list[str]:
         return sorted(n.key for n in self.nodes if n.kind is NodeKind.JOBSEEKER)
@@ -506,25 +498,57 @@ class KnowledgeGraph:
         return cls.from_dict(doc)
 
     def to_dot(self) -> str:
-        """Graphviz rendering with mean edge weights, for eyeballing fixtures."""
+        """Graphviz rendering with mean edge weights, for eyeballing fixtures: node
+        kinds, then edge kinds, by value, each kind's rows sorted. The edge lines
+        are rendered from the kept rows, and no edge object is built."""
         def quote(text: str) -> str:
             return text.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph talentgraph {"]
-        nodes, edges = self._sorted_rows()
+        nodes: dict[NodeKind, list[tuple]] = {kind: [] for kind in sorted(NodeKind)}
+        for node, attrs in self.nodes.items():
+            nodes[node.kind].append((node.key, attrs))
         # Each node's quoted dot id, made once and looked up by its edges' lines.
         ids: dict[NodeKind, dict[str, str]] = {kind: {} for kind in NodeKind}
         for kind, rows in nodes.items():
+            rows.sort()  # keys are unique within a kind, so no sort compares attrs
             name, kind_ids = kind.value, ids[kind]
             for key, attrs in rows:
                 dot_id = kind_ids[key] = f'"{name}:{quote(key)}"'
                 label = attrs.get("name") or attrs.get("title") or key
                 lines.append(f'  {dot_id} [label="{quote(label)}", kind="{name}"];')
-        for kind, rows in edges.items():
-            name = kind.value
-            src_ids, dst_ids = (ids[end] for end in EDGE_ENDPOINTS[kind])
-            for source, target, edge in rows:
-                lines.append(f"  {src_ids[source]} -> {dst_ids[target]}"
-                             f' [label="{name} {edge.mean_weight():.3f}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        people, orgs, projects, skills = (ids[kind] for kind in nodes)  # by value
+        texts = _WeightTexts()
+        # The edge kinds by value. Jobseeker-project and project-org edges weigh 0,
+        # and each skill-project edge its project's score.
+        for jobseeker in sorted(self._projects):
+            head = f"  {people[jobseeker]} -> "
+            lines.extend(f'{head}{projects[pkey]} [label="jobseeker_project 0.000"];'
+                         for pkey, *_ in sorted(self._projects[jobseeker]))
+        for jobseeker in sorted(self._jobseeker_skill):
+            head = f"  {people[jobseeker]} -> "
+            lines.extend(f'{head}{skills[skill]} [label="jobseeker_skill '
+                         f'{texts[edge.mean_weight()]}"];'
+                         for skill, edge in sorted(self._jobseeker_skill[jobseeker].items()))
+        project_rows = sorted(row for rows in self._projects.values() for row in rows)
+        by_skill: dict[str, list[str]] = {}  # each skill's line tails, by project key
+        org_skill: dict[str, dict[str, list[int]]] = {}  # org -> skill -> [units, count]
+        for pkey, _, org, _, units, mentioned in project_rows:
+            tail = f' -> {projects[pkey]} [label="skill_project {texts[units * _UNIT]}"];'
+            of_org = org_skill.setdefault(org, {})
+            for skill in mentioned:
+                by_skill.setdefault(skill, []).append(tail)
+                acc = of_org.setdefault(skill, [0, 0])
+                acc[0] += units
+                acc[1] += 1
+        for org in sorted(org_skill):
+            head = f"  {orgs[org]} -> "
+            lines.extend(f'{head}{skills[skill]} [label="org_skill '
+                         f'{texts[units * _UNIT / count]}"];'
+                         for skill, (units, count) in sorted(org_skill[org].items()))
+        lines.extend(f'  {projects[pkey]} -> {orgs[org]} [label="project_org 0.000"];'
+                     for pkey, _, org, _, _, _ in project_rows)
+        for skill in sorted(by_skill):
+            head = f"  {skills[skill]}"
+            lines.extend(head + tail for tail in by_skill[skill])
+        return "\n".join(lines) + "\n}\n"

@@ -551,3 +551,38 @@ def naive_derived_edges(doc):
                     edges[key][1] += 1
                     edges[key][2] += add_months
     return dict(edges)
+
+
+# -- dot rendering ----------------------------------------------------------------
+
+# Redeclared: each edge kind's (source kind, target kind).
+EDGE_ENDS = {
+    "jobseeker_skill": ("jobseeker", "skill"),
+    "skill_project": ("skill", "project"),
+    "org_skill": ("organization", "skill"),
+    "jobseeker_project": ("jobseeker", "project"),
+    "project_org": ("project", "organization"),
+}
+
+
+def naive_to_dot(graph):
+    """``export --format dot`` from the public ``nodes`` and ``edges`` alone:
+    nodes by (kind, key), then edges by (kind, source, target), each edge's
+    mean weight formatted on its own line."""
+    def quote(text):
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["digraph talentgraph {"]
+    for node in sorted(graph.nodes, key=lambda node: (node.kind.value, node.key)):
+        attrs = graph.nodes[node]
+        label = attrs.get("name") or attrs.get("title") or node.key
+        lines.append(f'  "{node.kind.value}:{quote(node.key)}" '
+                     f'[label="{quote(label)}", kind="{node.kind.value}"];')
+    edges = graph.edges  # built on each access
+    for kind, source, target in sorted(edges, key=lambda key: (key[0].value, *key[1:])):
+        source_kind, target_kind = EDGE_ENDS[kind.value]
+        mean = edges[kind, source, target].mean_weight()
+        lines.append(f'  "{source_kind}:{quote(source)}" -> "{target_kind}:{quote(target)}" '
+                     f'[label="{kind.value} {mean:.3f}"];')
+    lines.append("}")
+    return "".join(line + "\n" for line in lines)

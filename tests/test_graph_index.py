@@ -1,6 +1,6 @@
 """Lookups by jobseeker read that jobseeker's skills and project rows, and
 the four project-derived edge kinds are built from the project rows by each
-read of the whole graph.
+read of their edge objects.
 
 No read writes to the graph, so each answer must equal a naive rescan of the
 edges, whatever the ingestion order, merge tree, round trip or reads that
@@ -23,7 +23,7 @@ from talentgraph.parser import ExperienceEntry, ResumeRecord
 from talentgraph.query import execute, explain, parse_query
 from talentgraph.stats import compute_graph_stats
 
-from conftest import GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, build_graph
+from conftest import CORPUS_DIR, GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, build_graph
 from oracle import OracleGraph
 
 LEXICON = load_skill_lexicon(LEXICON_FILE)
@@ -238,8 +238,10 @@ def test_reads_never_write(corpus_graph, tmp_path):
     (["explain", "GRAPH", "js0000-jane-doe", "top c++, java, python"], 0),
     (["eval", "GRAPH", GOLD_FILE, "--lexicon", LEXICON_FILE], 0),
     (["export", "GRAPH"], 0),
-    (["export", "GRAPH", "--format", "dot"], 1),
-], ids=["query", "stats", "explain", "eval", "export-json", "export-dot"])
+    (["export", "GRAPH", "--format", "dot"], 0),
+    (["ingest", CORPUS_DIR, "--lexicon", LEXICON_FILE, "--gazetteer", GAZETTEER_FILE,
+      "--out", "GRAPH"], 0),
+], ids=["query", "stats", "explain", "eval", "export-json", "export-dot", "ingest"])
 def test_cold_commands_build_only_the_derived_kinds_they_read(
     argv, builds, corpus_graph, tmp_path, monkeypatch
 ):
@@ -258,14 +260,17 @@ def test_cold_commands_build_only_the_derived_kinds_they_read(
 
 
 def test_explain_eval_and_stats_do_not_sort_the_edges(corpus_graph, monkeypatch):
-    def refuse(self):
-        raise AssertionError("sorted every edge")
+    """None of them builds a derived kind or reads ``edges_of_kind``, which
+    sorts every edge of a kind."""
+    def refuse(*args):
+        raise AssertionError("read every edge of a kind")
 
-    monkeypatch.setattr(KnowledgeGraph, "_sorted_rows", refuse)
+    monkeypatch.setattr(KnowledgeGraph, "_derived", refuse)
+    monkeypatch.setattr(KnowledgeGraph, "edges_of_kind", refuse)
     query = parse_query("top c++, java, python", LEXICON)
     for jobseeker_id in corpus_graph.jobseeker_ids():
         assert explain(jobseeker_id, query, corpus_graph).terms
     assert evaluate_graph(corpus_graph, load_gold(GOLD_FILE), LEXICON).extraction
     assert compute_graph_stats(corpus_graph).resume_count == len(corpus_graph.jobseeker_ids())
-    with pytest.raises(AssertionError, match="sorted every edge"):
-        corpus_graph.to_dot()
+    with pytest.raises(AssertionError, match="read every edge of a kind"):
+        corpus_graph.edges_of_kind(EdgeKind.JOBSEEKER_SKILL)

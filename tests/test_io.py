@@ -167,6 +167,36 @@ def test_loaders_reject_a_key_they_do_not_read(tmp_path, case):
     assert str(err.value) == message.format(path=path)
 
 
+# (file loader, the text of a document that repeats a key, that key)
+REPEATED_KEYS = {
+    "lexicon": ('{"skills": [{"canonical": "c++", "category": "lang", '
+                '"aliases": ["cpp"], "aliases": ["cxx"]}]}', "aliases"),
+    "gazetteer": ('{"entries": [], "entries": []}', "entries"),
+    "graph-load": ('{"schema_version": 4, "config": {"duration_bonus_factor": 0.5, '
+                   '"duration_cap_months": 120, "duration_cap_months": 12}}',
+                   "duration_cap_months"),
+    "read-intermediate": ('{"jobseekers": {"js1": {"_name": "a"}, "js1": {"_name": "b"}}}',
+                          "js1"),
+    "gold": ('{"queries": [{"query": "java", "query": "sql", "relevant": []}]}', "query"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEYS))
+def test_file_loaders_reject_a_repeated_key(tmp_path, name):
+    """json keeps only the last value of a repeated key, so each document kind
+    refuses one as invalid JSON, naming the file and the key; the document as
+    json reads it loads."""
+    loader, error_cls, *_ = LOADERS[name]
+    text, key = REPEATED_KEYS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(json.loads(text)), encoding="utf-8")
+    loader(path)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error_cls) as err:
+        loader(path)
+    assert str(err.value) == f"{path}: not valid JSON (repeated key {key!r})"
+
+
 WORDS = ["java", "python", "c++", "scalability", "robust", "built", "tools", "the"]
 DURATIONS = ["", "1 year", "2 years", "18 months", "Jan 2020 - Jun 2021", "2019 - 2021"]
 TEXT = st.text(max_size=12)
