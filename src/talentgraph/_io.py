@@ -4,11 +4,12 @@ labels and the CLI's JSON output.
 
 A document is a UTF-8 JSON object, and no object in it repeats a key. Its
 "schema_version", when present, must be 4 for a graph file and 1 for any
-other document; a missing field reads as 1. Every document is written in one
-canonical layout: top-level keys sorted, one per line; each element of a
-non-empty top-level list or object on its own line, encoded by the C encoder
-(sorted keys, no indent, non-ASCII escaped); one trailing newline.
-Identical content gives identical bytes.
+other document; a missing field reads as 1. Its other keys are the sections
+of its kind, each a list or an object; an absent section reads as an empty
+one. Every document is written in one canonical layout: top-level keys
+sorted, one per line; each element of a non-empty top-level list or object
+on its own line, encoded by the C encoder (sorted keys, no indent, non-ASCII
+escaped); one trailing newline. Identical content gives identical bytes.
 """
 from __future__ import annotations
 
@@ -33,11 +34,12 @@ def _encoder():
     return lambda value: "".join(encode(value, 0))
 
 
-def check_document(doc: object, error_cls: type[Exception], where: str = "",
-                   version: int = SCHEMA_VERSION, remedy: str = "") -> dict:
-    """Return ``doc`` if it is an object of schema ``version``, else raise
-    ``error_cls`` with ``where`` (such as the file name) as locator and, for
-    a wrong version, ``remedy`` appended to the message."""
+def check_document(doc: object, error_cls: type[Exception], sections: dict[str, type],
+                   where: str = "", version: int = SCHEMA_VERSION, remedy: str = "") -> dict:
+    """A copy of ``doc``, an absent section of ``sections`` ({name: list or dict})
+    read as empty, if ``doc`` is an object of schema ``version`` with no other
+    key and sections of those types; else raise ``error_cls`` located at ``where``
+    (such as the file name), with ``remedy`` after a wrong version's message."""
     if not isinstance(doc, dict):
         raise error_cls(f"{where}top level must be a JSON object")
     found = doc.get("schema_version", SCHEMA_VERSION)
@@ -45,16 +47,23 @@ def check_document(doc: object, error_cls: type[Exception], where: str = "",
     if type(found) is not int or found != version:
         raise error_cls(f"{where}schema_version {found!r} is not supported "
                         f"(expected {version}){remedy}")
+    for name in doc:
+        if name not in sections and name != "schema_version":
+            raise error_cls(f"{where}unknown section {name!r}")
+    doc = dict(doc)
+    for name, kind in sections.items():
+        if not isinstance(doc.setdefault(name, kind()), kind):
+            raise error_cls(f"{where}{name}: not {'a list' if kind is list else 'an object'}")
     return doc
 
 
 def check_keys(obj: dict, known: set[str] | frozenset[str], error_cls: type[Exception],
-               where: str = "", what: str = "field") -> None:
+               where: str = "") -> None:
     """Raise ``error_cls``, located at ``where``, naming the first key of ``obj``
     in its own order that is not in ``known``: no loader drops what it does not read."""
     if not obj.keys() <= known:
         name = next(key for key in obj if key not in known)
-        raise error_cls(f"{where}unknown {what} {name!r}")
+        raise error_cls(f"{where}unknown field {name!r}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -67,8 +76,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def read_document(path: str | Path, kind: str, error_cls: type[Exception],
-                  version: int = SCHEMA_VERSION, remedy: str = "") -> dict:
-    """Read and check one document, raising ``error_cls`` located at the file."""
+                  sections: dict[str, type], version: int = SCHEMA_VERSION,
+                  remedy: str = "") -> dict:
+    """Read and check one document (see ``check_document``), raising
+    ``error_cls`` located at the file."""
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
@@ -78,7 +89,7 @@ def read_document(path: str | Path, kind: str, error_cls: type[Exception],
         doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # a JSONDecodeError, a repeated key or an over-long integer
         raise error_cls(f"{path}: not valid JSON ({exc})") from exc
-    return check_document(doc, error_cls, f"{path}: ", version, remedy)
+    return check_document(doc, error_cls, sections, f"{path}: ", version, remedy)
 
 
 def _block(value: object, item, encode) -> str:

@@ -136,29 +136,20 @@ def topk_accuracy(
 
 def load_gold(path: str | Path) -> dict:
     """Load and validate a gold fixture document (see the module docstring)."""
-    doc = read_document(path, "gold", FixtureError)
+    doc = read_document(path, "gold", FixtureError,
+                        {"skills": dict, "sentiment": dict, "queries": list})
     gold: dict = {"skills": {}, "sentiment": {}, "queries": []}
-    check_keys(doc, {"schema_version", *gold}, FixtureError, what="section")
-    skills = doc.get("skills", {})
-    if not isinstance(skills, dict):
-        raise FixtureError("'skills' must be an object")
-    for key, value in skills.items():
+    for key, value in doc["skills"].items():
         if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
             raise FixtureError(f"skills.{key}: expected a list of strings")
         gold["skills"][key] = set(value)
 
-    sentiment = doc.get("sentiment", {})
-    if not isinstance(sentiment, dict):
-        raise FixtureError("'sentiment' must be an object")
-    for key, value in sentiment.items():
+    for key, value in doc["sentiment"].items():
         if value not in SENTIMENT_CLASSES:
             raise FixtureError(f"sentiment.{key}: expected one of {SENTIMENT_CLASSES}")
         gold["sentiment"][key] = value
 
-    queries = doc.get("queries", [])
-    if not isinstance(queries, list):
-        raise FixtureError("'queries' must be a list")
-    for i, item in enumerate(queries):
+    for i, item in enumerate(doc["queries"]):
         if isinstance(item, dict):
             check_keys(item, {"query", "relevant"}, FixtureError, f"queries[{i}]: ")
         if not (isinstance(item, dict) and isinstance(item.get("query"), str)

@@ -29,10 +29,10 @@ Reads never write. Lookups for one jobseeker (``jobseeker_skills``,
 ``supporting_projects``, ``project_score``) read that jobseeker's own
 entries. The other four kinds (jobseeker-project, project-org, skill-project
 and org-skill) are built from the project rows by each read of their edge
-objects (``edges``, and ``edges_of_kind`` and ``get_edge`` of one of those
-kinds), and never kept, so each of their edge objects is a fresh copy;
-``edge_count`` and ``to_dot`` count and render them from the rows and build
-none. After construction the graph is immutable by
+objects, one kind at a time (``edges_of_kind`` and ``get_edge`` build the
+kind they read, ``edges`` all four), and never kept, so each of their edge
+objects is a fresh copy; ``edge_count``, ``to_dot`` and ``==`` read the rows
+and build none. After construction the graph is immutable by
 convention and so safe for concurrent reads.
 Parallel ingestion builds shard graphs and merges them.
 
@@ -84,8 +84,9 @@ class EdgeKind(str, Enum):
 # CPython 3.11's ``EnumType.__getattr__`` makes each ``NodeKind.SKILL`` read cost about 0.2 us.
 _JOBSEEKER, _SKILL, _ORGANIZATION, _PROJECT = NodeKind
 _JOBSEEKER_SKILL, _SKILL_PROJECT, _ORG_SKILL, _JOBSEEKER_PROJECT, _PROJECT_ORG = EdgeKind
+_DERIVED = {kind: kind for kind in (_SKILL_PROJECT, _ORG_SKILL, _JOBSEEKER_PROJECT, _PROJECT_ORG)}
 
-_TOP_LEVEL = {"schema_version", "config", "skills", "jobseekers"}
+_SECTIONS = {"config": dict, "skills": list, "jobseekers": list}
 _CONFIG_FIELDS = {"duration_bonus_factor", "duration_cap_months", "tool_version"}
 
 
@@ -222,26 +223,26 @@ class KnowledgeGraph:
         if not self.has_node(kind, key):
             raise NodeNotFoundError(f"no {kind.value} node {key!r}")
 
-    def _derived(self) -> dict[EdgeKind, dict[tuple[str, str], WeightedEdge]]:
-        """The four project-derived kinds, each ``{(source, target): edge}``, built
-        from the project rows in one pass on each call and never kept."""
-        skill_project: dict[tuple[str, str], WeightedEdge] = {}
-        org_skill: dict[tuple[str, str], WeightedEdge] = {}
-        jobseeker_project: dict[tuple[str, str], WeightedEdge] = {}
-        project_org: dict[tuple[str, str], WeightedEdge] = {}
-        get = org_skill.get
+    def _derived(self, kind: EdgeKind) -> dict[tuple[str, str], WeightedEdge]:
+        """The edges of one project-derived kind, ``{(source, target): edge}``, built
+        from the project rows on each call and never kept."""
+        kind = _DERIVED[kind]  # the member, for its plain value too; any other kind: KeyError
+        edges: dict[tuple[str, str], WeightedEdge] = {}
         for jobseeker, rows in self._projects.items():
             for pkey, _, org, months, units, skills in rows:
-                jobseeker_project[jobseeker, pkey] = WeightedEdge(0, 1, months)
-                project_org[pkey, org] = WeightedEdge(0, 1, 0)
-                for skill in skills:
-                    skill_project[skill, pkey] = WeightedEdge(units, 1, 0)
-                    if (edge := get((org, skill))) is None:
-                        edge = org_skill[org, skill] = WeightedEdge()
-                    edge.weight_units += units
-                    edge.support_count += 1
-        return {_SKILL_PROJECT: skill_project, _ORG_SKILL: org_skill,
-                _JOBSEEKER_PROJECT: jobseeker_project, _PROJECT_ORG: project_org}
+                if kind is _JOBSEEKER_PROJECT:
+                    edges[jobseeker, pkey] = WeightedEdge(0, 1, months)
+                elif kind is _PROJECT_ORG:
+                    edges[pkey, org] = WeightedEdge(0, 1, 0)
+                elif kind is _SKILL_PROJECT:
+                    edges.update(((skill, pkey), WeightedEdge(units, 1, 0)) for skill in skills)
+                else:
+                    for skill in skills:  # org-skill: the project scores summed
+                        if (edge := edges.get((org, skill))) is None:
+                            edge = edges[org, skill] = WeightedEdge()
+                        edge.weight_units += units
+                        edge.support_count += 1
+        return edges
 
     @property
     def edges(self) -> Mapping[tuple[EdgeKind, str, str], WeightedEdge]:
@@ -250,9 +251,9 @@ class KnowledgeGraph:
         edges = {(_JOBSEEKER_SKILL, jobseeker, skill): edge
                  for jobseeker, skills in self._jobseeker_skill.items()
                  for skill, edge in skills.items()}
-        for kind, kind_edges in self._derived().items():
+        for kind in _DERIVED:
             edges.update(((kind, source, target), edge)
-                         for (source, target), edge in kind_edges.items())
+                         for (source, target), edge in self._derived(kind).items())
         return MappingProxyType(edges)
 
     def edge_count(self, kind: EdgeKind) -> int:
@@ -272,7 +273,7 @@ class KnowledgeGraph:
         # A direct read, tested by identity first: queries make it per jobseeker and term.
         if kind is _JOBSEEKER_SKILL or kind == _JOBSEEKER_SKILL:
             return self._jobseeker_skill.get(source, _NO_EDGES).get(target)
-        return self._derived()[kind].get((source, target))
+        return self._derived(kind).get((source, target))
 
     def jobseeker_skills(self, jobseeker_id: str) -> Mapping[str, WeightedEdge]:
         """{skill: jobseeker-skill edge} of the jobseeker, read only; empty for
@@ -288,7 +289,7 @@ class KnowledgeGraph:
                         for skill, edge in sorted(self._jobseeker_skill[jobseeker].items())]
         else:  # keys are unique within a kind, so no sort compares edges
             yield from sorted((source, target, edge)
-                              for (source, target), edge in self._derived()[kind].items())
+                              for (source, target), edge in self._derived(kind).items())
 
     def jobseeker_ids(self) -> list[str]:
         return sorted(n.key for n in self.nodes if n.kind is NodeKind.JOBSEEKER)
@@ -356,7 +357,12 @@ class KnowledgeGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
-        return (self.config, self.nodes, self.edges) == (other.config, other.nodes, other.edges)
+        # The kept entries; a row's skills compare as a set, which ``add_resume`` keeps
+        # sorted and ``from_dict`` in the document's order. No derived edge is built.
+        rows = [{jobseeker: [(*row[:5], frozenset(row[5])) for row in kept]
+                 for jobseeker, kept in graph._projects.items()} for graph in (self, other)]
+        return ((self.config, self.nodes, self._jobseeker_skill, rows[0])
+                == (other.config, other.nodes, other._jobseeker_skill, rows[1]))
 
     def to_dict(self) -> dict:
         """The graph document: each resume fact once, sorted (README, Graph file)."""
@@ -392,10 +398,9 @@ class KnowledgeGraph:
         ``add_resume``'s sums and rows. Each rejection is a ``GraphFormatError`` located
         at the config, a section, a row or a project row; see README, Graph file.
         """
-        check_document(doc, GraphFormatError, version=GRAPH_SCHEMA_VERSION, remedy=_REINGEST)
-        config_doc = doc.get("config")
-        if not isinstance(config_doc, dict):
-            raise GraphFormatError("missing 'config' object")
+        doc = check_document(doc, GraphFormatError, _SECTIONS, version=GRAPH_SCHEMA_VERSION,
+                             remedy=_REINGEST)
+        config_doc = doc["config"]
         try:
             check_keys(config_doc, _CONFIG_FIELDS, GraphConfigError)
             version = config_doc.get("tool_version", "")
@@ -405,13 +410,9 @@ class KnowledgeGraph:
                                    config_doc["duration_cap_months"])
         except (KeyError, GraphConfigError) as exc:
             raise GraphFormatError(f"bad config: {exc}") from exc
-        check_keys(doc, _TOP_LEVEL, GraphFormatError, what="section")
 
         graph = cls(config)
         nodes = graph.nodes
-        for name in ("skills", "jobseekers"):
-            if type(doc.get(name, [])) is not list:
-                raise GraphFormatError(f"{name}: not a list")
         known: set[str] = set()
         orgs: set[str] = set()  # each organization's node is added once
 
@@ -419,7 +420,7 @@ class KnowledgeGraph:
             # The locator is formatted only for the row that is rejected.
             return GraphFormatError(f"jobseekers[{i}].projects[{ordinal}]: {fault}")
 
-        for i, row in enumerate(doc.get("skills", [])):
+        for i, row in enumerate(doc["skills"]):
             if type(row) is not list or len(row) != 2:
                 raise GraphFormatError(f"skills[{i}]: not a [key, attrs] row")
             key, attrs = row
@@ -432,7 +433,7 @@ class KnowledgeGraph:
                 raise GraphFormatError(f"skills[{i}]: duplicate skill {key!r}")
             known.add(key)
             nodes[NodeId(_SKILL, key)] = dict(attrs)
-        for i, row in enumerate(doc.get("jobseekers", [])):
+        for i, row in enumerate(doc["jobseekers"]):
             if type(row) is not list or len(row) != 4:
                 raise GraphFormatError(f"jobseekers[{i}]: "
                                        "not an [id, name, declared, projects] row")
@@ -494,8 +495,8 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":
-        doc = read_document(path, "graph", GraphFormatError, GRAPH_SCHEMA_VERSION, _REINGEST)
-        return cls.from_dict(doc)
+        return cls.from_dict(read_document(path, "graph", GraphFormatError, _SECTIONS,
+                                           GRAPH_SCHEMA_VERSION, _REINGEST))
 
     def to_dot(self) -> str:
         """Graphviz rendering with mean edge weights, for eyeballing fixtures: node

@@ -42,6 +42,7 @@ from .parser import ExperienceEntry, ResumeRecord, parse_duration
 
 _RESERVED_NAME = "_name"
 _RESERVED_SKILLS = "_declared_skills"
+_SECTIONS = {"jobseekers": dict}
 _PROJECT_FIELDS = frozenset({"title", "duration", "details", "seq"})
 
 
@@ -81,11 +82,7 @@ def _require_str(value: object, path: str) -> str:
 
 def load_intermediate(doc: dict) -> list[ResumeRecord]:
     """Inverse of emit_intermediate, modulo duration re-parsing."""
-    check_document(doc, DocumentFormatError)
-    check_keys(doc, {"schema_version", "jobseekers"}, DocumentFormatError, what="section")
-    jobseekers = doc.get("jobseekers")
-    if not isinstance(jobseekers, dict):
-        raise DocumentFormatError("missing 'jobseekers' object")
+    jobseekers = check_document(doc, DocumentFormatError, _SECTIONS)["jobseekers"]
 
     records = []
     for jobseeker_id in sorted(jobseekers):
@@ -156,4 +153,4 @@ def write_intermediate(records: Iterable[ResumeRecord], path: str | Path) -> Non
 
 
 def read_intermediate(path: str | Path) -> list[ResumeRecord]:
-    return load_intermediate(read_document(path, "intermediate", DocumentFormatError))
+    return load_intermediate(read_document(path, "intermediate", DocumentFormatError, _SECTIONS))

@@ -166,12 +166,8 @@ def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
 
 def load_skill_lexicon(source: str | Path) -> SkillLexicon:
     """Load the skills dictionary from a JSON document."""
-    doc = read_document(source, "lexicon", LexiconFormatError)
-    check_keys(doc, {"schema_version", "skills"}, LexiconFormatError, f"{source}: ", "section")
-    records = doc.get("skills")
-    if not isinstance(records, list):
-        raise LexiconFormatError(f"{source}: missing 'skills' array")
-    return parse_skill_records(records)
+    return parse_skill_records(
+        read_document(source, "lexicon", LexiconFormatError, {"skills": list})["skills"])
 
 
 def dump_skill_lexicon(lexicon: SkillLexicon) -> str:
@@ -233,12 +229,8 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
 
 def load_sentiment_gazetteer(source: str | Path) -> SentimentGazetteer:
     """Load the skill-sentiment gazetteer from a JSON document."""
-    doc = read_document(source, "gazetteer", GazetteerFormatError)
-    check_keys(doc, {"schema_version", "entries"}, GazetteerFormatError, f"{source}: ", "section")
-    records = doc.get("entries")
-    if not isinstance(records, list):
-        raise GazetteerFormatError(f"{source}: missing 'entries' array")
-    return parse_sentiment_records(records)
+    return parse_sentiment_records(
+        read_document(source, "gazetteer", GazetteerFormatError, {"entries": list})["entries"])
 
 
 def dump_sentiment_gazetteer(gazetteer: SentimentGazetteer) -> str:

@@ -151,6 +151,7 @@ def execute(query: Query, graph: KnowledgeGraph) -> list[RankedResult]:
     results = []
     for jobseeker_id in graph.jobseeker_ids():
         per_skill = []
+        total = 0  # added left to right: sum() of floats is compensated from Python 3.12
         for term in query.terms:
             edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill)
             if edge is None:
@@ -158,9 +159,10 @@ def execute(query: Query, graph: KnowledgeGraph) -> list[RankedResult]:
             sentiment, bonus, years, _ = graph.edge_parts(edge)
             if not _in_range(years, term):
                 break
-            per_skill.append((term.skill, sentiment + bonus, years))
+            strength = sentiment + bonus
+            per_skill.append((term.skill, strength, years))
+            total += strength
         else:
-            total = sum(s for _, s, _ in per_skill)
             results.append(RankedResult(jobseeker_id, total, per_skill))
     results.sort(key=lambda r: (-r.total_score, r.jobseeker_id))
     return results[: query.top_k]
@@ -182,12 +184,15 @@ def explain(jobseeker_id: str, query: Query, graph: KnowledgeGraph) -> Explanati
     if not graph.has_node(NodeKind.JOBSEEKER, jobseeker_id):
         raise NodeNotFoundError(f"no jobseeker node {jobseeker_id!r}")
     terms = []
+    total = 0  # added left to right, as ``execute`` adds
     for term in query.terms:
         edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill)
         sentiment, bonus, years, support = graph.edge_parts(edge)
+        strength = sentiment + bonus
+        total += strength
         terms.append({
             "skill": term.skill,
-            "strength": sentiment + bonus,
+            "strength": strength,
             "sentiment_mean": sentiment,
             "duration_bonus": bonus,
             "years": years,
@@ -199,7 +204,7 @@ def explain(jobseeker_id: str, query: Query, graph: KnowledgeGraph) -> Explanati
         })
     return Explanation(
         jobseeker_id=jobseeker_id,
-        total_score=sum(t["strength"] for t in terms),
+        total_score=total,
         qualifies=all(t["satisfied"] for t in terms),
         terms=terms,
     )

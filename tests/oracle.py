@@ -505,21 +505,20 @@ def naive_jobseeker_fault(i, row, skills, jobseekers):
 def naive_graph_fault(doc):
     """The message loading a graph document of schema version 4 fails with,
     or None when it loads: each check of README's Graph file section in the
-    order listed there: the config, unknown top-level keys, the two sections'
-    types, then each skill row and each jobseeker row with its projects and
-    declared skills."""
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        return "missing 'config' object"
-    fault = naive_config_fault(config)
-    if fault is not None:
-        return f"bad config: {fault}"
+    order listed there: unknown top-level keys, the three sections' types
+    (an absent one reads as empty), the config, then each skill row and each
+    jobseeker row with its projects and declared skills."""
     for name in doc:
         if name not in ("schema_version", "config", "skills", "jobseekers"):
             return f"unknown section {name!r}"
+    if not isinstance(doc.get("config", {}), dict):
+        return "config: not an object"
     for section in ("skills", "jobseekers"):
         if not isinstance(doc.get(section, []), list):
             return f"{section}: not a list"
+    fault = naive_config_fault(doc.get("config", {}))
+    if fault is not None:
+        return f"bad config: {fault}"
     skills = []
     for i, row in enumerate(doc.get("skills", [])):
         fault = naive_skill_fault(row, skills)

@@ -172,12 +172,8 @@ def test_load_gold_rejects_bad_class(tmp_path):
     for text, locator in [
         ('{"sentiment": {"p": "angry"}}', "sentiment.p"),
         ('{"queries": [{"query": "top java", "relevant": [1, 2]}]}', "queries[0].relevant"),
-        ('{"skills": []}', "'skills' must be an object"),
         ('{"skills": {"js0": "java"}}', "skills.js0: expected a list of strings"),
-        ('{"sentiment": []}', "'sentiment' must be an object"),
-        ('{"queries": {}}', "'queries' must be a list"),
         ('{"queries": [{"query": "top java"}]}', "queries[0]: expected {query, relevant}"),
-        ('{"querys": [{"query": "top java", "relevant": []}]}', "unknown section 'querys'"),
     ]:
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(FixtureError) as err:

@@ -617,6 +617,26 @@ def test_from_dict_rejects_malformed_document(path, value, message):
         KnowledgeGraph.from_dict(replaced(LOADABLE_DOC, path, value))
 
 
+def test_from_dict_checks_sections_before_the_config_and_the_config_before_rows():
+    """The version, then the top-level keys, then the sections' types, then the
+    config, then the rows; an absent config reads as an empty one, which lacks
+    the fields a load needs."""
+    bad_config = {**LOADABLE_DOC, "config": {"duration_cap_months": 0}}
+    missing = "bad config: 'duration_bonus_factor'"
+    with pytest.raises(GraphFormatError, match=r"^schema_version 3 is not supported"):
+        KnowledgeGraph.from_dict({**bad_config, "schema_version": 3, "stray": 1})
+    for doc, message in [
+        ({**bad_config, "jobseekers": {}, "stray": 1}, "unknown section 'stray'"),
+        ({**bad_config, "jobseekers": {}}, "jobseekers: not a list"),
+        ({**LOADABLE_DOC, "config": [], "skills": {}}, "config: not an object"),
+        ({**bad_config, "skills": [5]}, missing),
+        ({key: value for key, value in LOADABLE_DOC.items() if key != "config"}, missing),
+    ]:
+        with pytest.raises(GraphFormatError) as err:
+            KnowledgeGraph.from_dict(doc)
+        assert str(err.value) == naive_graph_fault(doc) == message
+
+
 REPLACEMENTS = [None, [], {}, "x", math.nan, math.inf, -1, 1.9, True, 1e6, 3 * WEIGHT_UNITS]
 
 

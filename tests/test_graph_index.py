@@ -247,16 +247,41 @@ def test_cold_commands_build_only_the_derived_kinds_they_read(
 ):
     path = tmp_path / "graph.json"
     corpus_graph.save(path)
+    calls = count_builds(monkeypatch)
+    assert main([str(path) if arg == "GRAPH" else str(arg) for arg in argv]) == 0
+    assert len(calls) == builds
+
+
+def count_builds(monkeypatch) -> list:
+    """The kinds ``_derived`` is asked to build from here on, one per build."""
     calls = []
     derived = KnowledgeGraph._derived
 
-    def counting(graph):
-        calls.append(graph)
-        return derived(graph)
+    def counting(graph, kind):
+        calls.append(kind)
+        return derived(graph, kind)
 
     monkeypatch.setattr(KnowledgeGraph, "_derived", counting)
-    assert main([str(path) if arg == "GRAPH" else str(arg) for arg in argv]) == 0
-    assert len(calls) == builds
+    return calls
+
+
+@pytest.mark.parametrize("kind", DERIVED, ids=[kind.value for kind in DERIVED])
+def test_a_read_of_one_derived_kind_builds_that_kind_alone(kind, corpus_graph, monkeypatch):
+    """``get_edge`` and ``edges_of_kind`` of one derived kind build only it;
+    ``edges`` builds each derived kind once; a jobseeker-skill lookup builds none."""
+    source, target = next((s, t) for k, s, t in corpus_graph.edges if k is kind)
+    calls = count_builds(monkeypatch)
+    assert corpus_graph.get_edge(kind, source, target) is not None
+    assert corpus_graph.get_edge(kind.value, source, "nowhere") is None
+    assert list(corpus_graph.edges_of_kind(kind))
+    assert calls == [kind] * 3
+    calls.clear()
+    assert corpus_graph.get_edge(EdgeKind.JOBSEEKER_SKILL, "js0000-jane-doe", "java")
+    assert not calls
+    corpus_graph.edges
+    assert sorted(calls) == sorted(DERIVED)
+    with pytest.raises(KeyError):
+        corpus_graph.get_edge("wizard", source, target)
 
 
 def test_explain_eval_and_stats_do_not_sort_the_edges(corpus_graph, monkeypatch):

@@ -128,10 +128,9 @@ def test_malformed_document_shapes():
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"schema_version": 1}, "missing 'jobseekers' object"),
     ({"jobseekers": {"js0": {"acme": []}}}, "jobseekers.js0.acme: expected a project object"),
     ({"jobseekers": {"js0": {"acme": {"p1": "x"}}}}, "jobseekers.js0.acme.p1: expected an object"),
-], ids=["no-jobseekers", "org-not-object", "project-not-object"])
+], ids=["org-not-object", "project-not-object"])
 def test_malformed_document_shape_is_located(doc, message):
     with pytest.raises(DocumentFormatError) as err:
         load_intermediate(doc)

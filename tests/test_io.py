@@ -130,11 +130,11 @@ STRAY_KEYS = {
     "gazetteer-record": ("gazetteer", {"entries": [{"keyword": "fast", "class": "x",
                                                     "weight": 0.5}]},
                          ("entries", 0, "stray"), "entries[0]: unknown field 'stray'"),
-    "graph-section": ("graph-load", GRAPH_DOC, ("stray",), "unknown section 'stray'"),
+    "graph-section": ("graph-load", GRAPH_DOC, ("stray",), "{path}: unknown section 'stray'"),
     "graph-config": ("graph-load", GRAPH_DOC, ("config", "stray"),
                      "bad config: unknown field 'stray'"),
     "intermediate-section": ("read-intermediate", {"jobseekers": {}}, ("stray",),
-                             "unknown section 'stray'"),
+                             "{path}: unknown section 'stray'"),
     "intermediate-reserved": ("read-intermediate", {"jobseekers": {"js1": {"_name": "a"}}},
                               ("jobseekers", "js1", "_stray"),
                               "jobseekers.js1._stray: unknown reserved key"),
@@ -142,7 +142,7 @@ STRAY_KEYS = {
                              {"jobseekers": {"js1": {"acme": {"project1": PROJECT}}}},
                              ("jobseekers", "js1", "acme", "project1", "stray"),
                              "jobseekers.js1.acme.project1: unknown field 'stray'"),
-    "gold-section": ("gold", {}, ("stray",), "unknown section 'stray'"),
+    "gold-section": ("gold", {}, ("stray",), "{path}: unknown section 'stray'"),
     "gold-query": ("gold", {"queries": [{"query": "java", "relevant": []}]},
                    ("queries", 0, "stray"), "queries[0]: unknown field 'stray'"),
 }
@@ -165,6 +165,60 @@ def test_loaders_reject_a_key_they_do_not_read(tmp_path, case):
     with pytest.raises(error_cls) as err:
         load_as(name, doc, path)
     assert str(err.value) == message.format(path=path)
+
+
+# Each loader's sections, redeclared: {name: the type it must have}.
+GRAPH_SECTIONS = {"config": dict, "skills": list, "jobseekers": list}
+SECTIONS = {
+    "lexicon": {"skills": list},
+    "gazetteer": {"entries": list},
+    "gold": {"skills": dict, "sentiment": dict, "queries": list},
+    "graph-load": GRAPH_SECTIONS,
+    "graph-from-dict": GRAPH_SECTIONS,
+    "read-intermediate": {"jobseekers": dict},
+    "load-intermediate": {"jobseekers": dict},
+}
+SECTION_CASES = [(name, section) for name in sorted(SECTIONS) for section in SECTIONS[name]]
+SECTION_IDS = [f"{name}-{section}" for name, section in SECTION_CASES]
+
+
+@pytest.mark.parametrize("name, section", SECTION_CASES, ids=SECTION_IDS)
+def test_loaders_refuse_a_section_of_the_wrong_type(tmp_path, name, section):
+    """Every loader names the section, located at the file if it reads one."""
+    _, error_cls, doc, from_file, version = LOADERS[name]
+    kind = SECTIONS[name][section]
+    path = tmp_path / "doc.json"
+    where = f"{path}: " if from_file else ""
+    for value in ({} if kind is list else [], None, "x", 0):
+        with pytest.raises(error_cls) as err:
+            load_as(name, {**doc, "schema_version": version, section: value}, path)
+        assert str(err.value) == f"{where}{section}: not {'a list' if kind is list else 'an object'}"
+
+
+def loaded(name, doc, path):
+    """What the named loader makes of ``doc``: the state of what it loads, or
+    the message of the error it raises."""
+    try:
+        value = load_as(name, doc, path)
+    except LOADERS[name][1] as exc:
+        return str(exc)
+    return value if isinstance(value, (dict, list)) else vars(value)
+
+
+@pytest.mark.parametrize("name, section", SECTION_CASES, ids=SECTION_IDS)
+def test_loaders_read_an_absent_section_as_an_empty_one(tmp_path, name, section):
+    """A misspelled section is an unknown one, so an absent section can only
+    be an empty one: the document loads as if it held the empty section. Only
+    a graph's config has fields a load needs."""
+    _, _, doc, _, version = LOADERS[name]
+    doc = {**doc, "schema_version": version}
+    absent = {key: value for key, value in doc.items() if key != section}
+    got = loaded(name, absent, tmp_path / "doc.json")
+    assert got == loaded(name, {**doc, section: SECTIONS[name][section]()}, tmp_path / "doc.json")
+    if section == "config":
+        assert got == "bad config: 'duration_bonus_factor'"
+    else:
+        assert not isinstance(got, str), got
 
 
 # (file loader, the text of a document that repeats a key, that key)

@@ -168,14 +168,6 @@ def test_misspelled_aliases_field_is_rejected_at_its_record():
         parse_skill_records([java, typo])
 
 
-def test_gazetteer_without_entries_array_is_error(tmp_path):
-    bad = tmp_path / "gaz.json"
-    bad.write_text(json.dumps({"entries": {}}), encoding="utf-8")
-    with pytest.raises(GazetteerFormatError) as err:
-        load_sentiment_gazetteer(bad)
-    assert str(err.value) == f"{bad}: missing 'entries' array"
-
-
 def test_lexicon_round_trip(lexicon, tmp_path):
     out = tmp_path / "lex.json"
     out.write_text(dump_skill_lexicon(lexicon), encoding="utf-8")

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talentgraph.errors import (
     EmptyQueryError,
@@ -13,11 +15,11 @@ from talentgraph.errors import (
 )
 from talentgraph.graph import EdgeKind, KnowledgeGraph
 from talentgraph.lexicon import parse_sentiment_records
-from talentgraph.query import QueryTerm, execute, explain, parse_query
+from talentgraph.query import Query, QueryTerm, execute, explain, parse_query
 
 from conftest import GAZETTEER_FILE, build_graph
 from oracle import OracleGraph
-from test_graph import exp, record
+from test_graph import GAZETTEER, LEXICON, exp, record, record_sets, shared_edge_records
 
 
 # -- parsing -------------------------------------------------------------------
@@ -286,3 +288,67 @@ def test_execute_and_explain_read_each_term_edge_once(corpus_graph, lexicon, mon
     lookups.clear()
     execute(parse_query("top java candidates", lexicon), corpus_graph)
     assert len(lookups) == len(set(lookups)) == len(corpus_graph.jobseeker_ids())
+
+
+def test_totals_add_term_strengths_left_to_right():
+    """Strengths 1.0, 2**-53 and 2**-53 add to 1.0 left to right, as the oracle
+    adds; a compensated sum, such as ``sum()`` of floats from Python 3.12,
+    gives 1.0000000000000002."""
+    projects = [["t", "acme", 0, units, [skill]]
+                for units, skill in [(2**64, "a"), (2**11, "b"), (2**11, "c")]]
+    graph = KnowledgeGraph.from_dict({
+        "schema_version": 4, "config": {"duration_bonus_factor": 0.5, "duration_cap_months": 120},
+        "skills": [["a", {}], ["b", {}], ["c", {}]], "jobseekers": [["js0", "Jo", [], projects]]})
+    query = Query(tuple(QueryTerm(skill) for skill in "abc"))
+    [result] = execute(query, graph)
+    assert [strength for _, strength, _ in result.per_skill] == [1.0, 2.0**-53, 2.0**-53]
+    assert result.total_score == explain("js0", query, graph).total_score == 1.0
+
+
+@st.composite
+def graphs_and_queries(draw):
+    """A graph from the graph tests' records, and a query of 1-4 of its skills
+    (or one it lacks), each unbounded or bounded at a year count some
+    jobseeker holds or a whole year, with any ``top_k`` up to past every match;
+    and the oracle of the same records."""
+    records = draw(st.one_of(record_sets(), shared_edge_records()))
+    graph = build_graph(records, LEXICON, GAZETTEER)
+    jobseekers = graph.jobseeker_ids()
+    skills = sorted({skill for j in jobseekers for skill in graph.jobseeker_skills(j)})
+    years = sorted({edge.months_sum / 12.0 for j in jobseekers
+                    for edge in graph.jobseeker_skills(j).values()} | {0.0, 1.0, 2.0})
+    bound = st.sampled_from(years)
+    terms = []
+    for skill in draw(st.lists(st.sampled_from(skills + ["sql"]), min_size=1, max_size=4,
+                               unique=True)):
+        low, high = sorted([draw(bound), draw(bound)])
+        terms.append(draw(st.sampled_from([QueryTerm(skill), QueryTerm(skill, low),
+                                           QueryTerm(skill, low, high), QueryTerm(skill, high, high)])))
+    oracle = OracleGraph(records, LEXICON, GAZETTEER, graph.config)
+    return graph, oracle, Query(tuple(terms), draw(st.integers(1, len(jobseekers) + 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=graphs_and_queries())
+def test_explain_qualifies_exactly_the_jobseekers_execute_ranks(case):
+    """``explain`` qualifies a jobseeker exactly when an unbounded ``execute``
+    ranks it, as the oracle does, and both totals are, bit for bit,
+    ``explain``'s per-term strengths added left to right; ``top_k`` keeps a
+    prefix of that ranking."""
+    graph, oracle, query = case
+    jobseekers = graph.jobseeker_ids()
+    unbounded = Query(query.terms, len(jobseekers) + 1)
+    ranked = execute(unbounded, graph)
+    totals = {result.jobseeker_id: result.total_score for result in ranked}
+    assert set(totals) == {jobseeker_id for jobseeker_id, _ in oracle.execute(unbounded)}
+    assert [r.jobseeker_id for r in ranked] == sorted(totals, key=lambda j: (-totals[j], j))
+    for jobseeker_id in jobseekers:
+        explanation = explain(jobseeker_id, query, graph)
+        total = 0.0
+        for term in explanation.terms:
+            total += term["strength"]
+        assert explanation.total_score.hex() == total.hex()
+        assert explanation.qualifies == (jobseeker_id in totals)
+        if explanation.qualifies:
+            assert totals[jobseeker_id].hex() == total.hex()
+    assert execute(query, graph) == ranked[:query.top_k]
