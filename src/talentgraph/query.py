@@ -16,6 +16,9 @@ A jobseeker matches a term when the jobseeker-skill edge exists and, for
 bounded terms, the accumulated years fall inside the inclusive range.
 Matches are ranked by the sum of per-skill strengths over the query terms,
 ties broken lexicographically by jobseeker id, then truncated to top k.
+``execute`` and ``explain`` read each term through one evaluator, so explain's
+per-term (skill, strength, years) are execute's ``per_skill``. Every ``Query``
+holds at least one term and a ``top_k`` of at least 1.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ _TOP_RE = re.compile(r"^\s*top\b(?:\s+(\d+)\b)?\s*", re.IGNORECASE)
 _NUM = r"-?\d+(?:\.\d+)?"
 _RANGE_RE = re.compile(rf"^(?P<phrase>.*?)\s+(?P<lo>{_NUM})\s*[-–]\s*(?P<hi>{_NUM})$")
 _MIN_ONLY_RE = re.compile(rf"^(?P<phrase>.*?)\s+(?P<lo>{_NUM})\s*\+$")
+_JOBSEEKER_SKILL = EdgeKind.JOBSEEKER_SKILL  # a global reads faster than the enum attribute
+_NO_EDGE = (False, 0.0, 0.0, 0.0, 0.0, 0)  # a term without its edge fails and reads all zero
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,12 @@ class QueryTerm:
 class Query:
     terms: tuple[QueryTerm, ...]
     top_k: int = DEFAULT_TOP_K
+
+    def __post_init__(self) -> None:
+        if type(self.top_k) is not int or self.top_k < 1:  # a bool is no count
+            raise QueryError("top N must be positive")
+        if not self.terms:
+            raise EmptyQueryError("query contains no terms")
 
 
 @dataclass
@@ -74,14 +85,11 @@ class RankedResult:
         }
 
 
-def _strip_fillers(words: list[str]) -> list[str]:
+def _parse_term(raw: str, lexicon: SkillLexicon) -> QueryTerm:
+    words = raw.split()
     while words and words[-1].lower() in _FILLER_WORDS:
         words.pop()
-    return words
-
-
-def _parse_term(raw: str, lexicon: SkillLexicon) -> QueryTerm:
-    text = " ".join(_strip_fillers(raw.split()))
+    text = " ".join(words)
     if not text:
         raise EmptyQueryError("empty query term")
 
@@ -119,17 +127,11 @@ def parse_query(text: str, lexicon: SkillLexicon) -> Query:
                 top_k = int(m.group(1))
             except ValueError as exc:  # more digits than int() reads
                 raise QueryError(f"top N has too many digits ({len(m.group(1))})") from exc
-            if top_k <= 0:
-                raise QueryError("top N must be positive")
         remainder = text[m.end():]
-
-    raw_terms = [t for t in remainder.split(",") if t.strip()]
-    if not raw_terms:
-        raise EmptyQueryError("query contains no terms")
 
     terms = []
     seen: set[str] = set()
-    for raw in raw_terms:
+    for raw in filter(str.strip, remainder.split(",")):
         term = _parse_term(raw, lexicon)
         if term.skill in seen:
             raise QueryError(f"duplicate skill {term.skill!r} in query")
@@ -138,12 +140,16 @@ def parse_query(text: str, lexicon: SkillLexicon) -> Query:
     return Query(terms=tuple(terms), top_k=top_k)
 
 
-def _in_range(years: float, term: QueryTerm) -> bool:
-    if term.min_years is not None and years < term.min_years:
-        return False
-    if term.max_years is not None and years > term.max_years:
-        return False
-    return True
+def _term(graph: KnowledgeGraph, jobseeker_id: str,
+          term: QueryTerm) -> tuple[bool, float, float, float, float, int]:
+    """(satisfied, strength, sentiment, bonus, years, support) of a jobseeker's term."""
+    edge = graph.get_edge(_JOBSEEKER_SKILL, jobseeker_id, term.skill)
+    if edge is None:
+        return _NO_EDGE
+    sentiment, bonus, years, support = graph.edge_parts(edge)
+    lo, hi = term.min_years, term.max_years
+    satisfied = (lo is None or years >= lo) and (hi is None or years <= hi)
+    return satisfied, sentiment + bonus, sentiment, bonus, years, support
 
 
 def execute(query: Query, graph: KnowledgeGraph) -> list[RankedResult]:
@@ -153,13 +159,9 @@ def execute(query: Query, graph: KnowledgeGraph) -> list[RankedResult]:
         per_skill = []
         total = 0  # added left to right: sum() of floats is compensated from Python 3.12
         for term in query.terms:
-            edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill)
-            if edge is None:
+            satisfied, strength, _, _, years, _ = _term(graph, jobseeker_id, term)
+            if not satisfied:
                 break
-            sentiment, bonus, years, _ = graph.edge_parts(edge)
-            if not _in_range(years, term):
-                break
-            strength = sentiment + bonus
             per_skill.append((term.skill, strength, years))
             total += strength
         else:
@@ -180,15 +182,13 @@ class Explanation:
 
 
 def explain(jobseeker_id: str, query: Query, graph: KnowledgeGraph) -> Explanation:
-    """Per-skill decomposition sufficient to recompute the ranking score."""
+    """Per-term decomposition, each term read as ``execute`` reads it, that recomputes the score."""
     if not graph.has_node(NodeKind.JOBSEEKER, jobseeker_id):
         raise NodeNotFoundError(f"no jobseeker node {jobseeker_id!r}")
     terms = []
     total = 0  # added left to right, as ``execute`` adds
     for term in query.terms:
-        edge = graph.get_edge(EdgeKind.JOBSEEKER_SKILL, jobseeker_id, term.skill)
-        sentiment, bonus, years, support = graph.edge_parts(edge)
-        strength = sentiment + bonus
+        satisfied, strength, sentiment, bonus, years, support = _term(graph, jobseeker_id, term)
         total += strength
         terms.append({
             "skill": term.skill,
@@ -200,7 +200,7 @@ def explain(jobseeker_id: str, query: Query, graph: KnowledgeGraph) -> Explanati
             "projects": graph.supporting_projects(jobseeker_id, term.skill),
             "min_years": term.min_years,
             "max_years": term.max_years,
-            "satisfied": edge is not None and _in_range(years, term),
+            "satisfied": satisfied,
         })
     return Explanation(
         jobseeker_id=jobseeker_id,

@@ -181,6 +181,9 @@ class OracleGraph:
         self.config = config
         self.nodes = set()
         self.edges = defaultdict(lambda: [0.0, 0, 0])  # [weight_sum, count, months]
+        # (jobseeker, skill) -> its scores, each rounded once to 2^-64 units
+        # (README "How it works" step 3), summed as exact integers.
+        self.units = defaultdict(int)
         for record in records:
             self.nodes.add(("jobseeker", record.jobseeker_id))
             for skill in record.declared_skills:
@@ -207,15 +210,18 @@ class OracleGraph:
                     acc[0] += score
                     acc[1] += 1
                     acc[2] += exp.duration_months
+                    self.units[(record.jobseeker_id, skill)] += round(score * 2**64)
                     acc = self.edges[("org_skill", exp.organization, skill)]
                     acc[0] += score
                     acc[1] += 1
 
     def jobseeker_skill_strength(self, jobseeker_id, skill):
+        """The mean of the quantized scores (an integer over 2^64, correctly
+        rounded, then over the count) plus the duration bonus."""
         acc = self.edges.get(("jobseeker_skill", jobseeker_id, skill))
         if acc is None:
             return 0.0
-        sentiment = acc[0] / acc[1] if acc[1] else 0.0
+        sentiment = self.units[(jobseeker_id, skill)] / 2**64 / acc[1] if acc[1] else 0.0
         cap = self.config.duration_cap_months
         return sentiment + self.config.duration_bonus_factor * min(acc[2], cap) / cap
 
@@ -231,11 +237,18 @@ class OracleGraph:
         return sorted(key for kind, key in self.nodes if kind == "jobseeker")
 
     def execute(self, query):
-        """Scan every jobseeker, apply every term, sort, truncate."""
+        """(jobseeker id, total) of each row of ``rank``."""
+        return [(jobseeker_id, total) for jobseeker_id, total, _ in self.rank(query)]
+
+    def rank(self, query):
+        """Scan every jobseeker, apply every term, sort, truncate: rows of
+        (jobseeker id, total, [(skill, strength, years)] per term), each total
+        the strengths added left to right."""
         rows = []
         for jobseeker_id in self.jobseeker_ids():
             ok = True
             total = 0.0
+            per_skill = []
             for term in query.terms:
                 acc = self.edges.get(("jobseeker_skill", jobseeker_id, term.skill))
                 if acc is None:
@@ -248,9 +261,11 @@ class OracleGraph:
                 if term.max_years is not None and years > term.max_years:
                     ok = False
                     break
-                total += self.jobseeker_skill_strength(jobseeker_id, term.skill)
+                strength = self.jobseeker_skill_strength(jobseeker_id, term.skill)
+                per_skill.append((term.skill, strength, years))
+                total += strength
             if ok:
-                rows.append((jobseeker_id, total))
+                rows.append((jobseeker_id, total, per_skill))
         rows.sort(key=lambda row: (-row[1], row[0]))
         return rows[: query.top_k]
 
@@ -307,6 +322,86 @@ class OracleGraph:
             "avg_projects_per_resume": project_edges / len(jobseekers),
             "skills_by_category": dict(by_category),
         }
+
+
+# -- query DSL --------------------------------------------------------------------
+
+# Redeclared from README "Query DSL".
+QUERY_FILLERS = ("candidate", "candidates", "resume", "resumes", "jobseeker", "jobseekers")
+NUMBER = r"-?[0-9]+(?:[.][0-9]+)?"
+INT_MAX_STR_DIGITS = 4300  # the most digits Python's int() reads
+
+
+def naive_range(text):
+    """(A, B) of ``A-B`` (or ``A–B``), (A, None) of ``A+``, each sign with one
+    space or none before it, as the texts of the numbers; None for neither."""
+    m = re.fullmatch(f"({NUMBER}) ?[-–] ?({NUMBER})", text)
+    if m:
+        return m.group(1), m.group(2)
+    m = re.fullmatch(f"({NUMBER}) ?[+]", text)
+    return (m.group(1), None) if m else None
+
+
+def naive_parse_term(raw, alias_index):
+    """(skill, min years, max years) of one comma-separated piece, or the
+    name of the error class it raises."""
+    words = raw.split()
+    while words and words[-1].lower() in QUERY_FILLERS:
+        words = words[:-1]
+    if not words:
+        return "EmptyQueryError"
+    text = " ".join(words)
+    phrase, bounds = text, None
+    for i, ch in enumerate(text):  # the shortest phrase that leaves a range
+        if ch == " " and naive_range(text[i + 1:]) is not None:
+            phrase, bounds = text[:i], naive_range(text[i + 1:])
+            break
+    low = high = None
+    if bounds is not None:
+        low = float(bounds[0])
+        high = None if bounds[1] is None else float(bounds[1])
+        for bound in (low, high):
+            if bound is not None and (bound == math.inf or bound < 0):
+                return "QueryRangeError"
+        if high is not None and high < low:
+            return "QueryRangeError"
+    skill = alias_index.get(naive_fold(phrase))
+    if skill is None:
+        return "UnknownSkillError"
+    return skill, low, high
+
+
+def naive_parse_query(text, alias_index):
+    """((skill, min years, max years) per term, top N), or the name of the
+    error class the query raises: an optional leading ``top`` word, any case,
+    with an optional N; then the terms, one per comma-separated piece that is
+    not blank, each read in turn; a skill in two terms; then an N below 1;
+    then no terms."""
+    m = re.match(r"\s*top(?![a-z0-9_])", text, re.IGNORECASE)
+    top_k = 10
+    if m:
+        text = text[m.end():]
+        n = re.match(r"\s+([0-9]+)(?![a-z0-9_])", text, re.IGNORECASE)
+        if n:
+            if len(n.group(1)) > INT_MAX_STR_DIGITS:
+                return "QueryError"
+            top_k = int(n.group(1))
+            text = text[n.end():]
+    terms = []
+    for raw in text.split(","):
+        if not raw.strip():
+            continue
+        term = naive_parse_term(raw, alias_index)
+        if isinstance(term, str):
+            return term
+        if term[0] in [skill for skill, _, _ in terms]:
+            return "QueryError"
+        terms.append(term)
+    if top_k < 1:
+        return "QueryError"
+    if not terms:
+        return "EmptyQueryError"
+    return terms, top_k
 
 
 # -- lexicon and gazetteer documents ---------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from talentgraph.errors import (
@@ -18,8 +18,9 @@ from talentgraph.lexicon import parse_sentiment_records
 from talentgraph.query import Query, QueryTerm, execute, explain, parse_query
 
 from conftest import GAZETTEER_FILE, build_graph
-from oracle import OracleGraph
-from test_graph import GAZETTEER, LEXICON, exp, record, record_sets, shared_edge_records
+from oracle import OracleGraph, naive_parse_query
+from test_graph import (GAZETTEER, LEXICON, SENTIMENT_WORDS, exp, record, record_sets,
+                        shared_edge_records)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -103,6 +104,71 @@ def test_parse_term_of_only_filler_words_rejected(lexicon):
 def test_parse_duplicate_skill_rejected(lexicon):
     with pytest.raises(QueryError):
         parse_query("java 1-2, java 3-4", lexicon)
+
+
+def test_parse_reads_every_term_before_top_n_is_checked(lexicon):
+    with pytest.raises(UnknownSkillError, match=r"^unknown skill 'cobol'$"):
+        parse_query("top 0 cobol", lexicon)
+
+
+@pytest.mark.parametrize("terms, top_k, error, message", [
+    ((QueryTerm("java"),), 0, QueryError, "top N must be positive"),
+    ((QueryTerm("java"),), -1, QueryError, "top N must be positive"),
+    ((QueryTerm("java"),), 2.0, QueryError, "top N must be positive"),
+    ((QueryTerm("java"),), True, QueryError, "top N must be positive"),
+    ((QueryTerm("java"),), None, QueryError, "top N must be positive"),
+    ((), 10, EmptyQueryError, "query contains no terms"),
+    ((), 0, QueryError, "top N must be positive"),
+])
+def test_query_refuses_what_parse_query_refuses(terms, top_k, error, message):
+    with pytest.raises(error) as err:
+        Query(terms, top_k)
+    assert type(err.value) is error and str(err.value) == message
+
+
+ALIASES = sorted(LEXICON.alias_index)
+BOUNDS = ["0", "0.25", "1", "1.5", "2", "3", "10", "-1", "9" * 400]
+
+
+@st.composite
+def dsl_texts(draw):
+    """Query DSL text: fixture aliases in any case, or an unknown skill, each
+    with no range, ``A-B`` (also spaced or with ``–``) or ``A+``, and trailing
+    filler words; an optional ``top`` or ``top N``; blank pieces and stray commas."""
+    def case(word):
+        return "".join(draw(st.sampled_from([ch.lower(), ch.upper()])) for ch in word)
+
+    def term():
+        text = case(draw(st.sampled_from(ALIASES + ["cobol", "basket weaving", "top"])))
+        low, high = draw(st.sampled_from(BOUNDS)), draw(st.sampled_from(BOUNDS))
+        if draw(st.integers(0, 2)):  # mostly in order
+            low, high = sorted([low, high], key=float)
+        text += draw(st.sampled_from(["", f" {low}-{high}", f" {low} - {high}",
+                                      f" {low}–{high}", f" {low}+", f" {low} +"]))
+        fillers = draw(st.lists(st.sampled_from(["candidates", "Resume", "jobseekers"]),
+                                max_size=2))
+        return " ".join([text, *fillers]) if draw(st.integers(0, 9)) else " ".join(fillers)
+
+    top = draw(st.sampled_from(["", "", "top ", "TOP ", "Top 3 ", "top 12 ", "top 1 ",
+                                "top 0 ", f"top {'1' * 5000} "]))
+    pieces = [term() if draw(st.integers(0, 4)) else draw(st.sampled_from(["", " "]))
+              for _ in range(draw(st.integers(1, 4)))]
+    return top + draw(st.sampled_from([",", ", ", " ,"])).join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=dsl_texts())
+def test_parse_query_follows_the_readme_grammar(text):
+    """``parse_query`` reads drawn DSL text as the README's grammar does, or
+    both refuse it with the same error class."""
+    want = naive_parse_query(text, LEXICON.alias_index)
+    try:
+        query = parse_query(text, LEXICON)
+    except QueryError as err:
+        assert type(err).__name__ == want, text
+    else:
+        got = [(t.skill, t.min_years, t.max_years) for t in query.terms], query.top_k
+        assert got == want, text
 
 
 # -- execution -------------------------------------------------------------------
@@ -306,30 +372,66 @@ def test_totals_add_term_strengths_left_to_right():
 
 
 @st.composite
+def many_skill_records(draw):
+    """Resumes of several projects, each mentioning its own mix of five skills,
+    with its own sentiment words and months: jobseekers that match three or
+    four terms, each with its own strength."""
+    def experience():
+        skills = draw(st.lists(st.sampled_from(["java", "python", "c++", "sql", "react"]),
+                               min_size=1, max_size=5, unique=True))
+        words = draw(st.lists(st.sampled_from(SENTIMENT_WORDS), min_size=1, max_size=4))
+        return exp("acme", " ".join(skills + words), months=draw(st.integers(0, 40)))
+
+    return [record(f"js{i}", experiences=[experience() for _ in range(draw(st.integers(2, 4)))])
+            for i in range(draw(st.integers(2, 8)))]
+
+
+@st.composite
 def graphs_and_queries(draw):
-    """A graph from the graph tests' records, and a query of 1-4 of its skills
-    (or one it lacks), each unbounded or bounded at a year count some
-    jobseeker holds or a whole year, with any ``top_k`` up to past every match;
-    and the oracle of the same records."""
-    records = draw(st.one_of(record_sets(), shared_edge_records()))
+    """A graph from drawn records, and a query of 1-4 of its skills (or one it
+    lacks), each unbounded or bounded at a year count some jobseeker holds or
+    a whole year, with any ``top_k`` up to past every match; and the oracle of
+    the same records. Half the queries name only skills that one jobseeker
+    holds, bounded so that it qualifies, some on its exact years."""
+    records = draw(st.one_of(record_sets(), shared_edge_records(), many_skill_records()))
     graph = build_graph(records, LEXICON, GAZETTEER)
     jobseekers = graph.jobseeker_ids()
-    skills = sorted({skill for j in jobseekers for skill in graph.jobseeker_skills(j)})
+    held = {}
+    if jobseekers and draw(st.booleans()):
+        held = graph.jobseeker_skills(draw(st.sampled_from(jobseekers)))
+    skills = sorted(held or {s for j in jobseekers for s in graph.jobseeker_skills(j)} | {"sql"})
     years = sorted({edge.months_sum / 12.0 for j in jobseekers
                     for edge in graph.jobseeker_skills(j).values()} | {0.0, 1.0, 2.0})
     bound = st.sampled_from(years)
     terms = []
-    for skill in draw(st.lists(st.sampled_from(skills + ["sql"]), min_size=1, max_size=4,
-                               unique=True)):
+    for skill in draw(st.permutations(skills))[:draw(st.integers(1, 4))]:
         low, high = sorted([draw(bound), draw(bound)])
+        exact = high
+        if skill in held:
+            exact = held[skill].months_sum / 12.0
+            low, high = min(low, exact), max(high, exact)
         terms.append(draw(st.sampled_from([QueryTerm(skill), QueryTerm(skill, low),
-                                           QueryTerm(skill, low, high), QueryTerm(skill, high, high)])))
+                                           QueryTerm(skill, low, high),
+                                           QueryTerm(skill, exact, exact)])))
     oracle = OracleGraph(records, LEXICON, GAZETTEER, graph.config)
     return graph, oracle, Query(tuple(terms), draw(st.integers(1, len(jobseekers) + 2)))
 
 
+def order_sensitive_case():
+    """One jobseeker whose strengths 0.7041666666666666, 0.525 and
+    0.8624999999999999 add to one float left to right and another right to
+    left: few drawn cases tell the two orders apart."""
+    records = [record("js0", experiences=[exp("acme", "java lead performance", months=13),
+                                          exp("acme", "python hire robust", months=18),
+                                          exp("acme", "c++ robust scalable", months=39)])]
+    graph = build_graph(records, LEXICON, GAZETTEER)
+    query = Query(tuple(QueryTerm(skill) for skill in ("java", "python", "c++")))
+    return graph, OracleGraph(records, LEXICON, GAZETTEER, graph.config), query
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=graphs_and_queries())
+@example(case=order_sensitive_case())
 def test_explain_qualifies_exactly_the_jobseekers_execute_ranks(case):
     """``explain`` qualifies a jobseeker exactly when an unbounded ``execute``
     ranks it, as the oracle does, and both totals are, bit for bit,
@@ -339,6 +441,9 @@ def test_explain_qualifies_exactly_the_jobseekers_execute_ranks(case):
     jobseekers = graph.jobseeker_ids()
     unbounded = Query(query.terms, len(jobseekers) + 1)
     ranked = execute(unbounded, graph)
+    for result in ranked:
+        terms = explain(result.jobseeker_id, query, graph).terms
+        assert result.per_skill == [(t["skill"], t["strength"], t["years"]) for t in terms]
     totals = {result.jobseeker_id: result.total_score for result in ranked}
     assert set(totals) == {jobseeker_id for jobseeker_id, _ in oracle.execute(unbounded)}
     assert [r.jobseeker_id for r in ranked] == sorted(totals, key=lambda j: (-totals[j], j))
@@ -352,3 +457,15 @@ def test_explain_qualifies_exactly_the_jobseekers_execute_ranks(case):
         if explanation.qualifies:
             assert totals[jobseeker_id].hex() == total.hex()
     assert execute(query, graph) == ranked[:query.top_k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=graphs_and_queries())
+@example(case=order_sensitive_case())
+def test_execute_equals_the_oracle(case):
+    """``execute`` ranks the oracle's jobseekers in the oracle's order, each
+    with the oracle's total, bit for bit, and its per-term (skill, strength,
+    years)."""
+    graph, oracle, query = case
+    got = [(r.jobseeker_id, r.total_score.hex(), r.per_skill) for r in execute(query, graph)]
+    assert got == [(j, total.hex(), per_skill) for j, total, per_skill in oracle.rank(query)]
