@@ -67,7 +67,7 @@ class UnknownSkillError(QueryError):
 
 
 class QueryRangeError(QueryError):
-    """Experience range is malformed (min > max, or negative bounds)."""
+    """Experience range is malformed: a bound not a number, not finite or negative, or min > max."""
 
 
 class DocumentFormatError(TalentGraphError):

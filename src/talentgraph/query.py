@@ -1,6 +1,6 @@
 """Query DSL parsing, filtering and deterministic top-k ranking.
 
-Grammar (case-insensitive)::
+Grammar (case-insensitive; N, A and B are written in ASCII digits)::
 
     query  := ["top" [N]] term ("," term)*
     term   := skill-phrase [range]
@@ -10,15 +10,17 @@ Grammar (case-insensitive)::
 Skill phrases are resolved through the lexicon's alias index, so
 "CPP 8-10" and "c++ 8-10" are the same term. Trailing filler words
 (candidate(s), resume(s), jobseeker(s)) are ignored, which keeps prose
-queries like "top C++ candidates" valid.
+queries like "top C++ candidates" valid. ``parse_query`` only reads the text;
+the types hold every limit, for the DSL and a direct caller alike. ``QueryTerm``
+refuses a bound that is not a finite non-negative number, or min > max; ``Query``
+keeps its terms as a tuple and refuses top_k < 1, no terms, a repeated skill.
 
 A jobseeker matches a term when the jobseeker-skill edge exists and, for
 bounded terms, the accumulated years fall inside the inclusive range.
 Matches are ranked by the sum of per-skill strengths over the query terms,
 ties broken lexicographically by jobseeker id, then truncated to top k.
 ``execute`` and ``explain`` read each term through one evaluator, so explain's
-per-term (skill, strength, years) are execute's ``per_skill``. Every ``Query``
-holds at least one term and a ``top_k`` of at least 1.
+per-term (skill, strength, years) are execute's ``per_skill``.
 """
 from __future__ import annotations
 
@@ -26,23 +28,16 @@ import math
 import re
 from dataclasses import asdict, dataclass, field
 
-from .errors import (
-    EmptyQueryError,
-    NodeNotFoundError,
-    QueryError,
-    QueryRangeError,
-    UnknownSkillError,
-)
+from .errors import (EmptyQueryError, NodeNotFoundError, QueryError, QueryRangeError,
+                     UnknownSkillError)
 from .graph import EdgeKind, KnowledgeGraph, NodeKind
 from .lexicon import SkillLexicon, normalize_skill
 
 DEFAULT_TOP_K = 10
 
-_FILLER_WORDS = frozenset(
-    "candidate candidates resume resumes jobseeker jobseekers".split()
-)
-_TOP_RE = re.compile(r"^\s*top\b(?:\s+(\d+)\b)?\s*", re.IGNORECASE)
-_NUM = r"-?\d+(?:\.\d+)?"
+_FILLER_WORDS = frozenset("candidate candidates resume resumes jobseeker jobseekers".split())
+_TOP_RE = re.compile(r"^\s*top\b(?:\s+([0-9]+)\b)?\s*", re.IGNORECASE)
+_NUM = r"-?[0-9]+(?:\.[0-9]+)?"
 _RANGE_RE = re.compile(rf"^(?P<phrase>.*?)\s+(?P<lo>{_NUM})\s*[-–]\s*(?P<hi>{_NUM})$")
 _MIN_ONLY_RE = re.compile(rf"^(?P<phrase>.*?)\s+(?P<lo>{_NUM})\s*\+$")
 _JOBSEEKER_SKILL = EdgeKind.JOBSEEKER_SKILL  # a global reads faster than the enum attribute
@@ -55,6 +50,22 @@ class QueryTerm:
     min_years: float | None = None
     max_years: float | None = None
 
+    def __post_init__(self) -> None:
+        lo, hi = self.min_years, self.max_years
+        bounds = [b for b in (lo, hi) if b is not None]
+        for b in bounds:  # type(), not isinstance(): a bool is no number of years
+            if type(b) is not float and type(b) is not int:
+                raise QueryRangeError(f"bound {b!r} in {self.skill!r} is not a number")
+        # The term as DSL text, an absent minimum as 0 (no years are below it); :g fits floats only.
+        low, high = (f"{b:g}" if type(b) is float else str(b) for b in (lo or 0, hi))
+        text = f"{self.skill} {low}" + ("+" if hi is None else f"-{high}")
+        if not all(math.isfinite(b) for b in bounds if type(b) is float):
+            raise QueryRangeError(f"bound in {text!r} is not finite")
+        if any(b < 0 for b in bounds):
+            raise QueryRangeError(f"negative bound in {text!r}")
+        if len(bounds) == 2 and hi < lo:
+            raise QueryRangeError(f"range {low}-{high} has min > max")
+
 
 @dataclass(frozen=True)
 class Query:
@@ -62,10 +73,16 @@ class Query:
     top_k: int = DEFAULT_TOP_K
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", tuple(self.terms))  # any iterable, read once
         if type(self.top_k) is not int or self.top_k < 1:  # a bool is no count
             raise QueryError("top N must be positive")
         if not self.terms:
             raise EmptyQueryError("query contains no terms")
+        seen: set[str] = set()
+        for term in self.terms:
+            if term.skill in seen:
+                raise QueryError(f"duplicate skill {term.skill!r} in query")
+            seen.add(term.skill)
 
 
 @dataclass
@@ -92,7 +109,6 @@ def _parse_term(raw: str, lexicon: SkillLexicon) -> QueryTerm:
     text = " ".join(words)
     if not text:
         raise EmptyQueryError("empty query term")
-
     phrase, lo, hi = text, None, None
     m = _RANGE_RE.match(text)
     if m:
@@ -102,14 +118,6 @@ def _parse_term(raw: str, lexicon: SkillLexicon) -> QueryTerm:
         if m:
             phrase, lo = m.group("phrase"), float(m.group("lo"))
 
-    if lo is not None:
-        if math.isinf(lo) or math.isinf(hi or 0.0):  # float() of a number above ~1.8e308
-            raise QueryRangeError(f"bound in {text!r} is not finite")
-        if lo < 0 or (hi is not None and hi < 0):
-            raise QueryRangeError(f"negative bound in {text!r}")
-        if hi is not None and hi < lo:
-            raise QueryRangeError(f"range {lo:g}-{hi:g} has min > max")
-
     skill = normalize_skill(phrase, lexicon)
     if skill is None:
         raise UnknownSkillError(phrase.strip())
@@ -117,7 +125,7 @@ def _parse_term(raw: str, lexicon: SkillLexicon) -> QueryTerm:
 
 
 def parse_query(text: str, lexicon: SkillLexicon) -> Query:
-    """Parse the query DSL; unknown skills are an error, never dropped."""
+    """Read the query DSL, which ``Query`` checks; unknown skills are an error, never dropped."""
     remainder = text
     top_k = DEFAULT_TOP_K
     m = _TOP_RE.match(text)
@@ -128,16 +136,8 @@ def parse_query(text: str, lexicon: SkillLexicon) -> Query:
             except ValueError as exc:  # more digits than int() reads
                 raise QueryError(f"top N has too many digits ({len(m.group(1))})") from exc
         remainder = text[m.end():]
-
-    terms = []
-    seen: set[str] = set()
-    for raw in filter(str.strip, remainder.split(",")):
-        term = _parse_term(raw, lexicon)
-        if term.skill in seen:
-            raise QueryError(f"duplicate skill {term.skill!r} in query")
-        seen.add(term.skill)
-        terms.append(term)
-    return Query(terms=tuple(terms), top_k=top_k)
+    terms = [_parse_term(raw, lexicon) for raw in filter(str.strip, remainder.split(","))]
+    return Query(terms, top_k)
 
 
 def _term(graph: KnowledgeGraph, jobseeker_id: str,

@@ -356,6 +356,9 @@ def naive_parse_term(raw, alias_index):
         if ch == " " and naive_range(text[i + 1:]) is not None:
             phrase, bounds = text[:i], naive_range(text[i + 1:])
             break
+    skill = alias_index.get(naive_fold(phrase))
+    if skill is None:  # the skill is resolved before its range is checked
+        return "UnknownSkillError"
     low = high = None
     if bounds is not None:
         low = float(bounds[0])
@@ -365,9 +368,6 @@ def naive_parse_term(raw, alias_index):
                 return "QueryRangeError"
         if high is not None and high < low:
             return "QueryRangeError"
-    skill = alias_index.get(naive_fold(phrase))
-    if skill is None:
-        return "UnknownSkillError"
     return skill, low, high
 
 
@@ -375,8 +375,8 @@ def naive_parse_query(text, alias_index):
     """((skill, min years, max years) per term, top N), or the name of the
     error class the query raises: an optional leading ``top`` word, any case,
     with an optional N; then the terms, one per comma-separated piece that is
-    not blank, each read in turn; a skill in two terms; then an N below 1;
-    then no terms."""
+    not blank, each read in turn; then an N below 1; then no terms; then a
+    skill in two terms."""
     m = re.match(r"\s*top(?![a-z0-9_])", text, re.IGNORECASE)
     top_k = 10
     if m:
@@ -394,13 +394,14 @@ def naive_parse_query(text, alias_index):
         term = naive_parse_term(raw, alias_index)
         if isinstance(term, str):
             return term
-        if term[0] in [skill for skill, _, _ in terms]:
-            return "QueryError"
         terms.append(term)
     if top_k < 1:
         return "QueryError"
     if not terms:
         return "EmptyQueryError"
+    skills = [skill for skill, _, _ in terms]
+    if len(set(skills)) < len(skills):
+        return "QueryError"
     return terms, top_k
 
 

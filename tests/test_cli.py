@@ -261,7 +261,7 @@ def test_explain_bound_too_large_for_a_float_is_error(tmp_path, capsys):
     assert run_cli("explain", out, "js0000-jane-doe", dsl, "--json") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: bound in {dsl!r} is not finite\n"
+    assert captured.err == "error: bound in 'java 1-inf' is not finite\n"
 
 
 def test_export_json_round_trips(tmp_path, capsys):

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import io
 import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from talentgraph import cli
 from talentgraph.errors import (
     EmptyQueryError,
     NodeNotFoundError,
@@ -17,7 +23,7 @@ from talentgraph.graph import EdgeKind, KnowledgeGraph
 from talentgraph.lexicon import parse_sentiment_records
 from talentgraph.query import Query, QueryTerm, execute, explain, parse_query
 
-from conftest import GAZETTEER_FILE, build_graph
+from conftest import GAZETTEER_FILE, LEXICON_FILE, build_graph
 from oracle import OracleGraph, naive_parse_query
 from test_graph import (GAZETTEER, LEXICON, SENTIMENT_WORDS, exp, record, record_sets,
                         shared_edge_records)
@@ -71,11 +77,15 @@ def test_parse_negative_range_rejected(lexicon):
         parse_query("c++ -1-2", lexicon)
 
 
-@pytest.mark.parametrize("dsl", [f"c++ 1-{'9' * 400}", f"c++ {'9' * 400}+",
-                                 f"c++ {'9' * 309}-{'9' * 310}"], ids=["max", "min", "both"])
-def test_parse_bound_too_large_for_a_float_rejected(lexicon, dsl):
-    with pytest.raises(QueryRangeError, match="is not finite$"):
+@pytest.mark.parametrize("dsl, term", [(f"c++ 1-{'9' * 400}", "c++ 1-inf"),
+                                       (f"CPP {'9' * 400}+", "c++ inf+"),
+                                       (f"c++ {'9' * 309}-{'9' * 310}", "c++ inf-inf")],
+                         ids=["max", "min", "both"])
+def test_parse_bound_too_large_for_a_float_rejected(lexicon, dsl, term):
+    """The term is named by its canonical skill and bounds, not by the text."""
+    with pytest.raises(QueryRangeError) as err:
         parse_query(dsl, lexicon)
+    assert str(err.value) == f"bound in {term!r} is not finite"
 
 
 def test_parse_unknown_skill_named(lexicon):
@@ -112,29 +122,42 @@ def test_parse_reads_every_term_before_top_n_is_checked(lexicon):
 
 
 @pytest.mark.parametrize("terms, top_k, error, message", [
-    ((QueryTerm("java"),), 0, QueryError, "top N must be positive"),
-    ((QueryTerm("java"),), -1, QueryError, "top N must be positive"),
-    ((QueryTerm("java"),), 2.0, QueryError, "top N must be positive"),
-    ((QueryTerm("java"),), True, QueryError, "top N must be positive"),
-    ((QueryTerm("java"),), None, QueryError, "top N must be positive"),
+    ((("java",),), 0, QueryError, "top N must be positive"),
+    ((("java",),), -1, QueryError, "top N must be positive"),
+    ((("java",),), 2.0, QueryError, "top N must be positive"),
+    ((("java",),), True, QueryError, "top N must be positive"),
+    ((("java",),), None, QueryError, "top N must be positive"),
     ((), 10, EmptyQueryError, "query contains no terms"),
     ((), 0, QueryError, "top N must be positive"),
+    ((("java", 5, 2),), 10, QueryRangeError, "range 5-2 has min > max"),
+    ((("java", -3),), 10, QueryRangeError, "negative bound in 'java -3+'"),
+    ((("java", None, -1),), 10, QueryRangeError, "negative bound in 'java 0--1'"),
+    ((("java", math.nan),), 10, QueryRangeError, "bound in 'java nan+' is not finite"),
+    ((("c++", 1.0, math.inf),), 10, QueryRangeError, "bound in 'c++ 1-inf' is not finite"),
+    ((("java", True),), 10, QueryRangeError, "bound True in 'java' is not a number"),
+    ((("java", "2"),), 10, QueryRangeError, "bound '2' in 'java' is not a number"),
+    ((("java",), ("python",), ("java", 1.0)), 10, QueryError, "duplicate skill 'java' in query"),
+    ((("java",), ("java",)), 0, QueryError, "top N must be positive"),
 ])
 def test_query_refuses_what_parse_query_refuses(terms, top_k, error, message):
+    """A ``QueryTerm`` or ``Query`` built directly raises, when it is built,
+    what ``parse_query`` raises for the same term or query; the terms reach
+    ``Query`` as an iterator, which it reads once."""
     with pytest.raises(error) as err:
-        Query(terms, top_k)
+        Query(iter([QueryTerm(*args) for args in terms]), top_k)
     assert type(err.value) is error and str(err.value) == message
 
 
 ALIASES = sorted(LEXICON.alias_index)
-BOUNDS = ["0", "0.25", "1", "1.5", "2", "3", "10", "-1", "9" * 400]
+BOUNDS = ["0", "0.25", "1", "1.5", "2", "3", "10", "-1", "9" * 400, "٣", "３", "1٣"]
 
 
 @st.composite
 def dsl_texts(draw):
     """Query DSL text: fixture aliases in any case, or an unknown skill, each
     with no range, ``A-B`` (also spaced or with ``–``) or ``A+``, and trailing
-    filler words; an optional ``top`` or ``top N``; blank pieces and stray commas."""
+    filler words; an optional ``top`` or ``top N``; blank pieces and stray commas.
+    Some bounds and ``N`` are written in non-ASCII digits, which are no numbers."""
     def case(word):
         return "".join(draw(st.sampled_from([ch.lower(), ch.upper()])) for ch in word)
 
@@ -150,7 +173,7 @@ def dsl_texts(draw):
         return " ".join([text, *fillers]) if draw(st.integers(0, 9)) else " ".join(fillers)
 
     top = draw(st.sampled_from(["", "", "top ", "TOP ", "Top 3 ", "top 12 ", "top 1 ",
-                                "top 0 ", f"top {'1' * 5000} "]))
+                                "top 0 ", f"top {'1' * 5000} ", "top ٣ ", "top ３ "]))
     pieces = [term() if draw(st.integers(0, 4)) else draw(st.sampled_from(["", " "]))
               for _ in range(draw(st.integers(1, 4)))]
     return top + draw(st.sampled_from([",", ", ", " ,"])).join(pieces)
@@ -158,6 +181,10 @@ def dsl_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(text=dsl_texts())
+@example(text="top ٣ java")
+@example(text="java ２-３")
+@example(text="cobol -1+")
+@example(text="java, java, cobol")
 def test_parse_query_follows_the_readme_grammar(text):
     """``parse_query`` reads drawn DSL text as the README's grammar does, or
     both refuse it with the same error class."""
@@ -175,6 +202,8 @@ def test_parse_query_follows_the_readme_grammar(text):
 
 def test_execute_ranks_by_java_strength(corpus_graph, lexicon):
     results = execute(parse_query("top java candidates", lexicon), corpus_graph)
+    once = Query(iter([QueryTerm("java")]))  # read once, into a tuple
+    assert type(once.terms) is tuple and execute(once, corpus_graph) == results
     assert [r.jobseeker_id for r in results] == [
         "js0000-jane-doe",     # 0.725 + 18/120 * 0.5 = 0.8
         "js0001-john-smith",   # 0.7625 + 6/120 * 0.5 = 0.7875
@@ -469,3 +498,66 @@ def test_execute_equals_the_oracle(case):
     graph, oracle, query = case
     got = [(r.jobseeker_id, r.total_score.hex(), r.per_skill) for r in execute(query, graph)]
     assert got == [(j, total.hex(), per_skill) for j, total, per_skill in oracle.rank(query)]
+
+
+def dsl_of(query):
+    """DSL text that ``parse_query`` reads back as ``query``."""
+    def term(t):
+        if t.min_years is None:
+            return t.skill
+        return f"{t.skill} {t.min_years!r}" + ("+" if t.max_years is None else f"-{t.max_years!r}")
+    return f"top {query.top_k} " + ", ".join(map(term, query.terms))
+
+
+def cli_run(*argv):
+    """``cli.main``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_stdout(*argv):
+    code, out, err = cli_run(*argv)
+    assert (code, err) == (0, "")
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=graphs_and_queries())
+def test_json_commands_print_the_library_results(case):
+    """``query --json``, to stdout or to ``--out``, and ``explain --json`` of
+    each jobseeker print exactly a version-1 document around the library
+    results' ``to_dict()``. A query naming a declared skill that the lexicon
+    lacks has no DSL text: both commands refuse it, print nothing and write no
+    ``--out`` file."""
+    graph, _, query = case
+    dsl = dsl_of(query)
+    unknown = [t.skill for t in query.terms if t.skill not in LEXICON.categories]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "graph.json"), Path(tmp, "results.json")
+        graph.save(path)
+        if unknown:
+            with pytest.raises(UnknownSkillError, match=f"^unknown skill '{unknown[0]}'$"):
+                parse_query(dsl, LEXICON)
+            refused = (1, "", f"error: unknown skill '{unknown[0]}'\n")
+            args = ("query", path, dsl, "--lexicon", LEXICON_FILE, "--json")
+            assert cli_run(*args) == refused
+            assert cli_run(*args, "--out", out) == refused
+            assert not out.exists()
+            for jobseeker_id in graph.jobseeker_ids():
+                assert cli_run("explain", path, jobseeker_id, dsl, "--lexicon", LEXICON_FILE,
+                               "--json") == refused
+            return
+        assert parse_query(dsl, LEXICON) == query
+        want = {"schema_version": 1, "query": dsl, "top_k": query.top_k,
+                "results": [r.to_dict() for r in execute(query, graph)]}
+        args = ("query", path, dsl, "--lexicon", LEXICON_FILE, "--json")
+        assert json.loads(cli_stdout(*args)) == want
+        assert cli_stdout(*args, "--out", out) == ""
+        assert json.loads(out.read_text(encoding="utf-8")) == want
+        for jobseeker_id in graph.jobseeker_ids():
+            text = cli_stdout("explain", path, jobseeker_id, dsl, "--lexicon", LEXICON_FILE,
+                              "--json")
+            explanation = explain(jobseeker_id, query, graph).to_dict()
+            assert json.loads(text) == {"schema_version": 1, "explanation": explanation}
