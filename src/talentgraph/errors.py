@@ -47,7 +47,7 @@ class NodeNotFoundError(TalentGraphError):
 
 
 class GraphFormatError(TalentGraphError):
-    """Persisted graph document is malformed."""
+    """A graph document is malformed, or ``add_resume`` got a record its row cannot hold."""
 
 
 class QueryError(TalentGraphError):

@@ -1,7 +1,7 @@
 """Weighted knowledge graph of jobseekers, skills, organizations, projects.
 
 Edges carry (sum, count) accumulators rather than running means. A merge of
-two graphs over disjoint corpora loads both graphs' rows, so ``_add_project``
+two graphs over disjoint corpora loads both graphs' rows, so ``_add_jobseeker``
 sums every graph. Scores are summed as integers of 2**-64 units (exact for
 scores >= 2**-11), so any ingestion order or merge tree gives the same
 accumulators and file bytes.
@@ -14,15 +14,15 @@ with itself; README, Graph file, gives its layout.
 
 Construction per resume:
 
-1. Ensure the jobseeker node and a skill node (plus a zero-accumulator
-   jobseeker-skill edge) for every declared skill.
-2. For each experience, ensure organization and project nodes and keep the
-   project row; project keys are surrogate ("<jobseeker_id>:p<ordinal>")
-   because project descriptions are never unified across resumes.
-3. Score the description once and accumulate that same score and the
-   experience's months into the jobseeker-skill edge of every skill
-   mentioned in the details.
-4. The accumulated months feed a bounded duration bonus at read time:
+1. Score each experience's description once, if it mentions a skill, and write
+   the resume as its graph file row: declared-only skills, and per experience
+   [title, organization, months, score units, mentioned skills].
+2. Add the row as a load does, by the file's row rule, so a record the file
+   cannot hold is refused and changes nothing. Project keys are surrogate
+   ("<jobseeker_id>:p<ordinal>"): project descriptions are never unified
+   across resumes. Each mentioned skill's jobseeker-skill edge sums its
+   experiences' scores and months; a declared-only skill's stays at zero.
+3. The accumulated months feed a bounded duration bonus at read time:
    strength = mean(score) + factor * min(months, cap) / cap.
 
 Reads never write. Lookups for one jobseeker (``jobseeker_skills``,
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ._io import check_document, check_keys, read_document, write_document
 from .errors import (DuplicateJobseekerError, GraphConfigError, GraphFormatError,
@@ -150,6 +150,12 @@ def project_key(jobseeker_id: str, ordinal: int) -> str:
     return f"{jobseeker_id}:p{ordinal}"
 
 
+def _fault(where: str, at: object, fault: str, ordinal: int | None = None) -> GraphFormatError:
+    # The locator is formatted only for the row that is rejected.
+    part = "" if ordinal is None else f".projects[{ordinal}]"
+    return GraphFormatError(f"{where.format(at)}{part}: {fault}")
+
+
 # The skills of a jobseeker the graph does not hold; read only.
 _NO_EDGES: Mapping[str, WeightedEdge] = MappingProxyType({})
 
@@ -165,53 +171,105 @@ class KnowledgeGraph:
 
     # -- construction -----------------------------------------------------
 
-    def _add_project(self, jobseeker_id: str, ordinal: int, title: str, org: str,
-                     months: int, units: int, skills: Sequence[str]) -> None:
-        """Steps 2 and 3 for one experience: ``skills`` are the distinct skills
-        its details mention, kept in the project row, and ``units`` its score;
-        each skill and the organization has a node already, and the jobseeker its
-        entries, with rows for the ordinals before this one. The jobseeker is new,
-        so the project is too."""
-        pkey = project_key(jobseeker_id, ordinal)
-        self.nodes[NodeId(_PROJECT, pkey)] = {"title": title}
-        self._projects[jobseeker_id].append((pkey, title, org, months, units, skills))
-        edges = self._jobseeker_skill[jobseeker_id]
+    def _add_jobseeker(self, row: object, known: set[str], orgs: set[str],
+                       where: str, at: object) -> None:
+        """Check one ``[id, name, declared, projects]`` row by the file's row rule, each fault
+        located at ``where.format(at)``, and only then add its jobseeker's node, edges, project
+        rows and their nodes. ``known`` holds the skills it may name, each given a node by the
+        caller, and ``orgs`` the organizations with a node (README, Graph file)."""
+        if type(row) is not list or len(row) != 4:
+            raise _fault(where, at, "not an [id, name, declared, projects] row")
+        jobseeker, name, declared, projects = row
+        if not (isinstance(jobseeker, str) and isinstance(name, str)
+                and type(declared) is list and type(projects) is list):
+            raise _fault(where, at, "id and name must be strings, declared and projects lists")
+        if jobseeker in self._jobseeker_skill:  # each jobseeker node has its entries
+            raise _fault(where, at, f"duplicate jobseeker {jobseeker!r}")
+        added = {NodeId(_JOBSEEKER, jobseeker): {"name": name}}  # with project and org nodes
+        edges: dict[str, WeightedEdge] = {}
         get = edges.get
-        for skill in skills:
-            if (edge := get(skill)) is None:
-                edge = edges[skill] = WeightedEdge()
-            edge.weight_units += units
-            edge.support_count += 1
-            edge.months_sum += months
+        rows = []
+        for ordinal, project in enumerate(projects):
+            if type(project) is not list or len(project) != 5:
+                raise _fault(where, at, "not a [title, organization, months, score_units, "
+                                        "skills] row", ordinal)
+            title, org, months, units, mentioned = project
+            if not (isinstance(title, str) and isinstance(org, str) and type(mentioned) is list):
+                raise _fault(where, at, "title and organization must be strings, skills a list",
+                             ordinal)
+            # type(): JSON has no bool integers, and NaN or Infinity load as floats.
+            if type(months) is not int or type(units) is not int:
+                raise _fault(where, at, "months and score_units must be integers", ordinal)
+            if not 0 <= months <= MAX_DURATION_MONTHS:
+                raise _fault(where, at, f"months {months} outside [0, {MAX_DURATION_MONTHS}]",
+                             ordinal)
+            if not 0 <= units <= WEIGHT_UNITS:
+                raise _fault(where, at, f"score_units {units} outside [0, 2**64]", ordinal)
+            if units and not mentioned:
+                raise _fault(where, at, "score_units without a mentioned skill", ordinal)
+            try:  # one check per row; the loop only locates a fault
+                clean = known.issuperset(mentioned) and len(set(mentioned)) == len(mentioned)
+            except TypeError:  # an unhashable skill, which the loop names
+                clean = False
+            if not clean:
+                for skill in mentioned:
+                    if not isinstance(skill, str) or skill not in known:
+                        raise _fault(where, at, f"unknown skill {skill!r}", ordinal)
+                    if mentioned.count(skill) > 1:
+                        raise _fault(where, at, f"skill {skill!r} is listed twice", ordinal)
+            pkey = project_key(jobseeker, ordinal)  # the jobseeker is new, so its projects are
+            added[NodeId(_PROJECT, pkey)] = {"title": title}
+            if org not in orgs:  # an organization's node holds no attrs, so a rewrite keeps it
+                orgs.add(org)
+                added[NodeId(_ORGANIZATION, org)] = {}
+            # A copy: the graph keeps the row, and the caller keeps the document.
+            rows.append((pkey, title, org, months, units, tuple(mentioned)))
+            for skill in mentioned:
+                if (edge := get(skill)) is None:
+                    edge = edges[skill] = WeightedEdge()
+                edge.weight_units += units
+                edge.support_count += 1
+                edge.months_sum += months
+        for skill in declared:
+            if not isinstance(skill, str) or skill not in known:
+                raise _fault(where + ".declared", at, f"unknown skill {skill!r}")
+            edge = WeightedEdge()
+            if edges.setdefault(skill, edge) is not edge:
+                raise _fault(where + ".declared", at,
+                             f"skill {skill!r} is listed twice or mentioned by a project")
+        self.nodes.update(added)
+        self._jobseeker_skill[jobseeker] = edges
+        self._projects[jobseeker] = rows
 
     def add_resume(self, record: ResumeRecord, lexicon: SkillLexicon,
                    gazetteer: SentimentGazetteer) -> "KnowledgeGraph":
-        """Ingest one parsed resume; rejects an already-ingested jobseeker id."""
+        """Ingest one parsed resume as the row ``to_dict`` would write for it, by the
+        graph file's row rule. An already-ingested jobseeker id raises
+        ``DuplicateJobseekerError``, and a record the file cannot hold (months outside
+        the parser's range, a title that is not a string) a ``GraphFormatError``
+        located at ``jobseeker '<id>'``; either leaves the graph unchanged."""
         # Read at call time: commands that never ingest never import these.
         from .parser import extract_skills
         from .scoring import score_description
 
-        jobseeker = NodeId(_JOBSEEKER, record.jobseeker_id)
-        if jobseeker in self.nodes:
+        if record.jobseeker_id in self._jobseeker_skill:  # each jobseeker has its entries
             raise DuplicateJobseekerError(f"jobseeker {record.jobseeker_id!r} already ingested")
-        self.nodes[jobseeker] = {"name": record.name}
-        skills = self._jobseeker_skill[record.jobseeker_id] = {}
-        self._projects[record.jobseeker_id] = []
-        for skill in sorted(record.declared_skills):
-            if (node := NodeId(_SKILL, skill)) not in self.nodes:
-                self.nodes[node] = {"category": lexicon.categories.get(skill) or ""}
-            skills[skill] = WeightedEdge()
-        for ordinal, exp in enumerate(record.experiences):
+        projects, project_skills = [], set()
+        for exp in record.experiences:
             mentioned = sorted(extract_skills(exp.details, lexicon))
-            for skill in mentioned:
-                if (node := NodeId(_SKILL, skill)) not in self.nodes:
-                    self.nodes[node] = {"category": lexicon.categories.get(skill) or ""}
             units = 0
             if mentioned:  # one score per description, the same for every skill
                 units = round(score_description(exp.details, gazetteer) * WEIGHT_UNITS)
-            self.nodes.setdefault(NodeId(_ORGANIZATION, exp.organization), {})
-            self._add_project(record.jobseeker_id, ordinal, exp.project_title,
-                              exp.organization, exp.duration_months, units, mentioned)
+                project_skills.update(mentioned)
+            projects.append([exp.project_title, exp.organization, exp.duration_months,
+                             units, mentioned])
+        known = project_skills.union(record.declared_skills)
+        # key=str: a skill that is not a string sorts too, so the row rule can refuse it.
+        row = [record.jobseeker_id, record.name, sorted(known - project_skills, key=str), projects]
+        self._add_jobseeker(row, known, set(), "jobseeker {!r}", record.jobseeker_id)
+        for skill in sorted(known):  # each a string, as the row rule checked
+            if (node := NodeId(_SKILL, skill)) not in self.nodes:
+                self.nodes[node] = {"category": lexicon.categories.get(skill) or ""}
         return self
 
     # -- lookups ----------------------------------------------------------
@@ -357,8 +415,8 @@ class KnowledgeGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
-        # The kept entries; a row's skills compare as a set, which ``add_resume`` keeps
-        # sorted and ``from_dict`` in the document's order. No derived edge is built.
+        # The kept entries; a row's skills compare as a set, since a loaded row keeps them
+        # in the document's order, sorted or not. No derived edge is built.
         rows = [{jobseeker: [(*row[:5], frozenset(row[5])) for row in kept]
                  for jobseeker, kept in graph._projects.items()} for graph in (self, other)]
         return ((self.config, self.nodes, self._jobseeker_skill, rows[0])
@@ -394,10 +452,10 @@ class KnowledgeGraph:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
-        """Check a graph document row by row and rebuild the graph from it with
-        ``add_resume``'s sums and rows. Each rejection is a ``GraphFormatError`` located
-        at the config, a section, a row or a project row; see README, Graph file.
-        """
+        """Check a graph document row by row and rebuild the graph from it, adding
+        each jobseeker row as ``add_resume`` adds one. Each rejection is a
+        ``GraphFormatError`` located at the config, a section, a row or a project
+        row; see README, Graph file."""
         doc = check_document(doc, GraphFormatError, _SECTIONS, version=GRAPH_SCHEMA_VERSION,
                              remedy=_REINGEST)
         config_doc = doc["config"]
@@ -412,14 +470,8 @@ class KnowledgeGraph:
             raise GraphFormatError(f"bad config: {exc}") from exc
 
         graph = cls(config)
-        nodes = graph.nodes
         known: set[str] = set()
         orgs: set[str] = set()  # each organization's node is added once
-
-        def bad_project(i: int, ordinal: int, fault: str) -> GraphFormatError:
-            # The locator is formatted only for the row that is rejected.
-            return GraphFormatError(f"jobseekers[{i}].projects[{ordinal}]: {fault}")
-
         for i, row in enumerate(doc["skills"]):
             if type(row) is not list or len(row) != 2:
                 raise GraphFormatError(f"skills[{i}]: not a [key, attrs] row")
@@ -432,62 +484,9 @@ class KnowledgeGraph:
             if key in known:
                 raise GraphFormatError(f"skills[{i}]: duplicate skill {key!r}")
             known.add(key)
-            nodes[NodeId(_SKILL, key)] = dict(attrs)
+            graph.nodes[NodeId(_SKILL, key)] = dict(attrs)
         for i, row in enumerate(doc["jobseekers"]):
-            if type(row) is not list or len(row) != 4:
-                raise GraphFormatError(f"jobseekers[{i}]: "
-                                       "not an [id, name, declared, projects] row")
-            jobseeker, name, declared, projects = row
-            if not (isinstance(jobseeker, str) and isinstance(name, str)
-                    and type(declared) is list and type(projects) is list):
-                raise GraphFormatError(f"jobseekers[{i}]: id and name must be strings, "
-                                       "declared and projects lists")
-            if (node := NodeId(_JOBSEEKER, jobseeker)) in nodes:
-                raise GraphFormatError(f"jobseekers[{i}]: duplicate jobseeker {jobseeker!r}")
-            nodes[node] = {"name": name}
-            edges = graph._jobseeker_skill[jobseeker] = {}
-            graph._projects[jobseeker] = []
-            for ordinal, project in enumerate(projects):
-                if type(project) is not list or len(project) != 5:
-                    raise bad_project(i, ordinal, "not a [title, organization, months, "
-                                                  "score_units, skills] row")
-                title, org, months, units, mentioned = project
-                if not (isinstance(title, str) and isinstance(org, str)
-                        and type(mentioned) is list):
-                    raise bad_project(i, ordinal, "title and organization must be strings, "
-                                                  "skills a list")
-                # type(): JSON has no bool integers, and NaN or Infinity load as floats.
-                if type(months) is not int or type(units) is not int:
-                    raise bad_project(i, ordinal, "months and score_units must be integers")
-                if not 0 <= months <= MAX_DURATION_MONTHS:
-                    raise bad_project(i, ordinal, f"months {months} outside "
-                                                  f"[0, {MAX_DURATION_MONTHS}]")
-                if not 0 <= units <= WEIGHT_UNITS:
-                    raise bad_project(i, ordinal, f"score_units {units} outside [0, 2**64]")
-                if units and not mentioned:
-                    raise bad_project(i, ordinal, "score_units without a mentioned skill")
-                try:  # one check per row; the loop only locates a fault
-                    clean = known.issuperset(mentioned) and len(set(mentioned)) == len(mentioned)
-                except TypeError:  # an unhashable skill, which the loop names
-                    clean = False
-                if not clean:
-                    for skill in mentioned:
-                        if not isinstance(skill, str) or skill not in known:
-                            raise bad_project(i, ordinal, f"unknown skill {skill!r}")
-                        if mentioned.count(skill) > 1:
-                            raise bad_project(i, ordinal, f"skill {skill!r} is listed twice")
-                if org not in orgs:
-                    orgs.add(org)
-                    nodes[NodeId(_ORGANIZATION, org)] = {}
-                # A copy: the graph keeps the row, and the caller keeps the document.
-                graph._add_project(jobseeker, ordinal, title, org, months, units, tuple(mentioned))
-            for skill in declared:
-                if not isinstance(skill, str) or skill not in known:
-                    raise GraphFormatError(f"jobseekers[{i}].declared: unknown skill {skill!r}")
-                edge = WeightedEdge()
-                if edges.setdefault(skill, edge) is not edge:
-                    raise GraphFormatError(f"jobseekers[{i}].declared: skill {skill!r} "
-                                           "is listed twice or mentioned by a project")
+            graph._add_jobseeker(row, known, orgs, "jobseekers[{}]", i)
         return graph
 
     def save(self, path: str | Path) -> None:

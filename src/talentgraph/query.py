@@ -12,7 +12,8 @@ Skill phrases are resolved through the lexicon's alias index, so
 (candidate(s), resume(s), jobseeker(s)) are ignored, which keeps prose
 queries like "top C++ candidates" valid. ``parse_query`` only reads the text;
 the types hold every limit, for the DSL and a direct caller alike. ``QueryTerm``
-refuses a bound that is not a finite non-negative number, or min > max; ``Query``
+refuses a skill that is not a folded key (lowercase, single-spaced, non-empty),
+a bound that is not a finite non-negative number, or min > max; ``Query``
 keeps its terms as a tuple and refuses top_k < 1, no terms, a repeated skill.
 
 A jobseeker matches a term when the jobseeker-skill edge exists and, for
@@ -31,15 +32,14 @@ from dataclasses import asdict, dataclass, field
 from .errors import (EmptyQueryError, NodeNotFoundError, QueryError, QueryRangeError,
                      UnknownSkillError)
 from .graph import EdgeKind, KnowledgeGraph, NodeKind
-from .lexicon import SkillLexicon, normalize_skill
+from .lexicon import SkillLexicon, _fold, normalize_skill
 
 DEFAULT_TOP_K = 10
 
 _FILLER_WORDS = frozenset("candidate candidates resume resumes jobseeker jobseekers".split())
 _TOP_RE = re.compile(r"^\s*top\b(?:\s+([0-9]+)\b)?\s*", re.IGNORECASE)
 _NUM = r"-?[0-9]+(?:\.[0-9]+)?"
-_RANGE_RE = re.compile(rf"^(?P<phrase>.*?)\s+(?P<lo>{_NUM})\s*[-–]\s*(?P<hi>{_NUM})$")
-_MIN_ONLY_RE = re.compile(rf"^(?P<phrase>.*?)\s+(?P<lo>{_NUM})\s*\+$")
+_BOUNDS_RE = re.compile(rf"^(?P<phrase>.*?)\s+(?P<lo>{_NUM})\s*(?:[-–]\s*(?P<hi>{_NUM})|\+)$")
 _JOBSEEKER_SKILL = EdgeKind.JOBSEEKER_SKILL  # a global reads faster than the enum attribute
 _NO_EDGE = (False, 0.0, 0.0, 0.0, 0.0, 0)  # a term without its edge fails and reads all zero
 
@@ -51,6 +51,9 @@ class QueryTerm:
     max_years: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.skill, str) or not self.skill or self.skill != _fold(self.skill):
+            raise QueryError(f"skill {self.skill!r} is not a lowercase, single-spaced, "
+                             "non-empty string")
         lo, hi = self.min_years, self.max_years
         bounds = [b for b in (lo, hi) if b is not None]
         for b in bounds:  # type(), not isinstance(): a bool is no number of years
@@ -110,13 +113,9 @@ def _parse_term(raw: str, lexicon: SkillLexicon) -> QueryTerm:
     if not text:
         raise EmptyQueryError("empty query term")
     phrase, lo, hi = text, None, None
-    m = _RANGE_RE.match(text)
-    if m:
-        phrase, lo, hi = m.group("phrase"), float(m.group("lo")), float(m.group("hi"))
-    else:
-        m = _MIN_ONLY_RE.match(text)
-        if m:
-            phrase, lo = m.group("phrase"), float(m.group("lo"))
+    if m := _BOUNDS_RE.match(text):  # one match: a range ends in a digit, a minimum in "+"
+        phrase, lo = m["phrase"], float(m["lo"])
+        hi = None if m["hi"] is None else float(m["hi"])
 
     skill = normalize_skill(phrase, lexicon)
     if skill is None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from talentgraph import __version__
@@ -33,7 +34,8 @@ from talentgraph.lexicon import parse_sentiment_records, parse_skill_records
 from talentgraph.parser import ExperienceEntry, ResumeRecord
 
 from conftest import build_graph, org_skill_strength, skill_years
-from oracle import OracleGraph, naive_derived_edges, naive_graph_fault
+from oracle import (OracleGraph, naive_derived_edges, naive_extract_skills, naive_graph_fault,
+                    naive_score)
 from test_graph_index import GAZETTEER, LEXICON, record_sets
 
 
@@ -778,6 +780,73 @@ def test_from_dict_reports_the_first_fault_the_oracle_finds(records, data):
     for _ in range(data.draw(st.integers(1, 3))):
         doc = broken(doc, path, keys + ["nowhere"], data)
     assert_loads_as_the_oracle_says(doc)
+
+
+# A field of a record or of one of its experiences, and a value the graph file cannot hold.
+RECORD_FAULTS = [("duration_months", -1), ("duration_months", MAX_DURATION_MONTHS + 1),
+                 ("project_title", None), ("organization", None), ("name", 5)]
+
+
+@st.composite
+def records_with_faults(draw) -> list[ResumeRecord]:
+    """Drawn records, with up to two fields of theirs replaced by ``RECORD_FAULTS``."""
+    records = draw(record_sets())
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        i = draw(st.integers(0, len(records) - 1))
+        field, value = draw(st.sampled_from(RECORD_FAULTS))
+        if field == "name":
+            records[i] = dataclasses.replace(records[i], name=value)
+        elif experiences := list(records[i].experiences):
+            n = draw(st.integers(0, len(experiences) - 1))
+            experiences[n] = dataclasses.replace(experiences[n], **{field: value})
+            records[i] = dataclasses.replace(records[i], experiences=experiences)
+    return records
+
+
+def one_jobseeker_doc(record: ResumeRecord) -> dict:
+    """The graph document of ``record`` alone, its skills and scores from the oracle."""
+    projects = []
+    for e in record.experiences:
+        mentioned = sorted(naive_extract_skills(e.details, LEXICON))
+        units = round(naive_score(e.details, GAZETTEER) * 2**64) if mentioned else 0
+        projects.append([e.project_title, e.organization, e.duration_months, units, mentioned])
+    mentioned = {skill for project in projects for skill in project[4]}
+    return {"schema_version": 4, "config": CONFIG,
+            "skills": [[skill, {}] for skill in sorted(mentioned | record.declared_skills)],
+            "jobseekers": [[record.jobseeker_id, record.name,
+                            sorted(record.declared_skills - mentioned), projects]]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=records_with_faults())
+@example(records=[record("js0", experiences=[exp("acme", "debugging java", months=-24)])])
+@example(records=[record("js0", experiences=[exp("acme", "debugging java", months=10**6)])])
+@example(records=[record("js0", experiences=[exp("acme", "debugging java", title=None)])])
+def test_add_resume_refuses_exactly_the_records_a_graph_file_cannot_hold(records):
+    """``add_resume`` raises the loader's fault of the record's own document,
+    located at the jobseeker, and then leaves the graph as it was; every graph
+    it builds loads from its own document and saves the same bytes."""
+    graph = KnowledgeGraph()
+    for resume in records:
+        fault = naive_graph_fault(one_jobseeker_doc(resume))
+        if fault is None:
+            graph.add_resume(resume, LEXICON, GAZETTEER)
+            continue
+        before = copy.deepcopy(graph)
+        with pytest.raises(GraphFormatError) as err:
+            graph.add_resume(resume, LEXICON, GAZETTEER)
+        located = fault.replace("jobseekers[0]", f"jobseeker {resume.jobseeker_id!r}", 1)
+        assert str(err.value) == located
+        assert graph == before and list(graph.nodes) == list(before.nodes)
+    loaded = KnowledgeGraph.from_dict(graph.to_dict())
+    assert loaded == graph and dumps(loaded.to_dict()) == dumps(graph.to_dict())
+
+
+def test_add_resume_refuses_a_declared_skill_that_is_not_a_string(lexicon, gazetteer):
+    graph = KnowledgeGraph()
+    with pytest.raises(GraphFormatError, match=r"^jobseeker 'js0'\.declared: unknown skill 5$"):
+        graph.add_resume(record("js0", declared={"sql", 5}), lexicon, gazetteer)
+    assert graph == KnowledgeGraph()
 
 
 def test_saved_rows_are_sorted_whatever_order_the_file_had():

@@ -121,6 +121,9 @@ def test_parse_reads_every_term_before_top_n_is_checked(lexicon):
         parse_query("top 0 cobol", lexicon)
 
 
+UNFOLDED = "is not a lowercase, single-spaced, non-empty string"
+
+
 @pytest.mark.parametrize("terms, top_k, error, message", [
     ((("java",),), 0, QueryError, "top N must be positive"),
     ((("java",),), -1, QueryError, "top N must be positive"),
@@ -138,10 +141,17 @@ def test_parse_reads_every_term_before_top_n_is_checked(lexicon):
     ((("java", "2"),), 10, QueryRangeError, "bound '2' in 'java' is not a number"),
     ((("java",), ("python",), ("java", 1.0)), 10, QueryError, "duplicate skill 'java' in query"),
     ((("java",), ("java",)), 0, QueryError, "top N must be positive"),
+    ((("Java",),), 10, QueryError, f"skill 'Java' {UNFOLDED}"),
+    (((None,),), 10, QueryError, f"skill None {UNFOLDED}"),
+    ((("",),), 10, QueryError, f"skill '' {UNFOLDED}"),
+    (((" java",),), 10, QueryError, f"skill ' java' {UNFOLDED}"),
+    ((("apache  spark",),), 10, QueryError, f"skill 'apache  spark' {UNFOLDED}"),
+    ((("Java", -3),), 10, QueryError, f"skill 'Java' {UNFOLDED}"),  # the skill first
 ])
 def test_query_refuses_what_parse_query_refuses(terms, top_k, error, message):
     """A ``QueryTerm`` or ``Query`` built directly raises, when it is built,
-    what ``parse_query`` raises for the same term or query; the terms reach
+    what ``parse_query`` raises for the same term or query, and a skill that is
+    no folded lexicon key, which ``parse_query`` never makes; the terms reach
     ``Query`` as an iterator, which it reads once."""
     with pytest.raises(error) as err:
         Query(iter([QueryTerm(*args) for args in terms]), top_k)
