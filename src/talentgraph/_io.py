@@ -6,9 +6,10 @@ A document is a UTF-8 JSON object, and no object in it repeats a key. Its
 "schema_version", when present, must be 4 for a graph file and 1 for any
 other document; a missing field reads as 1. Its other keys are the sections
 of its kind, each a list or an object; an absent section reads as an empty
-one. Every document is written in one canonical layout: top-level keys
-sorted, one per line; each element of a non-empty top-level list or object
-on its own line, encoded by the C encoder (sorted keys, no indent, non-ASCII
+one. Only ``read_document`` decodes a file, and each fault it raises names
+the file. Every document is written in one canonical layout: top-level keys
+sorted, one per line; each element of a non-empty top-level list or object on
+its own line, encoded by the C encoder (sorted keys, no indent, non-ASCII
 escaped); one trailing newline. Identical content gives identical bytes.
 """
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
+from typing import Any, Callable
 
 SCHEMA_VERSION = 1
 
@@ -35,25 +37,24 @@ def _encoder():
 
 
 def check_document(doc: object, error_cls: type[Exception], sections: dict[str, type],
-                   where: str = "", version: int = SCHEMA_VERSION, remedy: str = "") -> dict:
-    """A copy of ``doc``, an absent section of ``sections`` ({name: list or dict})
-    read as empty, if ``doc`` is an object of schema ``version`` with no other
-    key and sections of those types; else raise ``error_cls`` located at ``where``
-    (such as the file name), with ``remedy`` after a wrong version's message."""
+                   version: int = SCHEMA_VERSION, remedy: str = "") -> dict:
+    """A copy of ``doc``, an absent section of ``sections`` ({name: list or dict}) read
+    as empty, if ``doc`` is an object of schema ``version`` with no other key and
+    sections of those types; else raise ``error_cls`` (a wrong version's ends in ``remedy``)."""
     if not isinstance(doc, dict):
-        raise error_cls(f"{where}top level must be a JSON object")
+        raise error_cls("top level must be a JSON object")
     found = doc.get("schema_version", SCHEMA_VERSION)
     # type() rather than isinstance(): True == 1, but it is not a version.
     if type(found) is not int or found != version:
-        raise error_cls(f"{where}schema_version {found!r} is not supported "
+        raise error_cls(f"schema_version {found!r} is not supported "
                         f"(expected {version}){remedy}")
     for name in doc:
         if name not in sections and name != "schema_version":
-            raise error_cls(f"{where}unknown section {name!r}")
+            raise error_cls(f"unknown section {name!r}")
     doc = dict(doc)
     for name, kind in sections.items():
         if not isinstance(doc.setdefault(name, kind()), kind):
-            raise error_cls(f"{where}{name}: not {'a list' if kind is list else 'an object'}")
+            raise error_cls(f"{name}: not {'a list' if kind is list else 'an object'}")
     return doc
 
 
@@ -76,10 +77,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def read_document(path: str | Path, kind: str, error_cls: type[Exception],
-                  sections: dict[str, type], version: int = SCHEMA_VERSION,
-                  remedy: str = "") -> dict:
-    """Read and check one document (see ``check_document``), raising
-    ``error_cls`` located at the file."""
+                  read: Callable[[object], Any]) -> Any:
+    """``read(doc)``, ``doc`` the document in the file at ``path``; an ``error_cls`` that
+    ``read`` raises is re-raised, class and attributes kept, with ``<path>: `` first."""
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
@@ -89,7 +89,11 @@ def read_document(path: str | Path, kind: str, error_cls: type[Exception],
         doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # a JSONDecodeError, a repeated key or an over-long integer
         raise error_cls(f"{path}: not valid JSON ({exc})") from exc
-    return check_document(doc, error_cls, sections, f"{path}: ", version, remedy)
+    try:
+        return read(doc)
+    except error_cls as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _block(value: object, item, encode) -> str:

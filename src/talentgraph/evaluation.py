@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from ._io import check_keys, read_document
+from ._io import check_document, check_keys, read_document
 from .errors import FixtureError, NodeNotFoundError, QueryError
 from .graph import KnowledgeGraph
 from .lexicon import SkillLexicon
@@ -136,8 +136,11 @@ def topk_accuracy(
 
 def load_gold(path: str | Path) -> dict:
     """Load and validate a gold fixture document (see the module docstring)."""
-    doc = read_document(path, "gold", FixtureError,
-                        {"skills": dict, "sentiment": dict, "queries": list})
+    return read_document(path, "gold", FixtureError, _read_gold)
+
+
+def _read_gold(doc: object) -> dict:
+    doc = check_document(doc, FixtureError, {"skills": dict, "sentiment": dict, "queries": list})
     gold: dict = {"skills": {}, "sentiment": {}, "queries": []}
     for key, value in doc["skills"].items():
         if not isinstance(value, list) or any(not isinstance(s, str) for s in value):

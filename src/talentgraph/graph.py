@@ -31,8 +31,8 @@ entries. The other four kinds (jobseeker-project, project-org, skill-project
 and org-skill) are built from the project rows by each read of their edge
 objects, one kind at a time (``edges_of_kind`` and ``get_edge`` build the
 kind they read, ``edges`` all four), and never kept, so each of their edge
-objects is a fresh copy; ``edge_count``, ``to_dot`` and ``==`` read the rows
-and build none. After construction the graph is immutable by
+objects is a fresh copy; ``edge_count``, ``to_dot`` and ``==`` (which compares
+``to_dict`` documents) build none. After construction the graph is immutable by
 convention and so safe for concurrent reads.
 Parallel ingestion builds shard graphs and merges them.
 
@@ -245,14 +245,14 @@ class KnowledgeGraph:
                    gazetteer: SentimentGazetteer) -> "KnowledgeGraph":
         """Ingest one parsed resume as the row ``to_dict`` would write for it, by the
         graph file's row rule. An already-ingested jobseeker id raises
-        ``DuplicateJobseekerError``, and a record the file cannot hold (months outside
-        the parser's range, a title that is not a string) a ``GraphFormatError``
+        ``DuplicateJobseekerError``, and a record the file cannot hold (an id that is not a
+        string, months outside the parser's range) a ``GraphFormatError``
         located at ``jobseeker '<id>'``; either leaves the graph unchanged."""
         # Read at call time: commands that never ingest never import these.
         from .parser import extract_skills
         from .scoring import score_description
 
-        if record.jobseeker_id in self._jobseeker_skill:  # each jobseeker has its entries
+        if isinstance(record.jobseeker_id, str) and record.jobseeker_id in self._jobseeker_skill:
             raise DuplicateJobseekerError(f"jobseeker {record.jobseeker_id!r} already ingested")
         projects, project_skills = [], set()
         for exp in record.experiences:
@@ -415,12 +415,7 @@ class KnowledgeGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
-        # The kept entries; a row's skills compare as a set, since a loaded row keeps them
-        # in the document's order, sorted or not. No derived edge is built.
-        rows = [{jobseeker: [(*row[:5], frozenset(row[5])) for row in kept]
-                 for jobseeker, kept in graph._projects.items()} for graph in (self, other)]
-        return ((self.config, self.nodes, self._jobseeker_skill, rows[0])
-                == (other.config, other.nodes, other._jobseeker_skill, rows[1]))
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
         """The graph document: each resume fact once, sorted (README, Graph file)."""
@@ -456,8 +451,7 @@ class KnowledgeGraph:
         each jobseeker row as ``add_resume`` adds one. Each rejection is a
         ``GraphFormatError`` located at the config, a section, a row or a project
         row; see README, Graph file."""
-        doc = check_document(doc, GraphFormatError, _SECTIONS, version=GRAPH_SCHEMA_VERSION,
-                             remedy=_REINGEST)
+        doc = check_document(doc, GraphFormatError, _SECTIONS, GRAPH_SCHEMA_VERSION, _REINGEST)
         config_doc = doc["config"]
         try:
             check_keys(config_doc, _CONFIG_FIELDS, GraphConfigError)
@@ -494,8 +488,7 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":
-        return cls.from_dict(read_document(path, "graph", GraphFormatError, _SECTIONS,
-                                           GRAPH_SCHEMA_VERSION, _REINGEST))
+        return read_document(path, "graph", GraphFormatError, cls.from_dict)
 
     def to_dot(self) -> str:
         """Graphviz rendering with mean edge weights, for eyeballing fixtures: node

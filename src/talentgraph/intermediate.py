@@ -42,7 +42,6 @@ from .parser import ExperienceEntry, ResumeRecord, parse_duration
 
 _RESERVED_NAME = "_name"
 _RESERVED_SKILLS = "_declared_skills"
-_SECTIONS = {"jobseekers": dict}
 _PROJECT_FIELDS = frozenset({"title", "duration", "details", "seq"})
 
 
@@ -82,7 +81,7 @@ def _require_str(value: object, path: str) -> str:
 
 def load_intermediate(doc: dict) -> list[ResumeRecord]:
     """Inverse of emit_intermediate, modulo duration re-parsing."""
-    jobseekers = check_document(doc, DocumentFormatError, _SECTIONS)["jobseekers"]
+    jobseekers = check_document(doc, DocumentFormatError, {"jobseekers": dict})["jobseekers"]
 
     records = []
     for jobseeker_id in sorted(jobseekers):
@@ -153,4 +152,4 @@ def write_intermediate(records: Iterable[ResumeRecord], path: str | Path) -> Non
 
 
 def read_intermediate(path: str | Path) -> list[ResumeRecord]:
-    return load_intermediate(read_document(path, "intermediate", DocumentFormatError, _SECTIONS))
+    return read_document(path, "intermediate", DocumentFormatError, load_intermediate)

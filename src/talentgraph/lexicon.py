@@ -42,7 +42,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from ._io import SCHEMA_VERSION, check_keys, dumps, read_document
+from ._io import SCHEMA_VERSION, check_document, check_keys, dumps, read_document
 from .errors import (
     AliasConflictError,
     GazetteerFormatError,
@@ -166,8 +166,8 @@ def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
 
 def load_skill_lexicon(source: str | Path) -> SkillLexicon:
     """Load the skills dictionary from a JSON document."""
-    return parse_skill_records(
-        read_document(source, "lexicon", LexiconFormatError, {"skills": list})["skills"])
+    return read_document(source, "lexicon", LexiconFormatError, lambda doc: (
+        parse_skill_records(check_document(doc, LexiconFormatError, {"skills": list})["skills"])))
 
 
 def dump_skill_lexicon(lexicon: SkillLexicon) -> str:
@@ -229,8 +229,9 @@ def parse_sentiment_records(records: Iterable[dict]) -> SentimentGazetteer:
 
 def load_sentiment_gazetteer(source: str | Path) -> SentimentGazetteer:
     """Load the skill-sentiment gazetteer from a JSON document."""
-    return parse_sentiment_records(
-        read_document(source, "gazetteer", GazetteerFormatError, {"entries": list})["entries"])
+    return read_document(source, "gazetteer", GazetteerFormatError, lambda doc: (
+        parse_sentiment_records(
+            check_document(doc, GazetteerFormatError, {"entries": list})["entries"])))
 
 
 def dump_sentiment_gazetteer(gazetteer: SentimentGazetteer) -> str:

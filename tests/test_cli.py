@@ -412,7 +412,8 @@ def test_ingest_huge_gazetteer_weight_is_error(tmp_path, capsys):
     code = run_cli("ingest", CORPUS_DIR, "--lexicon", LEXICON_FILE,
                    "--gazetteer", gazetteer, "--out", out)
     assert code == 1
-    assert capsys.readouterr().err == f"error: entries[0]: weight 1{'0' * 400} outside [0, 1]\n"
+    assert capsys.readouterr().err == (
+        f"error: {gazetteer}: entries[0]: weight 1{'0' * 400} outside [0, 1]\n")
     assert not out.exists()
 
 

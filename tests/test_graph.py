@@ -609,7 +609,7 @@ def test_load_rejects_nan_and_infinity_tokens(tmp_path, token):
     text = dumps(LOADABLE_DOC)
     assert text.count(units) == 1
     path.write_text(text.replace(units, token), encoding="utf-8")
-    with pytest.raises(GraphFormatError, match=rf"^{P0}: {TYPES}$"):
+    with pytest.raises(GraphFormatError, match=rf"^{re.escape(str(path))}: {P0}: {TYPES}$"):
         KnowledgeGraph.load(path)
 
 
@@ -846,6 +846,19 @@ def test_add_resume_refuses_a_declared_skill_that_is_not_a_string(lexicon, gazet
     graph = KnowledgeGraph()
     with pytest.raises(GraphFormatError, match=r"^jobseeker 'js0'\.declared: unknown skill 5$"):
         graph.add_resume(record("js0", declared={"sql", 5}), lexicon, gazetteer)
+    assert graph == KnowledgeGraph()
+
+
+@pytest.mark.parametrize("jobseeker_id", [["x"], None, 7], ids=["list", "none", "int"])
+def test_add_resume_refuses_an_id_that_is_not_a_string(lexicon, gazetteer, jobseeker_id):
+    """The row rule refuses the id before any lookup hashes it, so an unhashable
+    id is refused as any other that is not a string, and changes nothing."""
+    graph = KnowledgeGraph()
+    resume = record(jobseeker_id, declared={"sql"}, experiences=[exp("acme", "robust java")])
+    with pytest.raises(GraphFormatError) as err:
+        graph.add_resume(resume, lexicon, gazetteer)
+    assert str(err.value) == (f"jobseeker {jobseeker_id!r}: id and name must be strings, "
+                              "declared and projects lists")
     assert graph == KnowledgeGraph()
 
 

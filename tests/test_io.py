@@ -13,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import talentgraph._io
-from talentgraph._io import dumps, write_document
+from talentgraph._io import check_document, dumps, write_document
 from talentgraph.errors import (
+    AliasConflictError,
     DocumentFormatError,
     FixtureError,
     GazetteerFormatError,
     GraphFormatError,
     LexiconFormatError,
+    WeightRangeError,
 )
-from talentgraph.evaluation import load_gold
+from talentgraph.evaluation import _read_gold, load_gold
 from talentgraph.graph import KnowledgeGraph
 from talentgraph.intermediate import (
     emit_intermediate,
@@ -29,11 +31,20 @@ from talentgraph.intermediate import (
     read_intermediate,
     write_intermediate,
 )
-from talentgraph.lexicon import load_sentiment_gazetteer, load_skill_lexicon
+from talentgraph.lexicon import (
+    load_sentiment_gazetteer,
+    load_skill_lexicon,
+    parse_sentiment_records,
+    parse_skill_records,
+)
 from talentgraph.parser import parse_duration
 
 from conftest import FIXTURES, build_graph
-from test_graph import exp, record
+from oracle import naive_graph_fault
+from test_graph import LOADABLE_DOC, MALFORMED, REPLACEMENTS, exp, record, replaced
+from test_graph_index import GAZETTEER, LEXICON, record_sets
+from test_lexicon import (GAZETTEER_FAULTS, GAZETTEER_RECORD, LEXICON_FAULTS, LEXICON_RECORD,
+                          records_with_faults)
 
 GRAPH_DOC = {"config": {"duration_bonus_factor": 0.5, "duration_cap_months": 120}}
 
@@ -124,27 +135,27 @@ STRAY_KEYS = {
     "lexicon-section": ("lexicon", {"skills": []}, ("stray",),
                         "{path}: unknown section 'stray'"),
     "lexicon-record": ("lexicon", {"skills": [{"canonical": "java", "category": "x"}]},
-                       ("skills", 0, "stray"), "skills[0]: unknown field 'stray'"),
+                       ("skills", 0, "stray"), "{path}: skills[0]: unknown field 'stray'"),
     "gazetteer-section": ("gazetteer", {"entries": []}, ("stray",),
                           "{path}: unknown section 'stray'"),
     "gazetteer-record": ("gazetteer", {"entries": [{"keyword": "fast", "class": "x",
                                                     "weight": 0.5}]},
-                         ("entries", 0, "stray"), "entries[0]: unknown field 'stray'"),
+                         ("entries", 0, "stray"), "{path}: entries[0]: unknown field 'stray'"),
     "graph-section": ("graph-load", GRAPH_DOC, ("stray",), "{path}: unknown section 'stray'"),
     "graph-config": ("graph-load", GRAPH_DOC, ("config", "stray"),
-                     "bad config: unknown field 'stray'"),
+                     "{path}: bad config: unknown field 'stray'"),
     "intermediate-section": ("read-intermediate", {"jobseekers": {}}, ("stray",),
                              "{path}: unknown section 'stray'"),
     "intermediate-reserved": ("read-intermediate", {"jobseekers": {"js1": {"_name": "a"}}},
                               ("jobseekers", "js1", "_stray"),
-                              "jobseekers.js1._stray: unknown reserved key"),
+                              "{path}: jobseekers.js1._stray: unknown reserved key"),
     "intermediate-project": ("read-intermediate",
                              {"jobseekers": {"js1": {"acme": {"project1": PROJECT}}}},
                              ("jobseekers", "js1", "acme", "project1", "stray"),
-                             "jobseekers.js1.acme.project1: unknown field 'stray'"),
+                             "{path}: jobseekers.js1.acme.project1: unknown field 'stray'"),
     "gold-section": ("gold", {}, ("stray",), "{path}: unknown section 'stray'"),
     "gold-query": ("gold", {"queries": [{"query": "java", "relevant": []}]},
-                   ("queries", 0, "stray"), "queries[0]: unknown field 'stray'"),
+                   ("queries", 0, "stray"), "{path}: queries[0]: unknown field 'stray'"),
 }
 
 
@@ -210,13 +221,14 @@ def test_loaders_read_an_absent_section_as_an_empty_one(tmp_path, name, section)
     """A misspelled section is an unknown one, so an absent section can only
     be an empty one: the document loads as if it held the empty section. Only
     a graph's config has fields a load needs."""
-    _, _, doc, _, version = LOADERS[name]
+    _, _, doc, from_file, version = LOADERS[name]
     doc = {**doc, "schema_version": version}
     absent = {key: value for key, value in doc.items() if key != section}
-    got = loaded(name, absent, tmp_path / "doc.json")
-    assert got == loaded(name, {**doc, section: SECTIONS[name][section]()}, tmp_path / "doc.json")
+    path = tmp_path / "doc.json"
+    got = loaded(name, absent, path)
+    assert got == loaded(name, {**doc, section: SECTIONS[name][section]()}, path)
     if section == "config":
-        assert got == "bad config: 'duration_bonus_factor'"
+        assert got == f"{path}: " * from_file + "bad config: 'duration_bonus_factor'"
     else:
         assert not isinstance(got, str), got
 
@@ -285,6 +297,130 @@ def test_documents_round_trip(lexicon, gazetteer, records):
         saved = Path(tmp) / "graph.json"
         build_graph(records, lexicon, gazetteer).save(saved)
         assert dumps(KnowledgeGraph.load(saved).to_dict()) == saved.read_text(encoding="utf-8")
+
+
+# -- a file's faults are its document's, each located at the file ---------------
+
+def value_paths(value, path: tuple = ()) -> list[tuple]:
+    """The path to every value inside ``value``, a decoded document."""
+    if not isinstance(value, (dict, list)):
+        return []
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    return [found for key, item in items
+            for found in [(*path, key), *value_paths(item, (*path, key))]]
+
+
+def state(value):
+    """What a loaded value holds, comparable with ``==``."""
+    return value if isinstance(value, (KnowledgeGraph, list, dict)) else vars(value)
+
+
+def read_as_in_memory(name, read, doc, directory) -> str | None:
+    """The named file loader reads ``doc`` from a file as ``read`` reads it in
+    memory: an equal value, or an error of the same type and attributes whose
+    message is the file's path before the in-memory one. Return the in-memory
+    message, or None when ``doc`` loads."""
+    loader, error_cls, *_ = LOADERS[name]
+    path = Path(directory) / "doc.json"
+    text = json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    try:
+        expected = read(json.loads(text))
+    except error_cls as exc:
+        with pytest.raises(error_cls) as err:
+            loader(path)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == f"{path}: {exc}"
+        assert vars(err.value) == vars(exc)  # such as AliasConflictError's alias
+        return str(exc)
+    assert state(loader(path)) == state(expected)
+    return None
+
+
+IDS = st.sampled_from(["js0", "js1", "js2"])
+# Each file loader: its in-memory reader of a decoded document, and the documents
+# it is given, with the faults of the kind's own tables where it has them.
+IN_MEMORY = {
+    "lexicon": (lambda doc: parse_skill_records(
+                    check_document(doc, LexiconFormatError, {"skills": list})["skills"]),
+                records_with_faults(LEXICON_RECORD, LEXICON_FAULTS).map(
+                    lambda records: {"skills": records})),
+    "gazetteer": (lambda doc: parse_sentiment_records(
+                      check_document(doc, GazetteerFormatError, {"entries": list})["entries"]),
+                  records_with_faults(GAZETTEER_RECORD, GAZETTEER_FAULTS).map(
+                      lambda records: {"entries": records})),
+    "graph-load": (KnowledgeGraph.from_dict, record_sets().map(
+        lambda records: build_graph(records, LEXICON, GAZETTEER).to_dict())),
+    "read-intermediate": (load_intermediate, st.lists(
+        RECORD, max_size=3, unique_by=lambda r: r.jobseeker_id).map(emit_intermediate)),
+    "gold": (_read_gold, st.fixed_dictionaries({}, optional={
+        "skills": st.dictionaries(IDS, st.lists(st.sampled_from(["java", "sql"]), max_size=2),
+                                  max_size=2),
+        "sentiment": st.dictionaries(st.sampled_from(["js0:p0", "js1:p0"]),
+                                     st.sampled_from(["positive", "neutral"]), max_size=2),
+        "queries": st.lists(st.fixed_dictionaries({"query": st.sampled_from(["java", "top sql"]),
+                                                   "relevant": st.lists(IDS, max_size=2)}),
+                            max_size=2),
+    })),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(IN_MEMORY)), data=st.data())
+def test_file_loaders_read_as_the_in_memory_readers_located_at_the_file(name, data):
+    """Each kind's file loader raises its in-memory reader's fault, the file's
+    path first, or loads what the reader loads; a drawn document has, half the
+    time, one value replaced."""
+    read, docs = IN_MEMORY[name]
+    doc = data.draw(docs)
+    paths = value_paths(doc)
+    if paths and data.draw(st.booleans()):
+        path = data.draw(st.sampled_from(paths))
+        doc = replaced(doc, path, data.draw(st.sampled_from(REPLACEMENTS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        read_as_in_memory(name, read, doc, tmp)
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_graph_file_faults_are_the_oracles_located_at_the_file(tmp_path, path, value, message):
+    doc = replaced(LOADABLE_DOC, path, value)
+    fault = read_as_in_memory("graph-load", KnowledgeGraph.from_dict, doc, tmp_path)
+    assert fault == naive_graph_fault(doc)
+
+
+# (file loader, a document, the fault its file raises after the path, the error type)
+FILE_FAULTS = {
+    "lexicon-record": ("lexicon", {"skills": [{"canonical": "a", "category": "c", "alias": []}]},
+                       "skills[0]: unknown field 'alias'", LexiconFormatError),
+    "lexicon-alias": ("lexicon", {"skills": [{"canonical": name, "category": "c",
+                                              "aliases": ["x"]} for name in "ab"]},
+                      "alias 'x' maps to both 'a' and 'b'", AliasConflictError),
+    "gazetteer-weight": ("gazetteer",
+                         {"entries": [{"keyword": "fast", "class": "c", "weight": 2}]},
+                         "entries[0]: weight 2 outside [0, 1]", WeightRangeError),
+    "intermediate-project": ("read-intermediate",
+                             {"jobseekers": {"js1": {"acme": {"project1": {**PROJECT,
+                                                                           "detail": ""}}}}},
+                             "jobseekers.js1.acme.project1: unknown field 'detail'",
+                             DocumentFormatError),
+    "graph-months": ("graph-load", replaced(LOADABLE_DOC, ("jobseekers", 0, 3, 0, 2), "12"),
+                     "jobseekers[0].projects[0]: months and score_units must be integers",
+                     GraphFormatError),
+    "gold-query": ("gold", {"queries": [{"query": "java", "relevnt": []}]},
+                   "queries[0]: unknown field 'relevnt'", FixtureError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_FAULTS))
+def test_file_faults_name_the_file(tmp_path, case):
+    """README, File formats: one fault per kind, as its file raises it."""
+    name, doc, message, error_cls = FILE_FAULTS[case]
+    path = tmp_path / "doc.json"
+    with pytest.raises(error_cls) as err:
+        load_as(name, doc, path)
+    assert type(err.value) is error_cls and str(err.value) == f"{path}: {message}"
+    if error_cls is AliasConflictError:
+        assert (err.value.alias, err.value.canonicals) == ("x", ("a", "b"))
 
 
 def test_dumps_layout():
