@@ -492,37 +492,38 @@ class KnowledgeGraph:
 
     def to_dot(self) -> str:
         """Graphviz rendering with mean edge weights, for eyeballing fixtures: node
-        kinds, then edge kinds, by value, each kind's rows sorted. The edge lines
-        are rendered from the kept rows, and no edge object is built."""
+        kinds, then edge kinds, by value, each kind's rows sorted; edge lines come from
+        the kept rows. A node kind's keys and labels are quoted only when one of them
+        holds ``"`` or ``\\``; quoting changes no other text, so the bytes are unchanged."""
         def quote(text: str) -> str:
             return text.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph talentgraph {"]
-        nodes: dict[NodeKind, list[tuple]] = {kind: [] for kind in sorted(NodeKind)}
-        for node, attrs in self.nodes.items():
-            nodes[node.kind].append((node.key, attrs))
-        # Each node's quoted dot id, made once and looked up by its edges' lines.
-        ids: dict[NodeKind, dict[str, str]] = {kind: {} for kind in NodeKind}
+        nodes: dict[NodeKind, list[tuple[str, str]]] = {kind: [] for kind in sorted(NodeKind)}
+        for node, attrs in self.nodes.items():  # each kind's (key, label) rows
+            nodes[node.kind].append((node.key, attrs.get("name") or attrs.get("title") or node.key))
+        ids: dict[NodeKind, dict[str, str]] = {}  # each node's quoted dot id, for its edges
         for kind, rows in nodes.items():
-            rows.sort()  # keys are unique within a kind, so no sort compares attrs
-            name, kind_ids = kind.value, ids[kind]
-            for key, attrs in rows:
-                dot_id = kind_ids[key] = f'"{name}:{quote(key)}"'
-                label = attrs.get("name") or attrs.get("title") or key
-                lines.append(f'  {dot_id} [label="{quote(label)}", kind="{name}"];')
-        people, orgs, projects, skills = (ids[kind] for kind in nodes)  # by value
+            rows.sort()  # keys are unique within a kind, so no sort compares labels
+            name, text = kind.value, "".join(map("".join, rows))
+            plain = '"' not in text and "\\" not in text  # one check per kind
+            kind_ids = ids[kind] = {k: f'"{name}:{k if plain else quote(k)}"' for k, _ in rows}
+            lines += [f'  {dot_id} [label="{label if plain else quote(label)}", kind="{name}"];'
+                      for dot_id, (_, label) in zip(kind_ids.values(), rows)]
+        people, orgs, projects, skills = ids.values()  # by value
         texts = _WeightTexts()
         # The edge kinds by value. Jobseeker-project and project-org edges weigh 0,
         # and each skill-project edge its project's score.
         for jobseeker in sorted(self._projects):
             head = f"  {people[jobseeker]} -> "
-            lines.extend(f'{head}{projects[pkey]} [label="jobseeker_project 0.000"];'
-                         for pkey, *_ in sorted(self._projects[jobseeker]))
-        for jobseeker in sorted(self._jobseeker_skill):
+            lines += [f'{head}{projects[pkey]} [label="jobseeker_project 0.000"];'
+                      for pkey, _, _, _, _, _ in sorted(self._projects[jobseeker])]
+        for jobseeker, row in sorted(self._jobseeker_skill.items()):
             head = f"  {people[jobseeker]} -> "
-            lines.extend(f'{head}{skills[skill]} [label="jobseeker_skill '
-                         f'{texts[edge.mean_weight()]}"];'
-                         for skill, edge in sorted(self._jobseeker_skill[jobseeker].items()))
+            lines += [  # each mean as ``mean_weight`` computes it, without its call
+                f'{head}{skills[skill]} [label="jobseeker_skill '
+                f'{texts[e.weight_units * _UNIT / e.support_count if e.support_count else 0.0]}"];'
+                for skill, e in sorted(row.items())]
         project_rows = sorted(row for rows in self._projects.values() for row in rows)
         by_skill: dict[str, list[str]] = {}  # each skill's line tails, by project key
         org_skill: dict[str, dict[str, list[int]]] = {}  # org -> skill -> [units, count]
@@ -536,12 +537,11 @@ class KnowledgeGraph:
                 acc[1] += 1
         for org in sorted(org_skill):
             head = f"  {orgs[org]} -> "
-            lines.extend(f'{head}{skills[skill]} [label="org_skill '
-                         f'{texts[units * _UNIT / count]}"];'
-                         for skill, (units, count) in sorted(org_skill[org].items()))
-        lines.extend(f'  {projects[pkey]} -> {orgs[org]} [label="project_org 0.000"];'
-                     for pkey, _, org, _, _, _ in project_rows)
+            lines += [f'{head}{skills[skill]} [label="org_skill {texts[units * _UNIT / count]}"];'
+                      for skill, (units, count) in sorted(org_skill[org].items())]
+        lines += [f'  {projects[pkey]} -> {orgs[org]} [label="project_org 0.000"];'
+                  for pkey, _, org, _, _, _ in project_rows]
         for skill in sorted(by_skill):
             head = f"  {skills[skill]}"
-            lines.extend(head + tail for tail in by_skill[skill])
+            lines += [head + tail for tail in by_skill[skill]]
         return "\n".join(lines) + "\n}\n"

@@ -68,9 +68,30 @@ TWELVE = {
 }
 
 
+def one_jobseeker(name: str, org: str, declared: list[str], mentioned: list[str]) -> dict:
+    """Jobseeker ``a``, who declares ``declared`` and has one project at ``org``,
+    scored 0.5, that mentions ``mentioned``."""
+    project = ["t", org, 2, WEIGHT_UNITS // 2, mentioned]
+    return {"schema_version": GRAPH_SCHEMA_VERSION, "config": CONFIG,
+            "skills": [[skill, {}] for skill in sorted({*declared, *mentioned})],
+            "jobseekers": [["a", name, declared, [project]]]}
+
+
+# ``to_dot`` checks each node kind's keys and labels once for '"' and '\'. In each
+# of these two graphs one kind holds one: a jobseeker's name, while the kind's
+# keys are plain, and an organization's key.
+QUOTED_NAME = one_jobseeker('n"', "o", [], ["s"])
+BACKSLASH_ORG = one_jobseeker("n", "o\\", [], ["s"])
+# A declared-only skill (no support: 0.000) beside two scored skills that share a mean.
+DECLARED_AND_SCORED = one_jobseeker("n", "o", ["d"], ["s", "t"])
+
+
 @settings(max_examples=200, deadline=None)
 @given(doc=graph_documents())
 @example(doc=TWELVE)
+@example(doc=QUOTED_NAME)
+@example(doc=BACKSLASH_ORG)
+@example(doc=DECLARED_AND_SCORED)
 def test_loaded_graph_renders_as_the_naive_rendering(doc):
     assert_renders_as_naive(KnowledgeGraph.from_dict(doc))
 
