@@ -249,17 +249,20 @@ class KnowledgeGraph:
         string, months outside the parser's range) a ``GraphFormatError``
         located at ``jobseeker '<id>'``; either leaves the graph unchanged."""
         # Read at call time: commands that never ingest never import these.
-        from .parser import extract_skills
-        from .scoring import score_description
+        from .parser import match_skills
+        from .scoring import score_tokens
+        from .tokenization import DEFAULT_KEEP_CHARS, tokenize
 
         if isinstance(record.jobseeker_id, str) and record.jobseeker_id in self._jobseeker_skill:
             raise DuplicateJobseekerError(f"jobseeker {record.jobseeker_id!r} already ingested")
         projects, project_skills = [], set()
+        keep = lexicon.phrase_index[0]  # scoring keeps DEFAULT_KEEP_CHARS alone
         for exp in record.experiences:
-            mentioned = sorted(extract_skills(exp.details, lexicon))
+            mentioned = sorted(match_skills(tokens := tokenize(exp.details, keep), lexicon))
             units = 0
             if mentioned:  # one score per description, the same for every skill
-                units = round(score_description(exp.details, gazetteer) * WEIGHT_UNITS)
+                scored = tokens if keep == DEFAULT_KEEP_CHARS else tokenize(exp.details)
+                units = round(score_tokens(scored, gazetteer) * WEIGHT_UNITS)
                 project_skills.update(mentioned)
             projects.append([exp.project_title, exp.organization, exp.duration_months,
                              units, mentioned])

@@ -133,8 +133,12 @@ def split_sections(text: str) -> dict[str, str]:
 
 def extract_skills(section_text: str, lexicon: SkillLexicon) -> set[str]:
     """Canonical skills found in the text, longest alias phrase first."""
-    keep, phrases, longest = lexicon.phrase_index
-    tokens = tokenize(section_text, keep_chars=keep)
+    return match_skills(tokenize(section_text, keep_chars=lexicon.phrase_index[0]), lexicon)
+
+
+def match_skills(tokens: list[str], lexicon: SkillLexicon) -> set[str]:
+    """``extract_skills`` of a text whose ``lexicon.phrase_index[0]`` tokens are ``tokens``."""
+    _, phrases, longest = lexicon.phrase_index
     found: set[str] = set()
     end = 0  # tokens before it belong to the last matched phrase
     for i in [i for i, token in enumerate(tokens) if token in longest]:

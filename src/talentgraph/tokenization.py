@@ -1,6 +1,5 @@
-"""Lowercase word tokenization shared by skill matching and scoring.
-
-The two differ only in the characters they keep inside tokens.
+"""Lowercase word tokenization shared by skill matching and scoring: ingest
+tokenizes a description once for both when they keep the same characters.
 """
 from __future__ import annotations
 

@@ -56,7 +56,7 @@ def test_tracer_wraps_every_layer_and_uninstalls(tmp_path, capsys):
     _, _, calls = tracer.totals()
     assert {name for name, count in calls.items() if count} == {
         "cli.main", "lexicon.load", "lexicon.init", "parser.parse_resume",
-        "parser.extract_skills", "scoring.score_description", "graph.add_resume",
+        "parser.extract_skills", "graph.add_resume",
         "graph.save", "intermediate.write", "graph.load", "query.parse_query",
         "query.execute", "query.explain", "stats.compute_graph_stats",
         "evaluation.load_gold", "evaluation.evaluate_graph",

@@ -2,17 +2,22 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 
 import pytest
 
+import talentgraph.scoring  # noqa: F401  imported before a test rebinds its ``tokenize``
 from talentgraph import cli
 from talentgraph.cli import main
 from talentgraph.graph import KnowledgeGraph, ScoringConfig
 from talentgraph.lexicon import load_skill_lexicon
+from talentgraph.parser import extract_skills
 from talentgraph.query import execute, parse_query
+from talentgraph.tokenization import DEFAULT_KEEP_CHARS, tokenize
 
 from conftest import (
-    CORPUS_DIR, GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, run_python, run_talentgraph,
+    CORPUS_DIR, GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, parse_corpus, run_python,
+    run_talentgraph,
 )
 
 
@@ -153,6 +158,36 @@ def test_ingest_writes_intermediate(tmp_path):
     ingest(tmp_path, extra=("--intermediate", inter))
     doc = json.loads(inter.read_text(encoding="utf-8"))
     assert "js0000-jane-doe" in doc["jobseekers"]
+
+
+@pytest.mark.parametrize("extra_alias", [None, "node.js"], ids=["fixture", "keeps-dot"])
+def test_ingest_tokenizes_each_description_once(tmp_path, monkeypatch, extra_alias):
+    """Skill matching and scoring share one token list per description; a lexicon
+    that keeps a symbol scoring does not (``.``) makes each scored one re-tokenize."""
+    doc = json.loads(LEXICON_FILE.read_text(encoding="utf-8"))
+    if extra_alias:
+        doc["skills"].append({"canonical": extra_alias, "category": "x"})
+    lexicon_file = tmp_path / "lexicon.json"
+    lexicon_file.write_text(json.dumps(doc), encoding="utf-8")
+    lexicon = load_skill_lexicon(lexicon_file)
+    assert (lexicon.phrase_index[0] == DEFAULT_KEEP_CHARS) == (extra_alias is None)
+    experiences = [e.details for r in parse_corpus(lexicon) for e in r.experiences]
+    scored = sum(1 for details in experiences if extract_skills(details, lexicon))
+    assert 0 < scored < len(experiences)
+
+    calls = []
+
+    def counting_tokenize(*args, **kwargs):
+        calls.append(args)
+        return tokenize(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):  # every module that bound it
+        if name.split(".")[0] == "talentgraph" and vars(module).get("tokenize") is tokenize:
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    assert run_cli("ingest", CORPUS_DIR, "--lexicon", lexicon_file,
+                   "--gazetteer", GAZETTEER_FILE, "--out", tmp_path / "graph.json") == 0
+    resumes = len(list(CORPUS_DIR.glob("*.txt")))
+    assert len(calls) == resumes + len(experiences) + (scored if extra_alias else 0)
 
 
 def test_query_json_matches_in_process(tmp_path, capsys, lexicon):

@@ -31,7 +31,9 @@ from talentgraph.graph import (
     project_key,
 )
 from talentgraph.lexicon import parse_sentiment_records, parse_skill_records
-from talentgraph.parser import ExperienceEntry, ResumeRecord
+from talentgraph.parser import ExperienceEntry, ResumeRecord, extract_skills
+from talentgraph.scoring import score_description
+from talentgraph.tokenization import DEFAULT_KEEP_CHARS
 
 from conftest import build_graph, org_skill_strength, skill_years
 from oracle import (OracleGraph, naive_derived_edges, naive_extract_skills, naive_graph_fault,
@@ -860,6 +862,38 @@ def test_add_resume_refuses_an_id_that_is_not_a_string(lexicon, gazetteer, jobse
     assert str(err.value) == (f"jobseeker {jobseeker_id!r}: id and name must be strings, "
                               "declared and projects lists")
     assert graph == KnowledgeGraph()
+
+
+# Aliases with a symbol a lexicon keeps and scoring does not (".", "/", "é"), and
+# description words: those aliases, their parts as gazetteer keywords, and others.
+KEEPING_ALIASES = ["node.js", ".net", "ci/cd", "café"]
+SCORED_WORDS = ["js", "node", "net", "ci", "cd", "caf", "robust", "scalable"]
+DESCRIPTION = st.lists(st.tuples(
+    st.sampled_from(KEEPING_ALIASES + SCORED_WORDS + ["java", "c++", "shipped", "the", "node.js."]),
+    st.sampled_from([" ", ", ", "/", ". "]),
+), max_size=8).map(lambda pairs: "".join(word + sep for word, sep in pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(aliases=st.lists(st.sampled_from(KEEPING_ALIASES), unique=True),
+       weights=st.dictionaries(st.sampled_from(SCORED_WORDS), st.floats(0, 1)),
+       descriptions=st.lists(DESCRIPTION, max_size=4))
+@example(aliases=["node.js"], weights={"js": 0.75}, descriptions=["shipped node.js services"])
+def test_add_resume_stores_each_projects_extracted_skills_and_score(aliases, weights,
+                                                                     descriptions):
+    """Whatever characters the lexicon keeps, ``add_resume`` stores each project's
+    ``extract_skills`` and, when it mentions a skill, its ``score_description``."""
+    lexicon = parse_skill_records([{"canonical": name, "category": "x"}
+                                   for name in ["java", "c++", *aliases]])
+    assert (lexicon.phrase_index[0] == DEFAULT_KEEP_CHARS) == (not aliases)
+    gazetteer = parse_sentiment_records([{"keyword": keyword, "class": "x", "weight": weight}
+                                         for keyword, weight in weights.items()])
+    resume = record("js0", experiences=[exp("acme", details) for details in descriptions])
+    projects = KnowledgeGraph().add_resume(resume, lexicon, gazetteer).to_dict()["jobseekers"][0][3]
+    assert len(projects) == len(descriptions)
+    for details, (_, _, _, units, skills) in zip(descriptions, projects):
+        assert skills == sorted(extract_skills(details, lexicon))
+        assert units == (round(score_description(details, gazetteer) * 2**64) if skills else 0)
 
 
 def test_saved_rows_are_sorted_whatever_order_the_file_had():
