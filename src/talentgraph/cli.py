@@ -31,8 +31,9 @@ def _lexicon_for_graph(lexicon_path: str | None, graph: KnowledgeGraph) -> Skill
     """Load the lexicon, or fall back to one whose only aliases are the graph's
     skill keys, each its own canonical.
 
-    The fallback resolves canonical skill names but no aliases, which is
-    enough for queries written against graph skill keys.
+    The fallback resolves canonical skill names but no aliases. It names every
+    key the graph holds: a load refuses a key that a query would not read as
+    itself (``lexicon.skill_key_fault``).
     """
     if lexicon_path:
         return load_skill_lexicon(lexicon_path)

@@ -19,7 +19,8 @@ Gold fixture document::
       "queries": [{"query": "top c++ candidates", "relevant": ["<id>", ...]}]
     }
 
-``load_gold`` rejects any other top-level key or query key, and returns a
+``load_gold`` rejects any other top-level key or query key, and a skill that
+is no skill key (``lexicon.skill_key_fault``) at ``skills.<id>``, and returns a
 dict of the same three keys, each always present: ``skills`` maps a jobseeker
 id to a set, ``sentiment`` a project key to its label, and ``queries`` is a
 list of (query text, set of relevant ids) pairs.
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 from ._io import check_document, check_keys, read_document
 from .errors import FixtureError, NodeNotFoundError, QueryError
 from .graph import KnowledgeGraph
-from .lexicon import SkillLexicon
+from .lexicon import SkillLexicon, skill_key_fault
 from .query import Query, execute, parse_query
 
 POSITIVE = "positive"
@@ -146,6 +147,11 @@ def _read_gold(doc: object) -> dict:
         if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
             raise FixtureError(f"skills.{key}: expected a list of strings")
         gold["skills"][key] = set(value)
+    # Each distinct skill once, its fault located at the first jobseeker that holds it.
+    for skill in sorted(set().union(*gold["skills"].values())):
+        if (fault := skill_key_fault(skill)) is not None:
+            key = next(key for key, skills in gold["skills"].items() if skill in skills)
+            raise FixtureError(f"skills.{key}: {fault}")
 
     for key, value in doc["sentiment"].items():
         if value not in SENTIMENT_CLASSES:

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 from ._io import check_document, check_keys, read_document, write_document
 from .errors import (DuplicateJobseekerError, GraphConfigError, GraphFormatError,
                      NodeNotFoundError)
-from .lexicon import SentimentGazetteer, SkillLexicon
+from .lexicon import SentimentGazetteer, SkillLexicon, skill_key_fault
 
 if TYPE_CHECKING:
     from .parser import ResumeRecord
@@ -245,9 +245,10 @@ class KnowledgeGraph:
                    gazetteer: SentimentGazetteer) -> "KnowledgeGraph":
         """Ingest one parsed resume as the row ``to_dict`` would write for it, by the
         graph file's row rule. An already-ingested jobseeker id raises
-        ``DuplicateJobseekerError``, and a record the file cannot hold (an id that is not a
-        string, months outside the parser's range) a ``GraphFormatError``
-        located at ``jobseeker '<id>'``; either leaves the graph unchanged."""
+        ``DuplicateJobseekerError``, and a record the file cannot hold (a skill that is no
+        skill key, an id that is not a string, months outside the parser's range) a
+        ``GraphFormatError`` located at ``jobseeker '<id>'``; either leaves the graph
+        unchanged."""
         # Read at call time: commands that never ingest never import these.
         from .parser import match_skills
         from .scoring import score_tokens
@@ -268,9 +269,13 @@ class KnowledgeGraph:
                              units, mentioned])
         known = project_skills.union(record.declared_skills)
         # key=str: a skill that is not a string sorts too, so the row rule can refuse it.
+        skills = sorted(known, key=str)
+        for skill in skills:  # the skill rows' rule, as a load checks them before any row
+            if isinstance(skill, str) and (fault := skill_key_fault(skill)) is not None:
+                raise GraphFormatError(f"jobseeker {record.jobseeker_id!r}: {fault}")
         row = [record.jobseeker_id, record.name, sorted(known - project_skills, key=str), projects]
         self._add_jobseeker(row, known, set(), "jobseeker {!r}", record.jobseeker_id)
-        for skill in sorted(known):  # each a string, as the row rule checked
+        for skill in skills:  # each a string, as the row rule checked
             if (node := NodeId(_SKILL, skill)) not in self.nodes:
                 self.nodes[node] = {"category": lexicon.categories.get(skill) or ""}
         return self
@@ -475,6 +480,8 @@ class KnowledgeGraph:
             key, attrs = row
             if not isinstance(key, str) or not isinstance(attrs, dict):
                 raise GraphFormatError(f"skills[{i}]: bad key or attrs")
+            if (fault := skill_key_fault(key)) is not None:
+                raise GraphFormatError(f"skills[{i}]: {fault}")
             for name, value in attrs.items():
                 if not isinstance(value, str):
                     raise GraphFormatError(f"skills[{i}]: attr {name!r} is not a string")

@@ -35,9 +35,15 @@ loaders fill them in one pass, raising the first fault in record order.
 A lexicon's phrase index, the form free-text skill matching uses, is derived
 from its aliases on first use and cached. This relies on the lexicon being
 immutable; a concurrent first use builds equal values.
+
+This module also states what a skill key is, for every document and type
+that holds one: ``skill_key_fault`` is the one rule, and the query DSL's word
+lists and patterns it reads are defined here, beside it, for ``query`` to
+parse with. Each canonical must be a skill key; an alias need not be one.
 """
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -55,6 +61,28 @@ from .tokenization import DEFAULT_KEEP_CHARS, token_pattern, tokenize
 def _fold(text: str) -> str:
     """Lowercase, trim and collapse internal whitespace."""
     return " ".join(text.lower().split())
+
+
+# The query DSL's words and patterns (README, Query DSL), which ``query`` parses with.
+_FILLER_WORDS = frozenset("candidate candidates resume resumes jobseeker jobseekers".split())
+_TOP_RE = re.compile(r"^\s*top\b(?:\s+([0-9]+)\b)?\s*", re.IGNORECASE)
+_NUM = r"-?[0-9]+(?:\.[0-9]+)?"
+_BOUNDS_RE = re.compile(rf"^(?P<phrase>.*?)\s+(?P<lo>{_NUM})\s*(?:[-–]\s*(?P<hi>{_NUM})|\+)$")
+
+
+def skill_key_fault(key: object) -> str | None:
+    """Why ``key`` is no skill key, or None when it is one. A skill key is a
+    non-empty folded string that ``query.parse_query`` reads, alone, as the one
+    bare term that names it: no comma, no leading ``top`` word, no trailing
+    filler word or years range. The cheap tests run first; a regex only when
+    the key could match it."""
+    if not isinstance(key, str) or not key or key != _fold(key):
+        return f"skill {key!r} is not a lowercase, single-spaced, non-empty string"
+    if ("," in key or (key.startswith("top") and _TOP_RE.match(key))
+            or key.rpartition(" ")[2] in _FILLER_WORDS
+            or (key[-1] in "0123456789+" and _BOUNDS_RE.match(key))):
+        return f"skill {key!r} does not read as one bare query term"
+    return None
 
 
 class SkillLexicon:
@@ -129,8 +157,9 @@ _ENTRY_FIELDS = frozenset({"keyword", "class", "weight"})
 
 def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
     """Build a lexicon from decoded records, raising the first fault in record
-    order: a record's unknown field, then its shape, then a repeated canonical
-    or an alias another skill owns."""
+    order: a record's unknown field, then its shape, then a canonical that is no
+    skill key (``skill_key_fault``), then a repeated canonical or an alias another
+    skill owns."""
     index: dict[str, str] = {}
     categories: dict[str, str] = {}
     for i, rec in enumerate(records):
@@ -149,6 +178,8 @@ def parse_skill_records(records: Iterable[dict]) -> SkillLexicon:
             raise LexiconFormatError(f"skills[{i}]: 'aliases' must be a list of strings")
         # ``_fold`` written out, here and below, sparing a function call per string.
         canonical = " ".join(canonical.lower().split())
+        if (fault := skill_key_fault(canonical)) is not None:
+            raise LexiconFormatError(f"skills[{i}]: {fault}")
         if canonical in categories:
             raise LexiconFormatError(f"skills[{i}]: duplicate canonical {canonical!r}")
         categories[canonical] = " ".join(category.lower().split())

@@ -9,15 +9,16 @@ Section splitting is line-anchored: a line whose stripped, lowercased text
 that section. Text before the first recognized header (all of the text when
 there is none) is the identity block.
 
-Experience blocks are paragraphs (blank-line separated) of the experience
-section. A block is claimed as one project only when one of its lines holds
-a date or duration pattern (a date that breaks across lines is not one); the
-first such pattern is the project's duration. Inside such a block the
-leading lines are read as, in order of appearance: date lines (a whole date,
-or one end of a range broken across lines, such as "Mar 2019 -"), the
-organization (first line that is neither a date nor a skill alias), and the
-verbatim project title (the next such line). Everything after the leading
-lines is the details text, kept as one contiguous slice of the resume.
+Experience blocks are paragraphs of the experience section, separated by
+blank or whitespace-only lines, which belong to no block. A block is claimed
+as one project only when one of its lines holds a date or duration pattern
+(a date that breaks across lines is not one); the first such pattern is the
+project's duration. Inside such a block the leading lines are read as, in
+order of appearance: date lines (a whole date, or one end of a range broken
+across lines, such as "Mar 2019 -"), the organization (first line that is
+neither a date nor a skill alias), and the verbatim project title (the next
+such line). Everything after the leading lines is the details text, kept as
+one contiguous slice of the resume.
 Dateless blocks are skipped with a diagnostic, so keep a project's
 description in the same paragraph as its header lines.
 """
@@ -89,7 +90,8 @@ _MONTH_NUM = {
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 _ORG_LEAD_RE = re.compile(r"^[^a-z0-9]+")
 _SPACES_RE = re.compile(r"\s+")
-_PARAGRAPH_RE = re.compile(r"\n\s*\n")
+# Blank or whitespace-only lines between paragraphs or after the last one.
+_PARAGRAPH_RE = re.compile(r"\n\s*(?:\n|$)")
 
 
 @dataclass

@@ -12,9 +12,10 @@ Skill phrases are resolved through the lexicon's alias index, so
 (candidate(s), resume(s), jobseeker(s)) are ignored, which keeps prose
 queries like "top C++ candidates" valid. ``parse_query`` only reads the text;
 the types hold every limit, for the DSL and a direct caller alike. ``QueryTerm``
-refuses a skill that is not a folded key (lowercase, single-spaced, non-empty),
-a bound that is not a finite non-negative number, or min > max; ``Query``
-keeps its terms as a tuple and refuses top_k < 1, no terms, a repeated skill.
+refuses a skill that is no skill key (``lexicon.skill_key_fault``, which reads
+the DSL's word lists and patterns that this module parses with), a bound that
+is not a finite non-negative number, or min > max; ``Query`` keeps its terms
+as a tuple and refuses top_k < 1, no terms, a repeated skill.
 
 A jobseeker matches a term when the jobseeker-skill edge exists and, for
 bounded terms, the accumulated years fall inside the inclusive range.
@@ -26,20 +27,16 @@ per-term (skill, strength, years) are execute's ``per_skill``.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import asdict, dataclass, field
 
 from .errors import (EmptyQueryError, NodeNotFoundError, QueryError, QueryRangeError,
                      UnknownSkillError)
 from .graph import EdgeKind, KnowledgeGraph, NodeKind
-from .lexicon import SkillLexicon, _fold, normalize_skill
+from .lexicon import (_BOUNDS_RE, _FILLER_WORDS, _TOP_RE, SkillLexicon, normalize_skill,
+                      skill_key_fault)
 
 DEFAULT_TOP_K = 10
 
-_FILLER_WORDS = frozenset("candidate candidates resume resumes jobseeker jobseekers".split())
-_TOP_RE = re.compile(r"^\s*top\b(?:\s+([0-9]+)\b)?\s*", re.IGNORECASE)
-_NUM = r"-?[0-9]+(?:\.[0-9]+)?"
-_BOUNDS_RE = re.compile(rf"^(?P<phrase>.*?)\s+(?P<lo>{_NUM})\s*(?:[-–]\s*(?P<hi>{_NUM})|\+)$")
 _JOBSEEKER_SKILL = EdgeKind.JOBSEEKER_SKILL  # a global reads faster than the enum attribute
 _NO_EDGE = (False, 0.0, 0.0, 0.0, 0.0, 0)  # a term without its edge fails and reads all zero
 
@@ -51,9 +48,8 @@ class QueryTerm:
     max_years: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.skill, str) or not self.skill or self.skill != _fold(self.skill):
-            raise QueryError(f"skill {self.skill!r} is not a lowercase, single-spaced, "
-                             "non-empty string")
+        if (fault := skill_key_fault(self.skill)) is not None:
+            raise QueryError(fault)
         lo, hi = self.min_years, self.max_years
         bounds = [b for b in (lo, hi) if b is not None]
         for b in bounds:  # type(), not isinstance(): a bool is no number of years

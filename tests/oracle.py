@@ -374,14 +374,15 @@ def naive_parse_term(raw, alias_index):
 def naive_parse_query(text, alias_index):
     """((skill, min years, max years) per term, top N), or the name of the
     error class the query raises: an optional leading ``top`` word, any case,
-    with an optional N; then the terms, one per comma-separated piece that is
+    with an optional N, each a whole word (no letter, digit or ``_`` of any
+    script follows it); then the terms, one per comma-separated piece that is
     not blank, each read in turn; then an N below 1; then no terms; then a
     skill in two terms."""
-    m = re.match(r"\s*top(?![a-z0-9_])", text, re.IGNORECASE)
+    m = re.match(r"\s*top(?!\w)", text, re.IGNORECASE)
     top_k = 10
     if m:
         text = text[m.end():]
-        n = re.match(r"\s+([0-9]+)(?![a-z0-9_])", text, re.IGNORECASE)
+        n = re.match(r"\s+([0-9]+)(?!\w)", text)
         if n:
             if len(n.group(1)) > INT_MAX_STR_DIGITS:
                 return "QueryError"
@@ -403,6 +404,17 @@ def naive_parse_query(text, alias_index):
     if len(set(skills)) < len(skills):
         return "QueryError"
     return terms, top_k
+
+
+def naive_skill_key_fault(key):
+    """Why ``key`` is no skill key, or None (README, Query DSL): it must be a
+    non-empty folded string, and a query of it alone, against a lexicon of it
+    alone, must read one bare term that names it."""
+    if not isinstance(key, str) or not key or naive_fold(key) != key:
+        return f"skill {key!r} is not a lowercase, single-spaced, non-empty string"
+    if naive_parse_query(key, {key: key}) != ([(key, None, None)], 10):
+        return f"skill {key!r} does not read as one bare query term"
+    return None
 
 
 # -- lexicon and gazetteer documents ---------------------------------------------
@@ -434,7 +446,8 @@ def naive_unknown_field(rec, fields):
 def naive_load_lexicon(records):
     """(alias -> canonical, canonical -> category, dumped document), or the
     first fault as (error class name, message). One pass, as README orders
-    the checks: each record's fields, its shape, then a repeat or a conflict."""
+    the checks: each record's fields, its shape, a canonical that is no skill
+    key, then a repeat or a conflict."""
     index, categories = {}, {}
     for i, rec in enumerate(records):
         where = f"skills[{i}]: "
@@ -450,6 +463,8 @@ def naive_load_lexicon(records):
             return "LexiconFormatError", where + "'aliases' must be a list of strings"
         canonical = naive_fold(rec["canonical"])
         aliases = {naive_fold(a) for a in aliases if naive_fold(a)} | {canonical}
+        if fault := naive_skill_key_fault(canonical):
+            return "LexiconFormatError", where + fault
         if canonical in categories:
             return "LexiconFormatError", where + f"duplicate canonical {canonical!r}"
         taken = sorted(a for a in aliases if a in index)  # owned by an earlier skill
@@ -541,6 +556,8 @@ def naive_skill_fault(row, skills):
     key, attrs = row
     if not isinstance(key, str) or not isinstance(attrs, dict):
         return "bad key or attrs"
+    if fault := naive_skill_key_fault(key):
+        return fault
     for name in attrs:
         if not isinstance(attrs[name], str):
             return f"attr {name!r} is not a string"

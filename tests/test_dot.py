@@ -40,7 +40,7 @@ def assert_renders_as_naive(graph: KnowledgeGraph) -> None:
 def graph_documents(draw) -> dict:
     """Loadable graph documents: skill attrs that may hold ``name`` or ``title``,
     jobseekers with up to 12 projects, and names and titles that may be empty."""
-    skills = draw(st.lists(TEXT, unique=True, max_size=5))
+    skills = draw(st.lists(TEXT.filter(bool), unique=True, max_size=5))  # "" is no skill key
     attrs = st.dictionaries(st.sampled_from(["category", "name", "title"]), TEXT, max_size=2)
     jobseekers = []
     for jobseeker in draw(st.lists(TEXT, unique=True, max_size=4)):

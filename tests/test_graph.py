@@ -548,6 +548,10 @@ MALFORMED = {
     "v2-node-row": (("skills", 0), ["skill", "java", {}], rf"{S0}: {NODE_ROW}"),
     "string-node-row": (("skills", 0), "abc", rf"{S0}: {NODE_ROW}"),
     "non-string-attr": (("skills", 0, 1, "category"), 5, rf"{S0}: attr 'category' is not a string"),
+    "unfolded-skill-key": (("skills", 0, 0), "Java",
+                           rf"{S0}: skill 'Java' is not a lowercase, single-spaced, non-empty string"),
+    "skill-key-no-query-names": (("skills", 0, 0), "node, js",
+                                 rf"{S0}: skill 'node, js' does not read as one bare query term"),
     "duplicate-skill": (("skills", 1), ["java", {}], r"skills\[1\]: duplicate skill 'java'"),
     "v2-nodes-list": (("nodes",), [], r"unknown section 'nodes'"),
     "v3-edge-section": (("edges/jobseeker_skill",), [V3_EDGE],

@@ -525,6 +525,20 @@ def test_parse_resume_dateless_block_skipped(lexicon):
     assert any("no date pattern" in d for d in diagnostics)
 
 
+@pytest.mark.parametrize("tail", [
+    "\n \nEDUCATION\nBSc", "\n\t\nEDUCATION\nBSc", "\n \n \nEDUCATION\nBSc",
+    "\n ", "\n\t", "\n \n ", "\n 　",
+], ids=["before-header", "tab-before-header", "two-before-header", "at-end", "tab-at-end",
+        "two-at-end", "unicode-space-at-end"])
+def test_parse_resume_whitespace_only_line_belongs_to_no_block(lexicon, tail):
+    """One or more whitespace-only lines after a project's details, before the
+    next header or at the end of the text, are in no paragraph: the details end
+    at their last non-blank line."""
+    text = "Jane Doe\nEXPERIENCE\nAcme\nJan 2020 - Jun 2021\nLedger\nDid java work." + tail
+    record, _ = parse_resume(text, lexicon, 0)
+    assert [e.details for e in record.experiences] == ["Did java work."]
+
+
 def test_parse_resume_date_broken_across_lines_is_no_date(lexicon):
     """A date must sit on one line: a block whose only date breaks across a
     line is skipped like any dateless block."""
