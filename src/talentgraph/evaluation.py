@@ -5,6 +5,8 @@ is binary: a description is predicted positive when its score exceeds
 ``DEFAULT_SENTIMENT_THRESHOLD``, a fixed 0. Ranking quality is hit-rate@k by
 default: a query counts as a hit when at least one gold-relevant jobseeker
 appears in the top k; precision@k is available via ``mode="precision"``.
+``evaluate_graph`` sorts the graph's jobseekers once and ranks each gold query
+over that one list, with the results ``execute`` gives.
 
 Conventions for empty denominators are fixed so degenerate fixtures stay
 well-defined: precision of an empty prediction set is 1.0, recall against
@@ -42,7 +44,7 @@ from ._io import check_document, check_keys, read_document
 from .errors import FixtureError, NodeNotFoundError, QueryError
 from .graph import KnowledgeGraph
 from .lexicon import SkillLexicon, skill_key_fault
-from .query import Query, execute, parse_query
+from .query import Query, _rank, parse_query
 
 POSITIVE = "positive"
 NEUTRAL = "neutral"
@@ -110,6 +112,11 @@ def sentiment_metrics(
     }
 
 
+def _check_topk_mode(mode: str) -> None:
+    if mode not in ("hit", "precision"):
+        raise FixtureError(f"unknown top-k mode {mode!r}")
+
+
 def topk_accuracy(
     rankings: Mapping[str, Sequence[str]],
     gold: Mapping[str, set[str]],
@@ -119,8 +126,7 @@ def topk_accuracy(
     """Fraction of queries hit within the top k (or mean precision@k)."""
     if k < 1:
         raise FixtureError(f"k must be >= 1, got {k}")
-    if mode not in ("hit", "precision"):
-        raise FixtureError(f"unknown top-k mode {mode!r}")
+    _check_topk_mode(mode)
     _check_keys(rankings, gold, "ranking fixture")
     if not gold:
         raise FixtureError("ranking fixture has no queries")
@@ -195,11 +201,14 @@ def evaluate_graph(
 
     Extraction predictions are the skills with a jobseeker-skill edge;
     sentiment predictions come from the score recorded on each project's
-    skill edges; rankings come from executing each gold query (widened to
-    at least the top 10 so hit-rate@10 is meaningful).
+    skill edges; each gold query (widened to at least the top 10 so
+    hit-rate@10 is meaningful) is ranked over one sorted jobseeker list, with
+    the results ``execute`` gives. ``mode`` is checked before any of this.
     """
+    _check_topk_mode(mode)
     report = EvalReport()
-    known = set(graph.jobseeker_ids())
+    jobseeker_ids = graph.jobseeker_ids()
+    known = set(jobseeker_ids)
     if gold["skills"]:
         if missing := sorted(set(gold["skills"]) - known):
             raise FixtureError(f"skills: gold references unknown jobseekers: {missing[:5]}")
@@ -233,7 +242,7 @@ def evaluate_graph(
                 raise FixtureError(f"queries[{i}]: gold references unknown jobseekers: "
                                    f"{missing[:5]}")
             widened = Query(terms=parsed.terms, top_k=max(10, parsed.top_k))
-            rankings[query_str] = [r.jobseeker_id for r in execute(widened, graph)]
+            rankings[query_str] = [r.jobseeker_id for r in _rank(widened, graph, jobseeker_ids)]
             relevant_map[query_str] = relevant
         report.topk = {
             k: topk_accuracy(rankings, relevant_map, k, mode=mode) for k in (3, 5, 10)

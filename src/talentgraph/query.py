@@ -149,8 +149,13 @@ def _term(graph: KnowledgeGraph, jobseeker_id: str,
 
 def execute(query: Query, graph: KnowledgeGraph) -> list[RankedResult]:
     """Filter jobseekers satisfying every term, rank by total strength."""
+    return _rank(query, graph, graph.jobseeker_ids())
+
+
+def _rank(query: Query, graph: KnowledgeGraph, jobseeker_ids: list[str]) -> list[RankedResult]:
+    """``execute`` over ``jobseeker_ids``, the graph's sorted ids read once by the caller."""
     results = []
-    for jobseeker_id in graph.jobseeker_ids():
+    for jobseeker_id in jobseeker_ids:
         per_skill = []
         total = 0  # added left to right: sum() of floats is compensated from Python 3.12
         for term in query.terms:

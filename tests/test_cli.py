@@ -12,13 +12,14 @@ from talentgraph.cli import main
 from talentgraph.graph import KnowledgeGraph, ScoringConfig
 from talentgraph.lexicon import load_skill_lexicon
 from talentgraph.parser import extract_skills
-from talentgraph.query import execute, parse_query
+from talentgraph.query import Query, QueryTerm, execute, explain, parse_query
 from talentgraph.tokenization import DEFAULT_KEEP_CHARS, tokenize
 
 from conftest import (
     CORPUS_DIR, GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, parse_corpus, run_python,
     run_talentgraph,
 )
+from test_evaluation import count_jobseeker_ids
 
 
 def run_cli(*args):
@@ -601,6 +602,35 @@ def test_usage_errors_name_the_command_argument(capsys):
     assert err.endswith("error: the following arguments are required: command\n")
 
 
+def test_an_argument_that_starts_with_a_dash_follows_double_dash(tmp_path, capsys):
+    """A skill key or jobseeker id that starts with ``-`` is an option to
+    argparse unless it follows ``--``, after which ``query`` and ``explain``
+    print what the library gives."""
+    graph = KnowledgeGraph.from_dict({
+        "schema_version": 4, "config": {"duration_bonus_factor": 0.5, "duration_cap_months": 120},
+        "skills": [["-net", {}]],
+        "jobseekers": [["-js", "Jo", [], [["t", "acme", 12, 0, ["-net"]]]]]})
+    path = tmp_path / "graph.json"
+    graph.save(path)
+    query = Query((QueryTerm("-net"),))
+    results = execute(query, graph)
+    assert [r.jobseeker_id for r in results] == ["-js"]
+    assert run_cli("query", path, "--", "-net") == 0
+    assert capsys.readouterr() == (cli._format_results(results) + "\n", "")
+    assert run_cli("query", path, "--json", "--", "-net") == 0
+    assert json.loads(capsys.readouterr().out) == {"schema_version": 1, "query": "-net",
+                                                   "top_k": 10,
+                                                   "results": [r.to_dict() for r in results]}
+    assert run_cli("explain", path, "--json", "--", "-js", "-net") == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "schema_version": 1, "explanation": explain("-js", query, graph).to_dict()}
+    for argv, missing in [(["query", path, "-net"], "dsl"),
+                          (["explain", path, "-js", "-net"], "jobseeker, dsl")]:
+        code, out, err = argparse_outcome(main, [str(a) for a in argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: the following arguments are required: {missing}\n")
+
+
 IMPORT_GUARD = """
 import json, sys
 import talentgraph
@@ -636,6 +666,27 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
     out = run_python("-c", IMPORT_GUARD, *map(str, argv))
     assert json.loads(out.stdout.splitlines()[-1]) == [
         [], [], ["stats"], ["stats"], ["query", "stats"], ["parser", "query", "scoring", "stats"]]
+
+
+def test_only_query_and_eval_sort_the_jobseekers_each_once(tmp_path, monkeypatch):
+    """A deterministic guard on ranking work: ``query`` and ``eval``, whatever
+    its number of gold queries, each call ``jobseeker_ids`` once; the commands
+    that rank nothing never call it."""
+    graph = ingest(tmp_path)
+    calls = count_jobseeker_ids(monkeypatch)
+    for argv, want in [
+        (["query", graph, "java, python"], 1),
+        (["query", graph, "top 2 java", "--lexicon", LEXICON_FILE, "--json"], 1),
+        (["eval", graph, GOLD_FILE], 1),
+        (["eval", graph, GOLD_FILE, "--lexicon", LEXICON_FILE], 1),
+        (["eval", graph, GOLD_FILE, "--lexicon", LEXICON_FILE, "--json"], 1),
+        (["explain", graph, "js0000-jane-doe", "java, python"], 0),
+        (["stats", graph], 0),
+        (["export", graph], 0),
+        (["export", graph, "--format", "dot"], 0),
+    ]:
+        calls.clear()
+        assert (run_cli(*argv), len(calls)) == (0, want), argv
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talentgraph.cli import main
 from talentgraph.errors import FixtureError
@@ -14,8 +16,13 @@ from talentgraph.evaluation import (
     sentiment_metrics,
     topk_accuracy,
 )
+from talentgraph.graph import KnowledgeGraph
+from talentgraph.query import Query, QueryTerm, execute, parse_query
 
-from conftest import GOLD_FILE, LEXICON_FILE
+from conftest import GOLD_FILE, LEXICON_FILE, build_graph
+from test_graph import (GAZETTEER, LEXICON, SENTIMENT_WORDS, exp, record, record_sets,
+                        shared_edge_records)
+from test_query import dsl_of, many_skill_records
 
 
 # -- extraction ----------------------------------------------------------------
@@ -238,3 +245,97 @@ def test_report_table_and_dict(corpus_graph, lexicon, tmp_path, capsys):
     assert payload["topk"]["3"] == pytest.approx(0.75)
     assert set(payload["extraction"]) == {"precision", "recall", "f1"}
     assert set(payload["sentiment"]) == {"accuracy", "precision", "recall"}
+
+
+# -- rankings ------------------------------------------------------------------
+
+@st.composite
+def tied_records(draw):
+    """Up to 12 jobseekers, each holding one of two drawn resumes: many equal
+    strengths, so that ids decide the order and the top-k cut."""
+    def experience():
+        words = draw(st.lists(st.sampled_from(["java", "python", *SENTIMENT_WORDS]), max_size=4))
+        return exp("acme", " ".join(["java", *words]), months=draw(st.sampled_from([0, 12, 40])))
+
+    resumes = [[experience()], [experience(), experience()]]
+    return [record(f"js{i:02d}", experiences=draw(st.sampled_from(resumes)))
+            for i in range(draw(st.integers(1, 12)))]
+
+
+@st.composite
+def graphs_and_gold(draw):
+    """A graph from drawn records, and gold of 1-4 distinct queries over its
+    lexicon skills, unbounded or with a minimum, each with any ``top N`` and
+    0-3 relevant jobseekers. Declared-only skills rank at strength 0, and
+    ``tied_records`` repeats whole resumes, so many strengths are equal."""
+    records = draw(st.one_of(record_sets(), shared_edge_records(), many_skill_records(),
+                             tied_records()))
+    graph = build_graph(records, LEXICON, GAZETTEER)
+    ids = graph.jobseeker_ids()
+    skills = sorted({s for j in ids for s in graph.jobseeker_skills(j)} & set(LEXICON.categories)
+                    | {"java"})
+    queries = {}
+    for _ in range(draw(st.integers(1, 4))):
+        terms = [QueryTerm(skill, draw(st.sampled_from([None, 0, 1, 2])))
+                 for skill in draw(st.permutations(skills))[:draw(st.integers(1, 3))]]
+        query = Query(tuple(terms), draw(st.integers(1, 12)))
+        relevant = draw(st.lists(st.sampled_from(ids), max_size=3)) if ids else []
+        queries[dsl_of(query)] = set(relevant)
+    return graph, {"skills": {}, "sentiment": {}, "queries": list(queries.items())}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graphs_and_gold())
+def test_evaluate_graph_ranks_each_query_as_execute_does(case):
+    """Each gold query's ranking is ``execute``'s for the query widened to the
+    top 10, in both modes and at every k."""
+    graph, gold = case
+    rankings = {}
+    for text, _ in gold["queries"]:
+        parsed = parse_query(text, LEXICON)
+        widened = Query(parsed.terms, max(10, parsed.top_k))
+        rankings[text] = [r.jobseeker_id for r in execute(widened, graph)]
+    relevant = dict(gold["queries"])
+    for mode in ("hit", "precision"):
+        want = {k: topk_accuracy(rankings, relevant, k, mode=mode) for k in (3, 5, 10)}
+        assert evaluate_graph(graph, gold, LEXICON, mode=mode).topk == want
+
+
+def count_jobseeker_ids(monkeypatch) -> list[None]:
+    """A list that grows by one at each ``KnowledgeGraph.jobseeker_ids`` call."""
+    calls = []
+    jobseeker_ids = KnowledgeGraph.jobseeker_ids
+
+    def counting(graph):
+        calls.append(None)
+        return jobseeker_ids(graph)
+
+    monkeypatch.setattr(KnowledgeGraph, "jobseeker_ids", counting)
+    return calls
+
+
+GOLD_QUERIES = ["top java candidates", "python 2-3", "spark 1+, kafka 1+", "top react candidates",
+                "c++ 8-10", "top 3 sql", "java, python", "linux 0+"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 8])
+def test_evaluate_graph_sorts_the_jobseekers_once(corpus_graph, lexicon, monkeypatch, count):
+    gold = load_gold(GOLD_FILE)
+    gold["queries"] = [(text, {"js0000-jane-doe"}) for text in GOLD_QUERIES[:count]]
+    calls = count_jobseeker_ids(monkeypatch)
+    report = evaluate_graph(corpus_graph, gold, lexicon)
+    assert (len(calls), sorted(report.topk)) == (1, [3, 5, 10] if count else [])
+    for n, text in enumerate(GOLD_QUERIES, start=2):
+        execute(parse_query(text, lexicon), corpus_graph)
+        assert len(calls) == n
+
+
+@pytest.mark.parametrize("queries", [[], [("top java", {"js0000-jane-doe"})]],
+                         ids=["no-queries", "one-query"])
+def test_evaluate_graph_checks_the_mode_before_any_work(corpus_graph, lexicon, monkeypatch,
+                                                         queries):
+    gold = {**load_gold(GOLD_FILE), "queries": queries}
+    calls = count_jobseeker_ids(monkeypatch)
+    with pytest.raises(FixtureError, match=r"^unknown top-k mode 'bogus'$"):
+        evaluate_graph(corpus_graph, gold, lexicon, mode="bogus")
+    assert calls == []
