@@ -5,8 +5,9 @@ is binary: a description is predicted positive when its score exceeds
 ``DEFAULT_SENTIMENT_THRESHOLD``, a fixed 0. Ranking quality is hit-rate@k by
 default: a query counts as a hit when at least one gold-relevant jobseeker
 appears in the top k; precision@k is available via ``mode="precision"``.
-``evaluate_graph`` sorts the graph's jobseekers once and ranks each gold query
-over that one list, with the results ``execute`` gives.
+``evaluate_graph`` ranks each gold query over the jobseekers that hold its
+rarest term's skill, read from one walk of the sorted jobseekers, with the
+results ``execute`` gives.
 
 Conventions for empty denominators are fixed so degenerate fixtures stay
 well-defined: precision of an empty prediction set is 1.0, recall against
@@ -44,7 +45,7 @@ from ._io import check_document, check_keys, read_document
 from .errors import FixtureError, NodeNotFoundError, QueryError
 from .graph import KnowledgeGraph
 from .lexicon import SkillLexicon, skill_key_fault
-from .query import Query, _rank, parse_query
+from .query import Query, _postings, _rank, parse_query
 
 POSITIVE = "positive"
 NEUTRAL = "neutral"
@@ -201,9 +202,10 @@ def evaluate_graph(
 
     Extraction predictions are the skills with a jobseeker-skill edge;
     sentiment predictions come from the score recorded on each project's
-    skill edges; each gold query (widened to at least the top 10 so
-    hit-rate@10 is meaningful) is ranked over one sorted jobseeker list, with
-    the results ``execute`` gives. ``mode`` is checked before any of this.
+    skill edges. Every gold query is checked before any is ranked; each
+    (widened to at least the top 10 so hit-rate@10 is meaningful) is ranked
+    over the jobseekers holding its rarest term's skill, with the results
+    ``execute`` gives. ``mode`` is checked before any of this.
     """
     _check_topk_mode(mode)
     report = EvalReport()
@@ -229,10 +231,9 @@ def evaluate_graph(
         report.sentiment = sentiment_metrics(predicted_classes, gold["sentiment"])
 
     if gold["queries"]:
-        rankings: dict[str, list[str]] = {}
-        relevant_map: dict[str, set[str]] = {}
+        widened: dict[str, Query] = {}  # every query checked before any is ranked
         for i, (query_str, relevant) in enumerate(gold["queries"]):
-            if query_str in relevant_map:
+            if query_str in widened:
                 raise FixtureError(f"queries[{i}]: duplicate gold query {query_str!r}")
             try:
                 parsed = parse_query(query_str, lexicon)
@@ -241,10 +242,14 @@ def evaluate_graph(
             if missing := sorted(relevant - known):
                 raise FixtureError(f"queries[{i}]: gold references unknown jobseekers: "
                                    f"{missing[:5]}")
-            widened = Query(terms=parsed.terms, top_k=max(10, parsed.top_k))
-            rankings[query_str] = [r.jobseeker_id for r in _rank(widened, graph, jobseeker_ids)]
-            relevant_map[query_str] = relevant
+            widened[query_str] = Query(terms=parsed.terms, top_k=max(10, parsed.top_k))
+        postings = _postings(graph, jobseeker_ids,
+                             {term.skill for query in widened.values() for term in query.terms})
+        rankings: dict[str, list[str]] = {}
+        for query_str, query in widened.items():  # over its rarest term's jobseekers
+            rarest = min((postings[term.skill] for term in query.terms), key=len)
+            rankings[query_str] = [r.jobseeker_id for r in _rank(query, graph, rarest)]
         report.topk = {
-            k: topk_accuracy(rankings, relevant_map, k, mode=mode) for k in (3, 5, 10)
+            k: topk_accuracy(rankings, dict(gold["queries"]), k, mode=mode) for k in (3, 5, 10)
         }
     return report

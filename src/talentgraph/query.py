@@ -152,8 +152,19 @@ def execute(query: Query, graph: KnowledgeGraph) -> list[RankedResult]:
     return _rank(query, graph, graph.jobseeker_ids())
 
 
+def _postings(graph: KnowledgeGraph, ids: list[str], skills: set[str]) -> dict[str, list[str]]:
+    """{skill: the ids of ``ids``, in order, whose jobseeker-skill edges hold it} for
+    each of ``skills``, declared-only included: any term's list holds every match."""
+    postings: dict[str, list[str]] = {skill: [] for skill in skills}
+    for jobseeker_id in ids:
+        for skill in postings.keys() & graph.jobseeker_skills(jobseeker_id).keys():
+            postings[skill].append(jobseeker_id)
+    return postings
+
+
 def _rank(query: Query, graph: KnowledgeGraph, jobseeker_ids: list[str]) -> list[RankedResult]:
-    """``execute`` over ``jobseeker_ids``, the graph's sorted ids read once by the caller."""
+    """``execute`` over sorted ids that hold every match (every jobseeker, or any term's
+    posting list): the results are sorted by ``(-score, id)``, so each list gives the same."""
     results = []
     for jobseeker_id in jobseeker_ids:
         per_skill = []

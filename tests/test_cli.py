@@ -517,6 +517,32 @@ def test_cli_byte_identical_across_subprocess_runs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    """Every command that writes bytes writes the same bytes in child
+    interpreters under ``PYTHONHASHSEED`` 0 and 1: ingest's graph and
+    intermediate files and its stdout, export in json and in dot, stats and
+    stats --json of the graph and of the corpus, eval --json, and query --json
+    and explain --json. A set iterated into an output would differ."""
+    graph, intermediate = tmp_path / "graph.json", tmp_path / "intermediate.json"
+    dsl, lexicon = "java 1+, python", ("--lexicon", LEXICON_FILE)
+    commands = [
+        ["ingest", CORPUS_DIR, *lexicon, "--gazetteer", GAZETTEER_FILE, "--out", graph,
+         "--intermediate", intermediate],
+        ["export", graph], ["export", graph, "--format", "dot"],
+        ["stats", graph], ["stats", graph, "--json"],
+        ["stats", CORPUS_DIR, *lexicon], ["stats", CORPUS_DIR, *lexicon, "--json"],
+        ["eval", graph, GOLD_FILE, *lexicon, "--json"],
+        ["query", graph, dsl, *lexicon, "--json"],
+        ["explain", graph, "js0000-jane-doe", dsl, *lexicon, "--json"],
+    ]
+    written = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        outputs = [run_talentgraph(*map(str, argv)).stdout for argv in commands]
+        written.append([*outputs, graph.read_bytes(), intermediate.read_bytes()])
+    assert written[0] == written[1]
+
+
 def test_real_interpreter_output_equals_in_process_output(tmp_path, capsys, monkeypatch):
     """Every command in a fresh interpreter, which imports only the modules
     the command imports itself; in this process every module is already

@@ -17,12 +17,11 @@ from talentgraph.evaluation import (
     topk_accuracy,
 )
 from talentgraph.graph import KnowledgeGraph
-from talentgraph.query import Query, QueryTerm, execute, parse_query
+from talentgraph.query import Query, QueryTerm, _rank, execute, parse_query
 
 from conftest import GOLD_FILE, LEXICON_FILE, build_graph
-from test_graph import (GAZETTEER, LEXICON, SENTIMENT_WORDS, exp, record, record_sets,
-                        shared_edge_records)
-from test_query import dsl_of, many_skill_records
+from test_graph import GAZETTEER, LEXICON, record_sets, shared_edge_records
+from test_query import dsl_of, many_skill_records, tied_records
 
 
 # -- extraction ----------------------------------------------------------------
@@ -250,19 +249,6 @@ def test_report_table_and_dict(corpus_graph, lexicon, tmp_path, capsys):
 # -- rankings ------------------------------------------------------------------
 
 @st.composite
-def tied_records(draw):
-    """Up to 12 jobseekers, each holding one of two drawn resumes: many equal
-    strengths, so that ids decide the order and the top-k cut."""
-    def experience():
-        words = draw(st.lists(st.sampled_from(["java", "python", *SENTIMENT_WORDS]), max_size=4))
-        return exp("acme", " ".join(["java", *words]), months=draw(st.sampled_from([0, 12, 40])))
-
-    resumes = [[experience()], [experience(), experience()]]
-    return [record(f"js{i:02d}", experiences=draw(st.sampled_from(resumes)))
-            for i in range(draw(st.integers(1, 12)))]
-
-
-@st.composite
 def graphs_and_gold(draw):
     """A graph from drawn records, and gold of 1-4 distinct queries over its
     lexicon skills, unbounded or with a minimum, each with any ``top N`` and
@@ -328,6 +314,40 @@ def test_evaluate_graph_sorts_the_jobseekers_once(corpus_graph, lexicon, monkeyp
     for n, text in enumerate(GOLD_QUERIES, start=2):
         execute(parse_query(text, lexicon), corpus_graph)
         assert len(calls) == n
+
+
+@pytest.mark.parametrize("texts", [None, GOLD_QUERIES], ids=["fixture-gold", "eight-queries"])
+def test_eval_ranks_each_gold_query_over_its_shortest_posting_list(corpus_graph, lexicon,
+                                                                   monkeypatch, texts):
+    """``evaluate_graph`` hands ``_rank`` each gold query's shortest posting
+    list, worked out here from the graph document's rows, so fewer ids in all
+    than one scan of every jobseeker per query; ``execute`` still hands it
+    every jobseeker."""
+    gold = load_gold(GOLD_FILE)
+    if texts is not None:
+        gold["queries"] = [(text, {"js0000-jane-doe"}) for text in texts]
+    handed = []
+
+    def recording(query, graph, jobseeker_ids):
+        handed.append(list(jobseeker_ids))
+        return _rank(query, graph, jobseeker_ids)
+
+    monkeypatch.setattr("talentgraph.evaluation._rank", recording)
+    evaluate_graph(corpus_graph, gold, lexicon)
+    held = {jobseeker: {*declared, *(skill for row in projects for skill in row[4])}
+            for jobseeker, _, declared, projects in corpus_graph.to_dict()["jobseekers"]}
+    shortest = [min(([j for j in sorted(held) if term.skill in held[j]]
+                     for term in parse_query(text, lexicon).terms), key=len)
+                for text, _ in gold["queries"]]
+    assert handed == shortest
+    ids = corpus_graph.jobseeker_ids()
+    assert sum(map(len, handed)) < len(gold["queries"]) * len(ids)
+
+    handed.clear()
+    monkeypatch.setattr("talentgraph.query._rank", recording)
+    for text, _ in gold["queries"]:
+        execute(parse_query(text, lexicon), corpus_graph)
+    assert handed == [ids] * len(gold["queries"])
 
 
 @pytest.mark.parametrize("queries", [[], [("top java", {"js0000-jane-doe"})]],

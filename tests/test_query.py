@@ -21,7 +21,8 @@ from talentgraph.errors import (
 )
 from talentgraph.graph import EdgeKind, KnowledgeGraph
 from talentgraph.lexicon import parse_sentiment_records
-from talentgraph.query import Query, QueryTerm, execute, explain, parse_query
+from talentgraph.query import (DEFAULT_TOP_K, Query, QueryTerm, _postings, _rank, execute, explain,
+                               parse_query)
 
 from conftest import GAZETTEER_FILE, LEXICON_FILE, build_graph
 from oracle import OracleGraph, naive_parse_query
@@ -426,13 +427,29 @@ def many_skill_records(draw):
 
 
 @st.composite
-def graphs_and_queries(draw):
-    """A graph from drawn records, and a query of 1-4 of its skills (or one it
-    lacks), each unbounded or bounded at a year count some jobseeker holds or
-    a whole year, with any ``top_k`` up to past every match; and the oracle of
-    the same records. Half the queries name only skills that one jobseeker
+def tied_records(draw):
+    """Up to 12 jobseekers, each holding one of two drawn resumes: many equal
+    strengths, so that ids decide the order and the top-k cut."""
+    def experience():
+        words = draw(st.lists(st.sampled_from(["java", "python", *SENTIMENT_WORDS]), max_size=4))
+        return exp("acme", " ".join(["java", *words]), months=draw(st.sampled_from([0, 12, 40])))
+
+    resumes = [[experience()], [experience(), experience()]]
+    return [record(f"js{i:02d}", experiences=draw(st.sampled_from(resumes)))
+            for i in range(draw(st.integers(1, 12)))]
+
+
+@st.composite
+def graphs_and_queries(draw, records=None):
+    """A graph from drawn records (of the strategy ``records``, or of any of
+    three kinds), and a query of 1-4 of its skills (or one it lacks), each
+    unbounded or bounded at a year count some jobseeker holds or a whole
+    year, with any ``top_k`` up to past every match; and the oracle of the
+    same records. Half the queries name only skills that one jobseeker
     holds, bounded so that it qualifies, some on its exact years."""
-    records = draw(st.one_of(record_sets(), shared_edge_records(), many_skill_records()))
+    if records is None:
+        records = st.one_of(record_sets(), shared_edge_records(), many_skill_records())
+    records = draw(records)
     graph = build_graph(records, LEXICON, GAZETTEER)
     jobseekers = graph.jobseeker_ids()
     held = {}
@@ -508,6 +525,46 @@ def test_execute_equals_the_oracle(case):
     graph, oracle, query = case
     got = [(r.jobseeker_id, r.total_score.hex(), r.per_skill) for r in execute(query, graph)]
     assert got == [(j, total.hex(), per_skill) for j, total, per_skill in oracle.rank(query)]
+
+
+def case_of(records, *terms, top_k=DEFAULT_TOP_K):
+    """(graph, oracle, query) of ``records`` and a query of ``terms``."""
+    graph = build_graph(records, LEXICON, GAZETTEER)
+    oracle = OracleGraph(records, LEXICON, GAZETTEER, graph.config)
+    return graph, oracle, Query(terms, top_k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(graphs_and_queries(), graphs_and_queries(tied_records())))
+# Declared-only java (js0, js2) matches a term as the mentioned java (js1) does.
+@example(case=case_of([record("js0", declared=["java"]),
+                       record("js1", experiences=[exp("acme", "java robust")]),
+                       record("js2", declared=["java"], experiences=[exp("acme", "python")])],
+                      QueryTerm("java")))
+# Nobody holds sql: its list is empty, and so is the ranking.
+@example(case=case_of([record("js0", experiences=[exp("acme", "java")])],
+                      QueryTerm("java"), QueryTerm("sql")))
+# Five equal strengths: ids decide which three are kept.
+@example(case=case_of([record(f"js{i}", experiences=[exp("acme", "java robust", months=12)])
+                       for i in range(5)], QueryTerm("java"), top_k=3))
+def test_rank_over_the_rarest_posting_list_equals_execute(case):
+    """``_postings`` lists, for each queried skill, the sorted ids whose
+    jobseeker-skill edges hold it, as the oracle reads them: declared-only
+    skills included, a skill that nobody holds empty. ``_rank`` over the
+    shortest list among a query's terms, as over any term's, gives
+    ``execute``'s results bit for bit, ids breaking ties, whether ``top_k``
+    is below or above the number of matches."""
+    graph, oracle, query = case
+    ids = graph.jobseeker_ids()
+    skills = {term.skill for term in query.terms}
+    postings = _postings(graph, ids, skills)
+    assert postings == {skill: [j for j in ids if skill in oracle.skills_of(j)]
+                        for skill in skills}
+    want = [(r.jobseeker_id, r.total_score.hex(), r.per_skill) for r in execute(query, graph)]
+    rarest = min((postings[term.skill] for term in query.terms), key=len)
+    for candidates in (rarest, *postings.values()):
+        got = _rank(query, graph, candidates)
+        assert [(r.jobseeker_id, r.total_score.hex(), r.per_skill) for r in got] == want
 
 
 def dsl_of(query):
