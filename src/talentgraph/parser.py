@@ -4,13 +4,16 @@ The input is UTF-8 plain text, one resume per file. Parsing is deterministic
 and never raises on messy content; anything unparseable lands in the list of
 diagnostics instead. Only an entirely empty input is an error.
 
-Section splitting is line-anchored: a line whose stripped, lowercased text
-(minus a trailing colon) equals one of the ``DEFAULT_SECTION_HEADERS`` keys opens
-that section. Text before the first recognized header (all of the text when
-there is none) is the identity block.
+Parsing walks the resume's lines once. A line whose stripped, lowercased
+text (minus a trailing colon) equals one of the ``DEFAULT_SECTION_HEADERS``
+keys opens that section, again each time it recurs. Lines before the first
+recognized header (all of them when there is none) are the identity block;
+its first non-blank line is the name. Declared skills are matched in each
+run of skills lines between two headers on its own: a skill phrase never
+spans a header line, though it may span a blank line.
 
-Experience blocks are paragraphs of the experience section, separated by
-blank or whitespace-only lines, which belong to no block. A block is claimed
+An experience block is a run of non-blank experience lines: a blank or
+whitespace-only line, or any header line, ends it. A block is claimed
 as one project only when one of its lines holds a date or duration pattern
 (a date that breaks across lines is not one); the first such pattern is the
 project's duration. Inside such a block the leading lines are read as, in
@@ -18,14 +21,17 @@ order of appearance: date lines (a whole date, or one end of a range broken
 across lines, such as "Mar 2019 -"), the organization (first line that is
 neither a date nor a skill alias), and the verbatim project title (the next
 such line). Everything after the leading lines is the details text, kept as
-one contiguous slice of the resume.
+one contiguous slice of the resume. The organization is lowercased, loses
+its leading characters that are neither letters nor digits (``_`` among
+them) and its trailing punctuation and legal-form suffixes.
 Dateless blocks are skipped with a diagnostic, so keep a project's
-description in the same paragraph as its header lines.
+description in the same block as its header lines.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import ResumeParseError
 from .lexicon import SkillLexicon, normalize_skill
@@ -88,10 +94,8 @@ _MONTH_NUM = {
 }
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
-_ORG_LEAD_RE = re.compile(r"^[^a-z0-9]+")
+_ORG_LEAD_RE = re.compile(r"^[\W_]+")  # neither a letter nor a digit
 _SPACES_RE = re.compile(r"\s+")
-# Blank or whitespace-only lines between paragraphs or after the last one.
-_PARAGRAPH_RE = re.compile(r"\n\s*(?:\n|$)")
 
 
 @dataclass
@@ -111,26 +115,35 @@ class ResumeRecord:
     experiences: list[ExperienceEntry]
 
 
-def split_sections(text: str) -> dict[str, str]:
-    """Section (identity, skills, experience, other) -> its text, header lines excluded."""
-    buckets: dict[str, list[str]] = {
-        "identity": [], "skills": [], "experience": [], "other": [],
+def _section_runs(text: str) -> dict[str, list[list[str]]]:
+    """Section -> its runs of lines, one run per header line that opens it
+    (identity: the one run before any header), header lines excluded."""
+    runs: dict[str, list[list[str]]] = {
+        "identity": [[]], "skills": [], "experience": [], "other": [],
     }
-    current = "identity"
+    lines = runs["identity"][0]
     for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         key = line.strip().lower()
         if key.endswith(":"):  # one optional trailing colon
             key = key[:-1].strip()
         section = DEFAULT_SECTION_HEADERS.get(key)
-        if section is not None:
-            current = section
-            # A repeated section keeps a paragraph break so blocks never
-            # straddle the splice point.
-            if buckets[current]:
-                buckets[current].append("")
-            continue
-        buckets[current].append(line)
-    return {name: "\n".join(lines).strip("\n") for name, lines in buckets.items()}
+        if section is None:
+            lines.append(line)
+        else:
+            lines = []
+            runs[section].append(lines)
+    return runs
+
+
+def split_sections(text: str) -> dict[str, str]:
+    """Section (identity, skills, experience, other) -> its text, header lines excluded.
+
+    A header that opens a section again reads as a blank line in its text.
+    """
+    return {
+        name: "\n".join(line for run in runs for line in ("", *run)).strip("\n")
+        for name, runs in _section_runs(text).items()
+    }
 
 
 def extract_skills(section_text: str, lexicon: SkillLexicon) -> set[str]:
@@ -190,25 +203,14 @@ def parse_duration(raw: str, diagnostics: list[str] | None = None) -> int:
 
 
 def normalize_org(raw: str) -> str:
-    """Case-fold, trim punctuation and strip legal-form suffixes."""
-    text = raw.strip().lower()
-    text = _ORG_LEAD_RE.sub("", text)
+    """Case-fold, trim leading non-alphanumerics and trailing punctuation, drop legal forms."""
+    text = _ORG_LEAD_RE.sub("", raw.strip().lower())
     while True:
         text = text.rstrip(" \t.,;:&")
         words = text.split()
-        if words and words[-1] in ORG_SUFFIXES:
-            text = " ".join(words[:-1])
-            continue
-        break
-    text = _SPACES_RE.sub(" ", text)
-    return text if text else "unknown-org"
-
-
-def _first_nonempty_line(lines: list[str]) -> str:
-    for line in lines:
-        if line.strip():
-            return line.strip()
-    return ""
+        if not words or words[-1] not in ORG_SUFFIXES:
+            return _SPACES_RE.sub(" ", text) or "unknown-org"
+        text = " ".join(words[:-1])
 
 
 def _slug(name: str) -> str:
@@ -225,7 +227,7 @@ def _parse_experience_block(
     for idx, line in enumerate(lines):
         stripped = line.strip()
         date = stripped.strip("()[],;:. \t")
-        if not stripped or _DATE_SEARCH_RE.fullmatch(date) or _HALF_DATE_RE.fullmatch(date):
+        if _DATE_SEARCH_RE.fullmatch(date) or _HALF_DATE_RE.fullmatch(date):
             continue  # a date line, or one end of a date broken across lines
         if normalize_skill(stripped.strip(".,;:"), lexicon) is not None:
             continue  # a bare skill line never names the org or the title
@@ -238,20 +240,13 @@ def _parse_experience_block(
         details_start = idx
         break
 
-    organization = normalize_org(org_raw or "")
     if org_raw is None:
-        diagnostics.append(
-            f"experience block {_first_nonempty_line(lines)!r}: no organization line"
-        )
-    if title is None:
-        title = "untitled"
-    months = parse_duration(duration_raw, diagnostics)
-    details = "\n".join(lines[details_start:])
+        diagnostics.append(f"experience block {lines[0].strip()!r}: no organization line")
     return ExperienceEntry(
-        organization=organization,
-        project_title=title,
-        duration_months=months,
-        details=details,
+        organization=normalize_org(org_raw or ""),
+        project_title=title or "untitled",
+        duration_months=parse_duration(duration_raw, diagnostics),
+        details="\n".join(lines[details_start:]),
         duration_raw=duration_raw,
     )
 
@@ -266,30 +261,30 @@ def parse_resume(text: str, lexicon: SkillLexicon, id_seed: int) -> tuple[Resume
     if not text.strip():
         raise ResumeParseError("resume text is empty")
     diagnostics: list[str] = []
-    sections = split_sections(text)
+    runs = _section_runs(text)
 
-    # The name is the first non-empty line of the identity block.
-    name = _first_nonempty_line(sections["identity"].split("\n"))
+    # The name is the first non-blank line of the identity block.
+    name = next(filter(None, map(str.strip, runs["identity"][0])), "")
     if not name:
         name = "unknown"
         diagnostics.append("no name line found")
     else:
         diagnostics.append(f"name {name!r} taken from first line (low confidence heuristic)")
 
-    declared = extract_skills(sections["skills"], lexicon)
+    # Each run on its own: a skill phrase never spans a header line. A resume
+    # with no skills header still makes the one extraction that checks the lexicon.
+    runs_of_skills = runs["skills"] or [[]]
+    declared = set().union(*(extract_skills("\n".join(run), lexicon) for run in runs_of_skills))
 
     experiences: list[ExperienceEntry] = []
-    for block in _PARAGRAPH_RE.split(sections["experience"]):
-        if not block.strip():
-            continue
-        lines = block.split("\n")
+    # A block is a run of non-blank lines: a blank line or any header ends it.
+    blocks = (list(lines) for run in runs["experience"]
+              for filled, lines in groupby(run, key=lambda line: bool(line.strip())) if filled)
+    for lines in blocks:
         # The first date on one line both claims the block and dates it.
         date = next(filter(None, map(_DATE_SEARCH_RE.search, lines)), None)
         if date is None:
-            diagnostics.append(
-                f"experience block {_first_nonempty_line(lines)!r}: "
-                "no date pattern, skipped"
-            )
+            diagnostics.append(f"experience block {lines[0].strip()!r}: no date pattern, skipped")
             continue
         experiences.append(_parse_experience_block(lines, date[0], lexicon, diagnostics))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import types
 from collections import defaultdict
 
 # Redeclared on purpose: a silent change to the package defaults should
@@ -83,21 +84,26 @@ SECTION_HEADERS = {
 }
 
 
+def naive_header(line):
+    """The section a header line opens, or None: a whole line, any case, with
+    an optional trailing colon."""
+    name = line.strip().lower()
+    if name.endswith(":"):
+        name = name[:-1].strip()
+    return SECTION_HEADERS.get(name)
+
+
 def naive_split_sections(text):
-    """Section -> text. A header is a whole line, any case, with an optional
-    trailing colon; it opens its section and is itself dropped. Text before
-    the first header is the identity block. A section opened again after
-    holding lines gets one blank line before the new ones. CR and CRLF read
-    as LF, and each section's outer newlines are stripped."""
+    """Section -> text. A header opens its section and is itself dropped.
+    Text before the first header is the identity block. A section opened
+    again after holding lines gets one blank line before the new ones. CR and
+    CRLF read as LF, and each section's outer newlines are stripped."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     joined = {"identity": None, "skills": None, "experience": None, "other": None}
     section = "identity"
     for line in text.split("\n"):
-        name = line.strip().lower()
-        if name.endswith(":"):
-            name = name[:-1].strip()
-        if name in SECTION_HEADERS:
-            section = SECTION_HEADERS[name]
+        if naive_header(line) is not None:
+            section = naive_header(line)
             if joined[section] is not None:
                 joined[section] += "\n"
         elif joined[section] is None:
@@ -128,15 +134,11 @@ def naive_month(word):
     return None
 
 
-def naive_months(raw):
-    """What parse_duration returns: months of the first form that matches
-    the whole trimmed text, 0 for none, a reversed range or a count of five
-    or more digits."""
+def naive_duration(text):
+    """Months of the first form that matches the whole text, any case,
+    negative for a reversed range; None when no form does."""
     # Case-insensitive matching lets "ſ" stand for "s" and "ı" for "i".
-    text = raw.strip().lower().replace("ſ", "s").replace("ı", "i")
-    if re.search(r"\d{5}", text):
-        return 0
-    months = None
+    text = text.lower().replace("ſ", "s").replace("ı", "i")
     for form, pattern in enumerate(DURATION_FORMS):
         m = pattern.fullmatch(text)
         if m is None:
@@ -145,15 +147,158 @@ def naive_months(raw):
             first, last = naive_month(m.group(1)), naive_month(m.group(3))
             if first is None or last is None:
                 continue
-            months = (int(m.group(4)) - int(m.group(2))) * 12 + last - first + 1
-        elif form == 1:
-            months = 12 * (int(m.group(2)) - int(m.group(1)))
-        elif form == 2:
-            months = 12 * int(m.group(1)) + int(m.group(2) or 0)
-        else:
-            months = int(m.group(1))
-        break
-    return months if months is not None and months >= 0 else 0
+            return (int(m.group(4)) - int(m.group(2))) * 12 + last - first + 1
+        if form == 1:
+            return 12 * (int(m.group(2)) - int(m.group(1)))
+        if form == 2:
+            return 12 * int(m.group(1)) + int(m.group(2) or 0)
+        return int(m.group(1))
+    return None
+
+
+def naive_duration_fault(raw):
+    """Why parse_duration reads no months from ``raw``, or None: no form
+    matches the whole trimmed text, or it holds a count of five or more
+    digits ("unrecognized"), or the range is reversed."""
+    months = naive_duration(raw.strip())
+    if months is None or re.search(r"\d{5}", raw):
+        return "unrecognized"
+    return "end precedes start" if months < 0 else None
+
+
+def naive_months(raw):
+    """What parse_duration returns: months of the first form that matches
+    the whole trimmed text, 0 for none, a reversed range or a count of five
+    or more digits."""
+    return 0 if naive_duration_fault(raw) else naive_duration(raw.strip())
+
+
+def is_word(ch):
+    """A character that ``\\b`` in a pattern counts as part of a word."""
+    return ch.isalnum() or ch == "_"
+
+
+def naive_date_search(line):
+    """The first date or duration pattern in the line: from the leftmost
+    character that starts a word, the longest text that a form matches whole
+    and that ends a word; None when there is none."""
+    for i, ch in enumerate(line):
+        if not is_word(ch) or (i and is_word(line[i - 1])):
+            continue
+        for j in range(len(line), i, -1):
+            ends_word = is_word(line[j - 1]) and (j == len(line) or not is_word(line[j]))
+            if ends_word and naive_duration(line[i:j]) is not None:
+                return line[i:j]
+    return None
+
+
+# One end of a range broken across lines: "Mar 2019 -", "- Apr 2019", "2019 to".
+HALF_DATE = re.compile(f"(?:{TO})?(?:([^\\W\\d_]+)\\.?\\s+)?(\\d{{4}})(?:{TO})?")
+
+
+def naive_date_line(stripped):
+    """A stripped block line that is a whole date or one end of a range,
+    once brackets, ``,;:.``, spaces and tabs around it are trimmed."""
+    text = stripped.strip("()[],;:. \t")
+    if naive_duration(text) is not None:
+        return True
+    m = HALF_DATE.fullmatch(text.lower().replace("ſ", "s").replace("ı", "i"))
+    return m is not None and (m.group(1) is None or naive_month(m.group(1)) is not None)
+
+
+# Redeclared legal-form suffixes.
+ORG_SUFFIXES = {"inc", "incorporated", "ltd", "limited", "llc", "llp", "pvt", "plc", "corp",
+                "corporation", "co", "gmbh"}
+
+
+def naive_normalize_org(raw):
+    """Lowercase; drop the leading characters that are neither letters nor
+    digits; drop trailing `` \\t.,;:&`` and a last word that is a legal-form
+    suffix, again and again; turn each run of whitespace into one space;
+    ``unknown-org`` when nothing is left."""
+    text = raw.strip().lower()
+    while text and not text[0].isalnum():
+        text = text[1:]
+    while True:
+        text = text.rstrip(" \t.,;:&")
+        words = text.split()
+        if not words or words[-1] not in ORG_SUFFIXES:
+            break
+        text = " ".join(words[:-1])
+    return re.sub(r"\s+", " ", text) or "unknown-org"
+
+
+def naive_slug(name):
+    slug = re.sub("[^a-z0-9]+", "-", name.lower()).strip("-")[:24].rstrip("-")
+    return slug or "unnamed"
+
+
+def naive_experience(block, lexicon, diagnostics):
+    """The project of one block of experience lines, or None for a block with
+    no date pattern on any one line. Its first such pattern is the duration.
+    Leading lines that are dates (whole or one end of a range) or a bare skill
+    alias are passed over; of the others, the first names the organization,
+    the next is the title, and the details are the block's lines from the
+    one after it on, verbatim."""
+    dates = [date for date in map(naive_date_search, block) if date is not None]
+    if not dates:
+        diagnostics.append(f"experience block {block[0].strip()!r}: no date pattern, skipped")
+        return None
+    named = []  # indices of the lines that are neither dates nor skill aliases
+    for i, line in enumerate(block):
+        stripped = line.strip()
+        if naive_date_line(stripped) or naive_fold(stripped.strip(".,;:")) in lexicon.alias_index:
+            continue
+        named.append(i)
+    if not named:
+        diagnostics.append(f"experience block {block[0].strip()!r}: no organization line")
+    fault = naive_duration_fault(dates[0])
+    if fault is not None:
+        diagnostics.append(f"duration {dates[0]!r}: {fault}, treated as unknown")
+    return types.SimpleNamespace(
+        organization=naive_normalize_org(block[named[0]] if named else ""),
+        project_title=block[named[1]].strip() if len(named) > 1 else "untitled",
+        duration_months=0 if fault else naive_duration(dates[0].strip()),
+        details="\n".join(block[named[2]:]) if len(named) > 2 else "",
+        duration_raw=dates[0],
+    )
+
+
+def naive_parse_resume(text, lexicon, seed):
+    """(record, diagnostics) of one resume, read line by line as README "How
+    it works" step 1 reads it. Lines before the first header are the identity
+    block, whose first non-blank line is the name. Declared skills are
+    matched in each stretch of skills lines between two headers on its own,
+    so no phrase spans a header. An experience block is a run of non-blank
+    experience lines: a blank line, a whitespace-only line, any header and
+    the end of the text each end one."""
+    section, name, declared, blocks = "identity", None, set(), []
+    skill_lines, block = [], []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line in [*lines, None]:  # None: the end of the text
+        header = None if line is None else naive_header(line)
+        if line is None or header is not None or not line.strip():
+            if block:
+                blocks.append(block)
+            block = []
+        if line is None or header is not None:
+            if section == "skills":
+                declared |= naive_extract_skills("\n".join(skill_lines), lexicon)
+            section, skill_lines = header, []
+        elif section == "identity" and name is None and line.strip():
+            name = line.strip()
+        elif section == "skills":
+            skill_lines.append(line)
+        elif section == "experience" and line.strip():
+            block.append(line)
+    diagnostics = [f"name {name!r} taken from first line (low confidence heuristic)"
+                   if name else "no name line found"]
+    experiences = [naive_experience(block, lexicon, diagnostics) for block in blocks]
+    name = name or "unknown"
+    return types.SimpleNamespace(
+        jobseeker_id=f"js{seed:04d}-{naive_slug(name)}", name=name, declared_skills=declared,
+        experiences=[e for e in experiences if e is not None],
+    ), diagnostics
 
 
 def naive_lookup(records, keyword):

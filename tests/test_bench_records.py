@@ -10,7 +10,10 @@ in it, and the two JSON lines the run printed, unedited. Its summaries give,
 for one untraced workload, seed and end-to-end metric, each pair's (parent,
 change) figures, each side's median and quartiles (``statistics.quantiles``,
 ``n=4``, ``method="inclusive"``) and the number of pairs in which the change
-reads lower."""
+reads lower. ``claimed`` names the workload, metric and seeds of a claimed
+gain, each of which needs a summary; it is null when the change claims no
+gain, and then every untraced workload and seed has a summary of every
+end-to-end metric."""
 from __future__ import annotations
 
 import json
@@ -79,7 +82,8 @@ def check_file(path: Path) -> None:
             assert len({pair[side]["src_tree"] for pair in pairs.values()}) == 1, side
 
     claimed = doc["claimed"]
-    assert claimed["metric"] in END_TO_END and claimed["workload"] in WORKLOADS
+    assert claimed is None or (claimed["metric"] in END_TO_END
+                               and claimed["workload"] in WORKLOADS)
     summarized = set()
     for summary in doc["summaries"]:
         assert set(summary) == SUMMARY_KEYS
@@ -94,6 +98,10 @@ def check_file(path: Path) -> None:
             assert summary[side] == spread([pair[n] for pair in figures]), (key, side)
         assert (summary["lower"], summary["of"]) == (
             sum(change < parent for parent, change in figures), len(figures)), key
+    if claimed is None:  # no gain claimed: every untraced run's figures are summarized
+        assert summarized == {(workload, seed, metric) for workload, seed, trace in groups
+                              if trace == 0 for metric in END_TO_END}
+        return
     for seed in claimed["seeds"]:
         assert (claimed["workload"], seed, claimed["metric"]) in summarized
 

@@ -3,14 +3,19 @@ from __future__ import annotations
 import gc
 import json
 import sys
+import tempfile
+import types
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import talentgraph.scoring  # noqa: F401  imported before a test rebinds its ``tokenize``
 from talentgraph import cli
 from talentgraph.cli import main
 from talentgraph.graph import KnowledgeGraph, ScoringConfig
-from talentgraph.lexicon import load_skill_lexicon
+from talentgraph.lexicon import load_sentiment_gazetteer, load_skill_lexicon
 from talentgraph.parser import extract_skills
 from talentgraph.query import Query, QueryTerm, execute, explain, parse_query
 from talentgraph.tokenization import DEFAULT_KEEP_CHARS, tokenize
@@ -19,7 +24,9 @@ from conftest import (
     CORPUS_DIR, GAZETTEER_FILE, GOLD_FILE, LEXICON_FILE, parse_corpus, run_python,
     run_talentgraph,
 )
+from oracle import OracleGraph, naive_parse_query, naive_parse_resume
 from test_evaluation import count_jobseeker_ids
+from test_parser import RESUME_SKILLS, resume_text
 
 
 def run_cli(*args):
@@ -761,3 +768,76 @@ def test_paused_collector_leaves_no_garbage_that_grows_with_the_corpus(tmp_path)
 
     unreachable_after_ingest(0)  # warm up whatever a first command leaves behind once
     assert unreachable_after_ingest(4) <= unreachable_after_ingest(1)
+
+
+# -- text to answer against the oracle -----------------------------------------
+
+KEYWORDS = [entry["keyword"] for entry in
+            json.loads(GAZETTEER_FILE.read_text(encoding="utf-8"))["entries"]]
+
+
+@st.composite
+def corpus_and_queries(draw):
+    """A lexicon and a gazetteer drawn from the fixture ones; resume texts,
+    each a drawn resume plus projects that mention the lexicon's aliases and
+    the gazetteer's words; and queries of the lexicon's skills, each term with
+    an optional range."""
+    skills = draw(st.lists(st.sampled_from(RESUME_SKILLS), min_size=1, max_size=5,
+                           unique_by=lambda rec: rec["canonical"]))
+    skills = [{**rec, "aliases": draw(st.lists(st.sampled_from(rec["aliases"]), unique=True))}
+              for rec in skills]
+    entries = [{"keyword": keyword, "class": "x", "weight": draw(st.floats(0, 1))}
+               for keyword in draw(st.lists(st.sampled_from(KEYWORDS), unique=True))]
+    words = [alias for rec in skills for alias in (rec["canonical"], *rec["aliases"])]
+    words += KEYWORDS + ["built", ","]
+    project = st.tuples(
+        st.sampled_from(["Acme Ltd.", "Übersee GmbH", "Globex", "• Initech, Inc."]),
+        st.sampled_from(["Jan 2020 - Jun 2021", "( 2019 - 2021 )", "18 months", "7 years"]),
+        st.lists(st.sampled_from(words), min_size=1, max_size=8).map(" ".join),
+    ).map(lambda p: f"EXPERIENCE\n{p[0]}\nLedger\n{p[1]}\n{p[2]}.\n")
+    resume = st.tuples(resume_text(), st.lists(project, min_size=1, max_size=3)).map(
+        lambda r: r[0] + "\n" + "".join(r[1]))
+    texts = draw(st.lists(resume, min_size=2, max_size=5))
+    term = st.tuples(st.sampled_from([rec["canonical"] for rec in skills]),
+                     st.sampled_from(["", "", "", " 0+", " 1+", " 0.5-2", " 0-1"]))
+    queries = [f"top {draw(st.sampled_from([1, 3, 10]))} "
+               + ", ".join(skill + bounds for skill, bounds in terms)
+               for terms in draw(st.lists(st.lists(term, min_size=1, max_size=2,
+                                                   unique_by=lambda t: t[0]),
+                                          min_size=1, max_size=3))]
+    return texts, skills, entries, queries
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=corpus_and_queries())
+def test_query_answers_equal_the_oracle_from_resume_text(tmp_path, case):
+    """``ingest`` then ``query --json`` of drawn resume texts give, for each
+    query, the ids in order and the totals bit for bit of the oracle's parse,
+    graph and ranking by ``(-total, id)``."""
+    texts, skills, entries, queries = case
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "corpus").mkdir()
+    for i, text in enumerate(texts):
+        (work / "corpus" / f"r{i}.txt").write_bytes(text.encode("utf-8"))
+    lexicon_file, gazetteer_file = work / "lexicon.json", work / "gazetteer.json"
+    lexicon_file.write_text(json.dumps({"schema_version": 1, "skills": skills}), encoding="utf-8")
+    gazetteer_file.write_text(json.dumps({"schema_version": 1, "entries": entries}),
+                              encoding="utf-8")
+    graph = work / "graph.json"
+    assert run_cli("ingest", work / "corpus", "--lexicon", lexicon_file,
+                   "--gazetteer", gazetteer_file, "--out", graph) == 0
+
+    lexicon, gazetteer = load_skill_lexicon(lexicon_file), load_sentiment_gazetteer(gazetteer_file)
+    records = [naive_parse_resume(text, lexicon, seed)[0] for seed, text in enumerate(texts)]
+    oracle = OracleGraph(records, lexicon, gazetteer, ScoringConfig())
+    for dsl in queries:
+        out = work / "answer.json"
+        assert run_cli("query", graph, dsl, "--json", "--lexicon", lexicon_file, "--out", out) == 0
+        got = [(row["jobseeker_id"], row["total_score"])
+               for row in json.loads(out.read_text(encoding="utf-8"))["results"]]
+        terms, top_k = naive_parse_query(dsl, lexicon.alias_index)
+        query = types.SimpleNamespace(top_k=top_k, terms=[
+            types.SimpleNamespace(skill=skill, min_years=low, max_years=high)
+            for skill, low, high in terms])
+        assert got == oracle.execute(query), dsl

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import talentgraph.lexicon
@@ -27,7 +28,8 @@ from talentgraph.parser import (
 
 from conftest import CORPUS_DIR, LEXICON_FILE
 from oracle import (
-    naive_extract_skills, naive_months, naive_phrases, naive_split_sections, naive_tokens,
+    naive_extract_skills, naive_header, naive_months, naive_parse_resume, naive_phrases,
+    naive_split_sections, naive_tokens,
 )
 
 JANE = (CORPUS_DIR / "r01_jane_doe.txt").read_text(encoding="utf-8")
@@ -429,6 +431,11 @@ def test_parse_duration_matches_oracle(raw):
         ("  Globex   Corp. ", "globex"),
         ("Initech, Inc.", "initech"),
         ("Ltd.", "unknown-org"),
+        ("Übersee GmbH", "übersee"),
+        ("Éclair Ltd", "éclair"),
+        ("東京 Corp", "東京"),
+        ("_Hooli", "hooli"),
+        ("• __Umbrella LLC", "umbrella"),
     ],
 )
 def test_normalize_org(raw, expected):
@@ -646,3 +653,100 @@ def test_parse_resume_fuzz_never_crashes(lexicon):
         for exp in record.experiences:
             assert exp.duration_months >= 0
             assert exp.organization
+
+
+# -- parse_resume against the oracle ------------------------------------------
+
+# The fixture lexicon plus a two-word alias whose words are no aliases.
+RESUME_SKILLS = [
+    *json.loads(LEXICON_FILE.read_text(encoding="utf-8"))["skills"],
+    {"canonical": "machine learning", "category": "x", "aliases": ["machine learning", "ml"]},
+]
+RESUME_LEXICON = parse_skill_records(RESUME_SKILLS)
+BLANK_LINE = st.sampled_from(["", " ", "\t", "  ", "　"])
+NAME_LINE = st.sampled_from(["Jane Doe", "  Jürgen Groß ", "Omar Hassan:", "李雷"])
+# "machine" ending one skills run and "learning" starting the next is no skill.
+SKILL_LINE = st.sampled_from(["machine", "learning"]) | st.lists(
+    st.sampled_from(["Java", "python", "C++", "apache spark", "machine", "learning", "ML",
+                     "Machine Learning", "sql", "prose"]), min_size=1, max_size=3,
+).map(", ".join).flatmap(lambda line: st.sampled_from([line, line + ".", line + ";", line + ":"]))
+# The lines of an experience block, each kind in any order.
+BLOCK_LINE = st.sampled_from([
+    # organizations, non-ASCII and with leading punctuation among them
+    "Acme Ltd.", "Initech, Inc.", "Übersee GmbH", "Éclair Ltd", "東京 Corp", "• Umbrella LLC",
+    "_Hooli", "Ltd.", "Ärzte & Co.",
+    # titles
+    "Payment Platform", "Ledger",
+    # whole dates, bracketed with inner spaces, reversed, too long; and ends of a range
+    "Jan 2020 - Jun 2021", "( 2019 - 2021 )", "[ Mar. 2019 to Apr. 2020 ]", "2 years",
+    "(18 months)", "1 yr 6 mos", "Sep 2019 – ſep 2018", "99999 years", "[2021 — 2019]:",
+    "Mar 2019 -", "- Apr 2019", "2019 to",
+    # bare skill lines with trailing punctuation
+    "Java", "python;", "C++.", "apache spark:", "ML,",
+    # details, with trailing spaces
+    "Built robust java services.  ", "Led debugging of C++ code\t",
+    "Did machine learning work from 2019 - 2020.", "Shipped py tools in 3 months. ",
+])
+OTHER_LINE = st.sampled_from(["BSc, MIT", "Reads papers.", "2019 - 2021"])
+
+
+@st.composite
+def resume_text(draw):
+    """A resume: identity lines, then sections under drawn header lines, a
+    section at times repeated; blank and whitespace-only lines between
+    blocks; CR, CRLF or LF line ends."""
+    lines = draw(st.lists(BLANK_LINE, max_size=1)) + draw(st.lists(NAME_LINE, max_size=1))
+    for _ in range(draw(st.integers(0, 4))):
+        header = draw(header_line() | st.sampled_from(["SKILLS", "Skills:", "EXPERIENCE"]))
+        lines.append(header)
+        section = naive_header(header)
+        if section == "skills":
+            lines += draw(st.lists(SKILL_LINE | BLANK_LINE, max_size=3))
+        elif section == "experience":
+            for _ in range(draw(st.integers(0, 3))):
+                lines += draw(st.lists(BLANK_LINE, max_size=2))
+                lines += draw(st.lists(BLOCK_LINE, min_size=1, max_size=6))
+        else:
+            lines += draw(st.lists(OTHER_LINE | BLANK_LINE, max_size=2))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends)) + draw(NAME_LINE | BLANK_LINE)
+
+
+def parsed(record):
+    return (record.jobseeker_id, record.name, record.declared_skills, [
+        (e.organization, e.project_title, e.duration_months, e.duration_raw, e.details)
+        for e in record.experiences])
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=resume_text())
+@example(text="Jane\nSKILLS\nmachine\nEXPERIENCE\nAcme\nSKILLS\nlearning")
+def test_parse_resume_matches_oracle(text):
+    """Name, declared skills, each experience and the diagnostics, in order,
+    equal the line-by-line oracle's."""
+    if not text.strip():
+        return
+    record, diagnostics = parse_resume(text, RESUME_LEXICON, 3)
+    want, want_diagnostics = naive_parse_resume(text, RESUME_LEXICON, 3)
+    assert parsed(record) == parsed(want)
+    assert diagnostics == want_diagnostics
+
+
+def test_skill_phrase_never_spans_a_header():
+    """A repeated skills header splits "machine" from "learning"; a blank line
+    inside one skills section does not."""
+    spliced = "Jane\nSKILLS\nmachine\nEXPERIENCE\nAcme\nSKILLS\nlearning"
+    assert parse_resume(spliced, RESUME_LEXICON, 0)[0].declared_skills == set()
+    blank = "Jane\nSKILLS\nmachine\n\nlearning\nEXPERIENCE\nAcme"
+    assert parse_resume(blank, RESUME_LEXICON, 0)[0].declared_skills == {"machine learning"}
+
+
+@pytest.mark.parametrize("text", ["Jane\nEXPERIENCE\nAcme", "Jane\nSKILLS\njava\nSKILLS\nsql"])
+def test_parse_resume_reports_a_phrase_shared_by_two_skills(text):
+    """With no skills header, or with two, the first resume parsed reports
+    aliases of two skills that tokenize alike."""
+    lexicon = parse_skill_records([{"canonical": "c++", "category": "x"},
+                                   {"canonical": "cpp-lang", "category": "x", "aliases": ["c++."]}])
+    with pytest.raises(AliasConflictError):
+        parse_resume(text, lexicon, 0)
